@@ -173,10 +173,10 @@ func TestScale100kFootprint(t *testing.T) {
 }
 
 // scaleSparseBudget bounds the wall clock of the sparse 100k smoke run.
-// With lazy effective times the run takes a few seconds on one CPU; the
-// eager flood would recompute the ~102k-core idle region on every one of
-// the ~10^5 scheduling steps and blow far past this, so the budget doubles
-// as a regression gate on the per-completion cost.
+// The run takes a few seconds on one CPU; recomputing the ~102k-core idle
+// region on every one of the ~10^5 scheduling steps would blow far past
+// this, so the budget doubles as a regression gate on the per-completion
+// cost.
 const scaleSparseBudget = 90 * time.Second
 
 // TestScale100kSparse is the sparse counterpart of the footprint smoke:
@@ -199,9 +199,6 @@ func TestScale100kSparse(t *testing.T) {
 		Seed:   7,
 		Shards: shards,
 	})
-	if got := k.EffScheme(); got != "lazy" {
-		t.Fatalf("effective-time scheme = %q, want lazy (the point of the sparse smoke)", got)
-	}
 	// 256 tasks strided across the machine: every shard owns a sliver of
 	// the busy frontier, the rest of its cores sit idle the whole run.
 	const tasks = 256

@@ -1,16 +1,15 @@
 package simany
 
 // Scheduler benchmark: a scheduling-bound workload driven through the
-// reference linear-scan scheduler and through the indexed runnable queue
-// (docs/scheduler.md), at the paper's many-core scale (1024 cores) and at
-// a small scale (64 cores) where the scan is cheap and the index must at
-// least break even.
+// indexed runnable queue (docs/scheduler.md), at the paper's many-core
+// scale (1024 cores), sequential and sharded, and at a small scale (64
+// cores).
 //
 // The workload is one compute task per core with heterogeneous block costs
 // under spatial synchronization (T=100cy): fast cores run ahead, hit the
 // drift bound against their slower neighbors and stall, so almost every
-// scheduling step is a stall/resume decision over the whole machine —
-// exactly the per-pick work the runnable index replaces. Application
+// scheduling step is a stall/resume decision over the whole machine.
+// Application
 // benchmarks like quicksort spend most wall time inside task bodies and
 // the memory model; this one isolates the scheduler.
 //
@@ -35,7 +34,7 @@ const schedBenchRounds = 30
 
 // runSchedWorkload simulates the stall-heavy workload once and returns the
 // step count and the wall time of the simulation proper.
-func runSchedWorkload(b *testing.B, cores, shards, workers int, mode core.SchedMode, wantSched string) (int64, time.Duration) {
+func runSchedWorkload(b *testing.B, cores, shards, workers int) (int64, time.Duration) {
 	b.Helper()
 	k := core.New(core.Config{
 		Topo:    topology.Mesh(cores),
@@ -43,10 +42,9 @@ func runSchedWorkload(b *testing.B, cores, shards, workers int, mode core.SchedM
 		Seed:    42,
 		Shards:  shards,
 		Workers: workers,
-		Sched:   mode,
 	})
-	if got := k.Scheduler(); got != wantSched {
-		b.Fatalf("scheduler = %q, want %q", got, wantSched)
+	if got := k.Scheduler(); got != "index" {
+		b.Fatalf("scheduler = %q, want index", got)
 	}
 	for i := 0; i < cores; i++ {
 		// Block costs straddle the drift bound: the spread keeps fast
@@ -70,11 +68,11 @@ func runSchedWorkload(b *testing.B, cores, shards, workers int, mode core.SchedM
 	return res.Steps, wall
 }
 
-func benchSchedSteps(b *testing.B, cores, shards, workers int, mode core.SchedMode, wantSched string) {
+func benchSchedSteps(b *testing.B, cores, shards, workers int) {
 	var steps int64
 	var wall time.Duration
 	for i := 0; i < b.N; i++ {
-		s, w := runSchedWorkload(b, cores, shards, workers, mode, wantSched)
+		s, w := runSchedWorkload(b, cores, shards, workers)
 		steps += s
 		wall += w
 	}
@@ -82,30 +80,20 @@ func benchSchedSteps(b *testing.B, cores, shards, workers int, mode core.SchedMo
 	b.ReportMetric(float64(wall.Nanoseconds())/float64(b.N), "wall-ns/op")
 }
 
-// BenchmarkSchedulerSteps compares scheduling throughput of the reference
-// scan against the indexed runnable queue. The interesting cell is the
-// 1024-core sequential one — there every pick under the scan walks 1024
-// cores (re-evaluating the horizon of each stalled one) while the index
-// answers with a heap peek; at 64 cores the scan is cheap and the index
-// must merely not regress.
+// BenchmarkSchedulerSteps reports scheduling throughput of the indexed
+// runnable queue on the stall-heavy workload.
 func BenchmarkSchedulerSteps(b *testing.B) {
 	shards := runtime.NumCPU()
 	if shards < 2 {
 		shards = 8 // single-CPU host: still exercise the per-shard engine
 	}
-	b.Run("1024/seq-scan", func(b *testing.B) {
-		benchSchedSteps(b, 1024, 1, 1, core.SchedScan, "scan")
-	})
 	b.Run("1024/seq-index", func(b *testing.B) {
-		benchSchedSteps(b, 1024, 1, 1, core.SchedAuto, "index")
+		benchSchedSteps(b, 1024, 1, 1)
 	})
 	b.Run("1024/sharded-index", func(b *testing.B) {
-		benchSchedSteps(b, 1024, shards, runtime.NumCPU(), core.SchedAuto, "index")
-	})
-	b.Run("64/seq-scan", func(b *testing.B) {
-		benchSchedSteps(b, 64, 1, 1, core.SchedScan, "scan")
+		benchSchedSteps(b, 1024, shards, runtime.NumCPU())
 	})
 	b.Run("64/seq-index", func(b *testing.B) {
-		benchSchedSteps(b, 64, 1, 1, core.SchedAuto, "index")
+		benchSchedSteps(b, 64, 1, 1)
 	})
 }

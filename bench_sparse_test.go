@@ -1,18 +1,15 @@
 package simany
 
 // Sparse-idle benchmark: per-completion cost of effective-time maintenance
-// on mostly-idle machines, lazy evaluation against the eager propagation
-// flood (docs/effective-time.md). The same 64-task strided workload runs
-// on machines from 1k to 100k cores: under eager evaluation every
-// scheduling step re-floods the idle region, so steps/sec collapses with
-// machine size even though the busy work is constant; under lazy
-// evaluation the cost tracks the busy frontier and stays flat. The dense
-// pair at 1k cores pins the other end: with every core busy there is no
-// idle region, so the two schemes must cost about the same.
+// on mostly-idle machines (docs/effective-time.md). The same 64-task
+// strided workload runs on machines from 1k to 100k cores: idle-region
+// shadow times are evaluated on demand from the busy frontier, so the
+// cost must stay flat while the idle region grows a hundredfold. The
+// dense run at 1k cores pins the other end: with every core busy there
+// is no idle region at all.
 //
 // The sequential engine is used throughout — it has no barriers, so every
-// effective-time update happens at a step site and the comparison isolates
-// exactly the per-completion cost the lazy scheme targets. The committed
+// effective-time update happens at a step site. The committed
 // BENCH_sparse.json snapshot is regenerated with
 //
 //	go test -run '^$' -bench BenchmarkSparseIdle -benchmem -benchtime 2x .
@@ -39,7 +36,7 @@ func sparseTopo(spec string) *topology.Topology {
 // reports steps/sec over the Run call alone; machine construction happens
 // with the timer stopped so the metric (and the alloc guard) measure the
 // simulation, not topology building.
-func benchSparseIdle(b *testing.B, spec string, tasks, slices int, mode core.EffMode) {
+func benchSparseIdle(b *testing.B, spec string, tasks, slices int) {
 	b.ReportAllocs()
 	var steps int64
 	var wall time.Duration
@@ -50,7 +47,6 @@ func benchSparseIdle(b *testing.B, spec string, tasks, slices int, mode core.Eff
 			Topo:   topo,
 			Policy: core.Spatial{T: core.DefaultT},
 			Seed:   42,
-			Eff:    mode,
 		})
 		stride := topo.N() / tasks
 		for t := 0; t < tasks; t++ {
@@ -72,35 +68,25 @@ func benchSparseIdle(b *testing.B, spec string, tasks, slices int, mode core.Eff
 	b.ReportMetric(float64(steps)/wall.Seconds(), "steps/sec")
 }
 
-// BenchmarkSparseIdle is the CI-guarded sparse/dense × lazy/eager matrix.
-// Acceptance (BENCH_sparse.json): lazy steps/sec stays within a small
-// factor across 1k→100k cores while eager falls off by orders of
-// magnitude, with at least a 10x lazy advantage at 100k.
+// BenchmarkSparseIdle is the CI-guarded sparse 1k/10k/100k series plus
+// the dense control. Acceptance (BENCH_sparse.json): steps/sec stays
+// within a small factor across 1k→100k cores.
 func BenchmarkSparseIdle(b *testing.B) {
-	sizes := []struct {
+	const tasks, slices = 64, 100
+	for _, sz := range []struct {
 		name string
 		spec string
 	}{
 		{"1k", "chiplet:8x8,4x4"},         // 1024 cores
 		{"10k", "chiplet:8x8,4x4,3x3"},    // 9216 cores
 		{"100k", "chiplet:8x8,4x4,10x10"}, // 102400 cores
-	}
-	const tasks, slices = 64, 100
-	for _, mode := range []struct {
-		name string
-		eff  core.EffMode
-	}{{"lazy", core.EffLazy}, {"eager", core.EffEager}} {
-		for _, sz := range sizes {
-			b.Run(mode.name+"/"+sz.name, func(b *testing.B) {
-				benchSparseIdle(b, sz.spec, tasks, slices, mode.eff)
-			})
-		}
+	} {
+		b.Run("lazy/"+sz.name, func(b *testing.B) {
+			benchSparseIdle(b, sz.spec, tasks, slices)
+		})
 	}
 	// Dense control: all 1024 cores busy, no idle region to maintain.
 	b.Run("dense-lazy/1k", func(b *testing.B) {
-		benchSparseIdle(b, "chiplet:8x8,4x4", 1024, slices, core.EffLazy)
-	})
-	b.Run("dense-eager/1k", func(b *testing.B) {
-		benchSparseIdle(b, "chiplet:8x8,4x4", 1024, slices, core.EffEager)
+		benchSparseIdle(b, "chiplet:8x8,4x4", 1024, slices)
 	})
 }

@@ -42,6 +42,9 @@ func TestRunErrors(t *testing.T) {
 		{"-bench", "octree", "-mem", "weird"},
 		{"-bench", "octree", "-cores", "4", "-policy", "wat"},
 		{"-machine", "/nonexistent/machine.conf"},
+		{"-bench", "octree", "-cores", "4", "-T", "-5"},
+		{"-bench", "octree", "-cores", "4", "-sched", "scan"}, // retired flag
+		{"-bench", "octree", "-cores", "4", "-eff", "eager"},  // retired flag
 	} {
 		if err := run(args); err == nil {
 			t.Fatalf("no error for %v", args)

@@ -116,20 +116,6 @@ type Machine struct {
 	// Workers is the number of host threads driving the shards (0 =
 	// GOMAXPROCS, capped at Shards). It never affects results.
 	Workers int
-	// Sched selects the scheduling implementation (docs/scheduler.md):
-	// "auto" or "" uses the indexed runnable queue when the policy's
-	// horizon is cacheable, "scan" forces the reference linear scan, and
-	// "verify" runs both side by side, panicking on divergence. The
-	// choice never affects results — only host speed.
-	Sched string
-	// Eff selects the effective-time evaluation scheme
-	// (docs/effective-time.md): "auto" or "" evaluates idle-region shadow
-	// times lazily from the busy frontier when the policy supports it,
-	// "eager" forces the reference per-completion propagation flood,
-	// "lazy" requests lazy evaluation explicitly, and "verify" runs eager
-	// authoritatively with a lazy cross-check, panicking on divergence.
-	// Like Sched, the choice never affects results — only host speed.
-	Eff string
 	// Metrics, when non-nil, attaches a deterministic metrics registry:
 	// the kernel records its standard instruments (message latency, link
 	// contention, barrier stalls — see docs/observability.md) into it, and
@@ -184,36 +170,6 @@ func (m Machine) Topology() *topology.Topology {
 		return topology.Clustered(m.Cores, topology.DefaultClusteredParams(8))
 	default:
 		return topology.Mesh(m.Cores)
-	}
-}
-
-// parseSched resolves the scheduler-mode string.
-func (m Machine) parseSched() (core.SchedMode, error) {
-	switch m.Sched {
-	case "", "auto":
-		return core.SchedAuto, nil
-	case "scan":
-		return core.SchedScan, nil
-	case "verify":
-		return core.SchedVerify, nil
-	default:
-		return 0, fmt.Errorf("config: unknown scheduler mode %q", m.Sched)
-	}
-}
-
-// parseEff resolves the effective-time evaluation-scheme string.
-func (m Machine) parseEff() (core.EffMode, error) {
-	switch m.Eff {
-	case "", "auto":
-		return core.EffAuto, nil
-	case "eager":
-		return core.EffEager, nil
-	case "lazy":
-		return core.EffLazy, nil
-	case "verify":
-		return core.EffVerify, nil
-	default:
-		return 0, fmt.Errorf("config: unknown effective-time mode %q", m.Eff)
 	}
 }
 
@@ -287,18 +243,13 @@ func (m Machine) Build() (*core.Kernel, *rt.Runtime, error) {
 	if m.Cores <= 0 {
 		return nil, nil, fmt.Errorf("config: invalid core count %d", m.Cores)
 	}
+	if m.T < 0 {
+		return nil, nil, fmt.Errorf("config: negative drift bound T = %v", m.T)
+	}
 	if m.Topo != nil && m.Style == Polymorphic && m.Topo.N()%2 != 0 {
 		return nil, nil, fmt.Errorf("config: polymorphic style needs an even core count")
 	}
 	pol, isCycleLevel, err := m.parsePolicy()
-	if err != nil {
-		return nil, nil, err
-	}
-	sched, err := m.parseSched()
-	if err != nil {
-		return nil, nil, err
-	}
-	eff, err := m.parseEff()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -327,8 +278,6 @@ func (m Machine) Build() (*core.Kernel, *rt.Runtime, error) {
 		MaxSteps:  m.MaxSteps,
 		Shards:    m.Shards,
 		Workers:   m.Workers,
-		Sched:     sched,
-		Eff:       eff,
 		Metrics:   m.Metrics,
 	}
 	if isCycleLevel {

@@ -82,17 +82,18 @@ func TestPolicyParsing(t *testing.T) {
 	}
 }
 
-func TestPolicyErrors(t *testing.T) {
-	for _, bad := range []string{"wat", "quantum:-5", "slack:x"} {
-		m := Default(4)
-		m.Policy = bad
+func TestBuildErrors(t *testing.T) {
+	for name, m := range map[string]Machine{
+		"unknown policy":      {Cores: 4, Policy: "wat"},
+		"negative policy arg": {Cores: 4, Policy: "quantum:-5"},
+		"garbage policy arg":  {Cores: 4, Policy: "slack:x"},
+		"zero cores":          Default(0),
+		// Used to build Spatial{T: -5}: horizons behind the slowest neighbor.
+		"negative T": {Cores: 4, T: vtime.CyclesInt(-5)},
+	} {
 		if _, _, err := m.Build(); err == nil {
-			t.Errorf("no error for policy %q", bad)
+			t.Errorf("%s: no error", name)
 		}
-	}
-	m := Default(0)
-	if _, _, err := m.Build(); err == nil {
-		t.Error("no error for zero cores")
 	}
 }
 

@@ -108,9 +108,8 @@ func TestDriftBoundValue(t *testing.T) {
 // unboundedPolicy has no spatial drift guarantee.
 type unboundedPolicy struct{}
 
-func (unboundedPolicy) Name() string              { return "unbounded-test" }
-func (unboundedPolicy) Horizon(*Core) vtime.Time  { return vtime.Inf }
-func (unboundedPolicy) IdleTime(*Core) vtime.Time { return vtime.Inf }
+func (unboundedPolicy) Name() string             { return "unbounded-test" }
+func (unboundedPolicy) Horizon(*Core) vtime.Time { return vtime.Inf }
 
 // TestCheckDriftBoundTrips: a hand-built clock spread beyond the bound is
 // reported; within the bound (or with all but one core idle) it is not.
@@ -138,44 +137,20 @@ func TestCheckDriftBoundTrips(t *testing.T) {
 	}
 }
 
-// TestSetTracerDemotionNotice: installing a tracer no longer demotes the
-// sharded engine (per-shard buffers merge at barriers), while
-// construction-time demotion by an unsafe component is still explicit.
-func TestSetTracerDemotionNotice(t *testing.T) {
-	sh := New(Config{Topo: topology.Mesh(16), Policy: Spatial{T: DefaultT}, Seed: 1, Shards: 4})
-	if !sh.Sharded() {
-		t.Fatal("expected sharded kernel")
-	}
-	if sh.DemotionNotice() != "" {
-		t.Errorf("premature notice: %q", sh.DemotionNotice())
-	}
-	if sh.SetTracer(countingTracer{}) {
-		t.Error("SetTracer demoted the sharded kernel")
-	}
-	if !sh.Sharded() {
-		t.Error("kernel lost sharding after tracer install")
-	}
-	if n := sh.DemotionNotice(); n != "" {
-		t.Errorf("tracer install produced notice %q", n)
-	}
-
-	// A tracer in the construction config keeps the kernel sharded too.
+// TestDemotionNotice: a tracer never demotes the sharded engine
+// (per-shard buffers merge at barriers), while construction-time demotion
+// by an unsafe component is explicit.
+func TestDemotionNotice(t *testing.T) {
 	traced := New(Config{Topo: topology.Mesh(16), Policy: Spatial{T: DefaultT},
 		Seed: 1, Shards: 4, Tracer: countingTracer{}})
 	if !traced.Sharded() {
 		t.Fatal("tracer-equipped kernel came up demoted")
 	}
-
-	seq := New(Config{Topo: topology.Mesh(4), Policy: Spatial{T: DefaultT}, Seed: 1})
-	if seq.SetTracer(countingTracer{}) {
-		t.Error("SetTracer on a sequential kernel reported demotion")
-	}
-	if seq.DemotionNotice() != "" {
-		t.Errorf("sequential kernel has notice %q", seq.DemotionNotice())
+	if n := traced.DemotionNotice(); n != "" {
+		t.Errorf("sharded kernel has notice %q", n)
 	}
 
-	// Construction-time demotion by an unsafe component remains explicit:
-	// a policy without shard-local decisions forces the sequential engine.
+	// A policy without shard-local decisions forces the sequential engine.
 	dem := New(Config{Topo: topology.Mesh(16), Policy: unboundedPolicy{},
 		Seed: 1, Shards: 4})
 	if dem.Sharded() {

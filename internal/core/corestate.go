@@ -33,24 +33,22 @@ type Core struct {
 	vt   vtime.Time // current virtual time (meaningful while busy)
 	idle bool
 	//simany:derived effective-time cache, recomputed by refreshEff after decode
-	eff vtime.Time // advertised effective time (vt when busy, shadow when idle)
+	eff vtime.Time // advertised effective time (vt when busy, shadow memo when idle; Inf when the policy does not relay)
 
-	// Lazy effective-time state (efflazy.go): the memo epoch stamp that
+	// Effective-time state (efflazy.go): the memo epoch stamp that
 	// validates eff for an idle core, the BFS visited generation, and the
 	// core's positions in its domain's busy anchor list and stalled heap.
-	effStamp uint64     //simany:derived memo validity stamp vs domain.effEpoch, 0 = stale
-	effSeen  uint64     //simany:derived lazyFix visited marker vs domain.effGen, transient per BFS
-	busyPos  int        //simany:derived index in domain.busyList (-1 = idle), rebuilt after decode
-	stallPos int        //simany:derived index in domain.sq (-1 = not stalled), rebuilt after decode
-	hzKey    vtime.Time //simany:derived stalled-horizon memo served by stallBest, guarded by hzStamp
-	hzStamp  uint64     //simany:derived horizon-memo stamp vs domain.effEpoch, cleared by schedUpdate
-	idleNb   int32      //simany:derived count of idle same-domain neighbors, rebuilt by schedRebuild after decode
-	rnStamp  uint64     //simany:derived sticky stalled-runnable stamp vs domain.shapeEpoch, cleared by schedUpdate
+	effStamp uint64 //simany:derived memo validity stamp vs domain.effEpoch, 0 = stale
+	effSeen  uint64 //simany:derived lazyFix visited marker vs domain.effGen, transient per BFS
+	busyPos  int    //simany:derived index in domain.busyList (-1 = idle), rebuilt after decode
+	stallPos int    //simany:derived index in domain.sq (-1 = not stalled), rebuilt after decode
+	idleNb   int32  //simany:derived count of idle same-domain neighbors, rebuilt by schedRebuild after decode
+	rnStamp  uint64 //simany:derived sticky stalled-runnable stamp vs domain.shapeEpoch, cleared by schedUpdate
 
 	//simany:derived immutable topology adjacency, rebuilt by New
 	neighbors []int // topological neighbors (sorted)
 	//simany:derived neighbor effective-time proxies, refreshed from eff at the restore barrier
-	nbEff []vtime.Time
+	nbEff []vtime.Time // exact at barriers; read between them only for neighbors in other shards
 
 	// Resident tasks. conts and ready are only mutated through the
 	// push/pop helpers below, which maintain the cached queue minima.
@@ -118,16 +116,16 @@ func (c *Core) VT() vtime.Time { return c.vt }
 // Kernel returns the owning kernel.
 func (c *Core) Kernel() *Kernel { return c.k }
 
-// Eff returns the effective time the core advertises to its neighbors.
-// Under lazy evaluation an idle core's value is computed on demand from
-// its region's busy frontier (and memoized); busy cores always read the
-// value maintained at their last step boundary, identical to the eager
-// scheme.
+// Eff returns the effective time the core advertises to its neighbors: a
+// busy core's clock as of its last step boundary, an idle core's shadow
+// time computed on demand from its region's busy frontier (and memoized).
+// Effective times exist only under policies that relay them
+// (IdleRelayPolicy); under any other policy Eff is Inf.
 func (c *Core) Eff() vtime.Time {
-	if c.k.effLazy && c.idle {
-		return c.dom.lazyEff(c)
+	if !c.k.effLazy {
+		return vtime.Inf
 	}
-	return c.eff
+	return c.dom.lazyEff(c)
 }
 
 // Idle reports whether the core has no runnable or stalled resident task.
@@ -154,25 +152,6 @@ func (c *Core) L1() *cache.Scoped { return c.l1 }
 
 // L2 returns the core's L2 model (used by the distributed-memory runtime).
 func (c *Core) L2() *cache.L2 { return c.l2 }
-
-// minNeighborEff returns the minimum advertised effective time among the
-// core's neighbors, Inf if it has none. Eagerly maintained kernels read
-// the neighbor proxies directly; under lazy evaluation the proxies are
-// not maintained between barriers, so idle local neighbors are pulled
-// through the region fixpoint instead (frozen cross-shard proxies are
-// read as-is, exactly like the eager scheme between barriers).
-func (c *Core) minNeighborEff() vtime.Time {
-	if c.k.effLazy {
-		return c.dom.lazyMinNeighborEff(c)
-	}
-	m := vtime.Inf
-	for _, t := range c.nbEff {
-		if t < m {
-			m = t
-		}
-	}
-	return m
-}
 
 // minBirth returns the minimum outstanding birth stamp, Inf if none.
 func (c *Core) minBirth() vtime.Time {

@@ -6,27 +6,26 @@ import (
 	"simany/internal/vtime"
 )
 
-// Lazy idle-region effective time.
+// Idle-region effective time.
 //
-// The eager implementation (domain.updateEff, engine.go) pushes every
-// effective-time change through the surrounding idle region until a
-// fixpoint: a task completion on a 100k-core machine with a handful of
-// busy cores floods O(idle region) state. The machinery in this file
-// inverts the direction: idle cores' effective times are *pulled* on
-// demand from the busy frontier, so a completion touches O(1) state and
-// the cost is paid only by the (few) cores whose horizon actually reads a
-// shadow time.
+// The paper's idle cores relay virtual time (§II.A "Non-connected sets of
+// active cores"): an idle core advertises min(neighbor effective times)
+// plus the policy's per-hop delta. Pushing every change through the
+// surrounding idle region until a fixpoint would flood O(idle region)
+// state per task completion; the machinery in this file *pulls* instead:
+// idle cores' effective times are evaluated on demand from the busy
+// frontier, so a completion touches O(1) state and the cost is paid only
+// by the (few) cores whose horizon actually reads a shadow time.
 //
 // Representation. There is no materialized region structure: an idle
 // region is implicit — the connected set of idle cores reachable from a
 // queried core without crossing a busy core or the domain boundary. Its
 // effective times are fully determined by the region's *frontier
 // anchors*: the maintained effective times of local busy cores and the
-// frozen cross-shard proxies held by the region's cores. For the spatial
-// policy (IdleTime = min(neighbor eff) + T) the unique fixpoint of the
-// eager relaxation assigns an idle core c
+// frozen cross-shard proxies held by the region's cores. The unique
+// fixpoint of the relay rule assigns an idle core c
 //
-//	eff(c) = min over anchors a of  anchor(a) + T·(hops(c,a) + 1)
+//	eff(c) = min over anchors a of  anchor(a) + delta·(hops(c,a) + 1)
 //
 // where hops counts idle cores on a shortest path from c to a that stays
 // inside the domain's idle cores. domain.lazyFix computes exactly that by
@@ -35,100 +34,76 @@ import (
 // improve the best value found so far. Sparse machines terminate after
 // one or two rings around the nearest busy core.
 //
-// Memoization. Computed values are cached in Core.eff (the same slot the
-// eager path maintains) and stamped with the domain's invalidation epoch
-// (Core.effStamp vs domain.effEpoch). The epoch advances whenever any
-// anchor of the domain changes — a busy core's maintained eff moved, a
-// core flipped busy/idle, or a barrier refreshed the frozen proxies — so
-// a stale memo is never served. Epoch bumps are O(1); nothing is flooded.
+// Memoization. Computed values are cached in Core.eff and stamped with
+// the domain's invalidation epoch (Core.effStamp vs domain.effEpoch). The
+// epoch advances whenever any anchor of the domain changes — a busy
+// core's maintained eff moved, a core flipped busy/idle, or a barrier
+// refreshed the frozen proxies — so a stale memo is never served. Epoch
+// bumps are O(1); nothing is flooded.
 //
-// Determinism. The lazy values equal the eager fixpoint exactly (the BFS
-// computes the same shortest-path minimum the relaxation converges to),
-// so scheduling decisions, traces and results are byte-identical for a
-// fixed (seed, shards). EffVerify machine-checks this claim during a run,
-// and Kernel.Validate recomputes the eager fixpoint and compares every
-// fresh memo against it.
+// Determinism. The BFS computes the shortest-path minimum the relaxation
+// converges to, so results do not depend on evaluation order.
+// Kernel.Validate recomputes the fixpoint by plain relaxation and
+// compares every fresh memo against it; the equivalence suite
+// (equiv_test.go) runs that check at every scheduling decision and pins
+// the pick sequences to a recording made with an eager propagation flood.
 //
 // Scheduling. The indexed scheduler splits the stalled cores by what
 // their horizons read. A stalled core with no idle same-domain neighbor
 // depends only on busy neighbors' maintained times (every change posts a
-// schedUpdate from lazyEffSite's O(degree) neighbor pass) and frozen
-// cross-shard proxies, so it keeps an exact cached key in the runq —
-// bit-for-bit the eager behavior, at the eager cost. Only the stalled
-// cores adjacent to an idle region — whose horizons read shadow times
-// that post no callbacks — move to a secondary per-domain heap ordered
-// by (vt, ID) (stallq); every pick evaluates those on demand, with two
-// memo layers (the per-epoch horizon memo and the sticky per-shape-epoch
-// runnable bit) keeping repeated evaluations O(1).
+// schedUpdate from effSite's O(degree) neighbor pass) and frozen
+// cross-shard proxies, so it keeps an exact cached key in the runq. Only
+// the stalled cores adjacent to an idle region — whose horizons read
+// shadow times that post no callbacks — move to a secondary per-domain
+// heap ordered by (vt, ID) (stallq); every pick evaluates those on
+// demand, and a sticky per-shape-epoch runnable bit keeps a member once
+// found runnable from being evaluated again.
 // See docs/effective-time.md for the full design and cost model.
 
-// EffMode selects how idle-region effective times are evaluated.
-type EffMode int
-
-const (
-	// EffAuto (the default) evaluates idle regions lazily whenever the
-	// policy supports it (IdleRelayPolicy) and eagerly otherwise. The
-	// choice never affects results — only how fast the host reaches them.
-	EffAuto EffMode = iota
-	// EffEager forces the reference eager propagation (the per-completion
-	// BFS flood): the baseline for benchmarks and differential debugging.
-	EffEager
-	// EffLazy forces lazy evaluation; kernels whose policy does not
-	// support idle relaying fall back to eager propagation.
-	EffLazy
-	// EffVerify runs the eager propagation as the source of truth and
-	// cross-checks every lazily computed value against it, panicking on
-	// the first divergence — the differential oracle used by the
-	// equivalence test suite, mirroring SchedVerify.
-	EffVerify
-)
-
-// String names the mode.
-func (m EffMode) String() string {
-	switch m {
-	case EffEager:
-		return "eager"
-	case EffLazy:
-		return "lazy"
-	case EffVerify:
-		return "verify"
-	default:
-		return "auto"
-	}
-}
-
-// IdleRelayPolicy is implemented by policies whose IdleTime is exactly
-// the spatial relay rule "min over neighbor effective times, plus a
-// constant delta" (Inf when no neighbor advertises a finite time). Only
-// for such policies can an idle region's interior times be reconstructed
-// from its busy frontier by shortest-path arithmetic; policies that do
-// not implement the interface (or return ok=false) keep the eager
-// propagation. Of the bundled policies only the paper's Spatial
-// qualifies — the drift-comparison schemes all advertise Inf from idle
-// cores and never enter the relay machinery at all.
+// IdleRelayPolicy is implemented by policies under which an idle core
+// advertises "min over neighbor effective times, plus a constant delta"
+// (Inf when no neighbor advertises a finite time). For such policies the
+// kernel maintains effective times — busy cores' at their step
+// boundaries, idle regions' on demand from the busy frontier. Policies
+// that do not implement the interface (or return ok=false) never read
+// effective times, and the kernel does not maintain any. Of the bundled
+// policies only the paper's Spatial relays.
 type IdleRelayPolicy interface {
-	// IdleRelay returns the per-hop relay increment (Spatial.T) and
-	// whether lazy evaluation is admissible.
+	// IdleRelay returns the per-hop relay increment (Spatial.T), which
+	// must be positive, and whether the policy relays at all.
 	IdleRelay() (delta vtime.Time, ok bool)
 }
 
-// setupEff resolves Config.Eff against the policy's capabilities.
-func (k *Kernel) setupEff(mode EffMode) {
-	delta, ok := vtime.Time(0), false
-	if p, isRelay := k.policy.(IdleRelayPolicy); isRelay {
-		delta, ok = p.IdleRelay()
+// setupEff arms effective-time maintenance when the policy relays. A
+// non-positive delta is rejected: the relay rule then has no unique
+// fixpoint (idle cores could sustain each other's stale times), and a
+// negative one hands out horizons behind the slowest neighbor.
+func (k *Kernel) setupEff() {
+	p, ok := k.policy.(IdleRelayPolicy)
+	if !ok {
+		return
 	}
-	switch mode {
-	case EffEager:
-		ok = false
-	case EffVerify:
-		k.effVerify = ok
-		ok = false // eager stays authoritative; lazy runs as a shadow check
+	if k.relayDelta, k.effLazy = p.IdleRelay(); !k.effLazy {
+		return
 	}
-	k.effLazy = ok
-	k.relayDelta = delta
-	if k.effLazy || k.effVerify {
-		k.buildLandmarks()
+	if k.relayDelta <= 0 {
+		panic(fmt.Sprintf("core: policy %q relays idle effective times with non-positive delta %v", k.policy.Name(), k.relayDelta))
+	}
+	k.buildLandmarks()
+	if k.sharded {
+		// Proxies for neighbors in other shards, frozen between barriers;
+		// one flat array sliced per core. Same-shard neighbors are read
+		// directly, so the sequential engine needs none.
+		flat := make([]vtime.Time, k.topo.NumLinks())
+		for i := range flat {
+			flat[i] = vtime.Inf
+		}
+		off := 0
+		for _, c := range k.cores {
+			deg := len(c.neighbors)
+			c.nbEff = flat[off : off+deg : off+deg]
+			off += deg
+		}
 	}
 }
 
@@ -194,19 +169,6 @@ func satScale(delta vtime.Time, hops int) vtime.Time {
 	return delta * vtime.Time(hops)
 }
 
-// EffScheme names the active effective-time evaluation: "lazy", "eager"
-// or "eager+verify".
-func (k *Kernel) EffScheme() string {
-	switch {
-	case k.effVerify:
-		return "eager+verify"
-	case k.effLazy:
-		return "lazy"
-	default:
-		return "eager"
-	}
-}
-
 // satAdd adds a non-negative cost to a virtual time, saturating at Inf
 // (vtime.Inf is MaxInt64, so plain addition would wrap).
 func satAdd(t, cost vtime.Time) vtime.Time {
@@ -265,20 +227,21 @@ func (d *domain) recomputeFloor() {
 		}
 	}
 	d.effFloor = m
-	d.floorAge = 0
 }
 
-// lazyEffSite is the lazy counterpart of the updateEff call sites in
-// domain.step: instead of flooding, it maintains the frontier anchors —
-// c's own advertised time, the busy list and the anchor floor —
-// invalidates the memos when an anchor actually changed, and notifies
-// the stalled same-domain neighbors whose horizons read c directly.
-// O(degree), never O(region): the neighbor pass is exactly the cheap,
-// non-flooding prefix of the eager updateEff, and it is what lets
-// stalled cores with no idle neighbor keep exact runq keys (schedUpdate)
-// instead of being re-evaluated at every pick.
-func (d *domain) lazyEffSite(c *Core) {
+// effSite runs at both ends of domain.step, where c's clock and idle flag
+// may have moved: it maintains the frontier anchors — c's own advertised
+// time, the busy list and the anchor floor — invalidates the memos when
+// an anchor actually changed, and notifies the stalled same-domain
+// neighbors whose horizons read c directly. O(degree), never O(region);
+// the neighbor pass is what lets stalled cores with no idle neighbor keep
+// exact runq keys (schedUpdate) instead of being re-evaluated at every
+// pick. A no-op when the policy does not relay.
+func (d *domain) effSite(c *Core) {
 	k := d.k
+	if !k.effLazy {
+		return
+	}
 	if !c.idle {
 		flipped := c.busyPos < 0
 		if flipped {
@@ -294,24 +257,13 @@ func (d *domain) lazyEffSite(c *Core) {
 		}
 		changed := c.eff != c.vt
 		if changed {
-			old := c.eff
 			c.eff = c.vt
 			d.effInvalidate()
-			if old <= d.effFloor && c.eff > d.effFloor {
-				// The floor-defining anchor moved up: the (now
-				// conservative) floor stays valid, but age it so it is
-				// re-tightened periodically instead of decaying forever.
-				d.floorAge++
-				if d.floorAge >= 16 && d.floorAge >= len(d.busyList) {
-					d.recomputeFloor()
-				}
-			}
 		}
 		// Outside the change branch so a re-busy core whose advertised
 		// value survived its idle spell still anchors the floor.
 		if c.eff < d.effFloor {
 			d.effFloor = c.eff
-			d.floorAge = 0
 		}
 		if flipped || changed {
 			for _, nbID := range c.neighbors {
@@ -350,37 +302,10 @@ func (d *domain) lazyEffSite(c *Core) {
 	}
 }
 
-// effSite dispatches the two effective-time maintenance sites in
-// domain.step to the active evaluation scheme: the eager flood, the O(1)
-// lazy bookkeeping, or — under EffVerify — the flood plus the shadow
-// bookkeeping the differential checks need (busy list and anchor floor;
-// the flood itself owns Core.eff).
-func (d *domain) effSite(c *Core) {
-	if d.k.effLazy {
-		d.lazyEffSite(c)
-		return
-	}
-	d.updateEff(c)
-	if d.k.effVerify {
-		if !c.idle {
-			if c.busyPos < 0 {
-				d.busyAdd(c)
-			}
-			if c.eff < d.effFloor {
-				d.effFloor = c.eff
-				d.floorAge = 0
-			}
-		} else if c.busyPos >= 0 {
-			d.busyRemove(c)
-		}
-	}
-}
-
-// lazyEff returns c's effective time under lazy evaluation: the core's
-// maintained value while busy, the memoized (or freshly computed)
-// region fixpoint while idle. Matches the eager fixpoint exactly,
-// including the busy==0 convention: with no local anchor, idle-only
-// relay chains have no fixpoint and everyone advertises Inf.
+// lazyEff returns c's effective time: the core's maintained value while
+// busy, the memoized (or freshly computed) region fixpoint while idle.
+// With no local anchor (busy == 0), idle-only relay chains have no
+// fixpoint and everyone advertises Inf.
 func (d *domain) lazyEff(c *Core) vtime.Time {
 	if !c.idle {
 		return c.eff
@@ -391,14 +316,9 @@ func (d *domain) lazyEff(c *Core) vtime.Time {
 	if c.effStamp == d.effEpoch {
 		return c.eff
 	}
-	e := d.lazyFix(c)
-	if !d.k.effVerify {
-		// In verify mode the eager flood owns Core.eff; the lazy shadow
-		// computation must not overwrite it.
-		c.eff = e
-		c.effStamp = d.effEpoch
-	}
-	return e
+	c.eff = d.lazyFix(c)
+	c.effStamp = d.effEpoch
+	return c.eff
 }
 
 // lazyFix computes the region fixpoint value for idle core c: a
@@ -443,8 +363,8 @@ func (d *domain) lazyFix(c *Core) vtime.Time {
 				}
 				if !nb.idle {
 					// Local busy frontier: anchor at the maintained eff
-					// (the value as of the core's last step boundary, the
-					// same one the eager flood reads — not the live clock).
+					// (the value as of the core's last step boundary, not
+					// the live clock).
 					if v := satAdd(nb.eff, cost); v < best {
 						best = v
 					}
@@ -508,18 +428,18 @@ func (d *domain) anchorCanImprove(c *Core, depth int, best vtime.Time) bool {
 	return false
 }
 
-// lazyMinNeighborEff is the lazy counterpart of Core.minNeighborEff: the
-// minimum over c's neighbors of their effective times, pulling idle local
-// neighbors through the region fixpoint and reading frozen proxies for
-// foreign ones. It is the value the eager proxies would hold at fixpoint.
-func (d *domain) lazyMinNeighborEff(c *Core) vtime.Time {
+// minNeighborEff returns the minimum over c's neighbors of their
+// effective times, Inf if it has none: busy local neighbors' maintained
+// values, idle local neighbors pulled through the region fixpoint, and
+// the proxies frozen at the last barrier for neighbors in other shards.
+func (d *domain) minNeighborEff(c *Core) vtime.Time {
 	k := d.k
 	m := vtime.Inf
 	for j, nbID := range c.neighbors {
 		nb := k.cores[nbID]
 		var e vtime.Time
 		if nb.dom != d {
-			e = c.nbEff[j] // frozen between barriers, same as eager
+			e = c.nbEff[j] // frozen between barriers
 		} else if !nb.idle {
 			e = nb.eff
 		} else {
@@ -532,26 +452,7 @@ func (d *domain) lazyMinNeighborEff(c *Core) vtime.Time {
 	return m
 }
 
-// verifyEff cross-checks the lazy computation against the eager state
-// (EffVerify): for stalled core c, the lazily reconstructed neighborhood
-// minimum must equal the one the authoritative eager proxies hold.
-// Divergence is a kernel bug, never a workload error.
-func (d *domain) verifyEff(c *Core) {
-	if d.inProp || d.k.inRefresh {
-		// Mid-flood the eager state is not yet at fixpoint; the lazy
-		// reconstruction is only comparable at settled points.
-		return
-	}
-	lazy := d.lazyMinNeighborEff(c)
-	eager := c.minNeighborEff()
-	if lazy != eager {
-		panic(fmt.Sprintf(
-			"core: effective-time divergence at core %d (domain %d): lazy neighborhood min %v, eager %v",
-			c.ID, d.id, lazy, eager))
-	}
-}
-
-// stallq is a domain's secondary scheduling heap under lazy evaluation:
+// stallq is a domain's secondary scheduling heap:
 // the stalled cores with at least one idle same-domain neighbor
 // (current != nil && idleNb > 0), ordered by (vt, ID). Their runnable
 // keys — when runnable at all — equal their clocks, but runnability
@@ -658,7 +559,7 @@ func (q *stallq) update(c *Core) {
 // clears the bit via schedUpdate or the epoch).
 func (d *domain) stallBest(limit vtime.Time) (best *Core, count int) {
 	q := d.sq
-	if q == nil || len(q.heap) == 0 {
+	if len(q.heap) == 0 {
 		return nil, 0
 	}
 	var walk func(i int)
@@ -672,7 +573,7 @@ func (d *domain) stallBest(limit vtime.Time) (best *Core, count int) {
 		}
 		if c != d.stepping {
 			runnable := c.rnStamp == d.shapeEpoch
-			if !runnable && c.vt <= d.stallHorizon(c) {
+			if !runnable && c.vt <= d.k.policy.Horizon(c) {
 				runnable = true
 				c.rnStamp = d.shapeEpoch
 			}
@@ -690,28 +591,11 @@ func (d *domain) stallBest(limit vtime.Time) (best *Core, count int) {
 	return best, count
 }
 
-// stallHorizon serves a stalled core's policy horizon through a memo
-// valid for the current effective-time epoch. The horizon's inputs are
-// the neighbor effective times (epoch-stable by definition) and the
-// non-eff runnability inputs — clock, births, locks — whose every
-// mutation site posts schedUpdate (the invalidation catalogue in
-// docs/scheduler.md), which clears the memo. Without this, a dense
-// machine re-derives hundreds of identical horizons per pick.
-func (d *domain) stallHorizon(c *Core) vtime.Time {
-	if c.hzStamp == d.effEpoch {
-		return c.hzKey
-	}
-	h := d.k.policy.Horizon(c)
-	c.hzKey = h
-	c.hzStamp = d.effEpoch
-	return h
-}
-
-// pickLazy is pickCore's indexed decision under lazy evaluation: the
-// best of the runq head (non-stalled runnables, exact cached keys) and
-// the best runnable stalled core, with the scan's (key, ID) preference,
-// plus the combined §VIII runnable count.
-func (d *domain) pickLazy(limit vtime.Time) (best *Core, key vtime.Time, count int) {
+// pickIndexed is pickCore's indexed decision: the best of the runq head
+// (exact cached keys) and the best runnable idle-adjacent stalled core,
+// with the scan's (key, ID) preference, plus the combined §VIII runnable
+// count.
+func (d *domain) pickIndexed(limit vtime.Time) (best *Core, key vtime.Time, count int) {
 	rqBest, rqCount := d.rq.pick(limit)
 	sBest, sCount := d.stallBest(limit)
 	count = rqCount + sCount
@@ -737,30 +621,12 @@ func (d *domain) pickLazy(limit vtime.Time) (best *Core, key vtime.Time, count i
 	return best, best.schedKey, count
 }
 
-// resetLazyIdle rebuilds the lazy bookkeeping for the all-idle machine
-// (the busy == 0 branch of refreshEff, reached at barriers and on
-// restore): no anchors, infinite floors, every memo discarded.
-func (d *domain) resetLazyIdle() {
-	clear(d.busyList)
-	d.busyList = d.busyList[:0]
-	d.effFloor = vtime.Inf
-	d.frozenFloor = vtime.Inf
-	d.floorAge = 0
-	d.effInvalidate()
-	d.shapeEpoch++
-	for _, c := range d.cores {
-		c.busyPos = -1
-	}
-}
-
-// rebuildLazyFromRefresh rebuilds the domain's lazy bookkeeping after the
+// rebuildLazyFromRefresh rebuilds the domain's bookkeeping after the
 // barrier-time global relaxation (refreshEff) has left every Core.eff at
 // the global fixpoint: the busy list and exact floors are recomputed, and
-// — in pure lazy mode — every idle core's memo is seeded from its
-// already-correct eff (the global fixpoint restricted to a domain equals
-// the domain-local fixpoint anchored at the freshly frozen proxies).
-// EffVerify deliberately skips the memo seeding so its differential reads
-// keep exercising the BFS instead of comparing the eager state to itself.
+// every idle core's memo is seeded from its already-correct eff (the
+// global fixpoint restricted to a domain equals the domain-local fixpoint
+// anchored at the freshly frozen proxies).
 func (d *domain) rebuildLazyFromRefresh() {
 	k := d.k
 	clear(d.busyList)
@@ -773,9 +639,7 @@ func (d *domain) rebuildLazyFromRefresh() {
 	for _, c := range d.cores {
 		if c.idle {
 			c.busyPos = -1
-			if !k.effVerify {
-				c.effStamp = d.effEpoch
-			}
+			c.effStamp = d.effEpoch
 		} else {
 			c.busyPos = len(d.busyList)
 			d.busyList = append(d.busyList, c)
@@ -791,11 +655,11 @@ func (d *domain) rebuildLazyFromRefresh() {
 }
 
 // rebuildStallq reseats the domain's idle-adjacent stalled cores in the
-// secondary heap (lazy mode only); the counterpart of runq.rebuild for
-// the stalled set. Stalled cores with no idle same-domain neighbor stay
-// in the runq: every input of their horizons posts an invalidation
-// (lazyEffSite's neighbor pass, the barrier rebuild, schedUpdate), so
-// their cached keys are exact, same as under eager propagation.
+// secondary heap; the counterpart of runq.rebuild for the stalled set.
+// Stalled cores with no idle same-domain neighbor stay in the runq:
+// every input of their horizons posts an invalidation (effSite's
+// neighbor pass, the barrier rebuild, schedUpdate), so their cached keys
+// are exact.
 func (d *domain) rebuildStallq() {
 	q := d.sq
 	q.heap = q.heap[:0]
@@ -815,9 +679,11 @@ func (d *domain) rebuildStallq() {
 
 // rebuildIdleNb recounts every owned core's idle same-domain neighbors —
 // the predicate routing stalled cores between the runq and the stall
-// heap. Maintained incrementally by lazyEffSite's flip branches while
+// heap. Maintained incrementally by effSite's flip branches while
 // running; recomputed here before the scheduling structures are rebuilt
-// (engine start, restore).
+// (engine start, restore). Kernels whose policy does not relay never
+// count: their stalled cores read no shadow times, so all stay in the
+// runq.
 func (d *domain) rebuildIdleNb() {
 	k := d.k
 	for _, c := range d.cores {
@@ -830,23 +696,4 @@ func (d *domain) rebuildIdleNb() {
 		}
 		c.idleNb = n
 	}
-}
-
-// indexedHead returns the minimal runnable (key, core) the indexed
-// structures can see under an infinite limit — the per-domain input to
-// the sharded round setup. Under lazy evaluation this folds the stalled
-// heap in; otherwise it is the plain runq head.
-func (d *domain) indexedHead() (*Core, vtime.Time) {
-	if d.k.effLazy {
-		c, key, _ := d.pickLazy(vtime.Inf)
-		if c == nil {
-			return nil, vtime.Inf
-		}
-		return c, key
-	}
-	head := d.rq.peek()
-	if head == nil {
-		return nil, vtime.Inf
-	}
-	return head, head.schedKey
 }

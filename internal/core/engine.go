@@ -39,26 +39,24 @@ type domain struct {
 	//simany:derived transient round state; checkpoints happen at barriers where limit is reset
 	limit vtime.Time
 
-	// rq is the indexed runnable queue (sched.go); nil when the domain
-	// schedules through the reference scan (non-cacheable policy horizon,
-	// or Config.Sched = SchedScan). stepping is the core currently inside
-	// step, whose index entry is transient until the step completes.
-	rq       *runq //simany:derived runnable heap, rebuilt by schedRebuild after decode
-	stepping *Core //simany:derived transient mid-step marker, nil at every barrier
+	// rq is the indexed runnable queue (sched.go) and sq its companion
+	// heap of idle-adjacent stalled cores (efflazy.go); both nil when the
+	// policy's horizon is not cacheable and the domain schedules through
+	// the scan. stepping is the core currently inside step, whose index
+	// entry is transient until the step completes.
+	rq       *runq   //simany:derived runnable heap, rebuilt by schedRebuild after decode
+	sq       *stallq //simany:derived stalled-core heap, rebuilt by schedRebuild after decode
+	stepping *Core   //simany:derived transient mid-step marker, nil at every barrier
 
 	// Host-parallelism potential sampling (§VIII).
 	runnableSum     int64
 	runnableSamples int64
 	runnableMax     int
 
-	propQueue []int //simany:derived reusable scratch for shadow-time propagation, empty between uses
-	inProp    bool  //simany:derived transient mid-flood marker for the EffVerify gate, false between floods
-
-	// Lazy effective-time state (efflazy.go): the busy frontier anchors,
-	// the memo-invalidation epoch, the exact/conservative anchor floors
-	// and the stalled-core scheduling heap active under lazy evaluation.
+	// Effective-time state (efflazy.go), maintained when the policy
+	// relays: the busy frontier anchors, the memo-invalidation epoch and
+	// the exact/conservative anchor floors.
 	busyList []*Core //simany:derived frontier anchor list, rebuilt from idle flags at barriers/after decode
-	sq       *stallq //simany:derived stalled-core heap, rebuilt by schedRebuild after decode
 	effEpoch uint64  //simany:derived memo invalidation epoch, bumping it after decode discards all memos
 	// shapeEpoch advances only when the anchor *set* changes (a busy/idle
 	// flip, a barrier refresh) — never on pure value moves, which are
@@ -71,12 +69,7 @@ type domain struct {
 	effFloor vtime.Time
 	//simany:derived lower bound over frozen cross-shard proxies, recomputed at barriers/after decode
 	frozenFloor vtime.Time
-	floorAge    int   //simany:derived staleness counter for the conservative floor, reset on recompute
 	effScratch  []int //simany:derived reusable BFS ring buffer, empty between uses
-	// allIdleInf records that every owned core (and its local mirrors)
-	// already advertises Inf, so the eager busy==0 broadcast can return
-	// without rescanning the domain.
-	allIdleInf bool //simany:derived recomputed by refreshEff; true after decode of an all-idle machine
 
 	// Sharded-engine state: cross-shard traffic deferred to the next
 	// barrier, and the step count of the current round.
@@ -143,12 +136,6 @@ func (d *domain) enqueueOp(src int, stamp vtime.Time, fn func()) {
 func (d *domain) runnable(c *Core) (vtime.Time, bool) {
 	k := d.k
 	if c.current != nil {
-		if k.effVerify {
-			// The differential oracle: every settled look at a stalled
-			// core's horizon cross-checks the lazy reconstruction of its
-			// neighborhood against the authoritative eager proxies.
-			d.verifyEff(c)
-		}
 		// Stalled mid-task: runnable when the horizon has moved past the
 		// core's clock.
 		if c.vt <= k.policy.Horizon(c) {
@@ -176,12 +163,12 @@ func (d *domain) runnable(c *Core) (vtime.Time, bool) {
 	return key, true
 }
 
-// scanRunnable is the reference scheduling decision: a linear scan over
+// scanRunnable is the scheduling decision spelled out: a linear scan over
 // the domain's cores for the runnable core with the lowest virtual-time
 // key not exceeding limit (ties broken by core ID), plus the count of
-// runnable cores within the limit. It is the semantic definition the
-// indexed queue must reproduce — kernels without an index schedule through
-// it directly, and SchedVerify replays it after every indexed pick.
+// runnable cores within the limit. Domains without an index schedule
+// through it, and it is the semantic definition the indexed queue must
+// reproduce.
 func (d *domain) scanRunnable(limit vtime.Time) (best *Core, bestKey vtime.Time, count int) {
 	bestKey = vtime.Inf
 	for _, c := range d.cores {
@@ -198,36 +185,25 @@ func (d *domain) scanRunnable(limit vtime.Time) (best *Core, bestKey vtime.Time,
 	return best, bestKey, count
 }
 
-// pickCore selects the runnable core with the lowest virtual-time key not
-// exceeding limit (deterministic; ties broken by core ID): an O(1) peek
-// at the indexed runnable queue when the domain has one, the reference
-// scan otherwise. It also samples how many cores were simultaneously
-// runnable — the quantity behind the paper's §VIII observation that
-// spatial synchronization leaves enough independently simulatable cores
-// to keep a multi-core host busy.
-func (d *domain) pickCore(limit vtime.Time) *Core {
-	var best *Core
-	var key vtime.Time
-	var runnable int
-	switch {
-	case d.rq == nil:
-		best, key, runnable = d.scanRunnable(limit)
-	case d.k.effLazy:
-		// Lazy evaluation: stalled cores live in the secondary heap and
-		// their horizons are evaluated on demand (efflazy.go).
-		best, key, runnable = d.pickLazy(limit)
-		if d.k.schedVerify {
-			d.verifyPick(limit, best, key, runnable)
-		}
-	default:
-		best, runnable = d.rq.pick(limit)
-		if best != nil {
-			key = best.schedKey
-		}
-		if d.k.schedVerify {
-			d.verifyPick(limit, best, key, runnable)
-		}
+// bestRunnable is the scheduling decision — the runnable core with the
+// lowest (key, ID) within limit, its key, and how many cores are runnable
+// within limit — from the indexed queues when the domain has them, from
+// the scan otherwise. This is the one place the two schedulers fork.
+func (d *domain) bestRunnable(limit vtime.Time) (*Core, vtime.Time, int) {
+	if d.rq == nil {
+		return d.scanRunnable(limit)
 	}
+	return d.pickIndexed(limit)
+}
+
+// pickCore selects the runnable core with the lowest virtual-time key not
+// exceeding limit (deterministic; ties broken by core ID). It also
+// samples how many cores were simultaneously runnable — the quantity
+// behind the paper's §VIII observation that spatial synchronization
+// leaves enough independently simulatable cores to keep a multi-core host
+// busy.
+func (d *domain) pickCore(limit vtime.Time) *Core {
+	best, key, runnable := d.bestRunnable(limit)
 	if best != nil {
 		d.runnableSamples++
 		d.runnableSum += int64(runnable)
@@ -253,7 +229,7 @@ func (d *domain) step(c *Core) {
 	// orders by the live clock, so c leaves it for the duration: mid-step
 	// sifts of other cores must never compare against a moving key.
 	d.stepping = c
-	if d.sq != nil && c.stallPos >= 0 {
+	if c.stallPos >= 0 {
 		d.sq.remove(c)
 	}
 	t := c.current
@@ -359,91 +335,4 @@ func (d *domain) releaseWorker(t *Task) {
 		*t = Task{}
 		d.freeTasks = append(d.freeTasks, t)
 	}
-}
-
-// updateEff recomputes c's advertised effective time and propagates shadow
-// updates through idle neighbors until a fixpoint, as idle cores relay
-// virtual-time updates in the paper (§II.A "Non-connected sets of active
-// cores"). Propagation never crosses the domain boundary: proxies held for
-// cores of other shards stay frozen between barriers (the sharded engine
-// refreshes them globally at each barrier), which is exactly the bounded
-// staleness the round quantum accounts for.
-func (d *domain) updateEff(c *Core) {
-	k := d.k
-	if d.busy == 0 {
-		// No anchor: idle-only shadow chains have no fixpoint (each relay
-		// adds T), so everyone advertises Inf until a core wakes up. No
-		// runnable-index invalidation is needed here: with every owned
-		// core idle there are no stalled cores, and an idle core's
-		// runnable key never depends on effective times.
-		if d.allIdleInf {
-			// The broadcast already ran (or the machine never woke this
-			// domain): every owned core and its local mirrors advertise
-			// Inf, so rescanning them would be a pure no-op. This keeps
-			// repeated all-idle calls O(1) instead of O(owned cores).
-			return
-		}
-		d.allIdleInf = true
-		for _, cc := range d.cores {
-			if cc.eff != vtime.Inf {
-				cc.eff = vtime.Inf
-				for _, nbID := range cc.neighbors {
-					nb := k.cores[nbID]
-					if nb.dom != d {
-						continue
-					}
-					for j, nid := range nb.neighbors {
-						if nid == cc.ID {
-							nb.nbEff[j] = vtime.Inf
-							break
-						}
-					}
-				}
-			}
-		}
-		return
-	}
-	d.allIdleInf = false
-	d.inProp = true
-	// The worklist is domain scratch drained through a cursor, so the
-	// backing array is reused across calls instead of creeping forward.
-	d.propQueue = append(d.propQueue[:0], c.ID)
-	for head := 0; head < len(d.propQueue); head++ {
-		cc := k.cores[d.propQueue[head]]
-		var eff vtime.Time
-		if cc.idle {
-			eff = k.policy.IdleTime(cc)
-		} else {
-			eff = cc.vt
-		}
-		if eff == cc.eff {
-			continue
-		}
-		cc.eff = eff
-		for _, nbID := range cc.neighbors {
-			nb := k.cores[nbID]
-			if nb.dom != d {
-				continue
-			}
-			// Update the proxy this neighbor keeps for cc.
-			for j, nid := range nb.neighbors {
-				if nid == cc.ID {
-					if nb.nbEff[j] != eff {
-						nb.nbEff[j] = eff
-						if nb.current != nil {
-							// A moved proxy moves the stalled neighbor's
-							// horizon, which is the one runnability input
-							// not covered by queue or step updates.
-							d.schedUpdate(nb)
-						}
-						if nb.idle {
-							d.propQueue = append(d.propQueue, nbID)
-						}
-					}
-					break
-				}
-			}
-		}
-	}
-	d.inProp = false
 }

@@ -117,25 +117,6 @@ type Config struct {
 	// spatial policy, 8×DefaultT otherwise). Smaller quanta tighten the
 	// cross-shard drift at the price of more barriers.
 	ShardQuantum vtime.Time
-
-	// Sched selects the scheduling implementation (see SchedMode): the
-	// default SchedAuto indexes the runnable cores in a per-domain
-	// min-heap whenever the policy's horizon is cacheable
-	// (CacheableHorizonPolicy), SchedScan forces the reference linear
-	// scan, and SchedVerify runs both side by side and panics on any
-	// divergence. The choice never affects results — pick order, traces
-	// and statistics are bit-for-bit identical either way (docs/scheduler.md).
-	Sched SchedMode
-
-	// Eff selects how idle-region effective times are evaluated (see
-	// EffMode): the default EffAuto computes idle shadow times lazily
-	// from the busy frontier whenever the policy supports it
-	// (IdleRelayPolicy), EffEager forces the reference per-completion
-	// propagation flood, and EffVerify runs the flood and cross-checks
-	// every lazy computation against it. Like Sched, the choice never
-	// affects results and is excluded from the checkpoint fingerprint
-	// (docs/effective-time.md).
-	Eff EffMode
 }
 
 // DefaultT is the paper's reference maximum local drift (100 cycles).
@@ -175,24 +156,16 @@ type Kernel struct {
 	//simany:derived locality table, recomputed by setupEngine (nil if not precomputed)
 	pairLocal []bool // n×n: route stays inside one shard
 
-	// Scheduler selection (sched.go): schedIndexed arms the per-domain
-	// runnable queues, schedVerify additionally replays the reference
-	// scan after every indexed decision. onPick, when set, observes every
-	// scheduling decision (test hook; called from the worker driving the
-	// picked core's domain).
-	schedIndexed bool //simany:derived scheduler-mode configuration, reinstated by New
-	schedVerify  bool //simany:derived scheduler-mode configuration, reinstated by New
-	onPick       func(c *Core, key vtime.Time)
+	// onPick, when set, observes every scheduling decision (test hook;
+	// called from the worker driving the picked core's domain).
+	onPick func(c *Core, key vtime.Time)
 
-	// Effective-time evaluation (efflazy.go): effLazy arms the lazy
-	// idle-region machinery, effVerify runs the eager flood as the source
-	// of truth and cross-checks every lazy computation against it, and
-	// relayDelta caches the policy's per-hop relay increment. inRefresh
-	// gates the verify hook while the barrier relaxation is mid-flight.
-	effLazy    bool       //simany:derived eff-mode configuration, reinstated by New
-	effVerify  bool       //simany:derived eff-mode configuration, reinstated by New
+	// Effective-time evaluation (efflazy.go): effLazy records that the
+	// policy relays effective times through idle cores (IdleRelayPolicy),
+	// so the kernel maintains them — lazily, from the busy frontier;
+	// relayDelta caches the policy's per-hop relay increment.
+	effLazy    bool       //simany:derived policy-derived configuration, reinstated by New
 	relayDelta vtime.Time //simany:derived policy-derived configuration, reinstated by New
-	inRefresh  bool       //simany:derived transient: checkpoints only happen outside refreshEff
 	lmDist     [][]int32  //simany:derived landmark hop-distance tables, rebuilt by setupEff from the topology
 
 	// Barrier scratch buffers, reused across rounds: the merged deferred
@@ -273,8 +246,8 @@ func splitmix64(x uint64) uint64 {
 
 // fingerprint hashes the configuration fields that define the simulation's
 // event semantics. A checkpoint is only resumable into a kernel with the
-// same fingerprint; Workers and Sched are deliberately excluded because
-// they never affect results.
+// same fingerprint; Workers is deliberately excluded because it never
+// affects results.
 func fingerprint(cfg Config) uint64 {
 	h := splitmix64(uint64(cfg.Seed))
 	mix := func(v uint64) { h = splitmix64(h ^ v) }
@@ -374,19 +347,14 @@ func New(cfg Config) *Kernel {
 	}
 	k.fprint = fingerprint(cfg)
 	// Per-core state is carved out of flat backing arrays — the Core
-	// structs themselves, their timing machinery, and the neighbor
-	// effective-time proxies — so a 100k-core machine costs a handful of
-	// large allocations instead of ~6 heap objects per core.
+	// structs themselves and their timing machinery — so a 100k-core
+	// machine costs a handful of large allocations instead of ~6 heap
+	// objects per core.
 	k.cores = make([]*Core, n)
 	backing := make([]Core, n)
 	timers := make([]timing.BlockTimer, n)
 	l1s := make([]cache.Scoped, n)
 	l2s := make([]cache.L2, n)
-	nbEffFlat := make([]vtime.Time, cfg.Topo.NumLinks())
-	for i := range nbEffFlat {
-		nbEffFlat[i] = vtime.Inf
-	}
-	off := 0
 	for i := 0; i < n; i++ {
 		speed := 1.0
 		if cfg.Speeds != nil {
@@ -420,9 +388,6 @@ func New(cfg Config) *Kernel {
 			stallPos:   -1,
 			rng:        *rng.New(splitmix64(uint64(cfg.Seed) ^ uint64(i))),
 		}
-		deg := len(c.neighbors)
-		c.nbEff = nbEffFlat[off : off+deg : off+deg]
-		off += deg
 		k.cores[i] = c
 	}
 	k.setupEngine(cfg)
@@ -477,14 +442,13 @@ func (k *Kernel) setupEngine(cfg Config) {
 			yieldCh: make(chan yieldInfo),
 			blocked: make(map[uint64]*Task),
 			limit:   vtime.Inf,
-			// Lazy effective-time bookkeeping starts at the all-idle
-			// machine: no anchors, infinite floors, epoch 1 so the zero
-			// memo stamps are stale (efflazy.go).
+			// Effective-time bookkeeping starts at the all-idle machine:
+			// no anchors, infinite floors, epoch 1 so the zero memo stamps
+			// are stale (efflazy.go).
 			effEpoch:    1,
 			shapeEpoch:  1,
 			effFloor:    vtime.Inf,
 			frozenFloor: vtime.Inf,
-			allIdleInf:  true,
 		}
 	}
 	for i, c := range k.cores {
@@ -492,8 +456,8 @@ func (k *Kernel) setupEngine(cfg Config) {
 		c.dom = d
 		d.cores = append(d.cores, c)
 	}
-	k.setupEff(cfg.Eff)
-	k.setupScheduler(cfg.Sched)
+	k.setupEff()
+	k.setupScheduler()
 	if k.effLazy {
 		// Valid idle-neighbor counts from the start: Validate may run on a
 		// kernel that has never entered an engine loop.
@@ -510,34 +474,23 @@ func (k *Kernel) setupEngine(cfg Config) {
 	}
 }
 
-// setupScheduler resolves Config.Sched against the policy's capabilities
-// and arms the per-domain runnable queues. Indexing requires a cacheable
-// horizon (CacheableHorizonPolicy): the reference scan re-evaluates
+// setupScheduler arms the per-domain runnable queues when the policy's
+// horizon is cacheable (CacheableHorizonPolicy). The scan re-evaluates
 // Horizon for every stalled core at every decision, so a horizon that
 // reads global machine state or has side effects (RNG draws, metric
 // probes) can only be reproduced by keeping the scan.
-func (k *Kernel) setupScheduler(mode SchedMode) {
-	cacheable := false
-	if p, ok := k.policy.(CacheableHorizonPolicy); ok && p.HorizonCacheable() {
-		cacheable = true
-	}
-	k.schedIndexed = cacheable && mode != SchedScan
-	k.schedVerify = cacheable && mode == SchedVerify
-	if !k.schedIndexed {
+func (k *Kernel) setupScheduler() {
+	p, ok := k.policy.(CacheableHorizonPolicy)
+	if !ok || !p.HorizonCacheable() {
 		return
 	}
 	for _, d := range k.domains {
 		d.rq = newRunq(d)
-		if k.effLazy {
-			// Lazy effective times leave stalled cores' horizons without
-			// invalidation callbacks; they are indexed in a secondary
-			// (vt, ID) heap and evaluated on demand (efflazy.go).
-			d.sq = &stallq{}
-		}
+		d.sq = &stallq{}
 	}
 }
 
-// schedRebuild recomputes every domain's runnable queue from scratch.
+// schedRebuild recomputes every domain's runnable queues from scratch.
 // Run() calls it once before entering an engine loop; all maintenance
 // after that is incremental.
 func (k *Kernel) schedRebuild() {
@@ -549,24 +502,18 @@ func (k *Kernel) schedRebuild() {
 		}
 		if d.rq != nil {
 			d.rq.rebuild()
-			if k.effLazy {
-				d.rebuildStallq()
-			}
+			d.rebuildStallq()
 		}
 	}
 }
 
-// Scheduler names the active scheduling implementation: "index",
-// "index+verify" or "scan".
+// Scheduler names the active scheduling implementation: "index" or
+// "scan".
 func (k *Kernel) Scheduler() string {
-	switch {
-	case k.schedVerify:
-		return "index+verify"
-	case k.schedIndexed:
+	if k.domains[0].rq != nil {
 		return "index"
-	default:
-		return "scan"
 	}
+	return "scan"
 }
 
 // shardUnsafeReason reports why the configuration cannot run sharded, or

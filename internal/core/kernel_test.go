@@ -492,6 +492,23 @@ func TestDuplicateHandlerPanics(t *testing.T) {
 	k.Handle(kindPing, func(*Kernel, network.Message) {})
 }
 
+// TestNonPositiveDriftRejected: Spatial{T ≤ 0} has no well-defined idle
+// shadow times (T = 0 lets idle cores sustain each other's stale values,
+// T < 0 hands out horizons behind the slowest neighbor), so construction
+// refuses it instead of running it on some other path.
+func TestNonPositiveDriftRejected(t *testing.T) {
+	for _, T := range []vtime.Time{0, vtime.CyclesInt(-5)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Spatial{T: %v} accepted", T)
+				}
+			}()
+			kernelOn(topology.Mesh(4), Spatial{T: T})
+		}()
+	}
+}
+
 func TestBirthTracking(t *testing.T) {
 	// A spawned task counts as a pseudo-neighbor of its spawning core
 	// between the spawn and its arrival at the final destination (§II.A

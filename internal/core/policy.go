@@ -3,9 +3,12 @@ package core
 import "simany/internal/vtime"
 
 // Policy is a virtual-time synchronization scheme. The kernel consults it
-// to decide how far a core may advance before yielding control (Horizon)
-// and what effective time an idle core advertises to its neighbors
-// (IdleTime).
+// to decide how far a core may advance before yielding control (Horizon).
+// What an idle core advertises to its neighbors is not the policy's call:
+// a policy that relays shadow times through idle cores says so through
+// IdleRelayPolicy and the kernel evaluates the relay rule itself
+// (efflazy.go); under every other policy nobody reads effective times
+// and the kernel does not maintain them.
 //
 // The spatial synchronization of the paper is implemented by Spatial;
 // package drift provides the related-work alternatives (global quantum,
@@ -18,15 +21,11 @@ type Policy interface {
 	// allowed (annotation blocks are atomic); the core then stalls until
 	// the horizon moves past its clock.
 	Horizon(c *Core) vtime.Time
-	// IdleTime returns the effective virtual time an idle core advertises.
-	// Policies without a shadow-time concept return vtime.Inf so idle
-	// cores never constrain anyone.
-	IdleTime(c *Core) vtime.Time
 }
 
-// ShardLocalPolicy is implemented by policies whose Horizon and IdleTime
-// depend only on the core itself and its neighbor proxies — never on
-// global machine state. Only such policies can drive the sharded parallel
+// ShardLocalPolicy is implemented by policies whose Horizon depends only
+// on the core itself and its neighbors' effective times — never on global
+// machine state. Only such policies can drive the sharded parallel
 // engine: a policy that does not implement the interface (or returns
 // false) forces the sequential engine regardless of Config.Shards.
 type ShardLocalPolicy interface {
@@ -56,12 +55,10 @@ func (s Spatial) ShardLocal() bool { return true }
 // so it may be cached between those events.
 func (s Spatial) HorizonCacheable() bool { return true }
 
-// IdleRelay implements IdleRelayPolicy: the spatial IdleTime is exactly
-// the relay rule "min neighbor effective time plus T", so idle-region
-// interiors can be reconstructed lazily from the busy frontier
-// (efflazy.go). A non-positive T would defeat the BFS distance cutoff,
-// so it keeps the eager propagation.
-func (s Spatial) IdleRelay() (vtime.Time, bool) { return s.T, s.T > 0 }
+// IdleRelay implements IdleRelayPolicy: an idle core's shadow time is the
+// relay rule "min neighbor effective time plus T", which the kernel
+// reconstructs lazily from the busy frontier (efflazy.go).
+func (s Spatial) IdleRelay() (vtime.Time, bool) { return s.T, true }
 
 // Horizon implements Policy.
 func (s Spatial) Horizon(c *Core) vtime.Time {
@@ -69,19 +66,10 @@ func (s Spatial) Horizon(c *Core) vtime.Time {
 		// Lock-holder exemption (§II.B): run until the lock is released.
 		return vtime.Inf
 	}
-	m := c.minNeighborEff()
+	m := c.dom.minNeighborEff(c)
 	if b := c.minBirth(); b < m {
 		m = b
 	}
-	if m == vtime.Inf {
-		return vtime.Inf
-	}
-	return m + s.T
-}
-
-// IdleTime implements Policy.
-func (s Spatial) IdleTime(c *Core) vtime.Time {
-	m := c.minNeighborEff()
 	if m == vtime.Inf {
 		return vtime.Inf
 	}

@@ -27,49 +27,17 @@ import (
 //     domain.step (the post-step update covers them);
 //   - for a core stalled mid-task, the policy horizon — which for a
 //     cacheable-horizon policy (CacheableHorizonPolicy) is a pure function
-//     of the core's neighbor proxies (updateEff / refreshEff), its birth
+//     of its neighbors' effective times (effSite / refreshEff), its birth
 //     stamps (RegisterBirth / clearBirth) and its lock depth (mutated only
 //     by the core's own running task).
 //
 // Policies whose horizons read global machine state or have side effects
 // (the drift-comparison schemes draw referee RNGs and record probe
 // histograms per evaluation) cannot be indexed without changing observable
-// behavior; kernels running them keep the reference scan. Either way the
-// pick order is bit-for-bit identical: the heap orders by the exact
-// (key, core ID) pair the scan minimizes, and SchedVerify machine-checks
-// the equivalence at every decision.
-
-// SchedMode selects the kernel's scheduling implementation.
-type SchedMode int
-
-const (
-	// SchedAuto (the default) uses the indexed runnable queue whenever the
-	// policy's horizon is cacheable (CacheableHorizonPolicy) and the
-	// reference linear scan otherwise. The choice never affects results —
-	// only how fast the host reaches them.
-	SchedAuto SchedMode = iota
-	// SchedScan forces the reference linear scan. Useful as the baseline
-	// in scheduler benchmarks and for differential debugging.
-	SchedScan
-	// SchedVerify runs the indexed queue and the reference scan side by
-	// side and panics on the first divergence in picked core, key or
-	// runnable count — the differential oracle used by the equivalence
-	// test suite. Falls back to the plain scan when the policy's horizon
-	// is not cacheable (there is no index to verify).
-	SchedVerify
-)
-
-// String names the mode.
-func (m SchedMode) String() string {
-	switch m {
-	case SchedScan:
-		return "scan"
-	case SchedVerify:
-		return "verify"
-	default:
-		return "auto"
-	}
-}
+// behavior; kernels running them schedule through the scan. The heap
+// orders by the exact (key, core ID) pair the scan minimizes, and the
+// equivalence suite (equiv_test.go) holds both to the same recorded pick
+// sequences.
 
 // CacheableHorizonPolicy is implemented by policies whose Horizon is a
 // pure function of the kernel-tracked inputs the indexed scheduler
@@ -78,9 +46,9 @@ func (m SchedMode) String() string {
 // RNG draws, no metric probes) and no reads of other global machine
 // state. Only such horizons may be re-evaluated on invalidation instead
 // of at every scheduling decision; a policy that does not implement the
-// interface (or returns false) keeps the reference scan, which evaluates
-// Horizon for every stalled core at every pick exactly as the original
-// kernel did.
+// interface (or returns false) schedules through the scan, which
+// evaluates Horizon for every stalled core at every pick exactly as the
+// original kernel did.
 type CacheableHorizonPolicy interface {
 	HorizonCacheable() bool
 }
@@ -203,17 +171,15 @@ func (q *runq) update(c *Core) {
 
 // rebuild recomputes the queue from scratch — membership, keys and heap
 // order — in O(cores). Run() calls it once per engine start; everything
-// after that is incremental. Under lazy effective-time evaluation the
-// idle-adjacent stalled cores belong to the secondary heap (rebuilt
-// separately) and are excluded here.
+// after that is incremental. The idle-adjacent stalled cores belong to
+// the secondary heap (rebuilt separately) and are excluded here.
 func (q *runq) rebuild() {
-	lazy := q.d.k.effLazy
 	q.heap = q.heap[:0]
 	for _, c := range q.d.cores {
 		c.schedPos = -1
 	}
 	for _, c := range q.d.cores {
-		if lazy && c.current != nil && c.idleNb > 0 {
+		if c.current != nil && c.idleNb > 0 {
 			continue
 		}
 		if key, ok := q.d.runnable(c); ok {
@@ -264,74 +230,42 @@ func (q *runq) pick(limit vtime.Time) (*Core, int) {
 }
 
 // schedUpdate posts an incremental runnability update for c to its
-// domain's index. It is a no-op on domains running the reference scan.
+// domain's index. It is a no-op on domains scheduling through the scan.
 // Calls for a core that is mid-step observe a transient state; the
 // post-step update in domain.step settles it before the queue is next
 // read (the domain only consults the queue between steps).
 //
-// Under lazy effective-time evaluation a stalled core with an idle
-// same-domain neighbor is routed to the secondary (vt, ID) heap instead:
-// its horizon reads lazily evaluated shadow times that post no
-// invalidation callbacks, so no cached key could be kept honest —
-// pickCore evaluates it on demand (efflazy.go). Stalled cores without
-// idle neighbors keep exact runq keys: their horizons read only busy
-// neighbors' maintained times (lazyEffSite notifies on every change) and
-// frozen cross-shard proxies (refreshed under a full rebuild).
+// A stalled core with an idle same-domain neighbor is routed to the
+// secondary (vt, ID) heap instead: its horizon reads lazily evaluated
+// shadow times that post no invalidation callbacks, so no cached key
+// could be kept honest — pickCore evaluates it on demand (efflazy.go).
+// Stalled cores without idle neighbors keep exact runq keys: their
+// horizons read only busy neighbors' maintained times (effSite notifies
+// on every change) and frozen cross-shard proxies (refreshed under a
+// full rebuild).
 func (d *domain) schedUpdate(c *Core) {
 	if d.rq == nil {
 		return
 	}
-	if d.k.effLazy {
-		// Every non-eff horizon input (clock, births, locks) funnels its
-		// mutations through here, so dropping the horizon and sticky
-		// runnable memos on each update is exactly the invalidation their
-		// contracts need.
-		c.hzStamp = 0
-		c.rnStamp = 0
-		if c.current != nil && c.idleNb > 0 {
-			// The mid-step core stays out of the stall heap (its clock is
-			// moving); the post-step update re-seats it.
-			if c != d.stepping {
-				d.sq.update(c)
-			}
-			if c.schedPos >= 0 {
-				d.rq.remove(c)
-			}
-			return
+	// Every non-eff horizon input (clock, births, locks) funnels its
+	// mutations through here, so dropping the sticky runnable bit on each
+	// update is exactly the invalidation its contract needs.
+	c.rnStamp = 0
+	if c.current != nil && c.idleNb > 0 {
+		// The mid-step core stays out of the stall heap (its clock is
+		// moving); the post-step update re-seats it.
+		if c != d.stepping {
+			d.sq.update(c)
 		}
-		if c.stallPos >= 0 {
-			d.sq.remove(c)
+		if c.schedPos >= 0 {
+			d.rq.remove(c)
 		}
-	}
-	d.rq.update(c)
-}
-
-// verifyPick cross-checks one indexed decision against the reference scan
-// (SchedVerify). Divergence is a kernel bug, never a workload error, so it
-// panics with both answers. The picked key is passed explicitly because a
-// stalled core's cached schedKey is not maintained under lazy evaluation.
-func (d *domain) verifyPick(limit vtime.Time, best *Core, key vtime.Time, n int) {
-	sBest, sKey, sn := d.scanRunnable(limit)
-	ok := best == sBest && n == sn
-	if ok && best != nil && key != sKey {
-		ok = false
-	}
-	if ok {
 		return
 	}
-	name := func(c *Core) string {
-		if c == nil {
-			return "none"
-		}
-		return fmt.Sprintf("core %d (key %v)", c.ID, key)
+	if c.stallPos >= 0 {
+		d.sq.remove(c)
 	}
-	sName := "none"
-	if sBest != nil {
-		sName = fmt.Sprintf("core %d (key %v)", sBest.ID, sKey)
-	}
-	panic(fmt.Sprintf(
-		"core: scheduler divergence in domain %d (limit %v): index picked %s of %d runnable, scan picked %s of %d runnable",
-		d.id, limit, name(best), n, sName, sn))
+	d.rq.update(c)
 }
 
 // checkRunq verifies the structural invariants of the index — position
@@ -352,29 +286,24 @@ func (d *domain) checkRunq() error {
 			return fmt.Errorf("domain %d: heap order violated at index %d (core %d)", d.id, i, c.ID)
 		}
 	}
-	// Tests may graft a runq onto a scan-mode kernel; the stall heap only
-	// exists when the engine itself runs the indexed scheduler lazily.
-	lazy := d.k.effLazy && d.sq != nil
-	if lazy {
-		for i, c := range d.sq.heap {
-			if c.stallPos != i {
-				return fmt.Errorf("domain %d: core %d stall-heap position %d, recorded %d", d.id, c.ID, i, c.stallPos)
-			}
-			if c == d.stepping {
-				// The mid-step core's clock is in flux, so step removes it
-				// from this heap until the post-step update.
-				return fmt.Errorf("domain %d: mid-step core %d still in the stall heap", d.id, c.ID)
-			}
-			if i > 0 && stallLess(c, d.sq.heap[(i-1)/2]) {
-				return fmt.Errorf("domain %d: stall-heap order violated at index %d (core %d)", d.id, i, c.ID)
-			}
+	for i, c := range d.sq.heap {
+		if c.stallPos != i {
+			return fmt.Errorf("domain %d: core %d stall-heap position %d, recorded %d", d.id, c.ID, i, c.stallPos)
+		}
+		if c == d.stepping {
+			// The mid-step core's clock is in flux, so step removes it
+			// from this heap until the post-step update.
+			return fmt.Errorf("domain %d: mid-step core %d still in the stall heap", d.id, c.ID)
+		}
+		if i > 0 && stallLess(c, d.sq.heap[(i-1)/2]) {
+			return fmt.Errorf("domain %d: stall-heap order violated at index %d (core %d)", d.id, i, c.ID)
 		}
 	}
 	for _, c := range d.cores {
 		if c == d.stepping {
 			continue
 		}
-		if lazy && c.current != nil && c.idleNb > 0 {
+		if c.current != nil && c.idleNb > 0 {
 			// Idle-adjacent stalled cores live in the secondary heap; their
 			// runnability is evaluated on demand, never cached in the runq.
 			if c.schedPos >= 0 {
@@ -385,7 +314,7 @@ func (d *domain) checkRunq() error {
 			}
 			continue
 		}
-		if lazy && c.stallPos >= 0 {
+		if c.stallPos >= 0 {
 			return fmt.Errorf("domain %d: core %d in the stall heap but not idle-adjacent stalled", d.id, c.ID)
 		}
 		key, ok := d.runnable(c)

@@ -7,19 +7,11 @@ import (
 	"simany/internal/vtime"
 )
 
-// scanOnlyPolicy is a policy that does not implement
-// CacheableHorizonPolicy, so kernels running it must keep the reference
-// scan regardless of the requested scheduler mode.
-type scanOnlyPolicy struct{}
-
-func (scanOnlyPolicy) Name() string              { return "scan-only" }
-func (scanOnlyPolicy) Horizon(*Core) vtime.Time  { return vtime.Inf }
-func (scanOnlyPolicy) IdleTime(*Core) vtime.Time { return vtime.Inf }
-
-func schedTestKernel(t *testing.T, mode SchedMode) *Kernel {
+// schedTestKernel returns a kernel that never runs: the tests below drive
+// its (empty) runnable queue and per-core queue caches by hand.
+func schedTestKernel(t *testing.T) *Kernel {
 	t.Helper()
-	return New(Config{Topo: topology.Mesh(9), Policy: Spatial{T: DefaultT},
-		Seed: 1, Sched: mode})
+	return New(Config{Topo: topology.Mesh(9), Policy: Spatial{T: DefaultT}, Seed: 1})
 }
 
 // readyAt attaches a fresh task with the given arrival stamp to core c.
@@ -38,10 +30,9 @@ func mustCheck(t *testing.T, d *domain) {
 }
 
 func TestRunqInsertRemoveUpdate(t *testing.T) {
-	k := schedTestKernel(t, SchedScan) // manual queue, no engine interference
+	k := schedTestKernel(t)
 	d := k.domains[0]
-	q := newRunq(d)
-	d.rq = q
+	q := d.rq
 
 	c1, c3, c5 := k.Core(1), k.Core(3), k.Core(5)
 
@@ -101,10 +92,9 @@ func TestRunqInsertRemoveUpdate(t *testing.T) {
 }
 
 func TestRunqCountAtMostAndPick(t *testing.T) {
-	k := schedTestKernel(t, SchedScan)
+	k := schedTestKernel(t)
 	d := k.domains[0]
-	q := newRunq(d)
-	d.rq = q
+	q := d.rq
 
 	stamps := []int64{70, 20, 50, 20, 90}
 	for i, s := range stamps {
@@ -147,7 +137,7 @@ func TestRunqCountAtMostAndPick(t *testing.T) {
 // stamp order, so the cache must survive both popping a non-minimal head
 // and popping the task that carried the minimum.
 func TestReadyMinCacheReordering(t *testing.T) {
-	k := schedTestKernel(t, SchedScan)
+	k := schedTestKernel(t)
 	c := k.Core(0)
 
 	recompute := func() vtime.Time {
@@ -199,7 +189,7 @@ func TestReadyMinCacheReordering(t *testing.T) {
 // TestContsMinCacheReordering is the continuation-queue twin of the
 // ready-queue test above.
 func TestContsMinCacheReordering(t *testing.T) {
-	k := schedTestKernel(t, SchedScan)
+	k := schedTestKernel(t)
 	c := k.Core(0)
 
 	push := func(at int64) {
@@ -240,40 +230,24 @@ func TestContsMinCacheReordering(t *testing.T) {
 	}
 }
 
-func TestSchedulerModeSelection(t *testing.T) {
+// TestSchedulerSelection: the kernel indexes exactly when the policy says
+// its horizon is cacheable, and schedules through the scan otherwise.
+func TestSchedulerSelection(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
 		policy Policy
-		mode   SchedMode
 		want   string
 	}{
-		{"spatial auto", Spatial{T: DefaultT}, SchedAuto, "index"},
-		{"spatial scan", Spatial{T: DefaultT}, SchedScan, "scan"},
-		{"spatial verify", Spatial{T: DefaultT}, SchedVerify, "index+verify"},
-		{"non-cacheable auto", scanOnlyPolicy{}, SchedAuto, "scan"},
-		{"non-cacheable verify", scanOnlyPolicy{}, SchedVerify, "scan"},
+		{Spatial{T: DefaultT}, "index"},
+		{unboundedPolicy{}, "scan"}, // does not implement CacheableHorizonPolicy
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			k := New(Config{Topo: topology.Mesh(4), Policy: tc.policy,
-				Seed: 1, Sched: tc.mode})
-			if got := k.Scheduler(); got != tc.want {
-				t.Errorf("Scheduler() = %q, want %q", got, tc.want)
-			}
-			indexed := tc.want != "scan"
-			if (k.domains[0].rq != nil) != indexed {
-				t.Errorf("domain index presence = %v, want %v",
-					k.domains[0].rq != nil, indexed)
-			}
-		})
-	}
-}
-
-func TestSchedModeString(t *testing.T) {
-	for mode, want := range map[SchedMode]string{
-		SchedAuto: "auto", SchedScan: "scan", SchedVerify: "verify",
-	} {
-		if got := mode.String(); got != want {
-			t.Errorf("SchedMode(%d).String() = %q, want %q", mode, got, want)
+		k := New(Config{Topo: topology.Mesh(4), Policy: tc.policy, Seed: 1})
+		if got := k.Scheduler(); got != tc.want {
+			t.Errorf("%s: Scheduler() = %q, want %q", tc.policy.Name(), got, tc.want)
+		}
+		d := k.domains[0]
+		if indexed := tc.want == "index"; (d.rq != nil) != indexed || (d.sq != nil) != indexed {
+			t.Errorf("%s: runq present %v, stall heap present %v, want both %v",
+				tc.policy.Name(), d.rq != nil, d.sq != nil, indexed)
 		}
 	}
 }

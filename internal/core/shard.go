@@ -89,30 +89,12 @@ func (k *Kernel) runShard() (Result, error) {
 // is a peek over the per-domain heap heads, O(shards) instead of a full
 // machine scan; barriers run the queues' invalidation hooks (drained
 // items, effective-time refresh) before this is called, so every head is
-// settled. SchedVerify cross-checks each head against the domain's
-// reference scan.
+// settled.
 func (k *Kernel) minRunnableKey() vtime.Time {
 	minKey := vtime.Inf
 	for _, d := range k.domains {
-		if d.rq == nil {
-			if _, key, n := d.scanRunnable(vtime.Inf); n > 0 && key < minKey {
-				minKey = key
-			}
-			continue
-		}
-		head, hKey := d.indexedHead()
-		if k.schedVerify {
-			sBest, sKey, _ := d.scanRunnable(vtime.Inf)
-			switch {
-			case (head == nil) != (sBest == nil):
-				panic(fmt.Sprintf("core: scheduler divergence in domain %d round setup: index head %v, scan head %v", d.id, head, sBest))
-			case head != nil && (head != sBest || hKey != sKey):
-				panic(fmt.Sprintf("core: scheduler divergence in domain %d round setup: index head core %d key %v, scan head core %d key %v",
-					d.id, head.ID, hKey, sBest.ID, sKey))
-			}
-		}
-		if head != nil && hKey < minKey {
-			minKey = hKey
+		if head, key, _ := d.bestRunnable(vtime.Inf); head != nil && key < minKey {
+			minKey = key
 		}
 	}
 	return minKey
@@ -225,64 +207,18 @@ func (k *Kernel) drainBarrier() {
 	k.barrierItems = items[:0]
 }
 
-// refreshEff rebuilds every core's advertised effective time and all
-// neighbor proxies from global state: busy cores anchor at their clocks,
-// idle cores relax downward from Inf through the policy's shadow-time rule
-// until the (unique) fixpoint. Running it single-threaded at each barrier
-// restores the cross-shard proxies that stayed frozen during the round.
-//
-// Lazy evaluation (efflazy.go) runs the same global relaxation — the
-// frozen proxies a round reads must hold the barrier fixpoint either way
-// — but inlines the relay rule instead of calling the policy (whose
-// IdleTime routes through the lazy reads, meaningless mid-relaxation) and
-// afterwards rebuilds the per-domain lazy bookkeeping, seeding every idle
-// memo from the freshly computed fixpoint.
+// refreshEff rebuilds every core's advertised effective time from global
+// state: busy cores anchor at their clocks, idle cores relax downward from
+// Inf through the relay rule until the (unique) fixpoint. Running it
+// single-threaded at each barrier lets it read across shard boundaries;
+// the values neighbors in other shards end up with are then frozen into
+// the proxies a round reads, the per-domain bookkeeping (efflazy.go) is
+// rebuilt with every idle memo seeded from the fixpoint, and the stalled
+// cores' queue entries are re-evaluated against the new horizons. A no-op
+// when the policy does not relay: nothing reads effective times then.
 func (k *Kernel) refreshEff() {
-	k.inRefresh = true
-	defer func() { k.inRefresh = false }()
-	busy := 0
-	for _, d := range k.domains {
-		busy += d.busy
-	}
-	if busy == 0 {
-		for _, c := range k.cores {
-			c.eff = vtime.Inf
-			for j := range c.nbEff {
-				c.nbEff[j] = vtime.Inf
-			}
-		}
-		for _, d := range k.domains {
-			d.allIdleInf = true
-			if k.effLazy || k.effVerify {
-				d.resetLazyIdle()
-			}
-		}
+	if !k.effLazy {
 		return
-	}
-	for _, c := range k.cores {
-		if c.idle {
-			c.eff = vtime.Inf
-		} else {
-			c.eff = c.vt
-		}
-	}
-	for _, d := range k.domains {
-		d.allIdleInf = false
-	}
-	for _, c := range k.cores {
-		changed := false
-		for j, nbID := range c.neighbors {
-			if e := k.cores[nbID].eff; c.nbEff[j] != e {
-				c.nbEff[j] = e
-				changed = true
-			}
-		}
-		if changed && c.current != nil {
-			// Unfrozen cross-shard proxies move the stalled core's
-			// horizon; re-evaluate its queue entry (the only runnability
-			// input not already settled by step/queue hooks).
-			c.dom.schedUpdate(c)
-		}
 	}
 	// Downward-only relaxation: order-independent, so any worklist order
 	// yields the same fixpoint. The worklist is kernel scratch reused
@@ -291,49 +227,43 @@ func (k *Kernel) refreshEff() {
 	queue := k.effQueue[:0]
 	for _, c := range k.cores {
 		if c.idle {
+			c.eff = vtime.Inf
 			queue = append(queue, c.ID)
+		} else {
+			c.eff = c.vt
 		}
 	}
 	for head := 0; head < len(queue); head++ {
 		c := k.cores[queue[head]]
-		var e vtime.Time
-		if k.effLazy {
-			// The inlined relay rule over the raw proxies (the lazy-mode
-			// gate guarantees IdleTime is exactly this computation).
-			m := vtime.Inf
-			for _, t := range c.nbEff {
-				if t < m {
-					m = t
-				}
+		m := vtime.Inf
+		for _, nbID := range c.neighbors {
+			if e := k.cores[nbID].eff; e < m {
+				m = e
 			}
-			e = satAdd(m, k.relayDelta)
-		} else {
-			e = k.policy.IdleTime(c)
 		}
+		e := satAdd(m, k.relayDelta)
 		if e >= c.eff {
 			continue
 		}
 		c.eff = e
 		for _, nbID := range c.neighbors {
-			nb := k.cores[nbID]
-			for j, nid := range nb.neighbors {
-				if nid == c.ID {
-					nb.nbEff[j] = e
-					break
-				}
-			}
-			if nb.current != nil {
-				nb.dom.schedUpdate(nb)
-			}
-			if nb.idle {
+			if k.cores[nbID].idle {
 				queue = append(queue, nbID)
 			}
 		}
 	}
 	k.effQueue = queue[:0]
-	if k.effLazy || k.effVerify {
-		for _, d := range k.domains {
-			d.rebuildLazyFromRefresh()
+	for _, c := range k.cores {
+		for j := range c.nbEff {
+			c.nbEff[j] = k.cores[c.neighbors[j]].eff
+		}
+	}
+	for _, d := range k.domains {
+		d.rebuildLazyFromRefresh()
+	}
+	for _, c := range k.cores {
+		if c.current != nil {
+			c.dom.schedUpdate(c)
 		}
 	}
 }

@@ -155,18 +155,12 @@ func (k *Kernel) flushTrace() {
 	k.traceMerge = merged[:0]
 }
 
-// SetTracer installs (or removes, with nil) the event tracer. Tracing no
-// longer costs the parallel engine anything but the buffer appends: on a
-// sharded kernel events are collected per shard and merged
-// deterministically at each virtual-time barrier, so SetTracer never
-// demotes and always returns false. The boolean return is kept so older
-// callers that surfaced DemotionNotice on demotion keep compiling; only
-// construction-time component checks (policy, memory system) demote now.
-// Install the tracer before Run to capture the full stream.
-func (k *Kernel) SetTracer(t Tracer) (demoted bool) {
-	k.tracer = t
-	return false
-}
+// SetTracer installs (or removes, with nil) the event tracer. Tracing
+// costs the parallel engine nothing but the buffer appends: on a sharded
+// kernel events are collected per shard and merged deterministically at
+// each virtual-time barrier. Install the tracer before Run to capture the
+// full stream.
+func (k *Kernel) SetTracer(t Tracer) { k.tracer = t }
 
 // DemotionNotice returns a human-readable explanation when a requested
 // sharded configuration was demoted to the sequential engine by an

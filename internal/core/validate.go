@@ -12,15 +12,12 @@ import (
 // ValidatingTracer) to check consistency continuously during a run.
 //
 // Checked invariants:
-//   - every neighbor-proxy entry mirrors the neighbor's advertised time
-//     (eager mode only — lazy mode replaces this with the region checks
-//     below);
-//   - with lazy effective times active: the busy-frontier list partitions
-//     each domain's cores against their idle flags, the pruning floor
-//     lower-bounds every anchor (busy cores and frozen foreign proxies),
-//     and every fresh idle memo equals an independently recomputed eager
-//     fixpoint;
-//   - a busy core never advertises a time ahead of its own clock;
+//   - when the policy relays effective times: a busy core never
+//     advertises a time ahead of its own clock, the busy-frontier list
+//     partitions each domain's cores against their idle flags, the
+//     pruning floor lower-bounds every anchor (busy cores and frozen
+//     foreign proxies), and every fresh idle memo equals a fixpoint
+//     recomputed independently by plain relaxation;
 //   - the cached minimum birth stamp matches the birth map;
 //   - the cached queue minima (ready arrivals, continuation resumes)
 //     match a recomputation from the queues;
@@ -40,25 +37,8 @@ func (k *Kernel) Validate() error {
 			// Virtual-time updates propagate at yield points, so a busy
 			// core's advertised time may lag its clock mid-step — but it
 			// must never lead it.
-			if c.eff > c.vt {
+			if k.effLazy && c.eff > c.vt {
 				return fmt.Errorf("core %d: busy but advertises future time %v (clock %v)", c.ID, c.eff, c.vt)
-			}
-		}
-		if !k.effLazy {
-			for j, nbID := range c.neighbors {
-				nb := k.cores[nbID]
-				// Cross-shard proxies are intentionally frozen between
-				// barriers, so only same-shard mirrors are exact at all
-				// times. Under lazy evaluation no proxy is maintained
-				// between barriers at all (the lazy fixpoint check below
-				// replaces this invariant).
-				if nb.dom != c.dom {
-					continue
-				}
-				if c.nbEff[j] != nb.eff {
-					return fmt.Errorf("core %d: proxy for neighbor %d is %v, neighbor advertises %v",
-						c.ID, nbID, c.nbEff[j], nb.eff)
-				}
 			}
 		}
 		if c.lockDepth < 0 {
@@ -143,10 +123,10 @@ func (k *Kernel) Validate() error {
 	return nil
 }
 
-// checkLazyEff verifies the lazy effective-time bookkeeping (efflazy.go):
-// the busy-frontier list agrees with the idle flags, the pruning floors
-// lower-bound every anchor, and every fresh memo matches an independently
-// recomputed eager fixpoint over the domain (anchored at busy cores and
+// checkLazyEff verifies the effective-time bookkeeping (efflazy.go): the
+// busy-frontier list agrees with the idle flags, the pruning floors
+// lower-bound every anchor, and every fresh memo matches a fixpoint
+// recomputed by plain relaxation over the domain (anchored at busy cores and
 // frozen foreign proxies — exactly the inputs lazyFix reads).
 func (k *Kernel) checkLazyEff() error {
 	// coreID-indexed scratch for the reference fixpoint; doubles as the
@@ -238,7 +218,7 @@ func (k *Kernel) checkLazyEff() error {
 			// fixpoint, which path-decomposes to the same local relaxation).
 			// Either way they must match the reference value.
 			if c.eff != fix[c.ID] {
-				return fmt.Errorf("domain %d: idle core %d memo %v, eager fixpoint %v", d.id, c.ID, c.eff, fix[c.ID])
+				return fmt.Errorf("domain %d: idle core %d memo %v, relaxation fixpoint %v", d.id, c.ID, c.eff, fix[c.ID])
 			}
 		}
 	}

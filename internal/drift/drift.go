@@ -67,10 +67,6 @@ func (p GlobalQuantum) Horizon(c *core.Core) vtime.Time {
 	return (m/p.Q + 1) * p.Q
 }
 
-// IdleTime implements core.Policy; global schemes do not need idle shadow
-// times because they never consult neighbors.
-func (GlobalQuantum) IdleTime(*core.Core) vtime.Time { return vtime.Inf }
-
 // BoundedSlack lets every core run ahead of the current global minimum
 // virtual time by at most W (SlackSim's bounded slack scheme).
 type BoundedSlack struct {
@@ -95,9 +91,6 @@ func (p BoundedSlack) Horizon(c *core.Core) vtime.Time {
 	probe(p.Probe, c.VT()-m)
 	return m + p.W
 }
-
-// IdleTime implements core.Policy.
-func (BoundedSlack) IdleTime(*core.Core) vtime.Time { return vtime.Inf }
 
 // Lockstep is the conservative strict-order scheduler used by the
 // cycle-level reference simulator: a core may only advance while it is the
@@ -129,9 +122,6 @@ func (Lockstep) Horizon(c *core.Core) vtime.Time {
 	return m
 }
 
-// IdleTime implements core.Policy.
-func (Lockstep) IdleTime(*core.Core) vtime.Time { return vtime.Inf }
-
 // Unbounded never synchronizes: every core runs to completion
 // independently (SlackSim's unbound slack).
 type Unbounded struct{}
@@ -141,9 +131,6 @@ func (Unbounded) Name() string { return "unbounded" }
 
 // Horizon implements core.Policy.
 func (Unbounded) Horizon(*core.Core) vtime.Time { return vtime.Inf }
-
-// IdleTime implements core.Policy.
-func (Unbounded) IdleTime(*core.Core) vtime.Time { return vtime.Inf }
 
 // ShardLocal implements core.ShardLocalPolicy: Unbounded consults no state
 // at all, so it can drive the sharded engine.
@@ -201,6 +188,3 @@ func (p LaxP2P) Horizon(c *core.Core) vtime.Time {
 	probe(p.Probe, c.VT()-t)
 	return t + p.Slack
 }
-
-// IdleTime implements core.Policy.
-func (LaxP2P) IdleTime(*core.Core) vtime.Time { return vtime.Inf }

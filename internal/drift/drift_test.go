@@ -1,10 +1,12 @@
 package drift
 
 import (
+	"fmt"
 	"testing"
 
 	"simany/internal/core"
 	"simany/internal/metrics"
+	"simany/internal/network"
 	"simany/internal/topology"
 	"simany/internal/vtime"
 )
@@ -220,4 +222,53 @@ func TestProbeRecordsDrift(t *testing.T) {
 	}
 	// Nil probe: no panic, same results.
 	runPair(t, BoundedSlack{W: W}, 10)
+}
+
+// TestPinnedResults pins one small run per policy: heterogeneous workers on
+// four of a 3×3 mesh's cores, each blocking now and then on an echo off the
+// contended center core, five cores idle throughout. The kernel maintains no effective times under these policies
+// (none relays through idle cores); the numbers were recorded at commit
+// 423337b, where it still did, so dropping that bookkeeping is shown not
+// to move their results.
+func TestPinnedResults(t *testing.T) {
+	const kindNote network.Kind = 200
+	for _, tc := range []struct {
+		pol  core.Policy
+		want string
+	}{
+		{GlobalQuantum{Q: vtime.CyclesInt(50)},
+			"{FinalVT:849cy Steps:48 Messages:20 Hops:40 Bytes:10240 OutOfOrder:3 Handled:20 Stalls:44 Instructions:0 AvgRunnable:2.1458333333333335 MaxRunnable:4 Shards:1 PerShard:[{Cores:9 Steps:48 Util:1}]}"},
+		{BoundedSlack{W: vtime.CyclesInt(30)},
+			"{FinalVT:849cy Steps:64 Messages:20 Hops:40 Bytes:10240 OutOfOrder:0 Handled:20 Stalls:60 Instructions:0 AvgRunnable:2.734375 MaxRunnable:4 Shards:1 PerShard:[{Cores:9 Steps:64 Util:1}]}"},
+		{LaxP2P{Slack: vtime.CyclesInt(40)},
+			"{FinalVT:849cy Steps:5 Messages:20 Hops:40 Bytes:10240 OutOfOrder:11 Handled:20 Stalls:1 Instructions:0 AvgRunnable:2.8 MaxRunnable:4 Shards:1 PerShard:[{Cores:9 Steps:5 Util:1}]}"},
+		{Lockstep{},
+			"{FinalVT:849cy Steps:105 Messages:20 Hops:40 Bytes:10240 OutOfOrder:0 Handled:20 Stalls:101 Instructions:0 AvgRunnable:1.1333333333333333 MaxRunnable:4 Shards:1 PerShard:[{Cores:9 Steps:105 Util:1}]}"},
+		{Unbounded{},
+			"{FinalVT:849cy Steps:4 Messages:20 Hops:40 Bytes:10240 OutOfOrder:9 Handled:20 Stalls:0 Instructions:0 AvgRunnable:2.5 MaxRunnable:4 Shards:1 PerShard:[{Cores:9 Steps:4 Util:1}]}"},
+	} {
+		k := core.New(core.Config{Topo: topology.Mesh(9), Policy: tc.pol, Seed: 3})
+		k.Handle(kindNote, func(k *core.Kernel, msg network.Message) {
+			k.Unblock(msg.Payload.(*core.Task), msg.Arrival)
+		})
+		for i, c := range []int{0, 2, 6, 8} {
+			cost := float64(10 + 7*i)
+			k.InjectTask(c, "w", func(e *core.Env) {
+				for r := 0; r < 25; r++ {
+					e.ComputeCycles(cost)
+					if r%5 == 4 {
+						e.Send(4, kindNote, 512, e.Task())
+						e.Block()
+					}
+				}
+			}, nil, vtime.CyclesInt(int64(3*i)))
+		}
+		res, err := k.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.pol.Name(), err)
+		}
+		if got := fmt.Sprintf("%+v", res); got != tc.want {
+			t.Errorf("%s: Result moved:\n  got  %s\n  want %s", tc.pol.Name(), got, tc.want)
+		}
+	}
 }
