@@ -3,7 +3,7 @@ package simany
 // Interaction hot-path benchmark: a spawn+message-heavy workload that
 // stresses exactly the per-interaction costs the kernel pays on top of the
 // natively-executed task bodies — task creation and handoff (pooled worker
-// goroutines), network.Send (striped counters, flat FIFO state) and the
+// coroutines), network.Send (striped counters, flat FIFO state) and the
 // probe/spawn/join message storm of the task runtime. Task bodies compute
 // almost nothing, so steps/sec here is dominated by the simulator's own
 // allocation and synchronization overhead rather than by the simulated

@@ -15,24 +15,29 @@ import (
 	"simany/internal/topology"
 )
 
-// BenchmarkKernelSteps measures raw scheduling throughput: two cores
-// leapfrogging under spatial synchronization with tiny blocks, i.e. one
-// stall/resume pair per block.
-func BenchmarkKernelSteps(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		topo := topology.Mesh2D(2, 1, topology.DefaultLatency, topology.DefaultBandwidth)
-		k := core.New(core.Config{Topo: topo, Policy: core.Spatial{T: Cycles(10)}, Seed: 1})
-		for c := 0; c < 2; c++ {
-			k.InjectTask(c, "w", func(e *core.Env) {
-				for j := 0; j < 1000; j++ {
-					e.ComputeCycles(10)
-				}
-			}, nil, 0)
-		}
-		if _, err := k.Run(); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkHandoff measures the cheapest step the kernel can take — the
+// shape behind the benchmark's core.handoff_ns: two neighbour cores on
+// mesh:2x1 leapfrogging under a ten-cycle drift bound with ten-cycle
+// blocks, so every step is a stall, a switch to the other core's task and
+// nothing else. One op is one block; ns/step is the host cost of one
+// scheduling step, and neither may allocate.
+func BenchmarkHandoff(b *testing.B) {
+	topo := topology.Mesh2D(2, 1, topology.DefaultLatency, topology.DefaultBandwidth)
+	k := core.New(core.Config{Topo: topo, Policy: core.Spatial{T: Cycles(10)}, Seed: 1})
+	for c := 0; c < 2; c++ {
+		k.InjectTask(c, "w", func(e *core.Env) {
+			for j := 0; j < b.N/2; j++ {
+				e.ComputeCycles(10)
+			}
+		}, nil, 0)
 	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	res, err := k.Run()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(res.Steps), "ns/step")
 }
 
 // BenchmarkNativeBlocks measures the native-execution fast path: a single

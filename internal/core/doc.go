@@ -3,11 +3,11 @@
 //
 // # Execution model
 //
-// Each simulated task runs as a goroutine (the Go analogue of SiMany's
+// Each simulated task runs as a coroutine (iter.Pull — SiMany's
 // non-preemptive userland threads); a per-core scheduler multiplexes the
 // tasks resident on a core over the core's single virtual clock. The kernel
-// runs exactly one task goroutine at a time and exchanges control with it
-// over unbuffered channels, so the whole simulation is single-threaded in
+// runs exactly one task at a time and switches to and from it directly, on
+// the same host thread, so the whole simulation is single-threaded in
 // effect and deterministic for a fixed seed, as in the paper ("SiMany only
 // requires a single core to run", §VII).
 //

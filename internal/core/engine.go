@@ -16,8 +16,8 @@ import (
 //
 // Both engines schedule through the same per-domain machinery below: a
 // domain is one schedulable partition of the machine (the whole machine for
-// the sequential engine) owning its cores' queues, its yield channel and
-// its share of the bookkeeping.
+// the sequential engine) owning its cores' queues, its worker pool and its
+// share of the bookkeeping.
 
 // domain is one execution shard: the unit of host-side scheduling.
 type domain struct {
@@ -25,7 +25,6 @@ type domain struct {
 	id    int
 	cores []*Core // owned cores, ascending ID
 
-	yieldCh chan yieldInfo
 	blocked map[uint64]*Task
 	live    int64 // live tasks resident in this domain
 	maxTime vtime.Time
@@ -84,13 +83,13 @@ type domain struct {
 	oooMsgs int64
 	handled int64
 
-	// Goroutine/struct pools for the task lifecycle hot path. Both are
+	// Coroutine/struct pools for the task lifecycle hot path. Both are
 	// owned-state in the shard-safety sense: pushed in step's yieldDone
 	// branch and popped in startTask/NewTask, which all run in the owning
 	// domain's execution context (or the single-threaded barrier). Worker
 	// and Task pointer identity never feeds a scheduling decision, so
 	// recycling cannot perturb determinism.
-	freeWorkers []*taskWorker //simany:derived goroutine pool; parked workers are respawned by restoreParked
+	freeWorkers []*taskWorker //simany:derived coroutine pool; a decoded mid-body task takes a worker at its first step
 	freeTasks   []*Task       //simany:derived allocation pool; recycled identities never reach scheduling
 
 	// Per-shard trace buffer: events emitted while this domain executes
@@ -263,17 +262,17 @@ func (d *domain) step(c *Core) {
 	}
 	d.effSite(c)
 
-	// Hand control to the task's worker goroutine until it yields.
+	// Switch to the task's worker coroutine until it yields.
 	t.env.horizon = k.horizonFor(c)
-	if !t.started {
+	if t.worker == nil {
+		// First slice of the body, or of the resumption entry a decode
+		// restore gave a task that was checkpointed mid-body.
 		t.started = true
 		d.startTask(t)
-	} else {
-		t.cont <- struct{}{}
 	}
-	y := <-d.yieldCh
+	kind, _ := t.worker.next()
 
-	switch y.kind {
+	switch kind {
 	case yieldDone:
 		t.state = TaskDone
 		t.endVT = c.vt
@@ -302,26 +301,20 @@ func (d *domain) step(c *Core) {
 	d.schedUpdate(c)
 }
 
-// startTask hands a fresh task its first execution slice: on a parked
-// worker from the domain's free pool (LIFO, for cache warmth) when one is
-// available, on a newly spawned worker otherwise.
+// startTask attaches a worker to a task about to run its first slice: a
+// parked one from the domain's free pool (LIFO, for cache warmth) when one
+// is available, a new coroutine otherwise.
 func (d *domain) startTask(t *Task) {
+	var w *taskWorker
 	if n := len(d.freeWorkers); n > 0 {
-		w := d.freeWorkers[n-1]
+		w = d.freeWorkers[n-1]
 		d.freeWorkers[n-1] = nil
 		d.freeWorkers = d.freeWorkers[:n-1]
-		w.task = t
-		t.worker = w
-		t.cont = w.cont
-		// The worker is parked in (or en route to) <-w.cont; the unbuffered
-		// send both wakes it and orders the w.task write above.
-		w.cont <- struct{}{}
-		return
+	} else {
+		w = newTaskWorker()
 	}
-	w := &taskWorker{cont: make(chan struct{}), task: t}
+	w.task = t
 	t.worker = w
-	t.cont = w.cont
-	go w.loop()
 }
 
 // releaseWorker returns a finished task's worker to the pool and, if the
@@ -331,6 +324,8 @@ func (d *domain) startTask(t *Task) {
 // owning domain's execution context.
 func (d *domain) releaseWorker(t *Task) {
 	d.freeWorkers = append(d.freeWorkers, t.worker)
+	// A finished task a caller still holds must not pin the coroutine.
+	t.worker = nil
 	if t.release {
 		*t = Task{}
 		d.freeTasks = append(d.freeTasks, t)

@@ -439,7 +439,6 @@ func (k *Kernel) setupEngine(cfg Config) {
 		k.domains[s] = &domain{
 			k:       k,
 			id:      s,
-			yieldCh: make(chan yieldInfo),
 			blocked: make(map[uint64]*Task),
 			limit:   vtime.Inf,
 			// Effective-time bookkeeping starts at the all-idle machine:
@@ -827,7 +826,8 @@ func (k *Kernel) UnblockFrom(src int, t *Task, at vtime.Time) {
 	k.Defer(src, at, func() { k.Unblock(t, at) })
 }
 
-// setPanic records the first task panic (workers may race to report).
+// setPanic records the run's first failure: a task panic (host workers
+// may race to report) or the engine's own terminal error.
 func (k *Kernel) setPanic(err error) {
 	k.panicMu.Lock()
 	if k.taskPanic == nil {
@@ -886,7 +886,8 @@ type Result struct {
 
 // Run drives the simulation to quiescence: every injected task (and every
 // task transitively created) has finished. It returns an error on deadlock
-// or when a task panicked.
+// or when a task panicked; such an error is terminal — the bodies still
+// parked mid-execution are unwound, and every later Run returns it again.
 //
 // When a checkpoint has been armed with ArmResume, Run first restores the
 // checkpointed state (by direct decode or by verified replay, see
@@ -908,12 +909,18 @@ func (k *Kernel) Run() (Result, error) {
 // runEngine drives the active engine loop once (no resume handling).
 func (k *Kernel) runEngine() (Result, error) {
 	k.paused = false
-	defer k.stopWorkers()
 	k.schedRebuild()
+	run := k.runSeq
 	if k.sharded {
-		return k.runShard()
+		run = k.runShard
 	}
-	return k.runSeq()
+	res, err := run()
+	failed := err != nil && err != ErrPaused
+	if failed {
+		k.setPanic(err) // sticky: every later Run reports the same failure
+	}
+	k.stopWorkers(failed)
+	return res, err
 }
 
 // PauseAfter arms a pause position: the engine returns ErrPaused from Run
@@ -937,19 +944,36 @@ func (k *Kernel) Position() int64 {
 // ErrPaused and nothing ran since).
 func (k *Kernel) Paused() bool { return k.paused }
 
-// stopWorkers retires the parked worker goroutines pooled on each domain so
-// a completed run leaves nothing behind. Workers still attached to blocked
-// tasks (deadlock and panic paths) stay parked exactly like the per-task
-// goroutines they replaced. Runs single-threaded, after the engine loop has
-// exited.
-func (k *Kernel) stopWorkers() {
+// stopWorkers retires the worker coroutines pooled on each domain so a
+// run leaves nothing behind. A failed run (deadlock, step limit, task
+// panic) is terminal, so it also stops the workers parked inside a task
+// body, unwinding those bodies (Env.yield); a paused run keeps them, they
+// are what the next Run resumes. Runs single-threaded, after the engine
+// loop has exited.
+func (k *Kernel) stopWorkers(failed bool) {
+	stop := func(t *Task) {
+		if t != nil && t.worker != nil {
+			t.worker.stop()
+		}
+	}
 	for _, d := range k.domains {
 		for i, w := range d.freeWorkers {
-			w.task = nil
-			w.cont <- struct{}{}
+			w.stop()
 			d.freeWorkers[i] = nil
 		}
 		d.freeWorkers = d.freeWorkers[:0]
+		if !failed {
+			continue
+		}
+		for _, t := range d.blocked {
+			stop(t)
+		}
+		for _, c := range d.cores {
+			stop(c.current)
+			for _, t := range c.conts {
+				stop(t)
+			}
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -344,14 +345,34 @@ func TestDeadlockDetected(t *testing.T) {
 	}
 }
 
+// TestTaskPanicSurfaces: a panicking body ends the run with an error that
+// names the task, the core it ran on and that core's virtual time, and keeps
+// the stack — on both engines.
 func TestTaskPanicSurfaces(t *testing.T) {
-	k := kernelOn(topology.Mesh(1), Spatial{T: DefaultT})
-	k.InjectTask(0, "bomber", func(e *Env) {
-		panic("boom")
-	}, nil, 0)
-	_, err := k.Run()
-	if err == nil || !strings.Contains(err.Error(), "boom") {
-		t.Fatalf("err = %v, want panic surfaced", err)
+	for _, shards := range []int{1, 4} {
+		k := New(Config{Topo: topology.Mesh(16), Policy: Spatial{T: DefaultT}, Seed: 1, Shards: shards, Workers: 2})
+		for c := 0; c < 16; c++ {
+			k.InjectTask(c, "bystander", func(e *Env) {
+				for i := 0; i < 50; i++ {
+					e.ComputeCycles(40)
+				}
+			}, nil, 0)
+		}
+		bomber := k.InjectTask(6, "bomber", func(e *Env) {
+			e.ComputeCycles(25)
+			panic("boom")
+		}, nil, vtime.CyclesInt(3000))
+		_, err := k.Run()
+		if err == nil {
+			t.Fatalf("shards=%d: no error from a panicking task", shards)
+		}
+		// The bomber starts once the bystander on core 6 is done (2010
+		// cycles), at its own arrival stamp plus the start cost.
+		at := vtime.CyclesInt(3000) + k.taskStartCost + vtime.CyclesInt(25)
+		head := fmt.Sprintf("task %q (id %d) on core 6 at vt %v panicked: boom\n", "bomber", bomber.ID, at)
+		if msg := err.Error(); !strings.HasPrefix(msg, head) || !strings.Contains(msg, "kernel_test.go") {
+			t.Errorf("shards=%d: err = %v\nwant prefix %q and a stack through this file", shards, err, head)
+		}
 	}
 }
 

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"reflect"
 	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -99,27 +102,155 @@ func TestTaskHandleSafeWithoutRelease(t *testing.T) {
 	}
 }
 
-// TestWorkerPoolShutdown: a completed Run must not leave parked worker
-// goroutines behind.
+// TestWorkerPoolShutdown: no Run may leave worker coroutines behind —
+// neither the pooled ones of a completed run nor, on the terminal failures
+// (deadlock, step limit, task panic), the ones parked inside a task body,
+// whose bodies must be unwound without being reported as panics.
 func TestWorkerPoolShutdown(t *testing.T) {
-	before := runtime.NumGoroutine()
-	for i := 0; i < 3; i++ {
-		k := churnKernel(4, 2, 20)
-		if _, err := k.Run(); err != nil {
-			t.Fatal(err)
+	// Every extra task counts its body's entry and (deferred) exit: a body
+	// the kernel abandons mid-execution must still run its defers.
+	// (Atomic: bodies on different shards run on different host workers.)
+	var entered, exited atomic.Int64
+	counted := func(body func(*Env)) func(*Env) {
+		return func(e *Env) {
+			entered.Add(1)
+			defer exited.Add(1)
+			body(e)
 		}
 	}
-	// Exited goroutines are reaped asynchronously; poll briefly.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if g := runtime.NumGoroutine(); g <= before+2 || time.Now().After(deadline) {
-			if g > before+2 {
-				t.Errorf("goroutines grew %d -> %d: pooled workers leaked", before, g)
+	for _, tc := range []struct {
+		name    string
+		prepare func(k *Kernel)
+		wantErr string // substring of Run's error; empty for a clean run
+	}{
+		{"completed", func(*Kernel) {}, ""},
+		{"deadlocked", func(k *Kernel) {
+			for c := 0; c < 16; c++ {
+				k.InjectTask(c, "stuck", counted(func(e *Env) { e.Block() }), nil, 0)
 			}
-			return
+		}, "deadlock"},
+		{"step-limited", func(k *Kernel) { k.maxSteps = 300 }, "exceeded 300 scheduling steps"},
+		{"panicking", func(k *Kernel) {
+			k.InjectTask(5, "bomber", func(e *Env) {
+				e.ComputeCycles(400)
+				panic("boom")
+			}, nil, 0)
+		}, "boom"},
+	} {
+		for _, shards := range []int{1, 4} {
+			before := runtime.NumGoroutine()
+			entered.Store(0)
+			exited.Store(0)
+			for i := 0; i < 3; i++ {
+				k := churnKernel(shards, 2, 20)
+				k.InjectTask(9, "staller", counted(func(e *Env) {
+					for j := 0; j < 200; j++ {
+						e.ComputeCycles(50)
+					}
+				}), nil, 0)
+				tc.prepare(k)
+				_, err := k.Run()
+				if tc.wantErr == "" && err != nil {
+					t.Fatalf("%s shards=%d: %v", tc.name, shards, err)
+				}
+				if tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)) {
+					t.Fatalf("%s shards=%d: err = %v, want %q", tc.name, shards, err, tc.wantErr)
+				}
+				if _, again := k.Run(); tc.wantErr != "" && again != err {
+					t.Errorf("%s shards=%d: second Run = %v, want the first failure again", tc.name, shards, again)
+				}
+			}
+			if in, out := entered.Load(), exited.Load(); in < 3 || out != in {
+				t.Errorf("%s shards=%d: %d bodies entered, %d exited", tc.name, shards, in, out)
+			}
+			// The sharded round's host goroutines are reaped asynchronously;
+			// poll briefly.
+			deadline := time.Now().Add(2 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(10 * time.Millisecond)
+			}
+			if g := runtime.NumGoroutine(); g > before {
+				t.Errorf("%s shards=%d: goroutines grew %d -> %d: workers leaked", tc.name, shards, before, g)
+			}
 		}
-		runtime.Gosched()
-		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestPausedRunKeepsParkedWorkers: ErrPaused is not a terminal exit — the
+// tasks parked mid-body keep their coroutines and the next Run resumes
+// them to the same Result as an uninterrupted run.
+func TestPausedRunKeepsParkedWorkers(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		want, err := churnKernel(shards, 2, 20).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := churnKernel(shards, 2, 20)
+		k.PauseAfter(5)
+		if _, err := k.Run(); err != ErrPaused {
+			t.Fatalf("shards=%d: err = %v, want ErrPaused", shards, err)
+		}
+		k.PauseAfter(0)
+		got, err := k.Run()
+		if err != nil {
+			t.Fatalf("shards=%d: resumed run: %v", shards, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("shards=%d: paused+resumed result differs:\n  got  %+v\n  want %+v", shards, got, want)
+		}
+	}
+}
+
+// TestCoroutineResumedAcrossHostWorkers: with more shards than host
+// workers, a shard — and so every worker coroutine parked in it — is driven
+// by whichever host goroutine claims it that round. Tasks here stall and
+// block across many barriers, so the same coroutine is resumed from
+// different host goroutines; Result and trace must equal the one-worker
+// run (and the race detector must stay quiet: CI runs this under -race).
+func TestCoroutineResumedAcrossHostWorkers(t *testing.T) {
+	run := func(workers int) (Result, []TraceEvent, int64) {
+		k := churnKernel(4, workers, 80)
+		tr := &sliceTracer{}
+		k.SetTracer(tr)
+		for c := 0; c < 16; c++ {
+			k.InjectTask(c, "staller", func(e *Env) {
+				for j := 0; j < 60; j++ {
+					e.ComputeCycles(150)
+				}
+			}, nil, 0)
+		}
+		res, err := k.Run()
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		return res, tr.events, k.barriers
+	}
+	want, wantEvents, barriers := run(1)
+	if want.Stalls < 100 || barriers < 20 {
+		t.Fatalf("workload too tame: %d stalls over %d barriers", want.Stalls, barriers)
+	}
+	for i := 0; i < 3; i++ {
+		got, gotEvents, _ := run(3)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=3 result differs:\n  got  %+v\n  want %+v", got, want)
+		}
+		if !reflect.DeepEqual(gotEvents, wantEvents) {
+			t.Fatalf("workers=3 trace differs from workers=1 (%d vs %d events)", len(gotEvents), len(wantEvents))
+		}
+	}
+}
+
+// TestHandoffHasNoChannels: the kernel <-> task switch is a coroutine
+// switch; a chan field on any of the three structs that take part in it
+// means a channel rendezvous has crept back into the step.
+func TestHandoffHasNoChannels(t *testing.T) {
+	for _, v := range []any{domain{}, Task{}, taskWorker{}} {
+		typ := reflect.TypeOf(v)
+		for i := 0; i < typ.NumField(); i++ {
+			if f := typ.Field(i); f.Type.Kind() == reflect.Chan {
+				t.Errorf("%s.%s is a channel", typ.Name(), f.Name)
+			}
+		}
 	}
 }
 

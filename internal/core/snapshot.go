@@ -31,7 +31,7 @@ type TaskCodec interface {
 	EncodeTask(enc *snap.Encoder, t *Task) bool
 	// DecodeTask consumes the descriptor written by EncodeTask, restores
 	// t.Meta, and returns the body's resumption entry point. The kernel
-	// re-parks started tasks on a fresh goroutine running the entry.
+	// runs the entry on a worker that has not run the body before.
 	DecodeTask(dec *snap.Decoder, t *Task) (func(*Env), error)
 }
 
@@ -285,8 +285,9 @@ func (k *Kernel) encodeTask(enc *snap.Encoder, t *Task) bool {
 }
 
 // decodeTask reads one task record for core c in lifecycle state state and
-// re-attaches it: unstarted tasks get the entry as their body, started
-// ones a fresh goroutine parked exactly where the original yielded.
+// re-attaches it: the entry is the body of an unstarted task and, for a
+// started one, continues where the original yielded. Either way it runs on
+// the worker the task's next step attaches (domain.step).
 func (k *Kernel) decodeTask(dec *snap.Decoder, c *Core, state TaskState) (*Task, error) {
 	t := &Task{core: c, state: state}
 	var err error
@@ -323,33 +324,7 @@ func (k *Kernel) decodeTask(dec *snap.Decoder, c *Core, state TaskState) (*Task,
 		return nil, fmt.Errorf("task %d %q: opaque body in a decode-mode checkpoint", t.ID, t.Name)
 	}
 	t.fn = entry
-	if t.started {
-		k.restoreParked(t)
-	}
 	return t, nil
-}
-
-// restoreParked gives a restored mid-execution task a fresh worker
-// goroutine parked exactly like the original's: blocked on the resume
-// channel, refreshing the horizon on wake, then continuing the body's
-// entry and finally joining the domain's worker pool like any other
-// worker.
-func (k *Kernel) restoreParked(t *Task) {
-	w := &taskWorker{cont: make(chan struct{}), task: t}
-	t.worker = w
-	t.cont = w.cont
-	go func() {
-		<-w.cont
-		t.env.horizon = k.horizonFor(t.env.c)
-		t.run()
-		for {
-			<-w.cont
-			if w.task == nil {
-				return
-			}
-			w.task.run()
-		}
-	}()
 }
 
 // TaskByID finds a live task by ID, scanning every core's queues and

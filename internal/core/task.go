@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"iter"
 	"runtime/debug"
 
 	"simany/internal/network"
@@ -24,7 +25,7 @@ const (
 )
 
 // Task is one unit of parallel work. Tasks are created by the task runtime
-// (or directly for tests), placed on a core, and executed as a goroutine
+// (or directly for tests), placed on a core, and executed as a coroutine
 // multiplexed on the core's virtual clock.
 type Task struct {
 	// ID is a kernel-unique identifier.
@@ -47,11 +48,9 @@ type Task struct {
 	pendingWake bool // Unblock arrived before the task reached Block
 	release     bool // recycle the struct into the task pool at Done
 
-	// cont is the resume channel of the worker goroutine currently running
-	// the task body — assigned when the task first starts (domain.startTask)
-	// and shared with the worker for its whole pooled lifetime.
-	cont   chan struct{}
-	worker *taskWorker //simany:derived parked goroutine identity, respawned by restoreParked
+	// worker is the coroutine running the task body, from the task's first
+	// step (domain.startTask) until it ends or the run fails.
+	worker *taskWorker //simany:derived parked coroutine identity; a decoded task takes a worker at its first step
 	env    Env         //simany:derived rebuilt by decodeTask/startTask from the owning kernel and core
 }
 
@@ -91,11 +90,6 @@ const (
 	yieldBlocked
 	yieldDone
 )
-
-type yieldInfo struct {
-	kind yieldKind
-	task *Task
-}
 
 // Env is the interface a task's code uses to interact with the simulator:
 // timing annotations, memory accesses and messaging. Exactly one Env is
@@ -265,55 +259,60 @@ func (e *Env) ReleaseLockExempt() {
 	e.checkHorizon()
 }
 
-// yield transfers control back to the kernel and waits to be resumed
-// (except for yieldDone, which ends the goroutine).
+// yield switches back to the kernel (the next call in domain.step) and
+// returns when the kernel resumes the task. The worker's yield reports
+// false once the kernel has stopped the worker: the body is then unwound.
 func (e *Env) yield(kind yieldKind) {
-	e.c.dom.yieldCh <- yieldInfo{kind: kind, task: e.t}
-	if kind == yieldDone {
-		return
+	if !e.t.worker.yield(kind) {
+		panic(workerStopped{})
 	}
-	<-e.t.cont
 	e.horizon = e.k.horizonFor(e.c)
 }
 
-// run executes one task body to completion (ending with a yieldDone
-// handoff to the kernel, even on panic).
-func (t *Task) run() {
+// workerStopped is the panic value that unwinds a task body parked
+// mid-execution when its worker is stopped; Task.run swallows it.
+type workerStopped struct{}
+
+// run executes the task body to completion and reports whether the worker
+// was stopped under it. A panic in the body is surfaced to the kernel as
+// an error and otherwise ends the task like a return.
+func (t *Task) run() (stopped bool) {
 	defer func() {
-		if r := recover(); r != nil {
-			// Surface task panics to the kernel rather than killing the
-			// process silently from a background goroutine.
-			t.env.k.setPanic(fmt.Errorf("task %q (id %d) panicked: %v\n%s",
-				t.Name, t.ID, r, debug.Stack()))
-			t.env.c.dom.yieldCh <- yieldInfo{kind: yieldDone, task: t}
+		switch r := recover().(type) {
+		case nil:
+		case workerStopped:
+			stopped = true
+		default:
+			c := t.env.c
+			t.env.k.setPanic(fmt.Errorf("task %q (id %d) on core %d at vt %v panicked: %v\n%s",
+				t.Name, t.ID, c.ID, c.vt, r, debug.Stack()))
 		}
 	}()
 	t.fn(&t.env)
-	t.env.yield(yieldDone)
+	return false
 }
 
-// taskWorker is a pooled goroutine that runs successive task bodies: the
-// replacement for the goroutine-per-task model, where spawn-heavy workloads
-// paid a goroutine spawn plus channel allocation per task. A worker is
-// either executing (or parked inside) exactly one task's body, or parked on
-// its resume channel in a domain's free pool awaiting the next assignment.
+// taskWorker is a pooled coroutine (iter.Pull) that runs successive task
+// bodies: the kernel resumes it with next and the body hands control back
+// with yield, each a direct stack switch — no channel, no pass through the
+// goroutine scheduler. A worker is either executing (or parked inside)
+// exactly one task's body, or parked in yield(yieldDone) in a domain's
+// free pool awaiting the next assignment; stop ends it from either state.
 type taskWorker struct {
-	// cont is the kernel -> worker resume channel; while the worker runs a
-	// task the task's cont field aliases it, so mid-task resumes and pool
-	// reassignment share one channel (recycled with the worker).
-	cont chan struct{}
-	// task is the current assignment. Written only by the kernel before
-	// signalling cont (the channel handoff orders the write against the
-	// worker's read); nil tells a woken worker to exit.
-	task *Task
+	// task is the current assignment, written only by the kernel while the
+	// worker is parked (the switch orders it against the worker's read).
+	task  *Task
+	next  func() (yieldKind, bool)
+	yield func(yieldKind) bool
+	stop  func()
 }
 
-func (w *taskWorker) loop() {
-	for {
-		w.task.run()
-		<-w.cont
-		if w.task == nil {
-			return
+func newTaskWorker() *taskWorker {
+	w := &taskWorker{}
+	w.next, w.stop = iter.Pull(func(yield func(yieldKind) bool) {
+		w.yield = yield
+		for !w.task.run() && yield(yieldDone) {
 		}
-	}
+	})
+	return w
 }
