@@ -37,10 +37,10 @@ type Core struct {
 
 	// Effective-time state (efflazy.go): the memo epoch stamp that
 	// validates eff for an idle core, the BFS visited generation, and the
-	// core's positions in its domain's busy anchor list and stalled heap.
+	// core's slots in its domain's anchor heap and stall heap.
 	effStamp uint64 //simany:derived memo validity stamp vs domain.effEpoch, 0 = stale
 	effSeen  uint64 //simany:derived lazyFix visited marker vs domain.effGen, transient per BFS
-	busyPos  int    //simany:derived index in domain.busyList (-1 = idle), rebuilt after decode
+	busyPos  int    //simany:derived slot in the domain.busyList heap (-1 = idle), rebuilt after decode
 	stallPos int    //simany:derived index in domain.sq (-1 = not stalled), rebuilt after decode
 	idleNb   int32  //simany:derived count of idle same-domain neighbors, rebuilt by schedRebuild after decode
 	rnStamp  uint64 //simany:derived sticky stalled-runnable stamp vs domain.shapeEpoch, cleared by schedUpdate

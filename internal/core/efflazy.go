@@ -14,8 +14,9 @@ import (
 // surrounding idle region until a fixpoint would flood O(idle region)
 // state per task completion; the machinery in this file *pulls* instead:
 // idle cores' effective times are evaluated on demand from the busy
-// frontier, so a completion touches O(1) state and the cost is paid only
-// by the (few) cores whose horizon actually reads a shadow time.
+// frontier, so a completion touches O(degree + log busy) state and the
+// region's cost is paid only by the (few) cores whose horizon actually
+// reads a shadow time.
 //
 // Representation. There is no materialized region structure: an idle
 // region is implicit — the connected set of idle cores reachable from a
@@ -29,10 +30,12 @@ import (
 //
 // where hops counts idle cores on a shortest path from c to a that stays
 // inside the domain's idle cores. domain.lazyFix computes exactly that by
-// a ring-layered BFS from the queried core, with an aggressive cutoff: a
-// lower bound on every anchor (domain.effFloor) prunes rings that cannot
-// improve the best value found so far. Sparse machines terminate after
-// one or two rings around the nearest busy core.
+// a ring-layered BFS from the queried core, with two cutoffs: the exact
+// minimum over all anchors (domain.effFloor — the busy cores sit in a
+// min-heap by maintained eff, so it is the root) ends the search after a
+// ring or two whenever the anchors are within a few delta of each other,
+// and a per-anchor landmark-distance scan ends it when a distant laggard
+// holds the floor down.
 //
 // Memoization. Computed values are cached in Core.eff and stamped with
 // the domain's invalidation epoch (Core.effStamp vs domain.effEpoch). The
@@ -55,7 +58,7 @@ import (
 // cross-shard proxies, so it keeps an exact cached key in the runq. Only
 // the stalled cores adjacent to an idle region — whose horizons read
 // shadow times that post no callbacks — move to a secondary per-domain
-// heap ordered by (vt, ID) (stallq); every pick evaluates those on
+// heap ordered by (vt, ID) (domain.sq); every pick evaluates those on
 // demand, and a sticky per-shape-epoch runnable bit keeps a member once
 // found runnable from being evaluated again.
 // See docs/effective-time.md for the full design and cost model.
@@ -186,54 +189,22 @@ func (d *domain) effInvalidate() {
 	d.effEpoch++
 }
 
-// busyAdd registers c as a frontier anchor (it just turned busy).
-func (d *domain) busyAdd(c *Core) {
-	if c.busyPos >= 0 {
-		return
+// effFloor is the exact lower bound on every anchor of the domain: the
+// anchor heap's root (the minimal maintained eff over the busy cores) or
+// the barrier-exact minimum over the frozen cross-shard proxies,
+// whichever is lower. Inf when the domain has neither.
+func (d *domain) effFloor() vtime.Time {
+	if h := d.busyList.heap; len(h) > 0 && h[0].eff < d.frozenFloor {
+		return h[0].eff
 	}
-	c.busyPos = len(d.busyList)
-	d.busyList = append(d.busyList, c)
-}
-
-// busyRemove unregisters c from the anchor list (it just turned idle).
-// If c's maintained eff defined the anchor floor, the floor is recomputed
-// exactly — a floor that is too low only slows the BFS cutoff, but this
-// keeps it tight on the workloads that matter (one task retiring after
-// another on the same few cores).
-func (d *domain) busyRemove(c *Core) {
-	if c.busyPos < 0 {
-		return
-	}
-	last := len(d.busyList) - 1
-	moved := d.busyList[last]
-	d.busyList[c.busyPos] = moved
-	moved.busyPos = c.busyPos
-	d.busyList[last] = nil
-	d.busyList = d.busyList[:last]
-	c.busyPos = -1
-	if c.eff <= d.effFloor {
-		d.recomputeFloor()
-	}
-}
-
-// recomputeFloor recomputes the exact anchor lower bound: the minimum
-// maintained eff over the domain's busy cores and the frozen-proxy floor
-// captured at the last barrier.
-func (d *domain) recomputeFloor() {
-	m := d.frozenFloor
-	for _, b := range d.busyList {
-		if b.eff < m {
-			m = b.eff
-		}
-	}
-	d.effFloor = m
+	return d.frozenFloor
 }
 
 // effSite runs at both ends of domain.step, where c's clock and idle flag
 // may have moved: it maintains the frontier anchors — c's own advertised
-// time, the busy list and the anchor floor — invalidates the memos when
-// an anchor actually changed, and notifies the stalled same-domain
-// neighbors whose horizons read c directly. O(degree), never O(region);
+// time and its seat in the anchor heap — invalidates the memos when an
+// anchor actually changed, and notifies the stalled same-domain neighbors
+// whose horizons read c directly. O(degree + log busy), never O(region);
 // the neighbor pass is what lets stalled cores with no idle neighbor keep
 // exact runq keys (schedUpdate) instead of being re-evaluated at every
 // pick. A no-op when the policy does not relay.
@@ -244,6 +215,12 @@ func (d *domain) effSite(c *Core) {
 	}
 	if !c.idle {
 		flipped := c.busyPos < 0
+		if !flipped && c.eff == c.vt {
+			return
+		}
+		c.eff = c.vt
+		d.busyList.put(c)
+		d.effInvalidate()
 		if flipped {
 			// Idle → busy: the core joins the frontier. Paths through it
 			// are cut, so memos computed against the old region shape are
@@ -251,32 +228,18 @@ func (d *domain) effSite(c *Core) {
 			// (the old value may itself have been a stale memo) — and
 			// region horizons may move either way, so the shape epoch
 			// drops every sticky runnable bit too.
-			d.busyAdd(c)
-			d.effInvalidate()
 			d.shapeEpoch++
 		}
-		changed := c.eff != c.vt
-		if changed {
-			c.eff = c.vt
-			d.effInvalidate()
-		}
-		// Outside the change branch so a re-busy core whose advertised
-		// value survived its idle spell still anchors the floor.
-		if c.eff < d.effFloor {
-			d.effFloor = c.eff
-		}
-		if flipped || changed {
-			for _, nbID := range c.neighbors {
-				nb := k.cores[nbID]
-				if nb.dom != d {
-					continue
-				}
-				if flipped {
-					nb.idleNb--
-				}
-				if nb.current != nil {
-					d.schedUpdate(nb)
-				}
+		for _, nbID := range c.neighbors {
+			nb := k.cores[nbID]
+			if nb.dom != d {
+				continue
+			}
+			if flipped {
+				nb.idleNb--
+			}
+			if nb.current != nil {
+				d.schedUpdate(nb)
 			}
 		}
 		return
@@ -285,7 +248,7 @@ func (d *domain) effSite(c *Core) {
 	// space is stale until the next lazy read recomputes it. Stalled
 	// neighbors gain an idle neighbor and are re-routed to the stall heap.
 	if c.busyPos >= 0 {
-		d.busyRemove(c)
+		d.busyList.remove(c)
 		c.effStamp = 0
 		d.effInvalidate()
 		d.shapeEpoch++
@@ -326,7 +289,10 @@ func (d *domain) lazyEff(c *Core) vtime.Time {
 // anchor + delta·(hops+1) over all frontier anchors (local busy cores
 // and finite frozen cross-shard proxies). The ring index equals the hop
 // count, so once best ≤ floor + delta·(ring+1) no farther anchor can
-// improve the result and the search stops.
+// improve the result and the search stops; when the exact floor cannot
+// decide — some anchor lags the nearest ones by more than the rings
+// walked — the per-anchor landmark scan (anchorCanImprove) is asked
+// before every further ring. Both cutoffs only prune.
 func (d *domain) lazyFix(c *Core) vtime.Time {
 	k := d.k
 	delta := k.relayDelta
@@ -334,14 +300,14 @@ func (d *domain) lazyFix(c *Core) vtime.Time {
 	gen := d.effGen
 	// The scratch ring buffer is domain-owned and reused across calls;
 	// a cursor per ring keeps layers contiguous.
-	q := d.effScratch[:0]
-	q = append(q, c.ID)
+	q := append(d.effScratch[:0], c.ID)
 	c.effSeen = gen
 	best := vtime.Inf
+	floor := d.effFloor()
 	ringStart, ringEnd := 0, 1
 	for depth := 0; ringStart < ringEnd; depth++ {
 		cost := satScale(delta, depth+1)
-		if satAdd(d.effFloor, cost) >= best {
+		if satAdd(floor, cost) >= best {
 			break
 		}
 		if best < vtime.Inf && !d.anchorCanImprove(c, depth, best) {
@@ -394,19 +360,19 @@ func (d *domain) lazyFix(c *Core) vtime.Time {
 // real contribution, which only makes the answer conservatively true —
 // the cutoff can never prune a better anchor, so lazyFix stays exact.
 //
-// The aggregate floor cutoff in lazyFix already handled the cheap case;
-// this O(frontier) scan is what keeps the BFS radius independent of how
-// far the *globally* slowest anchor has drifted: a distant lagging task
-// prunes here by distance even though it drags effFloor far below best.
+// This O(busy · landmarks) scan is what keeps the BFS radius independent
+// of how far the *globally* slowest anchor has drifted: a distant lagging
+// task prunes here by distance even though it holds the floor far below
+// best.
 func (d *domain) anchorCanImprove(c *Core, depth int, best vtime.Time) bool {
+	d.lmScans++
 	delta := d.k.relayDelta
-	cost := satScale(delta, depth+1)
-	if satAdd(d.frozenFloor, cost) < best {
+	if satAdd(d.frozenFloor, satScale(delta, depth+1)) < best {
 		return true
 	}
 	lm := d.k.lmDist
 	ci := c.ID
-	for _, a := range d.busyList {
+	for _, a := range d.busyList.heap {
 		hops := depth + 1
 		for _, dist := range lm {
 			dc, da := dist[ci], dist[a.ID]
@@ -452,37 +418,48 @@ func (d *domain) minNeighborEff(c *Core) vtime.Time {
 	return m
 }
 
-// stallq is a domain's secondary scheduling heap:
-// the stalled cores with at least one idle same-domain neighbor
-// (current != nil && idleNb > 0), ordered by (vt, ID). Their runnable
-// keys — when runnable at all — equal their clocks, but runnability
-// itself depends on lazily evaluated horizons, so membership here means
-// "idle-adjacent stalled", not "runnable"; pickCore evaluates the
-// horizons of the members with vt ≤ limit on demand. Clocks are frozen
-// while stalled, so the heap never needs re-keying between insert and
-// remove.
-type stallq struct {
+// coreHeap is an indexed binary min-heap over cores: less orders the
+// members and pos names the Core field that records each member's slot
+// (-1 while out), so membership is an O(1) test and re-seating a member
+// whose key moved an O(log n) sift. A domain keeps two: the anchor heap
+// (busyList: its busy cores by maintained eff, whose root is the exact
+// anchor floor) and the stall heap (sq, below).
+type coreHeap struct {
 	heap []*Core
+	less func(a, b *Core) bool
+	pos  func(c *Core) *int
 }
 
+func anchorLess(a, b *Core) bool { return a.eff < b.eff }
+func anchorPos(c *Core) *int     { return &c.busyPos }
+
+// The stall heap is a domain's secondary scheduling heap: the stalled
+// cores with at least one idle same-domain neighbor (current != nil &&
+// idleNb > 0), ordered by (vt, ID). Their runnable keys — when runnable at
+// all — equal their clocks, but runnability itself depends on lazily
+// evaluated horizons, so membership means "idle-adjacent stalled", not
+// "runnable"; pickCore evaluates the horizons of the members with
+// vt ≤ limit on demand. The mid-step core is kept out (its clock is
+// moving), so the order holds between a put and the next.
 func stallLess(a, b *Core) bool {
 	if a.vt != b.vt {
 		return a.vt < b.vt
 	}
 	return a.ID < b.ID
 }
+func stallPos(c *Core) *int { return &c.stallPos }
 
-func (q *stallq) swap(i, j int) {
+func (q *coreHeap) swap(i, j int) {
 	h := q.heap
 	h[i], h[j] = h[j], h[i]
-	h[i].stallPos = i
-	h[j].stallPos = j
+	*q.pos(h[i]) = i
+	*q.pos(h[j]) = j
 }
 
-func (q *stallq) up(i int) {
+func (q *coreHeap) up(i int) {
 	for i > 0 {
 		p := (i - 1) / 2
-		if !stallLess(q.heap[i], q.heap[p]) {
+		if !q.less(q.heap[i], q.heap[p]) {
 			return
 		}
 		q.swap(i, p)
@@ -490,15 +467,15 @@ func (q *stallq) up(i int) {
 	}
 }
 
-func (q *stallq) down(i int) {
+func (q *coreHeap) down(i int) {
 	n := len(q.heap)
 	for {
 		l, r := 2*i+1, 2*i+2
 		s := i
-		if l < n && stallLess(q.heap[l], q.heap[s]) {
+		if l < n && q.less(q.heap[l], q.heap[s]) {
 			s = l
 		}
-		if r < n && stallLess(q.heap[r], q.heap[s]) {
+		if r < n && q.less(q.heap[r], q.heap[s]) {
 			s = r
 		}
 		if s == i {
@@ -509,41 +486,56 @@ func (q *stallq) down(i int) {
 	}
 }
 
-func (q *stallq) insert(c *Core) {
-	c.stallPos = len(q.heap)
-	q.heap = append(q.heap, c)
-	q.up(c.stallPos)
+// put seats c by its current key: appended when out, then sifted either
+// way from wherever it sits.
+func (q *coreHeap) put(c *Core) {
+	p := q.pos(c)
+	if *p < 0 {
+		*p = len(q.heap)
+		q.heap = append(q.heap, c)
+	}
+	q.down(*p)
+	q.up(*p)
 }
 
-func (q *stallq) remove(c *Core) {
-	i := c.stallPos
-	last := len(q.heap) - 1
+func (q *coreHeap) remove(c *Core) {
+	p := q.pos(c)
+	i, last := *p, len(q.heap)-1
 	if i != last {
 		q.swap(i, last)
 	}
 	q.heap[last] = nil
 	q.heap = q.heap[:last]
-	c.stallPos = -1
+	*p = -1
 	if i != last {
 		q.down(i)
 		q.up(i)
 	}
 }
 
-// update maintains c's membership: stalled cores in, everyone else out.
-// A stalled core whose clock moved (resume + re-stall within one step)
-// is repositioned by remove/insert at the post-step update.
-func (q *stallq) update(c *Core) {
-	stalled := c.current != nil
-	switch {
-	case stalled && c.stallPos < 0:
-		q.insert(c)
-	case !stalled && c.stallPos >= 0:
-		q.remove(c)
-	case stalled:
-		q.down(c.stallPos)
-		q.up(c.stallPos)
+// init makes members (any order, no duplicates) the heap's whole content;
+// every other core's slot field must already read -1.
+func (q *coreHeap) init(members []*Core) {
+	q.heap = members
+	for i, c := range members {
+		*q.pos(c) = i
 	}
+	for i := len(members)/2 - 1; i >= 0; i-- {
+		q.down(i)
+	}
+}
+
+// check verifies slot back-pointers and heap order (Kernel.Validate).
+func (q *coreHeap) check() error {
+	for i, c := range q.heap {
+		if got := *q.pos(c); got != i {
+			return fmt.Errorf("core %d sits in slot %d, recorded %d", c.ID, i, got)
+		}
+		if i > 0 && q.less(c, q.heap[(i-1)/2]) {
+			return fmt.Errorf("order violated at slot %d (core %d)", i, c.ID)
+		}
+	}
+	return nil
 }
 
 // stallBest finds the best runnable stalled core with vt ≤ limit — the
@@ -623,35 +615,32 @@ func (d *domain) pickIndexed(limit vtime.Time) (best *Core, key vtime.Time, coun
 
 // rebuildLazyFromRefresh rebuilds the domain's bookkeeping after the
 // barrier-time global relaxation (refreshEff) has left every Core.eff at
-// the global fixpoint: the busy list and exact floors are recomputed, and
-// every idle core's memo is seeded from its already-correct eff (the
-// global fixpoint restricted to a domain equals the domain-local fixpoint
-// anchored at the freshly frozen proxies).
+// the global fixpoint: the anchor heap and the frozen-proxy floor are
+// recomputed, and every idle core's memo is seeded from its
+// already-correct eff (the global fixpoint restricted to a domain equals
+// the domain-local fixpoint anchored at the freshly frozen proxies).
 func (d *domain) rebuildLazyFromRefresh() {
 	k := d.k
-	clear(d.busyList)
-	d.busyList = d.busyList[:0]
 	d.effInvalidate()
 	// Refreshed frozen proxies can move horizons either way: drop the
 	// sticky runnable bits along with the value memos.
 	d.shapeEpoch++
-	frozen := vtime.Inf
+	busy := d.busyList.heap[:0]
+	d.frozenFloor = vtime.Inf
 	for _, c := range d.cores {
 		if c.idle {
 			c.busyPos = -1
 			c.effStamp = d.effEpoch
 		} else {
-			c.busyPos = len(d.busyList)
-			d.busyList = append(d.busyList, c)
+			busy = append(busy, c)
 		}
 		for j, nbID := range c.neighbors {
-			if k.cores[nbID].dom != d && c.nbEff[j] < frozen {
-				frozen = c.nbEff[j]
+			if k.cores[nbID].dom != d && c.nbEff[j] < d.frozenFloor {
+				d.frozenFloor = c.nbEff[j]
 			}
 		}
 	}
-	d.frozenFloor = frozen
-	d.recomputeFloor()
+	d.busyList.init(busy)
 }
 
 // rebuildStallq reseats the domain's idle-adjacent stalled cores in the
@@ -661,20 +650,14 @@ func (d *domain) rebuildLazyFromRefresh() {
 // neighbor pass, the barrier rebuild, schedUpdate), so their cached keys
 // are exact.
 func (d *domain) rebuildStallq() {
-	q := d.sq
-	q.heap = q.heap[:0]
+	stalled := d.sq.heap[:0]
 	for _, c := range d.cores {
 		c.stallPos = -1
-	}
-	for _, c := range d.cores {
 		if c.current != nil && c.idleNb > 0 {
-			c.stallPos = len(q.heap)
-			q.heap = append(q.heap, c)
+			stalled = append(stalled, c)
 		}
 	}
-	for i := len(q.heap)/2 - 1; i >= 0; i-- {
-		q.down(i)
-	}
+	d.sq.init(stalled)
 }
 
 // rebuildIdleNb recounts every owned core's idle same-domain neighbors —

@@ -43,9 +43,9 @@ type domain struct {
 	// policy's horizon is not cacheable and the domain schedules through
 	// the scan. stepping is the core currently inside step, whose index
 	// entry is transient until the step completes.
-	rq       *runq   //simany:derived runnable heap, rebuilt by schedRebuild after decode
-	sq       *stallq //simany:derived stalled-core heap, rebuilt by schedRebuild after decode
-	stepping *Core   //simany:derived transient mid-step marker, nil at every barrier
+	rq       *runq     //simany:derived runnable heap, rebuilt by schedRebuild after decode
+	sq       *coreHeap //simany:derived stalled-core heap, rebuilt by schedRebuild after decode
+	stepping *Core     //simany:derived transient mid-step marker, nil at every barrier
 
 	// Host-parallelism potential sampling (§VIII).
 	runnableSum     int64
@@ -53,10 +53,11 @@ type domain struct {
 	runnableMax     int
 
 	// Effective-time state (efflazy.go), maintained when the policy
-	// relays: the busy frontier anchors, the memo-invalidation epoch and
-	// the exact/conservative anchor floors.
-	busyList []*Core //simany:derived frontier anchor list, rebuilt from idle flags at barriers/after decode
-	effEpoch uint64  //simany:derived memo invalidation epoch, bumping it after decode discards all memos
+	// relays: the busy frontier anchors (a min-heap by maintained eff, so
+	// the anchor floor is its root), the memo-invalidation epoch and the
+	// frozen-proxy floor.
+	busyList coreHeap //simany:derived frontier anchor heap, rebuilt from idle flags at barriers/after decode
+	effEpoch uint64   //simany:derived memo invalidation epoch, bumping it after decode discards all memos
 	// shapeEpoch advances only when the anchor *set* changes (a busy/idle
 	// flip, a barrier refresh) — never on pure value moves, which are
 	// monotone. A stalled core's sticky runnable bit (Core.rnStamp) is
@@ -64,9 +65,8 @@ type domain struct {
 	// once observed runnable stays runnable until its own inputs change.
 	shapeEpoch uint64 //simany:derived sticky-runnable invalidation epoch, bumped after decode like effEpoch
 	effGen     uint64 //simany:derived lazyFix BFS visited generation, transient per query
-	//simany:derived anchor lower bound for the BFS cutoff, recomputed at barriers/after decode
-	effFloor vtime.Time
-	//simany:derived lower bound over frozen cross-shard proxies, recomputed at barriers/after decode
+	lmScans    int64  //simany:derived landmark scans run (anchorCanImprove), read by tests only
+	//simany:derived minimum over frozen cross-shard proxies, recomputed at barriers/after decode
 	frozenFloor vtime.Time
 	effScratch  []int //simany:derived reusable BFS ring buffer, empty between uses
 

@@ -442,11 +442,11 @@ func (k *Kernel) setupEngine(cfg Config) {
 			blocked: make(map[uint64]*Task),
 			limit:   vtime.Inf,
 			// Effective-time bookkeeping starts at the all-idle machine:
-			// no anchors, infinite floors, epoch 1 so the zero memo stamps
+			// no anchors, infinite floor, epoch 1 so the zero memo stamps
 			// are stale (efflazy.go).
+			busyList:    coreHeap{less: anchorLess, pos: anchorPos},
 			effEpoch:    1,
 			shapeEpoch:  1,
-			effFloor:    vtime.Inf,
 			frozenFloor: vtime.Inf,
 		}
 	}
@@ -485,7 +485,7 @@ func (k *Kernel) setupScheduler() {
 	}
 	for _, d := range k.domains {
 		d.rq = newRunq(d)
-		d.sq = &stallq{}
+		d.sq = &coreHeap{less: stallLess, pos: stallPos}
 	}
 }
 

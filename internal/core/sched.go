@@ -255,7 +255,7 @@ func (d *domain) schedUpdate(c *Core) {
 		// The mid-step core stays out of the stall heap (its clock is
 		// moving); the post-step update re-seats it.
 		if c != d.stepping {
-			d.sq.update(c)
+			d.sq.put(c)
 		}
 		if c.schedPos >= 0 {
 			d.rq.remove(c)
@@ -286,18 +286,13 @@ func (d *domain) checkRunq() error {
 			return fmt.Errorf("domain %d: heap order violated at index %d (core %d)", d.id, i, c.ID)
 		}
 	}
-	for i, c := range d.sq.heap {
-		if c.stallPos != i {
-			return fmt.Errorf("domain %d: core %d stall-heap position %d, recorded %d", d.id, c.ID, i, c.stallPos)
-		}
-		if c == d.stepping {
-			// The mid-step core's clock is in flux, so step removes it
-			// from this heap until the post-step update.
-			return fmt.Errorf("domain %d: mid-step core %d still in the stall heap", d.id, c.ID)
-		}
-		if i > 0 && stallLess(c, d.sq.heap[(i-1)/2]) {
-			return fmt.Errorf("domain %d: stall-heap order violated at index %d (core %d)", d.id, i, c.ID)
-		}
+	if err := d.sq.check(); err != nil {
+		return fmt.Errorf("domain %d: stall heap: %w", d.id, err)
+	}
+	if c := d.stepping; c != nil && c.stallPos >= 0 {
+		// The mid-step core's clock is in flux, so step removes it from
+		// this heap until the post-step update.
+		return fmt.Errorf("domain %d: mid-step core %d still in the stall heap", d.id, c.ID)
 	}
 	for _, c := range d.cores {
 		if c == d.stepping {

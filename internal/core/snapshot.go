@@ -200,7 +200,7 @@ func (d *domain) snapshot(enc *snap.Encoder) bool {
 
 // snapshot appends one core's state. Derivable state — eff, nbEff, the
 // sched heap position, the lazy queue-minimum caches, and the whole lazy
-// effective-time apparatus (memo stamps, busy-frontier list, stall heap,
+// effective-time apparatus (memo stamps, anchor heap, stall heap,
 // pruning floors; efflazy.go) — is deliberately excluded: restore rebuilds
 // it (refreshEff, schedRebuild, lazy recompute) and Kernel.Validate
 // re-verifies it. That also keeps checkpoints byte-identical across Eff

@@ -13,11 +13,11 @@ import (
 //
 // Checked invariants:
 //   - when the policy relays effective times: a busy core never
-//     advertises a time ahead of its own clock, the busy-frontier list
-//     partitions each domain's cores against their idle flags, the
-//     pruning floor lower-bounds every anchor (busy cores and frozen
-//     foreign proxies), and every fresh idle memo equals a fixpoint
-//     recomputed independently by plain relaxation;
+//     advertises a time ahead of its own clock, the anchor heap holds
+//     exactly each domain's busy cores in heap order with matching slot
+//     back-pointers, the pruning floor equals the minimum anchor (busy
+//     cores and frozen foreign proxies), and every fresh idle memo equals
+//     a fixpoint recomputed independently by plain relaxation;
 //   - the cached minimum birth stamp matches the birth map;
 //   - the cached queue minima (ready arrivals, continuation resumes)
 //     match a recomputation from the queues;
@@ -124,47 +124,32 @@ func (k *Kernel) Validate() error {
 }
 
 // checkLazyEff verifies the effective-time bookkeeping (efflazy.go): the
-// busy-frontier list agrees with the idle flags, the pruning floors
-// lower-bound every anchor, and every fresh memo matches a fixpoint
+// anchor heap agrees with the idle flags and its own order, the pruning
+// floors are exact, and every fresh memo matches a fixpoint
 // recomputed by plain relaxation over the domain (anchored at busy cores and
 // frozen foreign proxies — exactly the inputs lazyFix reads).
 func (k *Kernel) checkLazyEff() error {
-	// coreID-indexed scratch for the reference fixpoint; doubles as the
-	// membership check for busyList back-pointers.
+	// coreID-indexed scratch for the reference fixpoint.
 	fix := make([]vtime.Time, len(k.cores))
 	for _, d := range k.domains {
-		if len(d.busyList) != d.busy {
-			return fmt.Errorf("domain %d: busy list holds %d cores, counter says %d", d.id, len(d.busyList), d.busy)
+		if len(d.busyList.heap) != d.busy {
+			return fmt.Errorf("domain %d: anchor heap holds %d cores, counter says %d", d.id, len(d.busyList.heap), d.busy)
 		}
-		for i, c := range d.busyList {
-			if c.idle {
-				return fmt.Errorf("domain %d: idle core %d on busy list", d.id, c.ID)
-			}
-			if c.busyPos != i {
-				return fmt.Errorf("domain %d: core %d busy-list back-pointer %d, actual slot %d", d.id, c.ID, c.busyPos, i)
-			}
-			if c.eff < d.effFloor {
-				return fmt.Errorf("domain %d: floor %v above busy core %d anchor %v", d.id, d.effFloor, c.ID, c.eff)
-			}
-		}
-		if d.frozenFloor < d.effFloor {
-			return fmt.Errorf("domain %d: floor %v above frozen-proxy floor %v", d.id, d.effFloor, d.frozenFloor)
-		}
+		// The floors, recomputed from the cores: exactly the minimum over
+		// the frozen foreign proxies, and over those and the busy anchors.
+		frozen, busyMin := vtime.Inf, vtime.Inf
 		for _, c := range d.cores {
-			if c.idle && c.busyPos >= 0 {
-				return fmt.Errorf("domain %d: idle core %d claims busy-list slot %d", d.id, c.ID, c.busyPos)
+			if c.idle != (c.busyPos < 0) {
+				return fmt.Errorf("domain %d: core %d idle=%v but anchor-heap slot %d", d.id, c.ID, c.idle, c.busyPos)
 			}
-			if !c.idle && c.busyPos < 0 {
-				return fmt.Errorf("domain %d: busy core %d missing from busy list", d.id, c.ID)
+			if !c.idle {
+				busyMin = min(busyMin, c.eff)
 			}
 			idleNb := int32(0)
 			for j, nbID := range c.neighbors {
 				nb := k.cores[nbID]
 				if nb.dom != d {
-					if c.nbEff[j] < d.frozenFloor {
-						return fmt.Errorf("domain %d: frozen-proxy floor %v above core %d's proxy %v for foreign neighbor %d",
-							d.id, d.frozenFloor, c.ID, c.nbEff[j], nbID)
-					}
+					frozen = min(frozen, c.nbEff[j])
 				} else if nb.idle {
 					idleNb++
 				}
@@ -172,6 +157,17 @@ func (k *Kernel) checkLazyEff() error {
 			if c.idleNb != idleNb {
 				return fmt.Errorf("domain %d: core %d idle-neighbor count %d, actual %d", d.id, c.ID, c.idleNb, idleNb)
 			}
+		}
+		if d.frozenFloor != frozen {
+			return fmt.Errorf("domain %d: frozen-proxy floor %v, minimum foreign proxy %v", d.id, d.frozenFloor, frozen)
+		}
+		if got, want := d.effFloor(), min(frozen, busyMin); got != want {
+			return fmt.Errorf("domain %d: anchor floor %v, minimum anchor %v", d.id, got, want)
+		}
+		// Below the root the order is what keeps the next removal's root
+		// exact.
+		if err := d.busyList.check(); err != nil {
+			return fmt.Errorf("domain %d: anchor heap: %w", d.id, err)
 		}
 		// Reference fixpoint: seed anchors, relax idle cores downward
 		// through local idle paths only. Frozen foreign proxies enter as

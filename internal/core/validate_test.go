@@ -51,26 +51,82 @@ func TestValidateDetectsCorruption(t *testing.T) {
 	}
 }
 
-func TestValidateDetectsLazyCorruption(t *testing.T) {
-	k := New(Config{Topo: topology.Mesh(4), Seed: 1})
+// anchoredKernel returns a two-shard kernel that never runs, with cores
+// 0 to 3 of shard 0 flipped busy through effSite at clocks 30, 10, 20 and
+// 40: a live anchor heap to corrupt, laid out [10 30 20 40] by core
+// [1 0 2 3].
+func anchoredKernel(t *testing.T) (*Kernel, *domain) {
+	t.Helper()
+	k := New(Config{Topo: topology.Mesh(16), Policy: Spatial{T: DefaultT}, Seed: 1, Shards: 2})
 	d := k.domains[0]
-	// An idle core smuggled onto the busy-frontier list.
-	c := k.cores[0]
-	c.busyPos = 0
-	d.busyList = append(d.busyList, c)
-	err := k.Validate()
-	if err == nil || !strings.Contains(err.Error(), "busy list") {
-		t.Fatalf("busy-list corruption not detected: %v", err)
+	for i, vt := range []int64{30, 10, 20, 40} {
+		setBusy(k.cores[i], vtime.CyclesInt(vt))
 	}
-	d.busyList = d.busyList[:0]
-	c.busyPos = -1
-	// A fresh memo that disagrees with the relaxation fixpoint (all-idle
-	// machine: every idle core's fixpoint value is Inf).
-	c.eff = vtime.CyclesInt(777)
-	c.effStamp = d.effEpoch
-	err = k.Validate()
-	if err == nil || !strings.Contains(err.Error(), "fixpoint") {
-		t.Fatalf("memo corruption not detected: %v", err)
+	for slot, id := range []int{1, 0, 2, 3} {
+		if got := d.busyList.heap[slot].ID; got != id {
+			t.Fatalf("anchor heap slot %d holds core %d, want core %d", slot, got, id)
+		}
+	}
+	if err := k.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return k, d
+}
+
+// setBusy makes c a busy core advertising vt, the way domain.step does.
+func setBusy(c *Core, vt vtime.Time) {
+	if c.idle {
+		c.idle = false
+		c.dom.busy++
+	}
+	c.vt = vt
+	c.dom.effSite(c)
+}
+
+// setIdle retires c from the busy frontier, the way domain.step does.
+func setIdle(c *Core) {
+	c.idle = true
+	c.dom.busy--
+	c.dom.effSite(c)
+}
+
+func TestValidateDetectsLazyCorruption(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt func(k *Kernel, d *domain)
+		want    string
+	}{
+		{"idle core claiming an anchor slot", func(k *Kernel, d *domain) {
+			k.cores[4].busyPos = 1
+		}, "anchor-heap slot"},
+		{"heap slots swapped under their back-pointers", func(k *Kernel, d *domain) {
+			h := d.busyList.heap
+			h[1], h[2] = h[2], h[1]
+		}, "anchor heap: core"},
+		{"heap slots swapped below the root, back-pointers and all", func(k *Kernel, d *domain) {
+			d.busyList.swap(1, 3) // 40 now sits above 30
+		}, "anchor heap: order violated"},
+		{"stale anchor floor", func(k *Kernel, d *domain) {
+			// The root advanced past its children without a sift: the
+			// floor read from it is no anchor minimum any more.
+			k.cores[1].vt, k.cores[1].eff = vtime.CyclesInt(50), vtime.CyclesInt(50)
+		}, "anchor floor"},
+		{"sagged frozen-proxy floor", func(k *Kernel, d *domain) {
+			d.frozenFloor = vtime.CyclesInt(5)
+		}, "frozen-proxy floor"},
+		{"memo off the relaxation fixpoint", func(k *Kernel, d *domain) {
+			c := k.cores[4]
+			c.eff = vtime.CyclesInt(777)
+			c.effStamp = d.effEpoch
+		}, "fixpoint"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k, d := anchoredKernel(t)
+			tc.corrupt(k, d)
+			if err := k.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("not reported (want %q): %v", tc.want, err)
+			}
+		})
 	}
 }
 
