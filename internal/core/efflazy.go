@@ -35,7 +35,8 @@ import (
 // min-heap by maintained eff, so it is the root) ends the search after a
 // ring or two whenever the anchors are within a few delta of each other,
 // and a per-anchor landmark-distance scan ends it when a distant laggard
-// holds the floor down.
+// holds the floor down — asked only once the search has spent what the
+// scan costs, so most machines never run it, nor build its tables.
 //
 // Memoization. Computed values are cached in Core.eff and stamped with
 // the domain's invalidation epoch (Core.effStamp vs domain.effEpoch). The
@@ -92,7 +93,6 @@ func (k *Kernel) setupEff() {
 	if k.relayDelta <= 0 {
 		panic(fmt.Sprintf("core: policy %q relays idle effective times with non-positive delta %v", k.policy.Name(), k.relayDelta))
 	}
-	k.buildLandmarks()
 	if k.sharded {
 		// Proxies for neighbors in other shards, frozen between barriers;
 		// one flat array sliced per core. Same-shard neighbors are read
@@ -124,13 +124,10 @@ const effLandmarks = 4
 // lower-bounds the idle-restricted path length the relay rule telescopes
 // over — which is what lets the lazy BFS stop as soon as the best anchor
 // found beats every other anchor's provable minimum contribution.
-// O(landmarks · (cores + links)) once at construction; the tables are
-// derived state, rebuilt (not decoded) on restore.
+// O(landmarks · (cores + links)) over the immutable topology, run (through
+// lmOnce) by the kernel's first landmark scan: on most machines, never.
 func (k *Kernel) buildLandmarks() {
 	n := len(k.cores)
-	if n == 0 {
-		return
-	}
 	k.lmDist = make([][]int32, 0, effLandmarks)
 	queue := make([]int32, 0, n)
 	next := 0
@@ -289,10 +286,14 @@ func (d *domain) lazyEff(c *Core) vtime.Time {
 // anchor + delta·(hops+1) over all frontier anchors (local busy cores
 // and finite frozen cross-shard proxies). The ring index equals the hop
 // count, so once best ≤ floor + delta·(ring+1) no farther anchor can
-// improve the result and the search stops; when the exact floor cannot
+// improve the result and the search stops. When the exact floor cannot
 // decide — some anchor lags the nearest ones by more than the rings
-// walked — the per-anchor landmark scan (anchorCanImprove) is asked
-// before every further ring. Both cutoffs only prune.
+// walked — the per-anchor landmark scan (anchorCanImprove) is asked, but
+// only once the search has made, since the last scan, as many neighbour
+// visits as a scan reads table entries (len(busyList) × effLandmarks): a
+// search the floor or a few more rings end never scans, one that needs the
+// landmark bound spends on scans at most what it spent walking. Both
+// cutoffs only prune, so when they are asked never changes the result.
 func (d *domain) lazyFix(c *Core) vtime.Time {
 	k := d.k
 	delta := k.relayDelta
@@ -304,17 +305,22 @@ func (d *domain) lazyFix(c *Core) vtime.Time {
 	c.effSeen = gen
 	best := vtime.Inf
 	floor := d.effFloor()
+	visits, scanned := 0, 0 // neighbour visits made; of them, already paid for a scan
 	ringStart, ringEnd := 0, 1
 	for depth := 0; ringStart < ringEnd; depth++ {
 		cost := satScale(delta, depth+1)
 		if satAdd(floor, cost) >= best {
 			break
 		}
-		if best < vtime.Inf && !d.anchorCanImprove(c, depth, best) {
-			break
+		if best < vtime.Inf && visits-scanned >= len(d.busyList.heap)*effLandmarks {
+			if !d.anchorCanImprove(c, depth, best) {
+				break
+			}
+			scanned = visits
 		}
 		for i := ringStart; i < ringEnd; i++ {
 			cc := k.cores[q[i]]
+			visits += len(cc.neighbors)
 			for j, nbID := range cc.neighbors {
 				nb := k.cores[nbID]
 				if nb.dom != d {
@@ -345,6 +351,8 @@ func (d *domain) lazyFix(c *Core) vtime.Time {
 		ringStart, ringEnd = ringEnd, len(q)
 	}
 	d.effScratch = q[:0]
+	d.effSearches++
+	d.effVisits += int64(visits)
 	return best
 }
 
@@ -360,38 +368,57 @@ func (d *domain) lazyFix(c *Core) vtime.Time {
 // real contribution, which only makes the answer conservatively true —
 // the cutoff can never prune a better anchor, so lazyFix stays exact.
 //
-// This O(busy · landmarks) scan is what keeps the BFS radius independent
-// of how far the *globally* slowest anchor has drifted: a distant lagging
-// task prunes here by distance even though it holds the floor far below
-// best.
+// This is what ends a search around a core whose nearest anchors run far
+// ahead of a distant laggard: the laggard holds the floor below best for
+// as many rings as it lags, but prunes here by distance. lazyFix calls it
+// once per len(busyList) × effLandmarks neighbour visits, the most a scan
+// reads, so scanning at worst doubles a search's cost; the first call on
+// a kernel builds the tables.
 func (d *domain) anchorCanImprove(c *Core, depth int, best vtime.Time) bool {
 	d.lmScans++
-	delta := d.k.relayDelta
-	if satAdd(d.frozenFloor, satScale(delta, depth+1)) < best {
+	d.lmCost += int64(len(d.busyList.heap) * effLandmarks)
+	k := d.k
+	near := satScale(k.relayDelta, depth+1)
+	if satAdd(d.frozenFloor, near) < best {
 		return true
 	}
-	lm := d.k.lmDist
-	ci := c.ID
-	for _, a := range d.busyList.heap {
-		hops := depth + 1
-		for _, dist := range lm {
-			dc, da := dist[ci], dist[a.ID]
-			if dc < 0 || da < 0 {
-				continue // disconnected from this landmark: no bound
-			}
-			diff := int(dc - da)
-			if diff < 0 {
-				diff = -diff
-			}
-			if diff > hops {
-				hops = diff
-			}
-		}
-		if satAdd(a.eff, satScale(delta, hops)) < best {
-			return true
-		}
+	k.lmOnce.Do(k.buildLandmarks)
+	var dc [effLandmarks]int32 // the reader's own landmark distances
+	for l, dist := range k.lmDist {
+		dc[l] = dist[c.ID]
 	}
-	return false
+	// Pre-order walk of the anchor heap without a stack. A subtree whose
+	// root cannot beat best from depth+1 hops holds no anchor that can:
+	// its members advertise no less and sit no nearer.
+	h := d.busyList.heap
+	for i := 0; ; {
+		if i < len(h) && satAdd(h[i].eff, near) < best {
+			hops := depth + 1
+			for l, dist := range k.lmDist {
+				da := dist[h[i].ID]
+				if dc[l] < 0 || da < 0 {
+					continue // disconnected from this landmark: no bound
+				}
+				if diff := int(dc[l] - da); diff > hops {
+					hops = diff
+				} else if -diff > hops {
+					hops = -diff
+				}
+			}
+			if satAdd(h[i].eff, satScale(k.relayDelta, hops)) < best {
+				return true
+			}
+			i = 2*i + 1 // into the left subtree
+			continue
+		}
+		for i > 0 && i%2 == 0 {
+			i = (i - 1) / 2 // a right subtree is done: climb
+		}
+		if i == 0 {
+			return false
+		}
+		i++ // on to the right sibling
+	}
 }
 
 // minNeighborEff returns the minimum over c's neighbors of their

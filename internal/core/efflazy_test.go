@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -85,6 +86,116 @@ func plantFrozenProxy(t *testing.T, k *Kernel, d *domain, v vtime.Time) {
 	t.Fatal("shard has no foreign neighbor")
 }
 
+// effCounts is the sum over a kernel's domains of the test-read search
+// counters: region searches (lazyFix calls), the neighbour visits they
+// made, landmark scans, and the table reads those scans were charged.
+type effCounts struct{ searches, visits, scans, scanCost int64 }
+
+func countEff(k *Kernel) (n effCounts) {
+	for _, d := range k.domains {
+		n.searches += d.effSearches
+		n.visits += d.effVisits
+		n.scans += d.lmScans
+		n.scanCost += d.lmCost
+	}
+	return n
+}
+
+// sparseVisitsCeiling pins the mean neighbour visits of one region search
+// on TestSparseReadsNeverScan's workload (measured 9.27; the benchmark's
+// sparse-100k reads 10.7). A floor that stops deciding, or a scan rule that
+// lets searches run on, shows here as a count, on any host.
+const sparseVisitsCeiling = 12
+
+// TestSparseReadsNeverScan is the benchmark's sparse-100k shape on the
+// 9216-core machine: 64 strided tasks of 100 equal slices, never
+// synchronised by a message. Their anchors stay within a few T of each
+// other, so the exact floor ends every region search within a few rings —
+// long before the search has spent what a landmark scan costs. The scan
+// must therefore never run, the landmark tables it reads must never be
+// built, and a search must stay about ten neighbour visits long.
+func TestSparseReadsNeverScan(t *testing.T) {
+	topo, err := topology.ParseSpec("chiplet:8x8,4x4,3x3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := New(Config{Topo: topo, Policy: Spatial{T: DefaultT}, Seed: 42})
+	const tasks, slices = 64, 100
+	stride := topo.N() / tasks
+	for i := 0; i < tasks; i++ {
+		k.InjectTask(i*stride, "w", func(e *Env) {
+			for s := 0; s < slices; s++ {
+				e.ComputeCycles(100)
+			}
+		}, nil, 0)
+	}
+	if _, err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	n := countEff(k)
+	if n.scans != 0 || k.lmDist != nil {
+		t.Errorf("%d landmark scans, tables built: %v; want none", n.scans, k.lmDist != nil)
+	}
+	if n.searches == 0 || n.visits > sparseVisitsCeiling*n.searches {
+		t.Errorf("%d neighbour visits in %d region searches, ceiling %d per search", n.visits, n.searches, sparseVisitsCeiling)
+	}
+	t.Logf("%d searches, %d visits (%.2f per search), %d scans", n.searches, n.visits, float64(n.visits)/float64(n.searches), n.scans)
+}
+
+// TestLandmarkScanMatchesLinearScan holds anchorCanImprove's pruned walk of
+// the anchor heap to the plain rule it implements — some anchor a has
+// a.eff + max(landmark bound, depth+1)·T < best — on randomized anchor
+// sets, readers, depths and bests. The four shards ask from four
+// goroutines at once, so the first scans race for the one lazy build of
+// the landmark tables (under the race detector in CI).
+func TestLandmarkScanMatchesLinearScan(t *testing.T) {
+	k := New(Config{Topo: topology.Mesh(256), Policy: Spatial{T: DefaultT}, Seed: 1, Shards: 4})
+	if k.lmDist != nil {
+		t.Fatal("landmark tables built before any scan")
+	}
+	var wg sync.WaitGroup
+	for i, d := range k.domains {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(i)))
+			for round := 0; round < 200; round++ {
+				c := d.cores[rng.Intn(len(d.cores))]
+				if c.idle && rng.Intn(4) > 0 {
+					setBusy(c, vtime.CyclesInt(rng.Int63n(3000)))
+				} else if !c.idle {
+					setIdle(c)
+				}
+				reader := d.cores[rng.Intn(len(d.cores))]
+				depth := rng.Intn(12)
+				best := vtime.CyclesInt(rng.Int63n(4000))
+				// Asked first: the call is what orders this goroutine after
+				// the table build.
+				got, want := d.anchorCanImprove(reader, depth, best), false
+				for _, a := range d.busyList.heap {
+					hops := depth + 1
+					for _, dist := range k.lmDist {
+						if diff := int(dist[reader.ID] - dist[a.ID]); diff > hops {
+							hops = diff
+						} else if -diff > hops {
+							hops = -diff
+						}
+					}
+					want = want || a.eff+k.relayDelta*vtime.Time(hops) < best
+				}
+				if got != want {
+					t.Errorf("shard %d round %d: anchorCanImprove(core %d, depth %d, best %v) = %v over %d anchors, linear scan says %v",
+						i, round, reader.ID, depth, best, got, len(d.busyList.heap), want)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if len(k.lmDist) != effLandmarks {
+		t.Fatalf("%d landmark tables after the scans, want %d", len(k.lmDist), effLandmarks)
+	}
+}
+
 // lateCohortBudget bounds the whole late-cohort test (four runs on the
 // 102400-core machine, two of them through the O(machine)-per-pick scan);
 // the same figure as TestScale100kSparse's budget for one run.
@@ -116,7 +227,7 @@ func TestLateCohortReachesLandmarkScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	run := func(shards int, scan bool) (Result, int64) {
+	run := func(shards int, scan bool) (Result, effCounts) {
 		k := New(Config{Topo: topo, Policy: Spatial{T: DefaultT}, Seed: 7, Shards: shards, Workers: 1})
 		if scan {
 			useScan(k)
@@ -154,22 +265,24 @@ func TestLateCohortReachesLandmarkScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var scans int64
-		for _, d := range k.domains {
-			scans += d.lmScans
-		}
-		return res, scans
+		return res, countEff(k)
 	}
 	for _, shards := range []int{1, 16} {
-		indexed, scans := run(shards, false)
+		indexed, n := run(shards, false)
 		scanned, _ := run(shards, true)
 		if !reflect.DeepEqual(indexed, scanned) {
 			t.Errorf("shards=%d: Result differs between the indexed queues and the scan:\n  index %+v\n  scan  %+v", shards, indexed, scanned)
 		}
-		if scans == 0 {
+		if n.scans == 0 {
 			t.Errorf("shards=%d: the landmark scan never ran", shards)
 		}
-		t.Logf("shards=%d: %d steps, %d landmark scans", shards, indexed.Steps, scans)
+		// A scan runs only after its search has made as many neighbour
+		// visits as the scan reads table entries, so scanning can at most
+		// double what the searches cost.
+		if n.scanCost > n.visits {
+			t.Errorf("shards=%d: scans were charged %d table reads, the searches made only %d neighbour visits", shards, n.scanCost, n.visits)
+		}
+		t.Logf("shards=%d: %d steps, %d searches, %d visits, %d landmark scans charged %d", shards, indexed.Steps, n.searches, n.visits, n.scans, n.scanCost)
 	}
 	if wall := time.Since(start); wall > lateCohortBudget {
 		t.Errorf("late-cohort runs took %v, budget %v", wall, lateCohortBudget)

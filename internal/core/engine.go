@@ -65,7 +65,10 @@ type domain struct {
 	// once observed runnable stays runnable until its own inputs change.
 	shapeEpoch uint64 //simany:derived sticky-runnable invalidation epoch, bumped after decode like effEpoch
 	effGen     uint64 //simany:derived lazyFix BFS visited generation, transient per query
-	lmScans    int64  //simany:derived landmark scans run (anchorCanImprove), read by tests only
+	// Search counters, read by tests only: region searches run (lazyFix),
+	// the neighbour visits they made, landmark scans run
+	// (anchorCanImprove) and the table reads those scans were charged.
+	effSearches, effVisits, lmScans, lmCost int64 //simany:derived test-read counters, no simulated state
 	//simany:derived minimum over frozen cross-shard proxies, recomputed at barriers/after decode
 	frozenFloor vtime.Time
 	effScratch  []int //simany:derived reusable BFS ring buffer, empty between uses

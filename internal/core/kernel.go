@@ -166,7 +166,8 @@ type Kernel struct {
 	// relayDelta caches the policy's per-hop relay increment.
 	effLazy    bool       //simany:derived policy-derived configuration, reinstated by New
 	relayDelta vtime.Time //simany:derived policy-derived configuration, reinstated by New
-	lmDist     [][]int32  //simany:derived landmark hop-distance tables, rebuilt by setupEff from the topology
+	lmDist     [][]int32  //simany:derived landmark hop-distance tables, built from the topology by the first landmark scan
+	lmOnce     sync.Once  //simany:derived guards that build: shard workers may reach their first scans concurrently
 
 	// Barrier scratch buffers, reused across rounds: the merged deferred
 	// items drained at each barrier and the worklist of the global
