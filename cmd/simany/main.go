@@ -192,7 +192,7 @@ func execute(b bench.Benchmark, m config.Machine, mode bench.Mode, seed int64, s
 		if err := k.ArmResume(ck); err != nil {
 			return err
 		}
-		fmt.Printf("resume           %s (position %d, %s mode)\n", opts.resumeFile, ck.Pos, ck.Mode)
+		fmt.Printf("resume           %s (position %d)\n", opts.resumeFile, ck.Pos)
 	}
 	if opts.checkpointFile != "" {
 		k.PauseAfter(opts.checkpointAfter)
@@ -221,6 +221,10 @@ func execute(b bench.Benchmark, m config.Machine, mode bench.Mode, seed int64, s
 	}
 	if err != nil {
 		return err
+	}
+	if opts.checkpointFile != "" {
+		return fmt.Errorf("-checkpoint-after %d was never reached: the run finished at position %d and %s was not written",
+			opts.checkpointAfter, k.Position(), opts.checkpointFile)
 	}
 	simWall := time.Since(simStart)
 	ok := finish() == want

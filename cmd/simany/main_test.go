@@ -45,6 +45,9 @@ func TestRunErrors(t *testing.T) {
 		{"-bench", "octree", "-cores", "4", "-T", "-5"},
 		{"-bench", "octree", "-cores", "4", "-sched", "scan"}, // retired flag
 		{"-bench", "octree", "-cores", "4", "-eff", "eager"},  // retired flag
+		// A checkpoint position the run never reaches: no file, so no success.
+		{"-bench", "octree", "-cores", "4", "-scale", "0.1",
+			"-checkpoint", filepath.Join(t.TempDir(), "never.ck"), "-checkpoint-after", "100000000"},
 	} {
 		if err := run(args); err == nil {
 			t.Fatalf("no error for %v", args)
@@ -117,5 +120,44 @@ func TestRunPprof(t *testing.T) {
 	}
 	if st, err := os.Stat(p); err != nil || st.Size() == 0 {
 		t.Errorf("profile not written: %v", err)
+	}
+}
+
+// TestRunCheckpointChain drives -checkpoint/-resume through two links: a
+// resumed run must still honour its own -checkpoint, the second file must
+// resume to a correct run, and a resume under flags the fingerprint does
+// not cover must fail saying so, not blaming determinism alone.
+func TestRunCheckpointChain(t *testing.T) {
+	dir := t.TempDir()
+	a, b := filepath.Join(dir, "a.ck"), filepath.Join(dir, "b.ck")
+	base := []string{"-bench", "quicksort", "-cores", "16", "-scale", "0.1"}
+	with := func(extra ...string) []string { return append(append([]string(nil), base...), extra...) }
+
+	if err := run(with("-checkpoint", a, "-checkpoint-after", "40")); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(with("-resume", a, "-checkpoint", b, "-checkpoint-after", "110")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(b); err != nil {
+		t.Fatalf("resumed run did not write its own checkpoint: %v", err)
+	}
+	// run fails when the simulated output differs from the native one.
+	if err := run(with("-resume", b)); err != nil {
+		t.Fatalf("resuming the second checkpoint: %v", err)
+	}
+
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{with("-resume", b, "-checkpoint", a, "-checkpoint-after", "110"), "not beyond"},
+		{[]string{"-bench", "dijkstra", "-cores", "16", "-scale", "0.1", "-resume", a}, "fingerprint does not cover"},
+		{[]string{"-bench", "quicksort", "-cores", "16", "-scale", "0.3", "-resume", a}, "fingerprint does not cover"},
+		{with("-mem", "distributed", "-resume", a), "fingerprint does not cover"},
+	} {
+		if err := run(tc.args); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: err = %v, want one mentioning %q", tc.args, err, tc.want)
+		}
 	}
 }

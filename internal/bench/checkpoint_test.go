@@ -12,7 +12,6 @@ import (
 	"simany/internal/mem"
 	"simany/internal/metrics"
 	"simany/internal/rt"
-	"simany/internal/snap"
 	"simany/internal/topology"
 	"simany/internal/trace"
 )
@@ -72,13 +71,14 @@ func metricsText(t *testing.T, reg *metrics.Registry) string {
 	return b.String()
 }
 
-// TestCheckpointRoundTrip is the tentpole contract applied to every
+// TestCheckpointRoundTrip is the checkpoint contract applied to every
 // bundled benchmark at two shard counts: run to a mid-run barrier,
 // checkpoint, restore into a fresh kernel, continue — the spliced
 // (prefix + resumed) trace, the final metrics text, the Result and the
 // computation checksum must all be identical to an uninterrupted run.
-// Benchmark programs are closures, so these files exercise the
-// verified-replay restore path end to end.
+// The every-barrier leg repeats that at each position of one short sharded
+// run, whatever mix of stalled, probe-waiting, join-waiting and unstarted
+// tasks a barrier happens to catch.
 func TestCheckpointRoundTrip(t *testing.T) {
 	const seed = 42
 	for _, name := range Names() {
@@ -90,96 +90,117 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			}
 			b.Generate(seed, 0.3)
 			want := b.RunNative()
-			shardCounts := []int{1, 4}
-			for _, shards := range shardCounts {
-				checkRoundTrip(t, b, shards, seed, want)
+			for _, shards := range []int{1, 4} {
+				ref := referenceRun(t, b, shards, seed, want)
+				checkRoundTripAt(t, b, shards, seed, want, ref, ref.finalPos/2)
 			}
 		})
 	}
+	t.Run("every-barrier", func(t *testing.T) {
+		// conncomp: denied probes, inline fallbacks, locks and joins in
+		// about a hundred barriers at this scale.
+		b, err := ByName("conncomp")
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Generate(seed, 0.05)
+		want := b.RunNative()
+		ref := referenceRun(t, b, 4, seed, want)
+		for pos := int64(1); pos < ref.finalPos; pos++ {
+			checkRoundTripAt(t, b, 4, seed, want, ref, pos)
+		}
+	})
 }
 
-func checkRoundTrip(t *testing.T, b Benchmark, shards int, seed int64, want uint64) {
-	t.Helper()
+// reference is what an uninterrupted run leaves behind.
+type reference struct {
+	res      core.Result
+	events   []core.TraceEvent
+	metrics  string
+	finalPos int64
+}
 
-	// Uninterrupted reference run.
+func referenceRun(t *testing.T, b Benchmark, shards int, seed int64, want uint64) reference {
+	t.Helper()
 	full := newObsRun(shards, 2, seed)
 	root, finish := b.Program(full.r, Shared)
-	fullRes, err := full.r.Run(b.Name(), root)
+	res, err := full.r.Run(b.Name(), root)
 	if err != nil {
 		t.Fatalf("shards=%d: full run: %v", shards, err)
 	}
 	if got := finish(); got != want {
 		t.Fatalf("shards=%d: full run checksum %#x, native %#x", shards, got, want)
 	}
-	fullEvents := full.rec.Events()
-	fullMetrics := metricsText(t, full.reg)
-	finalPos := full.k.Position()
-	if finalPos < 2 {
-		t.Fatalf("shards=%d: run too short to interrupt (position %d)", shards, finalPos)
+	ref := reference{res: res, events: full.rec.Events(), metrics: metricsText(t, full.reg), finalPos: full.k.Position()}
+	if ref.finalPos < 2 {
+		t.Fatalf("shards=%d: run too short to interrupt (position %d)", shards, ref.finalPos)
 	}
+	return ref
+}
 
-	// Interrupted run: pause at the midpoint barrier, checkpoint.
-	mid := finalPos / 2
+// checkRoundTripAt interrupts a run at position pos, checkpoints it,
+// resumes the file in a fresh kernel and compares against ref.
+func checkRoundTripAt(t *testing.T, b Benchmark, shards int, seed int64, want uint64, ref reference, pos int64) {
+	t.Helper()
+
+	// Interrupted run: pause at pos, checkpoint.
 	intr := newObsRun(shards, 2, seed)
-	root, _ = b.Program(intr.r, Shared)
-	intr.k.PauseAfter(mid)
+	root, _ := b.Program(intr.r, Shared)
+	intr.k.PauseAfter(pos)
 	if _, err := intr.r.Run(b.Name(), root); !errors.Is(err, core.ErrPaused) {
-		t.Fatalf("shards=%d: expected ErrPaused at position %d, got %v", shards, mid, err)
+		t.Fatalf("shards=%d: expected ErrPaused at position %d, got %v", shards, pos, err)
 	}
-	if !intr.k.Paused() || intr.k.Position() != mid {
+	if !intr.k.Paused() || intr.k.Position() != pos {
 		t.Fatalf("shards=%d: paused=%v position=%d, want paused at %d",
-			shards, intr.k.Paused(), intr.k.Position(), mid)
+			shards, intr.k.Paused(), intr.k.Position(), pos)
 	}
 	var buf bytes.Buffer
 	if err := intr.k.Checkpoint(&buf); err != nil {
-		t.Fatalf("shards=%d: checkpoint: %v", shards, err)
+		t.Fatalf("shards=%d pos=%d: checkpoint: %v", shards, pos, err)
 	}
 	prefixEvents := intr.rec.Events()
 
 	// The file must parse and identify itself.
 	ck, err := core.ReadCheckpoint(bytes.NewReader(buf.Bytes()))
 	if err != nil {
-		t.Fatalf("shards=%d: reading checkpoint back: %v", shards, err)
+		t.Fatalf("shards=%d pos=%d: reading checkpoint back: %v", shards, pos, err)
 	}
-	if ck.Pos != mid {
-		t.Fatalf("shards=%d: checkpoint position %d, want %d", shards, ck.Pos, mid)
-	}
-	if ck.Mode != snap.ModeReplay {
-		t.Fatalf("shards=%d: closure-bodied benchmark checkpoint should be replay mode, got %v", shards, ck.Mode)
+	if ck.Pos != pos {
+		t.Fatalf("shards=%d: checkpoint position %d, want %d", shards, ck.Pos, pos)
 	}
 
-	// Resume into a fresh kernel and run to completion. Replay-mode resume
-	// needs the original program re-injected; Program is re-callable.
+	// Resume into a fresh kernel and run to completion. Resume needs the
+	// original program re-injected; Program is re-callable.
 	res := newObsRun(shards, 2, seed)
 	if err := res.k.ArmResume(ck); err != nil {
-		t.Fatalf("shards=%d: arming resume: %v", shards, err)
+		t.Fatalf("shards=%d pos=%d: arming resume: %v", shards, pos, err)
 	}
-	root, finish = b.Program(res.r, Shared)
+	root, finish := b.Program(res.r, Shared)
 	resRes, err := res.r.Run(b.Name(), root)
 	if err != nil {
-		t.Fatalf("shards=%d: resumed run: %v", shards, err)
+		t.Fatalf("shards=%d pos=%d: resumed run: %v", shards, pos, err)
 	}
 	if got := finish(); got != want {
-		t.Fatalf("shards=%d: resumed checksum %#x, native %#x", shards, got, want)
+		t.Fatalf("shards=%d pos=%d: resumed checksum %#x, native %#x", shards, pos, got, want)
 	}
-	if !reflect.DeepEqual(resRes, fullRes) {
-		t.Errorf("shards=%d: resumed Result diverged:\n  got  %+v\n  want %+v", shards, resRes, fullRes)
+	if !reflect.DeepEqual(resRes, ref.res) {
+		t.Errorf("shards=%d pos=%d: resumed Result diverged:\n  got  %+v\n  want %+v", shards, pos, resRes, ref.res)
 	}
-	if got := metricsText(t, res.reg); got != fullMetrics {
-		t.Errorf("shards=%d: resumed metrics text diverged:\n%s", shards, firstDiff(got, fullMetrics))
+	if got := metricsText(t, res.reg); got != ref.metrics {
+		t.Errorf("shards=%d pos=%d: resumed metrics text diverged:\n%s", shards, pos, firstDiff(got, ref.metrics))
 	}
 
 	// Trace splice: prefix (up to the checkpoint barrier) + resumed stream
 	// must equal the uninterrupted stream event for event.
 	spliced := append(append([]core.TraceEvent(nil), prefixEvents...), res.rec.Events()...)
-	if len(spliced) != len(fullEvents) {
-		t.Fatalf("shards=%d: spliced trace has %d events, full run %d (prefix %d, resumed %d)",
-			shards, len(spliced), len(fullEvents), len(prefixEvents), len(res.rec.Events()))
+	if len(spliced) != len(ref.events) {
+		t.Fatalf("shards=%d pos=%d: spliced trace has %d events, full run %d (prefix %d, resumed %d)",
+			shards, pos, len(spliced), len(ref.events), len(prefixEvents), len(res.rec.Events()))
 	}
 	for i := range spliced {
-		if spliced[i] != fullEvents[i] {
-			t.Fatalf("shards=%d: trace diverged at event %d:\n  got  %+v\n  want %+v",
-				shards, i, spliced[i], fullEvents[i])
+		if spliced[i] != ref.events[i] {
+			t.Fatalf("shards=%d pos=%d: trace diverged at event %d:\n  got  %+v\n  want %+v",
+				shards, pos, i, spliced[i], ref.events[i])
 		}
 	}
 }
@@ -250,6 +271,64 @@ func TestCheckpointCorruptionDetected(t *testing.T) {
 	for _, n := range []int{0, 4, len(data) / 2, len(data) - 1} {
 		if _, err := core.ReadCheckpoint(bytes.NewReader(data[:n])); err == nil {
 			t.Errorf("truncation to %d bytes went undetected", n)
+		}
+	}
+}
+
+// TestCheckpointDamagedObsSections: obs.trace and obs.metrics are the only
+// sections a resume decodes rather than compares, so a file whose CRC is
+// valid but whose obs payload is truncated or padded must fail the resume
+// with an error — never a panic, never a run that continues with half the
+// counters spliced.
+func TestCheckpointDamagedObsSections(t *testing.T) {
+	b, err := ByName("quicksort")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Generate(5, 0.1)
+	run := newObsRun(4, 2, 5)
+	root, _ := b.Program(run.r, Shared)
+	run.k.PauseAfter(8)
+	if _, err := run.r.Run(b.Name(), root); !errors.Is(err, core.ErrPaused) {
+		t.Fatalf("expected ErrPaused, got %v", err)
+	}
+	var file bytes.Buffer
+	if err := run.k.Checkpoint(&file); err != nil {
+		t.Fatal(err)
+	}
+	for _, section := range []string{"obs.trace", "obs.metrics"} {
+		for _, damage := range []struct {
+			name string
+			do   func([]byte) []byte
+		}{
+			{"emptied", func(p []byte) []byte { return nil }},
+			{"truncated", func(p []byte) []byte { return p[:len(p)/2] }},
+			{"last byte dropped", func(p []byte) []byte { return p[:len(p)-1] }},
+			{"padded", func(p []byte) []byte { return append(p, 0) }},
+			{"garbled", func(p []byte) []byte { return bytes.Repeat([]byte{0xff}, len(p)) }},
+		} {
+			ck, err := core.ReadCheckpoint(bytes.NewReader(file.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ck.Sections[section] = damage.do(ck.Sections[section])
+			// Through the writer and the reader again: the damaged file is
+			// CRC-valid, as one written by a buggy or hostile producer is.
+			var damaged bytes.Buffer
+			if _, err := ck.WriteTo(&damaged); err != nil {
+				t.Fatal(err)
+			}
+			if ck, err = core.ReadCheckpoint(&damaged); err != nil {
+				t.Fatalf("%s %s: container refused: %v", section, damage.name, err)
+			}
+			res := newObsRun(4, 2, 5)
+			if err := res.k.ArmResume(ck); err != nil {
+				t.Fatalf("%s %s: arming: %v", section, damage.name, err)
+			}
+			root, _ := b.Program(res.r, Shared)
+			if _, err := res.r.Run(b.Name(), root); err == nil || errors.Is(err, core.ErrPaused) {
+				t.Errorf("%s %s: resume returned %v, want an error", section, damage.name, err)
+			}
 		}
 	}
 }

@@ -24,37 +24,6 @@ func (s *Scoped) Snapshot(enc *snap.Encoder) {
 	}
 }
 
-// Restore implements the inverse of Snapshot.
-func (s *Scoped) Restore(dec *snap.Decoder) error {
-	d, err := dec.Varint()
-	if err != nil {
-		return err
-	}
-	s.depth = int(d)
-	if s.hits, err = dec.Varint(); err != nil {
-		return err
-	}
-	if s.misses, err = dec.Varint(); err != nil {
-		return err
-	}
-	n, err := dec.Uvarint()
-	if err != nil {
-		return err
-	}
-	clear(s.present)
-	if n > 0 && s.present == nil {
-		s.present = make(map[uint64]struct{}, n)
-	}
-	for i := uint64(0); i < n; i++ {
-		l, err := dec.Uvarint()
-		if err != nil {
-			return err
-		}
-		s.present[l] = struct{}{}
-	}
-	return nil
-}
-
 // Snapshot appends the L2's state in canonical (sorted) form.
 func (l *L2) Snapshot(enc *snap.Encoder) {
 	enc.Varint(l.hits)
@@ -68,31 +37,4 @@ func (l *L2) Snapshot(enc *snap.Encoder) {
 	for _, ln := range lines {
 		enc.Uvarint(ln)
 	}
-}
-
-// Restore implements the inverse of Snapshot.
-func (l *L2) Restore(dec *snap.Decoder) error {
-	var err error
-	if l.hits, err = dec.Varint(); err != nil {
-		return err
-	}
-	if l.misses, err = dec.Varint(); err != nil {
-		return err
-	}
-	n, err := dec.Uvarint()
-	if err != nil {
-		return err
-	}
-	clear(l.present)
-	if n > 0 && l.present == nil {
-		l.present = make(map[uint64]struct{}, n)
-	}
-	for i := uint64(0); i < n; i++ {
-		ln, err := dec.Uvarint()
-		if err != nil {
-			return err
-		}
-		l.present[ln] = struct{}{}
-	}
-	return nil
 }

@@ -18,7 +18,7 @@ type Core struct {
 	//simany:derived immutable configuration, reinstated by New from Config
 	Speed float64
 
-	k *Kernel //simany:derived backpointer, rewired by New before restore
+	k *Kernel //simany:derived backpointer, wired by New
 	//simany:derived backpointer, rewired when domains are rebuilt
 	dom *domain // execution shard owning this core
 
@@ -32,7 +32,7 @@ type Core struct {
 
 	vt   vtime.Time // current virtual time (meaningful while busy)
 	idle bool
-	//simany:derived effective-time cache, recomputed by refreshEff after decode
+	//simany:derived effective-time cache, a function of the encoded clocks and idle flags (refreshEff)
 	eff vtime.Time // advertised effective time (vt when busy, shadow memo when idle; Inf when the policy does not relay)
 
 	// Effective-time state (efflazy.go): the memo epoch stamp that
@@ -40,14 +40,14 @@ type Core struct {
 	// core's slots in its domain's anchor heap and stall heap.
 	effStamp uint64 //simany:derived memo validity stamp vs domain.effEpoch, 0 = stale
 	effSeen  uint64 //simany:derived lazyFix visited marker vs domain.effGen, transient per BFS
-	busyPos  int    //simany:derived slot in the domain.busyList heap (-1 = idle), rebuilt after decode
-	stallPos int    //simany:derived index in domain.sq (-1 = not stalled), rebuilt after decode
-	idleNb   int32  //simany:derived count of idle same-domain neighbors, rebuilt by schedRebuild after decode
+	busyPos  int    //simany:derived slot in the domain.busyList heap (-1 = idle), a function of the encoded idle flags
+	stallPos int    //simany:derived index in domain.sq (-1 = not stalled), a function of the encoded queues and clocks
+	idleNb   int32  //simany:derived count of idle same-domain neighbors, a function of the encoded idle flags (schedRebuild)
 	rnStamp  uint64 //simany:derived sticky stalled-runnable stamp vs domain.shapeEpoch, cleared by schedUpdate
 
 	//simany:derived immutable topology adjacency, rebuilt by New
 	neighbors []int // topological neighbors (sorted)
-	//simany:derived neighbor effective-time proxies, refreshed from eff at the restore barrier
+	//simany:derived neighbor effective-time proxies, refreshed from eff at every barrier
 	nbEff []vtime.Time // exact at barriers; read between them only for neighbors in other shards
 
 	// Resident tasks. conts and ready are only mutated through the
@@ -60,16 +60,16 @@ type Core struct {
 	// minimum resume stamp over conts, maintained incrementally (same
 	// lazy-recompute discipline as the birth cache) so the scheduler's
 	// runnable-key computation and NextEventTime never rescan the queues.
-	readyMin      vtime.Time //simany:derived lazy cache over ready, marked dirty on restore and rescanned on demand
-	readyMinDirty bool       //simany:derived set true by restore so the first read rescans
-	contsMin      vtime.Time //simany:derived lazy cache over conts, marked dirty on restore and rescanned on demand
-	contsMinDirty bool       //simany:derived set true by restore so the first read rescans
+	readyMin      vtime.Time //simany:derived lazy cache over ready, a function of the encoded queue
+	readyMinDirty bool       //simany:derived validity bit of readyMin, host-side only
+	contsMin      vtime.Time //simany:derived lazy cache over conts, a function of the encoded queue
+	contsMinDirty bool       //simany:derived validity bit of contsMin, host-side only
 
 	// Indexed-scheduler state (sched.go), owned by the core's domain:
 	// position in the domain's runnable heap (-1 = not enqueued) and the
 	// cached runnable key it is ordered by while enqueued.
-	schedPos int        //simany:derived heap index, rebuilt by schedRebuild after decode
-	schedKey vtime.Time //simany:derived cached runnable key, rebuilt by schedRebuild after decode
+	schedPos int        //simany:derived heap index, a function of the encoded queues and clocks (schedRebuild)
+	schedKey vtime.Time //simany:derived cached runnable key, a function of the encoded queues and clocks (schedRebuild)
 
 	lockDepth int // >0: lock-holder exemption from spatial stalls
 
@@ -80,8 +80,8 @@ type Core struct {
 	lastHandled vtime.Time
 
 	births     map[uint64]vtime.Time // birth stamps of spawned, not-yet-started tasks
-	birthCache vtime.Time            //simany:derived lazy min over births, recomputed on first read after restore
-	birthDirty bool                  //simany:derived set true by restore so the first read rescans
+	birthCache vtime.Time            //simany:derived lazy min over births, a function of the encoded registry
+	birthDirty bool                  //simany:derived validity bit of birthCache, host-side only
 
 	// taskSeq numbers the tasks this core has spawned. Task IDs are
 	// allocated per spawning core (NewTask), so they are deterministic

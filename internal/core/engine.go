@@ -28,7 +28,7 @@ type domain struct {
 	blocked map[uint64]*Task
 	live    int64 // live tasks resident in this domain
 	maxTime vtime.Time
-	busy    int //simany:derived non-idle core count, recounted from idle flags after decode
+	busy    int //simany:derived non-idle core count, a function of the encoded idle flags
 
 	// limit caps every horizon handed to tasks of this domain while a shard
 	// round is in progress (Inf on the sequential engine and between
@@ -43,8 +43,8 @@ type domain struct {
 	// policy's horizon is not cacheable and the domain schedules through
 	// the scan. stepping is the core currently inside step, whose index
 	// entry is transient until the step completes.
-	rq       *runq     //simany:derived runnable heap, rebuilt by schedRebuild after decode
-	sq       *coreHeap //simany:derived stalled-core heap, rebuilt by schedRebuild after decode
+	rq       *runq     //simany:derived runnable heap, a function of the encoded queues and clocks (schedRebuild)
+	sq       *coreHeap //simany:derived stalled-core heap, a function of the encoded queues and clocks (schedRebuild)
 	stepping *Core     //simany:derived transient mid-step marker, nil at every barrier
 
 	// Host-parallelism potential sampling (§VIII).
@@ -56,20 +56,20 @@ type domain struct {
 	// relays: the busy frontier anchors (a min-heap by maintained eff, so
 	// the anchor floor is its root), the memo-invalidation epoch and the
 	// frozen-proxy floor.
-	busyList coreHeap //simany:derived frontier anchor heap, rebuilt from idle flags at barriers/after decode
-	effEpoch uint64   //simany:derived memo invalidation epoch, bumping it after decode discards all memos
+	busyList coreHeap //simany:derived frontier anchor heap, rebuilt from the encoded idle flags at every barrier
+	effEpoch uint64   //simany:derived memo invalidation epoch, host-side only: results do not depend on its value
 	// shapeEpoch advances only when the anchor *set* changes (a busy/idle
 	// flip, a barrier refresh) — never on pure value moves, which are
 	// monotone. A stalled core's sticky runnable bit (Core.rnStamp) is
 	// valid per shape epoch: within one, horizons can only rise, so a core
 	// once observed runnable stays runnable until its own inputs change.
-	shapeEpoch uint64 //simany:derived sticky-runnable invalidation epoch, bumped after decode like effEpoch
+	shapeEpoch uint64 //simany:derived sticky-runnable invalidation epoch, host-side only like effEpoch
 	effGen     uint64 //simany:derived lazyFix BFS visited generation, transient per query
 	// Search counters, read by tests only: region searches run (lazyFix),
 	// the neighbour visits they made, landmark scans run
 	// (anchorCanImprove) and the table reads those scans were charged.
 	effSearches, effVisits, lmScans, lmCost int64 //simany:derived test-read counters, no simulated state
-	//simany:derived minimum over frozen cross-shard proxies, recomputed at barriers/after decode
+	//simany:derived minimum over frozen cross-shard proxies, recomputed at every barrier
 	frozenFloor vtime.Time
 	effScratch  []int //simany:derived reusable BFS ring buffer, empty between uses
 
@@ -92,7 +92,7 @@ type domain struct {
 	// domain's execution context (or the single-threaded barrier). Worker
 	// and Task pointer identity never feeds a scheduling decision, so
 	// recycling cannot perturb determinism.
-	freeWorkers []*taskWorker //simany:derived coroutine pool; a decoded mid-body task takes a worker at its first step
+	freeWorkers []*taskWorker //simany:derived coroutine pool, host-side only
 	freeTasks   []*Task       //simany:derived allocation pool; recycled identities never reach scheduling
 
 	// Per-shard trace buffer: events emitted while this domain executes
@@ -268,8 +268,7 @@ func (d *domain) step(c *Core) {
 	// Switch to the task's worker coroutine until it yields.
 	t.env.horizon = k.horizonFor(c)
 	if t.worker == nil {
-		// First slice of the body, or of the resumption entry a decode
-		// restore gave a task that was checkpointed mid-body.
+		// First slice of the body.
 		t.started = true
 		d.startTask(t)
 	}

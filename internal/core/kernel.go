@@ -38,10 +38,6 @@ func (NullMem) Access(*Core, uint64, int64, int, bool, vtime.Time) vtime.Time { 
 // ShardSafe implements ShardSafeMem: NullMem is stateless.
 func (NullMem) ShardSafe() bool { return true }
 
-// MemStateless implements StatelessMem: NullMem carries no mutable state,
-// so decode-mode checkpoints need nothing from it.
-func (NullMem) MemStateless() bool { return true }
-
 // ShardSafeMem is implemented by memory systems whose Access method only
 // mutates state owned by the accessing core (its L1/L2), making them safe
 // to drive from concurrent shard workers. Memory systems that do not
@@ -126,13 +122,14 @@ var DefaultT = vtime.CyclesInt(100)
 
 // Kernel is the discrete-event simulator.
 type Kernel struct {
-	cores []*Core //simany:derived serialized through their owning domains, reattached on decode
+	cores []*Core //simany:derived serialized through their owning domains
 	//simany:derived immutable topology, reconstructed by New from Config
 	topo *topology.Topology
 	net  *network.Model
 	//simany:derived scheduling policy is stateless configuration, reinstated by New
 	policy Policy
-	mem    MemSystem
+	//simany:derived memory system from Config; its timing state lives in the per-core caches, which are encoded — a coherence directory is not, and is not compared
+	mem MemSystem
 	//simany:derived registered handler table (configuration), repopulated before Run
 	handlers map[network.Kind]Handler
 	//simany:derived setup-time stream only: simulation draws come from per-core rng.Rand state
@@ -197,7 +194,7 @@ type Kernel struct {
 	paused    bool
 	resume    *snap.Container
 	fprint    uint64
-	// taskCodec serializes task bodies/meta for the layer that owns them
+	// taskCodec serializes task Meta for the layer that owns it
 	// (SetTaskCodec); extSnaps are externally registered checkpoint
 	// sections (RegisterSnapshot), written in registration order.
 	taskCodec TaskCodec
@@ -891,16 +888,21 @@ type Result struct {
 // parked mid-execution are unwound, and every later Run returns it again.
 //
 // When a checkpoint has been armed with ArmResume, Run first restores the
-// checkpointed state (by direct decode or by verified replay, see
-// snapshot.go) and then continues to quiescence. When a pause position has
-// been set with PauseAfter, Run returns ErrPaused at the corresponding
-// quiescent point instead; the kernel may then be checkpointed and Run
-// called again to continue.
+// checkpointed state (by verified replay, see snapshot.go) and then
+// continues to quiescence. When a pause position has been set with
+// PauseAfter, Run returns ErrPaused at the corresponding quiescent point
+// instead; the kernel may then be checkpointed and Run called again to
+// continue.
 func (k *Kernel) Run() (Result, error) {
 	if k.resume != nil {
 		ck := k.resume
 		k.resume = nil
-		if err := k.applyResume(ck); err != nil {
+		if err := k.restoreReplay(ck); err != nil {
+			// The kernel sits at a state nobody vouches for. Make that
+			// terminal, as any failed run is, so the bodies the replay
+			// parked are unwound instead of leaked.
+			k.setPanic(err)
+			k.stopWorkers(true)
 			return Result{}, err
 		}
 	}

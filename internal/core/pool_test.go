@@ -163,17 +163,22 @@ func TestWorkerPoolShutdown(t *testing.T) {
 			if in, out := entered.Load(), exited.Load(); in < 3 || out != in {
 				t.Errorf("%s shards=%d: %d bodies entered, %d exited", tc.name, shards, in, out)
 			}
-			// The sharded round's host goroutines are reaped asynchronously;
-			// poll briefly.
-			deadline := time.Now().Add(2 * time.Second)
-			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-				time.Sleep(10 * time.Millisecond)
-			}
-			if g := runtime.NumGoroutine(); g > before {
+			if g := settledGoroutines(before); g > before {
 				t.Errorf("%s shards=%d: goroutines grew %d -> %d: workers leaked", tc.name, shards, before, g)
 			}
 		}
 	}
+}
+
+// settledGoroutines returns the goroutine count once it is back at before,
+// or after two seconds: the sharded round's host goroutines are reaped
+// asynchronously.
+func settledGoroutines(before int) int {
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	return runtime.NumGoroutine()
 }
 
 // TestPausedRunKeepsParkedWorkers: ErrPaused is not a terminal exit — the

@@ -37,7 +37,7 @@ type Task struct {
 
 	fn   func(*Env)
 	core *Core
-	//simany:derived implied by which queue holds the task; decodeTask re-derives it from queue membership
+	//simany:derived implied by which queue holds the task, and the queues are encoded
 	state   TaskState
 	arrival vtime.Time // stamp at which the task may start
 	resume  vtime.Time // wake stamp set by Unblock
@@ -50,8 +50,8 @@ type Task struct {
 
 	// worker is the coroutine running the task body, from the task's first
 	// step (domain.startTask) until it ends or the run fails.
-	worker *taskWorker //simany:derived parked coroutine identity; a decoded task takes a worker at its first step
-	env    Env         //simany:derived rebuilt by decodeTask/startTask from the owning kernel and core
+	worker *taskWorker //simany:derived parked coroutine identity, host-side only; the replay parks its own
+	env    Env         //simany:derived built by startTask from the owning kernel and core
 }
 
 // ReleaseOnDone marks the task's struct for recycling into the kernel's
@@ -69,12 +69,6 @@ func (t *Task) ReleaseOnDone() *Task {
 
 // State returns the task's lifecycle state.
 func (t *Task) State() TaskState { return t.state }
-
-// Started reports whether the task's body has begun executing. A task
-// codec uses it together with State to tell how a checkpointed task was
-// parked: TaskRunning = stalled in place, started-but-not-running =
-// parked in (or woken from) a Block, unstarted = fresh.
-func (t *Task) Started() bool { return t.started }
 
 // Core returns the core the task is placed on.
 func (t *Task) Core() *Core { return t.core }
@@ -136,12 +130,6 @@ func (e *Env) checkHorizon() {
 		e.yield(yieldStalled)
 	}
 }
-
-// EnforceHorizon re-enters the stall loop explicitly. Restored task bodies
-// (rt's step interpreter) call it when resuming from a serialized
-// stalled-at-horizon point, so a restored task parks with exactly the
-// original's stall accounting.
-func (e *Env) EnforceHorizon() { e.checkHorizon() }
 
 // Compute executes an annotated instruction block: the per-class costs
 // plus probabilistic branch misprediction penalties (§II.A "Timing

@@ -10,15 +10,15 @@ import (
 // SnapCover mechanizes checkpoint completeness (docs/checkpoint.md): a
 // field added to any struct reachable from a checkpoint root must either
 // be written by the encode-side snapshot code or carry an explicit
-// //simany:derived <why it is rebuilt on restore> annotation. Without the
-// rule, a new mutable field silently vanishes from checkpoints and
-// surfaces three PRs later as a divergent resume — the exact bug class
-// the byte-identical (seed, shards) contract forbids.
+// //simany:derived <why it is not part of the compared state> annotation.
+// Restore is verified replay: what the encoders write is what a resumed
+// run is byte-compared against, so a new mutable field nobody encodes is a
+// field whose divergence no resume can detect.
 //
 // Roots are discovered structurally, not by name: every module struct
 // with a method taking *snap.Encoder (the per-shard Snapshottable roots,
 // Kernel.RegisterSnapshot externals, the rt TaskCodec) and every struct
-// parameter of such a function (taskMeta, stepState, Action) is a root.
+// parameter of such a function (taskMeta) is a root.
 // Reachability then follows covered fields through pointers, slices,
 // arrays and maps into other module structs.
 //
@@ -28,10 +28,9 @@ import (
 // helpers), the function literals they contain, and — for kernel
 // bookkeeping spread around the container plumbing — functions that
 // mention the snap package without being decode-side. A field referenced
-// only by decode code is still a finding: decode asymmetries are
-// legitimate (CellStore refuses live cells), but an un-encoded field can
-// never round-trip. Deleting one field's encode line therefore fails CI
-// with exactly that field named.
+// only by decode code (the obs.* splice is the one decoder left) is still
+// a finding: an un-encoded field is never compared. Deleting one field's
+// encode line therefore fails CI with exactly that field named.
 //
 // Exempt without annotation: blank fields, function- and channel-typed
 // fields (never serializable), maps with function values (dispatch
@@ -84,7 +83,7 @@ func snapCoverFindings(prog *Program, g *CallGraph) []pkgDiag {
 					if just == "" {
 						diags = append(diags, pkgDiag{
 							pkg: pkgPath, pos: field.Pos(), rule: "snapcover",
-							msg: "//simany:derived needs a justification: say how the field is rebuilt on restore",
+							msg: "//simany:derived needs a justification: say why the field is not part of the compared checkpoint state",
 						})
 					}
 				}
@@ -241,7 +240,7 @@ func snapCoverFindings(prog *Program, g *CallGraph) []pkgDiag {
 				diags = append(diags, pkgDiag{
 					pkg: owner, pos: f.Pos(), rule: "snapcover",
 					msg: "field " + n.Obj().Name() + "." + f.Name() +
-						" (" + chain(n) + ") is never referenced by encode-side snapshot code; serialize it or annotate //simany:derived <why it is rebuilt on restore>",
+						" (" + chain(n) + ") is never referenced by encode-side snapshot code; serialize it or annotate //simany:derived <why it is not part of the compared state>",
 				})
 				continue
 			}

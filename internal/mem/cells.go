@@ -28,7 +28,7 @@ type Cell struct {
 	home  int // creating core; immutable, the cell's arbitration point
 	size  int // payload bytes (drives message sizes)
 	addr  uint64
-	//simany:derived live Go payload; Restore refuses containers with live cells (decode asymmetry)
+	//simany:derived live Go payload with no codec; the replay recreates it, only the cell's structure is compared
 	data any
 
 	locked     bool

@@ -133,13 +133,6 @@ var _ core.MemSystem = (*Shared)(nil)
 // engine.
 func (s *Shared) ShardSafe() bool { return s.Dir == nil }
 
-// MemStateless implements core.StatelessMem: without a coherence
-// directory every timing input lives in the per-core L1 the kernel
-// snapshots itself, so decode-mode checkpoints need nothing from Shared.
-// The directory is unserialized global state, so coherence-mode runs fall
-// back to replay-mode checkpoints.
-func (s *Shared) MemStateless() bool { return s.Dir == nil }
-
 // Access implements core.MemSystem.
 func (s *Shared) Access(c *core.Core, base uint64, n int64, elem int, write bool, now vtime.Time) vtime.Time {
 	hits, misses := c.L1().Range(base, n, elem)
@@ -199,10 +192,6 @@ var _ core.MemSystem = (*Distributed)(nil)
 // ShardSafe implements core.ShardSafeMem: accesses only touch the
 // accessing core's private L1 and L2.
 func (m *Distributed) ShardSafe() bool { return true }
-
-// MemStateless implements core.StatelessMem: all state is in the per-core
-// L1/L2 models the kernel snapshots itself.
-func (m *Distributed) MemStateless() bool { return true }
 
 // Access implements core.MemSystem.
 func (m *Distributed) Access(c *core.Core, base uint64, n int64, elem int, write bool, now vtime.Time) vtime.Time {

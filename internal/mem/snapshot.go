@@ -1,18 +1,15 @@
 package mem
 
 import (
-	"fmt"
 	"sort"
 
 	"simany/internal/snap"
 )
 
-// Checkpoint support for the address allocator and the cell store. The
-// allocator's bump cursors round-trip exactly. Cells are only structurally
-// serialized (placement, lock state, waiter counts): their payloads are
-// live Go values with no codec, so a checkpoint taken with live cells is
-// never decode-mode — the runtime's DecodeSafe veto forces verified
-// replay, where these bytes serve as comparison material, not as input.
+// Checkpoint support for the address allocator and the cell store. Cells
+// are only structurally serialized (placement, lock state, waiter counts):
+// their payloads are live Go values with no codec. Restore is verified
+// replay, where these bytes are comparison material, not input.
 
 // Snapshot appends the allocator's cursors: the global bump pointer and
 // the per-core arena pointers in core order.
@@ -30,37 +27,6 @@ func (a *Allocator) Snapshot(enc *snap.Encoder) {
 		enc.Varint(int64(c))
 		enc.Uvarint(*a.arenas[c])
 	}
-}
-
-// Restore implements the inverse of Snapshot.
-func (a *Allocator) Restore(dec *snap.Decoder) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	var err error
-	if a.next, err = dec.Uvarint(); err != nil {
-		return err
-	}
-	n, err := dec.Uvarint()
-	if err != nil {
-		return err
-	}
-	a.arenas = nil
-	if n > 0 {
-		a.arenas = make(map[int]*uint64, n)
-	}
-	for i := uint64(0); i < n; i++ {
-		c, err := dec.Varint()
-		if err != nil {
-			return err
-		}
-		v, err := dec.Uvarint()
-		if err != nil {
-			return err
-		}
-		p := v
-		a.arenas[int(c)] = &p
-	}
-	return nil
 }
 
 // Snapshot appends the store's id cursors and the structural state of
@@ -100,48 +66,4 @@ func (s *CellStore) Snapshot(enc *snap.Encoder) {
 		enc.Uvarint(c.lockHolder)
 		enc.Uvarint(uint64(len(c.waiters)))
 	}
-}
-
-// Restore implements the inverse of Snapshot for the cursors. A
-// checkpoint holding live cells cannot be decode-restored (payloads are
-// opaque), so a non-zero cell count is rejected; replay-mode restore never
-// calls this.
-func (s *CellStore) Restore(dec *snap.Decoder) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var err error
-	if s.next, err = dec.Uvarint(); err != nil {
-		return err
-	}
-	hasArenas, err := dec.Bool()
-	if err != nil {
-		return err
-	}
-	s.arenas = nil
-	if hasArenas {
-		n, err := dec.Uvarint()
-		if err != nil {
-			return err
-		}
-		s.arenas = make(map[int]uint64, n)
-		for i := uint64(0); i < n; i++ {
-			c, err := dec.Varint()
-			if err != nil {
-				return err
-			}
-			v, err := dec.Uvarint()
-			if err != nil {
-				return err
-			}
-			s.arenas[int(c)] = v
-		}
-	}
-	ncells, err := dec.Uvarint()
-	if err != nil {
-		return err
-	}
-	if ncells > 0 {
-		return fmt.Errorf("mem: %d live cells in a decode-mode checkpoint (cell payloads are not serializable)", ncells)
-	}
-	return nil
 }

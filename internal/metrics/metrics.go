@@ -42,7 +42,7 @@ type slot struct {
 
 // Counter is a monotonically growing sum, striped per shard.
 type Counter struct {
-	name string //simany:derived registry key, re-supplied by name on decode
+	name string //simany:derived registry key, written by the registry as the instrument's key
 	unit Unit   //simany:derived immutable instrument configuration
 	vals []slot
 }
@@ -135,7 +135,7 @@ type histStripe struct {
 // inclusive upper bucket edges in ascending order; values above the last
 // bound land in an implicit overflow bucket.
 type Histogram struct {
-	name   string  //simany:derived registry key, re-supplied by name on decode
+	name   string  //simany:derived registry key, written by the registry as the instrument's key
 	unit   Unit    //simany:derived immutable instrument configuration
 	bounds []int64 //simany:derived immutable bucket edges fixed at construction
 	vals   []histStripe

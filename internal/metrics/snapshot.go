@@ -6,33 +6,14 @@ import (
 	"simany/internal/snap"
 )
 
-// SnapshotState appends the striped accumulator's per-stripe values. The
-// stripe breakdown (not just the sum) is serialized so a restored run
-// keeps attributing subsequent updates to the right stripes.
+// SnapshotState appends the striped accumulator's per-stripe values: the
+// stripe breakdown, not just the sum, is what a replayed run must
+// reproduce.
 func (s *Striped) SnapshotState(enc *snap.Encoder) {
 	enc.Uvarint(uint64(len(s.vals)))
 	for i := range s.vals {
 		enc.Varint(s.vals[i].v)
 	}
-}
-
-// RestoreState implements the inverse of SnapshotState. The stripe count
-// must match: it is derived from the shard count, which the checkpoint
-// fingerprint already pins.
-func (s *Striped) RestoreState(dec *snap.Decoder) error {
-	n, err := dec.Uvarint()
-	if err != nil {
-		return err
-	}
-	if n != uint64(len(s.vals)) {
-		return fmt.Errorf("metrics: stripe count mismatch: checkpoint %d, live %d", n, len(s.vals))
-	}
-	for i := range s.vals {
-		if s.vals[i].v, err = dec.Varint(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // SnapshotState appends every instrument's full striped state in sorted

@@ -1,16 +1,11 @@
 package network
 
-import (
-	"fmt"
-
-	"simany/internal/snap"
-	"simany/internal/vtime"
-)
+import "simany/internal/snap"
 
 // Snapshot appends the model's mutable state: per-source emission
 // counters, per-link contention next-free times, the lazily-paged FIFO
 // clamp arrays (a nil flag per source table and per destination page, so
-// the lazy allocation pattern — not just its contents — round-trips), and
+// the lazy allocation pattern — not just its contents — is compared), and
 // the striped statistics totals. Routing tables and link parameters are
 // configuration, rebuilt by New.
 func (m *Model) Snapshot(enc *snap.Encoder) {
@@ -41,78 +36,4 @@ func (m *Model) Snapshot(enc *snap.Encoder) {
 	m.messages.SnapshotState(enc)
 	m.totalHops.SnapshotState(enc)
 	m.bytes.SnapshotState(enc)
-}
-
-// Restore implements the inverse of Snapshot into a freshly built model
-// over the same topology.
-func (m *Model) Restore(dec *snap.Decoder) error {
-	n, err := dec.Uvarint()
-	if err != nil {
-		return err
-	}
-	if n != uint64(len(m.srcSeq)) {
-		return fmt.Errorf("network: node count mismatch: checkpoint %d, live %d", n, len(m.srcSeq))
-	}
-	for i := range m.srcSeq {
-		if m.srcSeq[i], err = dec.Uvarint(); err != nil {
-			return err
-		}
-	}
-	for node, free := range m.nbFree {
-		nl, err := dec.Uvarint()
-		if err != nil {
-			return err
-		}
-		if nl != uint64(len(free)) {
-			return fmt.Errorf("network: node %d link count mismatch: checkpoint %d, live %d", node, nl, len(free))
-		}
-		for j := range free {
-			if free[j], err = dec.Time(); err != nil {
-				return err
-			}
-		}
-	}
-	nPages := (len(m.lastArrival) + laPageSize - 1) / laPageSize
-	for src := range m.lastArrival {
-		present, err := dec.Bool()
-		if err != nil {
-			return err
-		}
-		if !present {
-			m.lastArrival[src] = nil
-			continue
-		}
-		tab := m.lastArrival[src]
-		if tab == nil {
-			tab = make([][]vtime.Time, nPages)
-			m.lastArrival[src] = tab
-		}
-		for pi := range tab {
-			present, err := dec.Bool()
-			if err != nil {
-				return err
-			}
-			if !present {
-				tab[pi] = nil
-				continue
-			}
-			page := tab[pi]
-			if page == nil {
-				page = make([]vtime.Time, laPageSize)
-				tab[pi] = page
-			}
-			for d := range page {
-				if page[d], err = dec.Time(); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	if err := m.messages.RestoreState(dec); err != nil {
-		return err
-	}
-	if err := m.totalHops.RestoreState(dec); err != nil {
-		return err
-	}
-	return m.bytes.RestoreState(dec)
 }

@@ -49,6 +49,3 @@ func (r *Rand) Float64() float64 {
 
 // State returns the generator's complete internal state.
 func (r *Rand) State() uint64 { return r.state }
-
-// SetState restores a state previously returned by State.
-func (r *Rand) SetState(s uint64) { r.state = s }

@@ -20,9 +20,8 @@ import (
 // TASK_SPAWN with an earlier-or-equal stamp, so a member's decrement can
 // never be applied ahead of its increment.
 type Group struct {
-	r       *Runtime //simany:derived backpointer, rewired when the group registry is decoded
+	r       *Runtime //simany:derived backpointer to the owning runtime
 	home    int      // arbitration core; all state below is home-shard-owned
-	gid     uint64   // checkpoint registry id; 0 for unregistered (closure) groups
 	active  int
 	joiner  *core.Task
 	waiting bool

@@ -117,17 +117,6 @@ type Runtime struct {
 	reservations []int   // outstanding accepted probes per core
 	rr           []int   // round-robin candidate cursor per core
 
-	// Step-program machinery (step.go, snapshot.go): the registered
-	// program table (configuration), the checkpoint group registry with
-	// its deterministic id source, and the decode-time group re-binding
-	// work list.
-	//simany:derived registered program table (configuration), repopulated by RegisterProgram
-	programs map[string]*Program
-	sgroups  map[uint64]*Group
-	nextGid  uint64
-	//simany:derived decode-time work list, drained by DecodeSafe before execution resumes
-	binds []groupBind
-
 	stats Stats
 }
 
@@ -135,7 +124,6 @@ type Runtime struct {
 type taskMeta struct {
 	group *Group
 	probe *probeReply
-	step  *stepState // non-nil for step-program bodies (step.go)
 }
 
 func metaOf(t *core.Task) *taskMeta {
@@ -155,7 +143,7 @@ type probeReply struct {
 	ok       bool
 	queueLen int
 	from     int
-	//simany:derived re-linked to the decoded task by DecodeSafe's bind pass
+	//simany:derived the task whose Meta holds this reply; encoded with that task
 	requester *core.Task
 }
 
@@ -190,9 +178,6 @@ func New(k *core.Kernel, alloc *mem.Allocator, opt Options) *Runtime {
 		nbs:          make([][]int, n),
 		reservations: make([]int, n),
 		rr:           make([]int, n),
-		programs:     make(map[string]*Program),
-		sgroups:      make(map[uint64]*Group),
-		nextGid:      1,
 	}
 	// The per-core occupancy proxies are views into one flat backing array
 	// (one int per directed link) rather than n separate slices — at 100k
@@ -220,7 +205,7 @@ func New(k *core.Kernel, alloc *mem.Allocator, opt Options) *Runtime {
 	k.SetTaskStartHook(func(c *core.Core, t *core.Task) {
 		r.broadcastOcc(c.ID, c.QueueLength(), c.VT())
 	})
-	k.SetTaskCodec(taskCodec{r})
+	k.SetTaskCodec(taskCodec{})
 	k.RegisterSnapshot("rt", r)
 	return r
 }
@@ -274,14 +259,10 @@ func (r *Runtime) wrap(g *Group, fn func(*core.Env)) func(*core.Env) {
 	}
 }
 
-// Run injects the root task and drives the simulation to completion. When
-// the kernel has a decode-mode resume armed, the restored state already
-// contains the whole task tree, so root is not injected (it must still be
-// the same program — the configuration fingerprint enforces the rest).
+// Run injects the root task and drives the simulation to completion. On a
+// kernel with a resume armed, root must be the program of the checkpointed
+// run: restore re-executes it and verifies the state it reaches.
 func (r *Runtime) Run(name string, root func(*core.Env)) (core.Result, error) {
-	if r.k.ResumeModeDecode() {
-		return r.k.Run()
-	}
 	t := r.k.NewTask(r.opt.RootCore, name, r.wrap(nil, root), &taskMeta{}).ReleaseOnDone()
 	r.k.PlaceTask(t, r.opt.RootCore, 0, nil)
 	return r.k.Run()

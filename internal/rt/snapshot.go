@@ -1,8 +1,6 @@
 package rt
 
 import (
-	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"simany/internal/core"
@@ -11,312 +9,52 @@ import (
 
 // The runtime participates in kernel checkpoints in two roles:
 //
-//   - as the task codec: it serializes each task's runtime Meta (group
-//     membership, a stashed probe reply) and, for step-program bodies, the
-//     complete resumption state — frame stack plus in-flight action. Tasks
-//     with closure bodies are encoded as opaque, which forces the
-//     checkpoint into verified-replay mode.
+//   - as the task codec: it serializes each task's runtime Meta (the state
+//     of its group, a stashed probe reply). Task bodies are closures and
+//     are not serialized; restore re-executes them (core's verified
+//     replay), and these bytes are what the replayed state is compared to.
 //   - as the "rt" section: occupancy proxies, probe reservations,
-//     round-robin cursors, the runtime counters, the step-group registry
-//     and the allocator/cell-store cursors — every piece of runtime state
-//     not reachable through a task.
-
-// Task record tags (first Uvarint of a task's codec descriptor).
-const (
-	tagForeign = 0 // task not managed by this runtime (tests)
-	tagClosure = 1 // runtime task with an opaque closure body
-	tagStep    = 2 // step-program task: fully decodable
-)
+//     round-robin cursors, the runtime counters and the allocator/cell-
+//     store cursors — every piece of runtime state not reachable through a
+//     task.
 
 // taskCodec implements core.TaskCodec for the runtime.
-type taskCodec struct {
-	r *Runtime //simany:derived codec handle; the runtime snapshots itself separately
-}
+type taskCodec struct{}
 
-// EncodeTask implements core.TaskCodec.
-func (tc taskCodec) EncodeTask(enc *snap.Encoder, t *core.Task) bool {
+// EncodeTask implements core.TaskCodec: a flag telling a runtime task from
+// a foreign one (tests place tasks directly), then the Meta.
+func (taskCodec) EncodeTask(enc *snap.Encoder, t *core.Task) {
 	m, ok := t.Meta.(*taskMeta)
-	if !ok {
-		enc.Uvarint(tagForeign)
-		return false
-	}
-	if m.step == nil {
-		enc.Uvarint(tagClosure)
+	enc.Bool(ok)
+	if ok {
 		encodeMeta(enc, m)
-		return false
-	}
-	enc.Uvarint(tagStep)
-	encodeMeta(enc, m)
-	encodeStepState(enc, m.step)
-	return true
-}
-
-// DecodeTask implements core.TaskCodec. Only step records yield an entry;
-// the kernel rejects nil entries, so a decode-mode file can never smuggle
-// in an opaque body.
-func (tc taskCodec) DecodeTask(dec *snap.Decoder, t *core.Task) (func(*core.Env), error) {
-	tag, err := dec.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	switch tag {
-	case tagForeign:
-		return nil, nil
-	case tagClosure:
-		m := &taskMeta{}
-		if _, err := decodeMeta(dec, m, t); err != nil {
-			return nil, err
-		}
-		return nil, nil
-	case tagStep:
-		m := &taskMeta{}
-		gid, err := decodeMeta(dec, m, t)
-		if err != nil {
-			return nil, err
-		}
-		st, err := decodeStepState(dec, tc.r)
-		if err != nil {
-			return nil, err
-		}
-		if t.Started() {
-			if t.State() == core.TaskRunning {
-				st.reentry = parkStalled
-			} else {
-				st.reentry = parkBlocked
-			}
-		}
-		m.step = st
-		t.Meta = m
-		if gid != 0 {
-			tc.r.binds = append(tc.r.binds, groupBind{m: m, gid: gid})
-		}
-		return tc.r.stepBody(st), nil
-	default:
-		return nil, fmt.Errorf("rt: unknown task record tag %d", tag)
 	}
 }
 
-// groupBind defers a decoded task's group pointer until the "rt" section
-// (which rebuilds the group registry) has been restored.
-type groupBind struct {
-	m   *taskMeta
-	gid uint64
-}
-
-// encodeMeta appends the runtime Meta: the group id (0 for unregistered
-// groups, which only exist in closure programs) and any stashed probe
-// reply (a wake delivered before the task resumed).
+// encodeMeta appends the runtime Meta: the task's group, written by value
+// with each member since groups have no identity outside the closures that
+// hold them, and any stashed probe reply (a wake delivered before the task
+// resumed).
 func encodeMeta(enc *snap.Encoder, m *taskMeta) {
-	var gid uint64
-	if m.group != nil {
-		gid = m.group.gid
+	g := m.group
+	enc.Bool(g != nil)
+	if g != nil {
+		enc.Uvarint(uint64(g.home))
+		enc.Varint(int64(g.active))
+		enc.Bool(g.waiting)
+		enc.Time(g.lastEnd)
+		var joiner uint64
+		if g.joiner != nil {
+			joiner = g.joiner.ID
+		}
+		enc.Uvarint(joiner)
 	}
-	enc.Uvarint(gid)
 	enc.Bool(m.probe != nil)
 	if m.probe != nil {
 		enc.Bool(m.probe.ok)
 		enc.Varint(int64(m.probe.queueLen))
 		enc.Uvarint(uint64(m.probe.from))
 	}
-}
-
-func decodeMeta(dec *snap.Decoder, m *taskMeta, t *core.Task) (uint64, error) {
-	gid, err := dec.Uvarint()
-	if err != nil {
-		return 0, err
-	}
-	hasProbe, err := dec.Bool()
-	if err != nil {
-		return 0, err
-	}
-	if hasProbe {
-		rep := &probeReply{requester: t}
-		if rep.ok, err = dec.Bool(); err != nil {
-			return 0, err
-		}
-		ql, err := dec.Varint()
-		if err != nil {
-			return 0, err
-		}
-		rep.queueLen = int(ql)
-		from, err := dec.Uvarint()
-		if err != nil {
-			return 0, err
-		}
-		rep.from = int(from)
-		m.probe = rep
-	}
-	return gid, nil
-}
-
-// encodeStepState appends the full resumption state of a step body.
-func encodeStepState(enc *snap.Encoder, st *stepState) {
-	enc.Bool(st.entered)
-	enc.Bool(st.member)
-	enc.Uvarint(uint64(len(st.stack)))
-	for _, f := range st.stack {
-		enc.String(f.prog.Name)
-		enc.Varint(int64(f.pc))
-		enc.Uvarint(uint64(len(f.Regs)))
-		for _, v := range f.Regs {
-			enc.Varint(v)
-		}
-	}
-	enc.Bool(st.pending)
-	if st.pending {
-		enc.Uvarint(uint64(st.stage))
-		encodeAction(enc, st.pend)
-	}
-}
-
-func decodeStepState(dec *snap.Decoder, r *Runtime) (*stepState, error) {
-	st := &stepState{}
-	var err error
-	if st.entered, err = dec.Bool(); err != nil {
-		return nil, err
-	}
-	if st.member, err = dec.Bool(); err != nil {
-		return nil, err
-	}
-	depth, err := dec.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < depth; i++ {
-		name, err := dec.String()
-		if err != nil {
-			return nil, err
-		}
-		p, ok := r.programs[name]
-		if !ok {
-			return nil, fmt.Errorf("rt: checkpoint references unregistered step program %q", name)
-		}
-		pc, err := dec.Varint()
-		if err != nil {
-			return nil, err
-		}
-		nregs, err := dec.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		regs := make([]int64, nregs)
-		for j := range regs {
-			if regs[j], err = dec.Varint(); err != nil {
-				return nil, err
-			}
-		}
-		st.stack = append(st.stack, &Frame{prog: p, pc: int(pc), Regs: regs})
-	}
-	if st.pending, err = dec.Bool(); err != nil {
-		return nil, err
-	}
-	if st.pending {
-		stage, err := dec.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if stage > uint64(stJoined) {
-			return nil, fmt.Errorf("rt: corrupt step stage %d", stage)
-		}
-		st.stage = uint8(stage)
-		if st.pend, err = decodeAction(dec); err != nil {
-			return nil, err
-		}
-	}
-	return st, nil
-}
-
-func encodeAction(enc *snap.Encoder, a Action) {
-	enc.Uvarint(uint64(a.op))
-	enc.Bool(a.abs)
-	enc.Varint(int64(a.target))
-	enc.String(a.proc)
-	enc.Uvarint(uint64(len(a.regs)))
-	for _, v := range a.regs {
-		enc.Varint(v)
-	}
-	enc.Varint(int64(a.argBytes))
-	for _, c := range a.counts {
-		enc.Varint(c)
-	}
-	enc.Float64(a.cycles)
-	enc.Uvarint(a.readBase)
-	enc.Varint(a.readN)
-	enc.Varint(int64(a.readElem))
-	enc.Uvarint(a.writeBase)
-	enc.Varint(a.writeN)
-	enc.Varint(int64(a.writeElem))
-}
-
-func decodeAction(dec *snap.Decoder) (Action, error) {
-	var a Action
-	op, err := dec.Uvarint()
-	if err != nil {
-		return a, err
-	}
-	if op > uint64(opJoin) {
-		return a, fmt.Errorf("rt: unknown step op %d", op)
-	}
-	a.op = stepOp(op)
-	if a.abs, err = dec.Bool(); err != nil {
-		return a, err
-	}
-	tgt, err := dec.Varint()
-	if err != nil {
-		return a, err
-	}
-	a.target = int(tgt)
-	if a.proc, err = dec.String(); err != nil {
-		return a, err
-	}
-	nregs, err := dec.Uvarint()
-	if err != nil {
-		return a, err
-	}
-	if nregs > 0 {
-		a.regs = make([]int64, nregs)
-		for i := range a.regs {
-			if a.regs[i], err = dec.Varint(); err != nil {
-				return a, err
-			}
-		}
-	}
-	ab, err := dec.Varint()
-	if err != nil {
-		return a, err
-	}
-	a.argBytes = int(ab)
-	for i := range a.counts {
-		if a.counts[i], err = dec.Varint(); err != nil {
-			return a, err
-		}
-	}
-	if a.cycles, err = dec.Float64(); err != nil {
-		return a, err
-	}
-	if a.readBase, err = dec.Uvarint(); err != nil {
-		return a, err
-	}
-	if a.readN, err = dec.Varint(); err != nil {
-		return a, err
-	}
-	re, err := dec.Varint()
-	if err != nil {
-		return a, err
-	}
-	a.readElem = int(re)
-	if a.writeBase, err = dec.Uvarint(); err != nil {
-		return a, err
-	}
-	if a.writeN, err = dec.Varint(); err != nil {
-		return a, err
-	}
-	we, err := dec.Varint()
-	if err != nil {
-		return a, err
-	}
-	a.writeElem = int(we)
-	return a, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -343,140 +81,8 @@ func (r *Runtime) Snapshot(enc *snap.Encoder) {
 	for _, p := range r.statFields() {
 		enc.Varint(atomic.LoadInt64(p))
 	}
-	enc.Uvarint(r.nextGid)
-	gids := make([]uint64, 0, len(r.sgroups))
-	for gid := range r.sgroups {
-		gids = append(gids, gid)
-	}
-	sort.Slice(gids, func(i, j int) bool { return gids[i] < gids[j] })
-	enc.Uvarint(uint64(len(gids)))
-	for _, gid := range gids {
-		g := r.sgroups[gid]
-		enc.Uvarint(gid)
-		enc.Uvarint(uint64(g.home))
-		enc.Varint(int64(g.active))
-		enc.Bool(g.waiting)
-		enc.Time(g.lastEnd)
-		var joiner uint64
-		if g.joiner != nil {
-			joiner = g.joiner.ID
-		}
-		enc.Uvarint(joiner)
-	}
 	r.alloc.Snapshot(enc)
 	r.cells.Snapshot(enc)
-}
-
-// Restore implements snap.Snapshottable for decode-mode resume. It runs
-// after the shard sections, so every checkpointed task already exists and
-// group joiners / task metas can be re-linked.
-func (r *Runtime) Restore(dec *snap.Decoder) error {
-	n, err := dec.Uvarint()
-	if err != nil {
-		return err
-	}
-	if n != uint64(len(r.occ)) {
-		return fmt.Errorf("rt: core count mismatch: checkpoint %d, live %d", n, len(r.occ))
-	}
-	for i, row := range r.occ {
-		nr, err := dec.Uvarint()
-		if err != nil {
-			return err
-		}
-		if nr != uint64(len(row)) {
-			return fmt.Errorf("rt: core %d neighbor count mismatch: checkpoint %d, live %d", i, nr, len(row))
-		}
-		for j := range row {
-			v, err := dec.Varint()
-			if err != nil {
-				return err
-			}
-			row[j] = int(v)
-		}
-	}
-	for i := range r.reservations {
-		v, err := dec.Varint()
-		if err != nil {
-			return err
-		}
-		r.reservations[i] = int(v)
-	}
-	for i := range r.rr {
-		v, err := dec.Varint()
-		if err != nil {
-			return err
-		}
-		r.rr[i] = int(v)
-	}
-	for _, p := range r.statFields() {
-		v, err := dec.Varint()
-		if err != nil {
-			return err
-		}
-		atomic.StoreInt64(p, v)
-	}
-	if r.nextGid, err = dec.Uvarint(); err != nil {
-		return err
-	}
-	ngroups, err := dec.Uvarint()
-	if err != nil {
-		return err
-	}
-	for i := uint64(0); i < ngroups; i++ {
-		gid, err := dec.Uvarint()
-		if err != nil {
-			return err
-		}
-		home, err := dec.Uvarint()
-		if err != nil {
-			return err
-		}
-		g := &Group{r: r, home: int(home), gid: gid}
-		active, err := dec.Varint()
-		if err != nil {
-			return err
-		}
-		g.active = int(active)
-		if g.waiting, err = dec.Bool(); err != nil {
-			return err
-		}
-		if g.lastEnd, err = dec.Time(); err != nil {
-			return err
-		}
-		joiner, err := dec.Uvarint()
-		if err != nil {
-			return err
-		}
-		if joiner != 0 {
-			t := r.k.TaskByID(joiner)
-			if t == nil {
-				return fmt.Errorf("rt: group %d joiner task %d not found in restored state", gid, joiner)
-			}
-			g.joiner = t
-		}
-		r.sgroups[gid] = g
-	}
-	if err := r.alloc.Restore(dec); err != nil {
-		return err
-	}
-	if err := r.cells.Restore(dec); err != nil {
-		return err
-	}
-	for _, b := range r.binds {
-		g, ok := r.sgroups[b.gid]
-		if !ok {
-			return fmt.Errorf("rt: task references unknown group %d", b.gid)
-		}
-		b.m.group = g
-	}
-	r.binds = nil
-	return nil
-}
-
-// DecodeSafe implements core.DecodeVetoer: live cells carry Go payloads no
-// codec can serialize, so their presence forces verified-replay mode.
-func (r *Runtime) DecodeSafe() bool {
-	return r.cells.Len() == 0
 }
 
 // statFields lists the runtime counters in canonical order.
@@ -488,4 +94,3 @@ func (r *Runtime) statFields() []*int64 {
 
 var _ core.TaskCodec = taskCodec{}
 var _ snap.Snapshottable = (*Runtime)(nil)
-var _ core.DecodeVetoer = (*Runtime)(nil)

@@ -19,18 +19,17 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 
 	"simany/internal/vtime"
 )
 
 // Snapshottable is implemented by every simulator component whose mutable
 // state participates in a checkpoint. Snapshot must write the component's
-// state in canonical order; Restore must consume exactly the bytes
-// Snapshot wrote and rebuild any derived structures it does not read.
+// state in canonical order: restore re-executes the run to the
+// checkpoint's position and compares the bytes Snapshot writes then with
+// the bytes it wrote into the file.
 type Snapshottable interface {
 	Snapshot(enc *Encoder)
-	Restore(dec *Decoder) error
 }
 
 // Corruption and truncation sentinels. Decoder errors wrap one of these so
@@ -81,11 +80,6 @@ func (e *Encoder) Bool(v bool) {
 	}
 }
 
-// Float64 appends an IEEE-754 binary64 value, little-endian.
-func (e *Encoder) Float64(v float64) {
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
-}
-
 // Bytes64 appends a length-prefixed byte string.
 func (e *Encoder) Bytes64(b []byte) {
 	e.Uvarint(uint64(len(b)))
@@ -118,7 +112,9 @@ func NewDecoder(b []byte) *Decoder { return &Decoder{buf: b} }
 // Remaining reports how many bytes are left to consume.
 func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
 
-// Uvarint reads an unsigned varint.
+// Uvarint reads an unsigned varint. Only the shortest encoding of a value
+// is accepted — the one Encoder writes — so every byte string the decoder
+// accepts is the canonical encoding of what it decodes to.
 func (d *Decoder) Uvarint() (uint64, error) {
 	v, n := binary.Uvarint(d.buf[d.off:])
 	if n <= 0 {
@@ -127,21 +123,21 @@ func (d *Decoder) Uvarint() (uint64, error) {
 		}
 		return 0, fmt.Errorf("%w: varint overflow at offset %d", ErrCorrupt, d.off)
 	}
+	if n > 1 && d.buf[d.off+n-1] == 0 {
+		return 0, fmt.Errorf("%w: padded varint at offset %d", ErrCorrupt, d.off)
+	}
 	d.off += n
 	return v, nil
 }
 
 // Varint reads a zig-zag signed varint.
 func (d *Decoder) Varint() (int64, error) {
-	v, n := binary.Varint(d.buf[d.off:])
-	if n <= 0 {
-		if n == 0 {
-			return 0, ErrTruncated
-		}
-		return 0, fmt.Errorf("%w: varint overflow at offset %d", ErrCorrupt, d.off)
+	u, err := d.Uvarint()
+	v := int64(u >> 1)
+	if u&1 != 0 {
+		v = ^v
 	}
-	d.off += n
-	return v, nil
+	return v, err
 }
 
 // Bool reads a boolean byte.
@@ -155,16 +151,6 @@ func (d *Decoder) Bool() (bool, error) {
 		return false, fmt.Errorf("%w: bad bool byte %#x at offset %d", ErrCorrupt, b, d.off-1)
 	}
 	return b == 1, nil
-}
-
-// Float64 reads an IEEE-754 binary64 value.
-func (d *Decoder) Float64() (float64, error) {
-	if d.off+8 > len(d.buf) {
-		return 0, ErrTruncated
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.buf[d.off:]))
-	d.off += 8
-	return v, nil
 }
 
 // Bytes64 reads a length-prefixed byte string. The returned slice aliases
@@ -200,7 +186,9 @@ const (
 	// Version is the current checkpoint format version. Version 2 paged
 	// the network FIFO-clamp encoding by destination block (the flat
 	// per-source arrays of version 1 do not scale to 100k-core machines).
-	Version = 2
+	// Version 3 dropped the header's restore-mode byte and the runtime's
+	// step-group registry: every file is restored by verified replay.
+	Version = 3
 )
 
 // Engine identifies which kernel engine wrote the checkpoint; the position
@@ -213,30 +201,6 @@ const (
 	EngineSequential Engine = 0
 	EngineSharded    Engine = 1
 )
-
-// Mode records how the checkpoint can be restored.
-type Mode uint8
-
-const (
-	// ModeReplay means some live state (closure task bodies, uncodeced
-	// cell payloads, non-serializable predictors) could not be encoded;
-	// restore must deterministically re-execute the program up to the
-	// checkpoint position and verify the reconstructed state against the
-	// file byte-for-byte.
-	ModeReplay Mode = 0
-	// ModeDecode means every task body carries a step-program descriptor
-	// and all payloads have codecs: restore decodes state directly with no
-	// re-execution.
-	ModeDecode Mode = 1
-)
-
-// String names the mode.
-func (m Mode) String() string {
-	if m == ModeDecode {
-		return "decode"
-	}
-	return "replay"
-}
 
 // Container is a parsed checkpoint file: the header fields plus the named
 // section payloads, in file order.
@@ -251,8 +215,6 @@ type Container struct {
 	// Pos is the engine position at checkpoint: completed barriers for the
 	// sharded engine, completed steps for the sequential engine.
 	Pos int64
-	// Mode records whether the file is decode-restorable.
-	Mode Mode
 	// Sections maps section name to payload. SectionOrder preserves the
 	// canonical file order for writing and byte comparison.
 	Sections     map[string][]byte
@@ -291,7 +253,6 @@ func (c *Container) WriteTo(w io.Writer) (int64, error) {
 	e.Uvarint(c.Fingerprint)
 	e.buf = append(e.buf, byte(c.Engine))
 	e.Varint(c.Pos)
-	e.buf = append(e.buf, byte(c.Mode))
 	e.Uvarint(uint64(len(c.SectionOrder)))
 	for _, name := range c.SectionOrder {
 		e.String(name)
@@ -343,14 +304,6 @@ func ReadContainer(r io.Reader) (*Container, error) {
 	}
 	if c.Pos, err = d.Varint(); err != nil {
 		return nil, err
-	}
-	if d.Remaining() < 1 {
-		return nil, ErrTruncated
-	}
-	c.Mode = Mode(d.buf[d.off])
-	d.off++
-	if c.Mode > ModeDecode {
-		return nil, fmt.Errorf("%w: unknown restore mode %d", ErrCorrupt, c.Mode)
 	}
 	nsec, err := d.Uvarint()
 	if err != nil {

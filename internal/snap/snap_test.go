@@ -20,8 +20,6 @@ func TestPrimitiveRoundTrip(t *testing.T) {
 	e.Varint(math.MaxInt64)
 	e.Bool(true)
 	e.Bool(false)
-	e.Float64(3.14159)
-	e.Float64(math.Inf(-1))
 	e.Bytes64([]byte{0xde, 0xad})
 	e.Bytes64(nil)
 	e.String("hello")
@@ -48,10 +46,6 @@ func TestPrimitiveRoundTrip(t *testing.T) {
 	check("bool true", b, true)
 	b, _ = d.Bool()
 	check("bool false", b, false)
-	f, _ := d.Float64()
-	check("float", f, 3.14159)
-	f, _ = d.Float64()
-	check("float -inf", f, math.Inf(-1))
 	bs, _ := d.Bytes64()
 	if !bytes.Equal(bs, []byte{0xde, 0xad}) {
 		t.Errorf("bytes64: got %x", bs)
@@ -81,9 +75,6 @@ func TestDecoderErrorPaths(t *testing.T) {
 	if _, err := d.Bool(); !errors.Is(err, ErrTruncated) {
 		t.Errorf("bool on empty: %v", err)
 	}
-	if _, err := d.Float64(); !errors.Is(err, ErrTruncated) {
-		t.Errorf("float on empty: %v", err)
-	}
 	if _, err := d.Bytes64(); !errors.Is(err, ErrTruncated) {
 		t.Errorf("bytes64 on empty: %v", err)
 	}
@@ -91,6 +82,15 @@ func TestDecoderErrorPaths(t *testing.T) {
 	// A bool byte outside {0,1} is corruption, not a valid value.
 	if _, err := NewDecoder([]byte{2}).Bool(); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("bool byte 2: %v", err)
+	}
+
+	// Only the shortest encoding of a varint is valid: a padded zero would
+	// let two different files decode to the same container.
+	if _, err := NewDecoder([]byte{0x80, 0x00}).Uvarint(); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("padded uvarint: %v", err)
+	}
+	if _, err := NewDecoder([]byte{0x81, 0x00}).Varint(); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("padded varint: %v", err)
 	}
 
 	// Varint overflow: more than 10 continuation bytes.
@@ -125,7 +125,7 @@ func reseal(data []byte) []byte {
 }
 
 func sampleContainer() *Container {
-	c := &Container{Fingerprint: 0xfeed, Engine: EngineSharded, Pos: 42, Mode: ModeReplay}
+	c := &Container{Fingerprint: 0xfeed, Engine: EngineSharded, Pos: 42}
 	c.Add("kernel", []byte{1, 2, 3})
 	c.Add("shard.0", []byte{4, 5})
 	c.Add("obs.trace", nil)
@@ -138,7 +138,7 @@ func TestContainerRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Fingerprint != 0xfeed || c.Engine != EngineSharded || c.Pos != 42 || c.Mode != ModeReplay {
+	if c.Fingerprint != 0xfeed || c.Engine != EngineSharded || c.Pos != 42 {
 		t.Errorf("header fields: %+v", c)
 	}
 	if len(c.SectionOrder) != 3 || c.SectionOrder[0] != "kernel" || c.SectionOrder[2] != "obs.trace" {
@@ -183,11 +183,29 @@ func TestContainerVersionMismatch(t *testing.T) {
 	if _, err := ReadContainer(bytes.NewReader(reseal(mut))); !errors.Is(err, ErrVersion) {
 		t.Errorf("future version: %v", err)
 	}
+
+	// A version-2 file — the layout before the restore-mode byte was
+	// dropped, here a decode-mode one — is refused by its version, never
+	// parsed with the mode byte read as the section count.
+	e := NewEncoder()
+	e.buf = append(e.buf, magic...)
+	e.Uvarint(2)
+	e.Uvarint(0xfeed)
+	e.buf = append(e.buf, byte(EngineSharded))
+	e.Varint(42)
+	e.buf = append(e.buf, 1) // restore mode: decode
+	e.Uvarint(1)
+	e.String("kernel")
+	e.Bytes64([]byte{1, 2, 3})
+	old := binary.LittleEndian.AppendUint32(e.buf, crc32.ChecksumIEEE(e.buf))
+	if _, err := ReadContainer(bytes.NewReader(old)); !errors.Is(err, ErrVersion) {
+		t.Errorf("version-2 file: got %v, want ErrVersion", err)
+	}
 }
 
 func TestContainerStructuralCorruption(t *testing.T) {
 	// Duplicate section names must be rejected.
-	dup := &Container{Engine: EngineSequential, Mode: ModeDecode}
+	dup := &Container{Engine: EngineSequential}
 	dup.Sections = map[string][]byte{"kernel": {1}}
 	dup.SectionOrder = []string{"kernel", "kernel"}
 	if _, err := ReadContainer(bytes.NewReader(writeContainer(t, dup))); !errors.Is(err, ErrCorrupt) {
@@ -205,13 +223,6 @@ func TestContainerStructuralCorruption(t *testing.T) {
 	mut[engOff] = byte(EngineSharded) + 1
 	if _, err := ReadContainer(bytes.NewReader(reseal(mut))); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("unknown engine: %v", err)
-	}
-
-	// Unknown restore mode: engine byte + pos Varint(42) (1 byte) precede it.
-	mut = append([]byte(nil), data...)
-	mut[engOff+2] = byte(ModeDecode) + 1
-	if _, err := ReadContainer(bytes.NewReader(reseal(mut))); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("unknown mode: %v", err)
 	}
 
 	// Trailing garbage after the section directory.

@@ -150,9 +150,6 @@ func NewProbabilisticPredictor(rate float64, seed int64) *ProbabilisticPredictor
 // checkpointing.
 func (p *ProbabilisticPredictor) RngState() uint64 { return p.rng.State() }
 
-// SetRngState restores a checkpointed random-stream position.
-func (p *ProbabilisticPredictor) SetRngState(s uint64) { p.rng.SetState(s) }
-
 // samplingThreshold bounds the per-branch sampling work; larger blocks use
 // the expectation, which the law of large numbers makes indistinguishable.
 const samplingThreshold = 64
