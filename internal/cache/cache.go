@@ -23,16 +23,15 @@ func LineOf(addr uint64, lineSize int) uint64 {
 // under-approximates locality, as in the paper.
 type Scoped struct {
 	lineSize int //simany:derived immutable line-size configuration from NewScoped
-	present  map[uint64]struct{}
+	present  *lineSet
 	depth    int
 
 	hits, misses int64
 }
 
 // NewScoped creates a pessimistic scoped L1 with the given line size. The
-// presence map is allocated lazily on first access so a 100k-core machine
-// whose cores mostly never touch memory does not pay 100k map headers up
-// front.
+// presence set is allocated lazily on first access so a 100k-core machine
+// whose cores mostly never touch memory pays one nil pointer per core.
 func NewScoped(lineSize int) *Scoped {
 	if lineSize <= 0 {
 		lineSize = DefaultLineSize
@@ -49,22 +48,13 @@ func (s *Scoped) Leave() {
 	if s.depth > 0 {
 		s.depth--
 	}
-	clear(s.present)
+	s.present.reset()
 }
 
 // Access records one access to addr and reports whether it hit.
 func (s *Scoped) Access(addr uint64) bool {
-	line := LineOf(addr, s.lineSize)
-	if _, ok := s.present[line]; ok {
-		s.hits++
-		return true
-	}
-	if s.present == nil {
-		s.present = make(map[uint64]struct{})
-	}
-	s.present[line] = struct{}{}
-	s.misses++
-	return false
+	_, misses := s.Range(addr, 1, 1)
+	return misses == 0
 }
 
 // Range records n accesses of elem bytes each starting at base and returns
@@ -80,15 +70,9 @@ func (s *Scoped) Range(base uint64, n int64, elem int) (hits, misses int64) {
 	first := LineOf(base, s.lineSize)
 	last := LineOf(base+uint64(n)*uint64(elem)-1, s.lineSize)
 	if s.present == nil {
-		s.present = make(map[uint64]struct{})
+		s.present = new(lineSet)
 	}
-	var newLines int64
-	for line := first; line <= last; line++ {
-		if _, ok := s.present[line]; !ok {
-			s.present[line] = struct{}{}
-			newLines++
-		}
-	}
+	newLines := s.present.add(first, last)
 	if newLines > n {
 		newLines = n
 	}
@@ -206,7 +190,7 @@ func (d *DirectMapped) InvalidateLine(line uint64) {
 // core's L2".
 type L2 struct {
 	lineSize int //simany:derived immutable line-size configuration from NewL2
-	present  map[uint64]struct{}
+	present  *lineSet
 
 	hits, misses int64
 }
@@ -222,17 +206,32 @@ func NewL2(lineSize int) *L2 {
 
 // Access records one access and reports hit.
 func (l *L2) Access(addr uint64) bool {
-	line := LineOf(addr, l.lineSize)
-	if _, ok := l.present[line]; ok {
-		l.hits++
-		return true
+	_, misses := l.AccessRange(addr, 1)
+	return misses == 0
+}
+
+// AccessRange records one access to each of `lines` consecutive lines,
+// the first being the line of base, and returns how many hit and how many
+// missed (and are now installed).
+//
+// mem.Distributed charges a range's L1 misses through this method as the
+// first `misses` lines from the range's base, not as the lines that
+// actually missed L1: a range whose first half is L1-resident re-touches
+// that half in the L2 and never reaches its second half. That is the
+// model's behaviour since the seed and results depend on it (ROADMAP
+// item 5 lists it as a model question).
+func (l *L2) AccessRange(base uint64, lines int64) (hits, misses int64) {
+	if lines <= 0 {
+		return 0, 0
 	}
+	first := LineOf(base, l.lineSize)
 	if l.present == nil {
-		l.present = make(map[uint64]struct{})
+		l.present = new(lineSet)
 	}
-	l.present[line] = struct{}{}
-	l.misses++
-	return false
+	misses = l.present.add(first, first+uint64(lines)-1)
+	l.hits += lines - misses
+	l.misses += misses
+	return lines - misses, misses
 }
 
 // Install brings the lines covering [base, base+bytes) into the L2 without
@@ -241,14 +240,10 @@ func (l *L2) Install(base uint64, bytes int64) {
 	if bytes <= 0 {
 		return
 	}
-	first := LineOf(base, l.lineSize)
-	last := LineOf(base+uint64(bytes)-1, l.lineSize)
 	if l.present == nil {
-		l.present = make(map[uint64]struct{})
+		l.present = new(lineSet)
 	}
-	for line := first; line <= last; line++ {
-		l.present[line] = struct{}{}
-	}
+	l.present.add(LineOf(base, l.lineSize), LineOf(base+uint64(bytes)-1, l.lineSize))
 }
 
 // Evict removes the lines covering [base, base+bytes) (exclusive transfer
@@ -257,17 +252,12 @@ func (l *L2) Evict(base uint64, bytes int64) {
 	if bytes <= 0 {
 		return
 	}
-	first := LineOf(base, l.lineSize)
-	last := LineOf(base+uint64(bytes)-1, l.lineSize)
-	for line := first; line <= last; line++ {
-		delete(l.present, line)
-	}
+	l.present.remove(LineOf(base, l.lineSize), LineOf(base+uint64(bytes)-1, l.lineSize))
 }
 
 // Contains reports whether the line of addr is present.
 func (l *L2) Contains(addr uint64) bool {
-	_, ok := l.present[LineOf(addr, l.lineSize)]
-	return ok
+	return l.present.has(LineOf(addr, l.lineSize))
 }
 
 // Stats returns cumulative hit and miss counts.

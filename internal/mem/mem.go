@@ -204,24 +204,9 @@ func (m *Distributed) Access(c *core.Core, base uint64, n int64, elem int, write
 	if misses == 0 {
 		return d
 	}
-	// L1 misses go to the private L2 at line granularity.
-	if elem <= 0 {
-		elem = 1
-	}
-	perLine := int64(cache.DefaultLineSize / elem)
-	if perLine < 1 {
-		perLine = 1
-	}
-	addr := base
-	var l2Hits, l2Misses int64
-	for i := int64(0); i < misses; i++ {
-		if c.L2().Access(addr) {
-			l2Hits++
-		} else {
-			l2Misses++
-		}
-		addr += cache.DefaultLineSize
-	}
+	// L1 misses go to the private L2 at line granularity, charged as the
+	// first `misses` lines of the range (see cache.L2.AccessRange).
+	l2Hits, l2Misses := c.L2().AccessRange(base, misses)
 	d += (hitLat + m.L2Lat) * vtime.Time(l2Hits)
 	d += (hitLat + m.L2Lat + m.LocalMemLat) * vtime.Time(l2Misses)
 	return d

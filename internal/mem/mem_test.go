@@ -169,6 +169,34 @@ func TestDistributedL2Path(t *testing.T) {
 	}
 }
 
+// TestDistributedL2ChargesLeadingLines pins which lines an L1 miss count
+// is charged to in the L2: the first `misses` lines of the range, not the
+// lines that missed L1 (cache.L2.AccessRange; ROADMAP item 5). A range
+// whose first half is L1-resident therefore re-touches that half in the
+// L2, hits there, and never installs its second half.
+func TestDistributedL2ChargesLeadingLines(t *testing.T) {
+	m := NewDistributed()
+	k := memKernel(1, m)
+	got := measure(t, k, func(e *core.Env) {
+		e.EnterScope()
+		e.Read(0, 8, 8)  // lines 0,1: L1 misses, L2 cold misses
+		e.Read(0, 16, 8) // lines 0..3: 2,3 miss L1; the L2 is asked for 0,1
+		e.LeaveScope()
+	})
+	first := 6*m.HitLat + 2*(m.HitLat+m.L2Lat+m.LocalMemLat)
+	second := 14*m.HitLat + 2*(m.HitLat+m.L2Lat)
+	if got != first+second {
+		t.Errorf("distributed access time = %v, want %v", got, first+second)
+	}
+	l2 := k.Core(0).L2()
+	if !l2.Contains(0) || !l2.Contains(32) || l2.Contains(64) || l2.Contains(96) {
+		t.Error("L2 should hold lines 0,1 and not the lines 2,3 that missed L1")
+	}
+	if h, miss := l2.Stats(); h != 2 || miss != 2 {
+		t.Errorf("L2 stats = %d/%d, want 2/2", h, miss)
+	}
+}
+
 func TestCellStoreBasics(t *testing.T) {
 	st := NewCellStore(NewAllocator())
 	l := st.New(3, 128, []int{1, 2, 3})

@@ -188,7 +188,9 @@ const (
 	// per-source arrays of version 1 do not scale to 100k-core machines).
 	// Version 3 dropped the header's restore-mode byte and the runtime's
 	// step-group registry: every file is restored by verified replay.
-	Version = 3
+	// Version 4 writes the L1/L2 cache-model contents as (lo, hi) line
+	// spans instead of one varint per line.
+	Version = 4
 )
 
 // Engine identifies which kernel engine wrote the checkpoint; the position
