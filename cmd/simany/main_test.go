@@ -55,6 +55,19 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadPolicyCycles covers policy arguments that used to run:
+// quantum:0.0001 rounded to a zero quantum and panicked dividing by it, and
+// quantum:nan simulated to a false deadlock. Both must fail with an error
+// that names the argument.
+func TestRunRejectsBadPolicyCycles(t *testing.T) {
+	for _, policy := range []string{"quantum:0.0001", "quantum:nan"} {
+		err := run([]string{"-bench", "octree", "-cores", "4", "-scale", "0.1", "-policy", policy})
+		if err == nil || !strings.Contains(err.Error(), policy) {
+			t.Errorf("-policy %s: error %v, want one naming the argument", policy, err)
+		}
+	}
+}
+
 func TestRunTraceAndTimeline(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "trace.txt")

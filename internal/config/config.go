@@ -7,7 +7,6 @@ package config
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"simany/internal/core"
@@ -184,11 +183,11 @@ func (m Machine) parsePolicy() (core.Policy, bool, error) {
 		if !hasArg {
 			return def, nil
 		}
-		v, err := strconv.ParseFloat(arg, 64)
-		if err != nil || v <= 0 {
-			return 0, fmt.Errorf("config: bad policy argument %q", arg)
+		v, err := vtime.ParseCycles(arg)
+		if err != nil || v == 0 {
+			return 0, fmt.Errorf("config: policy %q: want a cycle count of at least 0.001", m.Policy)
 		}
-		return vtime.Cycles(v), nil
+		return v, nil
 	}
 	// When a metrics registry is attached, the drift-comparison policies
 	// record how close each horizon decision came to the scheme's bound.

@@ -87,7 +87,13 @@ func TestBuildErrors(t *testing.T) {
 		"unknown policy":      {Cores: 4, Policy: "wat"},
 		"negative policy arg": {Cores: 4, Policy: "quantum:-5"},
 		"garbage policy arg":  {Cores: 4, Policy: "slack:x"},
-		"zero cores":          Default(0),
+		"zero policy arg":     {Cores: 4, Policy: "laxp2p:0"},
+		// Rounded to a zero quantum and divided by it in Horizon.
+		"sub-resolution policy arg": {Cores: 4, Policy: "quantum:0.0001"},
+		// Ran with a NaN quantum and reported a false deadlock.
+		"NaN policy arg": {Cores: 4, Policy: "quantum:nan"},
+		"inf policy arg": {Cores: 4, Policy: "slack:inf"},
+		"zero cores":     Default(0),
 		// Used to build Spatial{T: -5}: horizons behind the slowest neighbor.
 		"negative T": {Cores: 4, T: vtime.CyclesInt(-5)},
 	} {

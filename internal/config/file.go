@@ -84,11 +84,11 @@ func ParseMachine(r io.Reader, resolve func(path string) (io.ReadCloser, error))
 		case "policy":
 			m.Policy = val
 		case "T":
-			f, err := strconv.ParseFloat(val, 64)
-			if err != nil || f <= 0 {
-				return m, fmt.Errorf("config: line %d: bad T %q", lineNo, val)
+			t, err := vtime.ParseCycles(val)
+			if err != nil || t == 0 {
+				return m, fmt.Errorf("config: line %d: T %q: want a cycle count of at least 0.001", lineNo, val)
 			}
-			m.T = vtime.Cycles(f)
+			m.T = t
 		case "seed":
 			s, err := strconv.ParseInt(val, 10, 64)
 			if err != nil {
@@ -120,13 +120,9 @@ func ParseMachine(r io.Reader, resolve func(path string) (io.ReadCloser, error))
 			m.Topo = topo
 		case "topo":
 			// Validate the spec at parse time so a typo fails on this
-			// line, not later inside Build. Chiplet specs are grammar-
-			// checked without building the (possibly 100k-core) network.
-			if tiers, ok := strings.CutPrefix(val, "chiplet:"); ok {
-				if _, err := topology.ParseChipletSpec(tiers); err != nil {
-					return m, fmt.Errorf("config: line %d: %w", lineNo, err)
-				}
-			} else if _, err := topology.ParseSpec(val); err != nil {
+			// line, not later inside Build, without building the
+			// (possibly 100k-core) network.
+			if _, err := topology.SpecCores(val); err != nil {
 				return m, fmt.Errorf("config: line %d: %w", lineNo, err)
 			}
 			m.TopoSpec = val

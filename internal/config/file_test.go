@@ -54,7 +54,12 @@ func TestParseMachineErrors(t *testing.T) {
 		"cores 4\nstyle wat\n", // unknown style
 		"cores 4\nmem wat\n",   // unknown mem
 		"cores 4\nT -5\n",      // bad T
-		"cores 4\nseed x\n",    // bad seed
+		"cores 4\nT 0\n",
+		"cores 4\nT 0.0001\n", // rounds to 0: used to become the default 100
+		"cores 4\nT nan\n",
+		"cores 4\ntopo mesh:0\n",
+		"cores 4\ntopo chiplet:2x2@nan\n",
+		"cores 4\nseed x\n", // bad seed
 		"cores 4\nspeedaware maybe\n",
 		"cores 4\nfrobnicate 7\n",    // unknown key
 		"cores\n",                    // missing value

@@ -102,44 +102,58 @@ func countEff(k *Kernel) (n effCounts) {
 }
 
 // sparseVisitsCeiling pins the mean neighbour visits of one region search
-// on TestSparseReadsNeverScan's workload (measured 9.27; the benchmark's
-// sparse-100k reads 10.7). A floor that stops deciding, or a scan rule that
-// lets searches run on, shows here as a count, on any host.
-const sparseVisitsCeiling = 12
+// on TestSparseReadsNeverScan's workload (measured 12.36 / 9.27 / 8.92 on
+// the 1k / 10k / 100k machines; the benchmark's sparse-100k reads 10.7).
+// A floor that stops deciding, or a scan rule that lets searches run on,
+// shows here as a count, on any host.
+const sparseVisitsCeiling = 15
 
-// TestSparseReadsNeverScan is the benchmark's sparse-100k shape on the
-// 9216-core machine: 64 strided tasks of 100 equal slices, never
-// synchronised by a message. Their anchors stay within a few T of each
-// other, so the exact floor ends every region search within a few rings —
-// long before the search has spent what a landmark scan costs. The scan
-// must therefore never run, the landmark tables it reads must never be
-// built, and a search must stay about ten neighbour visits long.
+// TestSparseReadsNeverScan is the benchmark's sparse-100k shape on
+// machines from 1k to 100k cores: 64 strided tasks of 100 equal slices,
+// never synchronised by a message. Their anchors stay within a few T of
+// each other, so the exact floor ends every region search within a few
+// rings — long before the search has spent what a landmark scan costs. The
+// scan must therefore never run, the landmark tables it reads must never
+// be built, and a search must stay about ten neighbour visits long however
+// large the idle region around it: the per-completion cost of a sparse
+// machine does not grow with the machine.
 func TestSparseReadsNeverScan(t *testing.T) {
-	topo, err := topology.ParseSpec("chiplet:8x8,4x4,3x3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := New(Config{Topo: topo, Policy: Spatial{T: DefaultT}, Seed: 42})
-	const tasks, slices = 64, 100
-	stride := topo.N() / tasks
-	for i := 0; i < tasks; i++ {
-		k.InjectTask(i*stride, "w", func(e *Env) {
-			for s := 0; s < slices; s++ {
-				e.ComputeCycles(100)
+	for _, tc := range []struct{ name, spec string }{
+		{"1k", "chiplet:8x8,4x4"},
+		{"10k", "chiplet:8x8,4x4,3x3"},
+		{"100k", "chiplet:8x8,4x4,10x10"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.name == "100k" && testing.Short() {
+				t.Skip("100k-core machine build in -short mode")
 			}
-		}, nil, 0)
+			topo, err := topology.ParseSpec(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k := New(Config{Topo: topo, Policy: Spatial{T: DefaultT}, Seed: 42})
+			const tasks, slices = 64, 100
+			stride := topo.N() / tasks
+			for i := 0; i < tasks; i++ {
+				k.InjectTask(i*stride, "w", func(e *Env) {
+					for s := 0; s < slices; s++ {
+						e.ComputeCycles(100)
+					}
+				}, nil, 0)
+			}
+			if _, err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+			n := countEff(k)
+			if n.scans != 0 || k.lmDist != nil {
+				t.Errorf("%d landmark scans, tables built: %v; want none", n.scans, k.lmDist != nil)
+			}
+			if n.searches == 0 || n.visits > sparseVisitsCeiling*n.searches {
+				t.Errorf("%d neighbour visits in %d region searches, ceiling %d per search", n.visits, n.searches, sparseVisitsCeiling)
+			}
+			t.Logf("%d searches, %d visits (%.2f per search), %d scans", n.searches, n.visits, float64(n.visits)/float64(n.searches), n.scans)
+		})
 	}
-	if _, err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	n := countEff(k)
-	if n.scans != 0 || k.lmDist != nil {
-		t.Errorf("%d landmark scans, tables built: %v; want none", n.scans, k.lmDist != nil)
-	}
-	if n.searches == 0 || n.visits > sparseVisitsCeiling*n.searches {
-		t.Errorf("%d neighbour visits in %d region searches, ceiling %d per search", n.visits, n.searches, sparseVisitsCeiling)
-	}
-	t.Logf("%d searches, %d visits (%.2f per search), %d scans", n.searches, n.visits, float64(n.visits)/float64(n.searches), n.scans)
 }
 
 // TestLandmarkScanMatchesLinearScan holds anchorCanImprove's pruned walk of

@@ -96,11 +96,10 @@ func ParseAdjacency(r io.Reader) (*Topology, error) {
 			lat := DefaultLatency
 			bw := DefaultBandwidth
 			if len(fields) >= 4 {
-				f, err := strconv.ParseFloat(fields[3], 64)
-				if err != nil || f < 0 {
-					return nil, fmt.Errorf("topology: line %d: bad latency %q", lineNo, fields[3])
+				var err error
+				if lat, err = vtime.ParseCycles(fields[3]); err != nil {
+					return nil, fmt.Errorf("topology: line %d: latency: %v", lineNo, err)
 				}
-				lat = vtime.Cycles(f)
 			}
 			if len(fields) == 5 {
 				v, err := strconv.Atoi(fields[4])

@@ -68,6 +68,10 @@ func TestParseAdjacencyErrors(t *testing.T) {
 		"cores 2\nlink 0 0",
 		"cores 2\nlink 0 5",
 		"cores 2\nlink 0 1 -3",
+		"cores 2\nlink 0 1 nan",
+		"cores 2\nlink 0 1 inf",
+		"cores 2\nlink 0 1 1e300",
+		"cores 2\nlink 0 1 0.0001",
 		"cores 2\nlink 0 1 1 0",
 		"cores 2\nlink 0",
 		"cores 2\nfrobnicate",

@@ -21,6 +21,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -196,9 +197,13 @@ func ParseChipletSpec(spec string) (*Hierarchy, error) {
 	tiers := make([]Tier, 0, len(parts))
 	prevLat := DefaultLatency
 	prevBW := DefaultBandwidth
+	n := 1
 	for i, p := range parts {
 		tr := Tier{Lat: prevLat, BW: prevBW}
 		if i > 0 {
+			if prevLat > vtime.Inf/4 {
+				return nil, fmt.Errorf("topology: chiplet spec %q: default latency overflows", p)
+			}
 			tr.Lat = 4 * prevLat
 			tr.BW = prevBW / 2
 			if tr.BW < 1 {
@@ -214,6 +219,12 @@ func ParseChipletSpec(spec string) (*Hierarchy, error) {
 			}
 		}
 		w, h, err := parseDims(dims)
+		if err == nil {
+			n, err = mulCores(n, w*h)
+		}
+		if err == nil && tr.Lat >= vtime.Inf-tr.Penalty {
+			err = fmt.Errorf("latency plus penalty overflows")
+		}
 		if err != nil {
 			return nil, fmt.Errorf("topology: chiplet spec %q: %v", p, err)
 		}
@@ -246,25 +257,26 @@ func parseTierParams(s string, tr *Tier) error {
 		tr.BW = bw
 	}
 	if latS != "" {
-		f, err := strconv.ParseFloat(latS, 64)
-		if err != nil || f < 0 {
-			return fmt.Errorf("bad latency %q", latS)
+		lat, err := vtime.ParseCycles(latS)
+		if err != nil {
+			return fmt.Errorf("latency: %v", err)
 		}
-		tr.Lat = vtime.Cycles(f)
+		tr.Lat = lat
 		if tr.Penalty != 0 && pen == "" {
 			tr.Penalty = tr.Lat / 2
 		}
 	}
 	if pen != "" {
-		f, err := strconv.ParseFloat(pen, 64)
-		if err != nil || f < 0 {
-			return fmt.Errorf("bad penalty %q", pen)
+		p, err := vtime.ParseCycles(pen)
+		if err != nil {
+			return fmt.Errorf("penalty: %v", err)
 		}
-		tr.Penalty = vtime.Cycles(f)
+		tr.Penalty = p
 	}
 	return nil
 }
 
+// parseDims parses "WxH" with W, H ≥ 1 and W·H within int.
 func parseDims(s string) (w, h int, err error) {
 	x := strings.IndexByte(s, 'x')
 	if x < 0 {
@@ -275,7 +287,19 @@ func parseDims(s string) (w, h int, err error) {
 	if err1 != nil || err2 != nil || w < 1 || h < 1 {
 		return 0, 0, fmt.Errorf("want WxH, got %q", s)
 	}
+	if _, err := mulCores(w, h); err != nil {
+		return 0, 0, err
+	}
 	return w, h, nil
+}
+
+// mulCores returns a·b for positive core counts, or an error when the
+// product overflows int.
+func mulCores(a, b int) (int, error) {
+	if a > math.MaxInt/b {
+		return 0, fmt.Errorf("core count %d×%d overflows", a, b)
+	}
+	return a * b, nil
 }
 
 // ParseSpec builds a topology from a textual spec: "mesh:WxH",
@@ -283,59 +307,68 @@ func parseDims(s string) (w, h int, err error) {
 // an N-core machine) or "chiplet:<tiers>" (see ParseChipletSpec). A bare
 // integer builds the most-square mesh of that many cores.
 func ParseSpec(spec string) (*Topology, error) {
-	kind, rest := spec, ""
-	if c := strings.IndexByte(spec, ':'); c >= 0 {
-		kind, rest = spec[:c], spec[c+1:]
+	_, build, err := parseSpec(spec)
+	if err != nil {
+		return nil, err
+	}
+	return build(), nil
+}
+
+// SpecCores checks spec as ParseSpec does and returns the number of cores
+// it declares, without building the network.
+func SpecCores(spec string) (int, error) {
+	n, _, err := parseSpec(spec)
+	return n, err
+}
+
+// parseSpec validates spec and returns its core count and the constructor
+// that builds it; every error ParseSpec can return is found here.
+func parseSpec(spec string) (int, func() *Topology, error) {
+	kind, rest, _ := strings.Cut(spec, ":")
+	count := func(s string) (int, error) {
+		n, err := strconv.Atoi(s)
+		if err != nil || n < 1 {
+			return 0, fmt.Errorf("topology: spec %q: bad core count %q", spec, s)
+		}
+		return n, nil
 	}
 	switch kind {
 	case "chiplet":
 		h, err := ParseChipletSpec(rest)
 		if err != nil {
-			return nil, err
+			return 0, nil, err
 		}
-		return Chiplet(h.Tiers), nil
-	case "mesh":
-		if n, err := strconv.Atoi(rest); err == nil {
-			return Mesh(n), nil
+		return h.CoresPerUnit(len(h.Tiers) - 1), func() *Topology { return Chiplet(h.Tiers) }, nil
+	case "mesh", "torus":
+		if kind == "mesh" && !strings.Contains(rest, "x") {
+			n, err := count(rest)
+			return n, func() *Topology { return Mesh(n) }, err
 		}
 		w, h, err := parseDims(rest)
 		if err != nil {
-			return nil, fmt.Errorf("topology: spec %q: %v", spec, err)
+			return 0, nil, fmt.Errorf("topology: spec %q: %v", spec, err)
 		}
-		return Mesh2D(w, h, DefaultLatency, DefaultBandwidth), nil
-	case "torus":
-		w, h, err := parseDims(rest)
-		if err != nil {
-			return nil, fmt.Errorf("topology: spec %q: %v", spec, err)
+		build := Mesh2D
+		if kind == "torus" {
+			build = Torus2D
 		}
-		return Torus2D(w, h, DefaultLatency, DefaultBandwidth), nil
+		return w * h, func() *Topology { return build(w, h, DefaultLatency, DefaultBandwidth) }, nil
 	case "ring", "star", "full":
-		n, err := strconv.Atoi(rest)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("topology: spec %q: bad core count %q", spec, rest)
-		}
-		switch kind {
-		case "ring":
-			return Ring(n, DefaultLatency, DefaultBandwidth), nil
-		case "star":
-			return Star(n, DefaultLatency, DefaultBandwidth), nil
-		}
-		return FullyConnected(n, DefaultLatency, DefaultBandwidth), nil
+		n, err := count(rest)
+		build := map[string]func(int, vtime.Time, int) *Topology{"ring": Ring, "star": Star, "full": FullyConnected}[kind]
+		return n, func() *Topology { return build(n, DefaultLatency, DefaultBandwidth) }, err
 	case "clustered":
 		kS, nS, ok := strings.Cut(rest, ":")
-		if !ok {
-			return nil, fmt.Errorf("topology: spec %q: want clustered:K:N", spec)
-		}
 		k, err1 := strconv.Atoi(kS)
 		n, err2 := strconv.Atoi(nS)
-		if err1 != nil || err2 != nil || k < 1 || n < 1 || n%k != 0 {
-			return nil, fmt.Errorf("topology: spec %q: want clustered:K:N with K dividing N", spec)
+		if !ok || err1 != nil || err2 != nil || k < 1 || n < 1 || n%k != 0 {
+			return 0, nil, fmt.Errorf("topology: spec %q: want clustered:K:N with K dividing N", spec)
 		}
-		return Clustered(n, DefaultClusteredParams(k)), nil
-	default:
-		if n, err := strconv.Atoi(spec); err == nil && n >= 1 {
-			return Mesh(n), nil
-		}
-		return nil, fmt.Errorf("topology: unknown spec %q", spec)
+		return n, func() *Topology { return Clustered(n, DefaultClusteredParams(k)) }, nil
 	}
+	n, err := strconv.Atoi(spec)
+	if err != nil || n < 1 {
+		return 0, nil, fmt.Errorf("topology: unknown spec %q", spec)
+	}
+	return n, func() *Topology { return Mesh(n) }, nil
 }

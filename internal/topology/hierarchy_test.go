@@ -174,6 +174,8 @@ func TestParseChipletSpecErrors(t *testing.T) {
 	for _, spec := range []string{
 		"", "8x8,", "x4", "4x", "0x4", "4x-1", "axb",
 		"4x4@", "4x4@-1", "4x4@1/0", "4x4@1/abc", "4x4@1+x", "4x4@1+-2",
+		"2x2@nan", "2x2@inf", "2x2@1e300", "2x2@1+inf", "2x2@1+nan", "2x2@0.0001",
+		"4294967296x4294967296,2x2", "2x2,2x2@1e15+1e16",
 	} {
 		if _, err := ParseChipletSpec(spec); err == nil {
 			t.Errorf("ParseChipletSpec(%q) accepted", spec)
@@ -209,6 +211,9 @@ func TestParseSpec(t *testing.T) {
 	for _, spec := range []string{
 		"", "mesh:", "mesh:axb", "torus:9", "ring:0", "clustered:3:64",
 		"clustered:4", "hypercube:8", "-5", "chiplet:0x1",
+		"mesh:0", "mesh:-5", "torus:4294967296x4294967296",
+		"chiplet:4294967296x4294967296,2x2", "chiplet:2x2@nan", "chiplet:2x2@1+inf",
+		"chiplet:2x2@1e300",
 	} {
 		if _, err := ParseSpec(spec); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", spec)

@@ -11,6 +11,7 @@ package vtime
 import (
 	"fmt"
 	"math"
+	"strconv"
 )
 
 // Time is a virtual time or duration, in millicycles.
@@ -25,6 +26,26 @@ const Inf Time = math.MaxInt64
 // Cycles converts a (possibly fractional) cycle count to a Time.
 func Cycles(c float64) Time {
 	return Time(math.Round(c * float64(Cycle)))
+}
+
+// ParseCycles parses a non-negative, possibly fractional cycle count, as
+// written in topology specs, adjacency and machine files and policy
+// arguments. It rejects NaN, infinities, negatives, values too large for
+// Time, and positive values that round to zero millicycles: a parameter
+// given as nonzero must not silently become 0.
+func ParseCycles(s string) (Time, error) {
+	f, err := strconv.ParseFloat(s, 64)
+	switch {
+	case err != nil || math.IsNaN(f) || f < 0:
+		return 0, fmt.Errorf("bad cycle count %q", s)
+	case f*float64(Cycle) >= float64(Inf): // +Inf included
+		return 0, fmt.Errorf("cycle count %q out of range", s)
+	}
+	t := Cycles(f)
+	if t == 0 && f > 0 {
+		return 0, fmt.Errorf("cycle count %q is below the %v resolution", s, Time(1))
+	}
+	return t, nil
 }
 
 // CyclesInt converts a whole cycle count to a Time.

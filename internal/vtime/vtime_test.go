@@ -93,3 +93,29 @@ func TestWholeCyclesMonotone(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestParseCycles(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want Time
+	}{
+		{"0", 0},
+		{"1", Cycle},
+		{"0.5", Cycle / 2},
+		{"0.001", 1},
+		{"1e3", 1000 * Cycle},
+	} {
+		got, err := ParseCycles(tc.in)
+		if err != nil || got != tc.want {
+			t.Errorf("ParseCycles(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
+	}
+	for _, in := range []string{
+		"", "x", "1cy", "nan", "NaN", "inf", "+Inf", "-inf", "1e300", "1e400",
+		"-1", "-0.5", "0.0001", "1e-9", "9223372036854776",
+	} {
+		if got, err := ParseCycles(in); err == nil {
+			t.Errorf("ParseCycles(%q) = %v, want an error", in, got)
+		}
+	}
+}

@@ -1,17 +1,10 @@
 package simany
 
-// Scale benchmark for hierarchical chiplet machines: the same spawn-tree
-// workload on a 1024-core chiplet machine (8x8-core chiplets in a 4x4 chip
-// mesh) run on the sequential engine and sharded one-shard-per-chip with
-// chip-aligned partitions. `go test -bench BenchmarkScale -benchmem`
-// reports steps/sec and allocs per scheduling step for both engines; the
-// committed BENCH_scale.json snapshot is regenerated with
-//
-//	go test -run '^$' -bench BenchmarkScale -benchmem -benchtime 3x
-//
-// TestScale100kFootprint is the 100k-core smoke check: a 102400-core
-// chiplet machine must construct, partition chip-aligned and run a sharded
-// workload inside a fixed heap ceiling (the CI memory gate).
+// The 100k-core smoke checks: the reference 102400-core chiplet machine
+// (8x8-core chiplets, 4x4 chiplets per chip, 10x10 chips) must construct,
+// partition chip-aligned and run a dense sharded workload inside a fixed
+// heap ceiling, and run a sparse one to completion inside a wall-clock
+// budget.
 
 import (
 	"runtime"
@@ -20,88 +13,29 @@ import (
 	"time"
 
 	"simany/internal/core"
-	"simany/internal/rt"
 	"simany/internal/topology"
 )
 
-// scaleTopology is the benchmark machine: 16 chiplets of 64 cores.
-func scaleTopology() *topology.Topology {
-	t, err := topology.ParseSpec("chiplet:8x8,4x4")
+// machine builds the topology of spec or fails t.
+func machine(t *testing.T, spec string) *topology.Topology {
+	t.Helper()
+	topo, err := topology.ParseSpec(spec)
 	if err != nil {
-		panic(err)
+		t.Fatal(err)
 	}
-	return t
+	return topo
 }
 
-// scaleDepth sizes the spawn tree; 2^(depth+1)-1 conditional spawns spread
-// across the 1024 cores.
-const scaleDepth = 11
-
-func runScaleTree(b *testing.B, topo *topology.Topology, shards, workers int) (steps int64, wall time.Duration) {
-	b.Helper()
-	k := core.New(core.Config{
-		Topo:    topo,
-		Policy:  core.Spatial{T: core.DefaultT},
-		Seed:    42,
-		Shards:  shards,
-		Workers: workers,
-	})
-	r := rt.New(k, nil, rt.DefaultOptions())
-	var node func(depth int) func(*core.Env)
-	var g *rt.Group
-	node = func(depth int) func(*core.Env) {
-		return func(e *core.Env) {
-			e.ComputeCycles(30)
-			if depth == 0 {
-				return
+// injectStrided gives tasks evenly strided cores of k's n-core machine one
+// task each of slices ComputeCycles(100) blocks.
+func injectStrided(k *core.Kernel, n, tasks, slices int) {
+	for i := 0; i < tasks; i++ {
+		k.InjectTask(i*(n/tasks), "w", func(e *core.Env) {
+			for s := 0; s < slices; s++ {
+				e.ComputeCycles(100)
 			}
-			r.SpawnOrRun(e, g, "n", 16, node(depth-1))
-			r.SpawnOrRun(e, g, "n", 16, node(depth-1))
-			e.ComputeCycles(5)
-		}
+		}, nil, 0)
 	}
-	start := time.Now()
-	res, err := r.Run("scaletree", func(e *core.Env) {
-		g = r.NewGroup()
-		node(scaleDepth)(e)
-		r.Join(e, g)
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	wall = time.Since(start)
-	if res.Steps < 1<<scaleDepth {
-		b.Fatalf("degenerate run: %d steps", res.Steps)
-	}
-	return res.Steps, wall
-}
-
-func benchScale(b *testing.B, shards, workers int) {
-	var steps int64
-	var wall time.Duration
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s, w := runScaleTree(b, scaleTopology(), shards, workers)
-		steps += s
-		wall += w
-	}
-	b.ReportMetric(float64(steps)/wall.Seconds(), "steps/sec")
-	b.ReportMetric(float64(wall.Nanoseconds())/float64(b.N), "wall-ns/op")
-}
-
-// BenchmarkScale measures simulation throughput on the 1024-core chiplet
-// machine: the sequential engine against 16 shards (one per chip-mesh
-// chiplet, fixed so event semantics and the CI alloc guard do not depend
-// on the host CPU count; workers adapt to the host). Sharding wins even on
-// one host CPU because each shard's scheduler scans only its own chiplet's
-// cores — O(n/S) instead of O(n) per step.
-func BenchmarkScale(b *testing.B) {
-	b.Run("seq", func(b *testing.B) {
-		benchScale(b, 1, 1)
-	})
-	b.Run("sharded", func(b *testing.B) {
-		benchScale(b, 16, runtime.NumCPU())
-	})
 }
 
 // scaleFootprintCeiling is the heap ceiling for the 100k-core smoke run.
@@ -121,10 +55,7 @@ func TestScale100kFootprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("100k-core machine build in -short mode")
 	}
-	topo, err := topology.ParseSpec("chiplet:8x8,4x4,10x10")
-	if err != nil {
-		t.Fatal(err)
-	}
+	topo := machine(t, "chiplet:8x8,4x4,10x10")
 	if topo.N() != 102400 {
 		t.Fatalf("N = %d, want 102400", topo.N())
 	}
@@ -147,14 +78,8 @@ func TestScale100kFootprint(t *testing.T) {
 		Shards:   shards,
 		MaxSteps: maxSteps,
 	})
-	for c := 0; c < topo.N(); c++ {
-		k.InjectTask(c, "w", func(e *core.Env) {
-			for i := 0; i < 100000; i++ {
-				e.ComputeCycles(100)
-			}
-		}, nil, 0)
-	}
-	_, err = k.Run()
+	injectStrided(k, topo.N(), topo.N(), 100000)
+	_, err := k.Run()
 	// The step bound firing is the expected outcome — it proves the
 	// machine simulated maxSteps scheduling steps.
 	if err == nil || !strings.Contains(err.Error(), "scheduling steps") {
@@ -188,28 +113,12 @@ func TestScale100kSparse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("100k-core machine build in -short mode")
 	}
-	topo, err := topology.ParseSpec("chiplet:8x8,4x4,10x10")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const shards = 16
-	k := core.New(core.Config{
-		Topo:   topo,
-		Policy: core.Spatial{T: core.DefaultT},
-		Seed:   7,
-		Shards: shards,
-	})
+	topo := machine(t, "chiplet:8x8,4x4,10x10")
+	k := core.New(core.Config{Topo: topo, Policy: core.Spatial{T: core.DefaultT}, Seed: 7, Shards: 16})
 	// 256 tasks strided across the machine: every shard owns a sliver of
 	// the busy frontier, the rest of its cores sit idle the whole run.
 	const tasks = 256
-	stride := topo.N() / tasks
-	for i := 0; i < tasks; i++ {
-		k.InjectTask(i*stride, "w", func(e *core.Env) {
-			for j := 0; j < 200; j++ {
-				e.ComputeCycles(100)
-			}
-		}, nil, 0)
-	}
+	injectStrided(k, topo.N(), tasks, 200)
 	start := time.Now()
 	res, err := k.Run()
 	wall := time.Since(start)
