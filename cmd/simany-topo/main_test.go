@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -39,6 +40,35 @@ func TestRunGenAndInfo(t *testing.T) {
 	}
 	if err := run([]string{"-info", path}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestInfoDisconnected: simany refuses a disconnected adjacency file, but
+// simany-topo must still load it and say it is disconnected.
+func TestInfoDisconnected(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "disc.adj")
+	if err := os.WriteFile(path, []byte("cores 4\nlink 0 1\nlink 2 3\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := os.Create(filepath.Join(dir, "out.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := os.Stdout
+	os.Stdout = out
+	runErr := run([]string{"-info", path})
+	os.Stdout = old
+	out.Close()
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	report, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(report), "connected  false") {
+		t.Errorf("report does not say disconnected:\n%s", report)
 	}
 }
 

@@ -96,6 +96,25 @@ func TestRunMachineFile(t *testing.T) {
 	}
 }
 
+// TestRunDisconnectedMachineFile: a machine file whose adjacency file has
+// two components used to panic inside the network model; it must fail with
+// an error naming a core that cannot be reached.
+func TestRunDisconnectedMachineFile(t *testing.T) {
+	dir := t.TempDir()
+	adj := "cores 4\nlink 0 1\nlink 2 3\n"
+	if err := os.WriteFile(filepath.Join(dir, "disc.adj"), []byte(adj), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mPath := filepath.Join(dir, "m.conf")
+	if err := os.WriteFile(mPath, []byte("topology disc.adj\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := run([]string{"-bench", "octree", "-machine", mPath, "-scale", "0.1"})
+	if err == nil || !strings.Contains(err.Error(), "disconnected") || !strings.Contains(err.Error(), "core 2") {
+		t.Fatalf("err = %v, want a disconnected-topology error naming core 2", err)
+	}
+}
+
 func TestRunShardedTraceMetricsChrome(t *testing.T) {
 	dir := t.TempDir()
 	jsonPath := filepath.Join(dir, "trace.json")

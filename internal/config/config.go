@@ -253,6 +253,9 @@ func (m Machine) Build() (*core.Kernel, *rt.Runtime, error) {
 		return nil, nil, err
 	}
 	topo := m.Topology()
+	if c := topo.Unreachable(); c >= 0 {
+		return nil, nil, fmt.Errorf("config: topology is disconnected: core %d cannot reach core 0", c)
+	}
 	netParams := network.DefaultParams()
 	var ms core.MemSystem
 	switch {

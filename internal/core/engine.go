@@ -119,10 +119,10 @@ type deferredItem struct {
 	op    func()
 }
 
-func (d *domain) enqueueMsg(msg network.Message) {
+func (d *domain) enqueueMsg(msg *network.Message) {
 	d.outbox = append(d.outbox, deferredItem{
 		stamp: msg.Stamp, src: int32(msg.Src),
-		idx: int32(len(d.outbox)), isMsg: true, msg: msg,
+		idx: int32(len(d.outbox)), isMsg: true, msg: *msg,
 	})
 }
 

@@ -606,26 +606,31 @@ func (k *Kernel) Handle(kind network.Kind, h Handler) {
 
 // send routes a message toward its destination. On the sequential engine —
 // and for sharded execution whenever source, destination and the full
-// route share one shard — the destination handler runs synchronously and
-// the returned message carries its arrival time. A cross-shard message is
+// route share one shard — the message is routed in place and the
+// destination handler runs synchronously. A cross-shard message is
 // deferred to the next barrier instead, where it is routed and handled in
-// deterministic (stamp, source) order; its return value then reports no
-// arrival time (the stamps embedded in handler replies carry the timing).
-func (k *Kernel) send(msg network.Message) network.Message {
+// deterministic (stamp, source) order (the stamps embedded in handler
+// replies carry the timing).
+//
+// The message is built once, on the sender's stack, and only its pointer
+// travels down to network.Model.Transmit; the handler receives one copy.
+// Passing the handler a pointer instead would make it escape through the
+// Handler func value — one heap allocation per message.
+func (k *Kernel) send(msg *network.Message) {
 	if k.sharded && !k.inBarrier && !k.localDelivery(msg.Src, msg.Dst) {
 		k.domains[k.part[msg.Src]].enqueueMsg(msg)
-		return msg
+		return
 	}
-	return k.sendNow(msg)
+	k.sendNow(msg)
 }
 
-// sendNow routes a message and immediately runs the destination handler.
-// It always executes in the context of the shard owning the full route
-// (intra-shard deliveries run on that shard's worker, cross-shard ones
-// inside the single-threaded barrier), so the per-destination arrival
+// sendNow routes a message in place and immediately runs the destination
+// handler. It always executes in the context of the shard owning the full
+// route (intra-shard deliveries run on that shard's worker, cross-shard
+// ones inside the single-threaded barrier), so the per-destination arrival
 // bookkeeping and the per-shard handled counters need no atomics.
-func (k *Kernel) sendNow(msg network.Message) network.Message {
-	msg = k.net.Send(msg)
+func (k *Kernel) sendNow(msg *network.Message) {
+	k.net.Transmit(msg)
 	k.cores[msg.Src].stats.MsgsSent++
 	h, ok := k.handlers[msg.Kind]
 	if !ok {
@@ -647,16 +652,17 @@ func (k *Kernel) sendNow(msg network.Message) network.Message {
 		// worker driving that shard, cross-shard ones in the barrier.
 		k.met.msgLatency.ObserveTime(k.part[msg.Src], msg.Arrival-msg.Stamp)
 	}
-	h(k, msg)
-	return msg
+	h(k, *msg)
 }
 
 // SendAt emits a message on behalf of core src at an explicit stamp; used
 // by handlers to reply (stamp = arrival + handling cost).
-func (k *Kernel) SendAt(src, dst int, kind network.Kind, size int, payload any, stamp vtime.Time) network.Message {
-	return k.send(network.Message{
-		Src: src, Dst: dst, Kind: kind, Size: size, Payload: payload, Stamp: stamp,
-	})
+func (k *Kernel) SendAt(src, dst int, kind network.Kind, size int, payload any, stamp vtime.Time) {
+	// Field by field: a composite literal would be built in a temporary
+	// and copied into msg.
+	var msg network.Message
+	msg.Src, msg.Dst, msg.Kind, msg.Size, msg.Payload, msg.Stamp = src, dst, kind, size, payload, stamp
+	k.send(&msg)
 }
 
 // Defer schedules fn to run at the next shard barrier, in deterministic

@@ -331,6 +331,46 @@ func TestPendingWakeFastPath(t *testing.T) {
 	}
 }
 
+// TestKernelSendZeroAllocSteadyState extends network's zero-allocation
+// check to the kernel path: a warmed ping-pong — Env.Send to the far
+// corner, whose handler replies with SendAt — allocates nothing per
+// message. The message is built on the sender's stack and travels by
+// pointer down to network.Model.Transmit; a Handler that took the pointer
+// would make it escape, one allocation per message.
+func TestKernelSendZeroAllocSteadyState(t *testing.T) {
+	for _, spec := range []string{"mesh:8x8", "chiplet:8x8,4x4"} {
+		t.Run(spec, func(t *testing.T) {
+			topo, err := topology.ParseSpec(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k := kernelOn(topo, Spatial{T: DefaultT})
+			pongs := 0
+			k.Handle(kindPing, func(k *Kernel, msg network.Message) {
+				k.SendAt(msg.Dst, msg.Src, kindPong, 8, msg.Payload, msg.Arrival+vtime.CyclesInt(1))
+			})
+			k.Handle(kindPong, func(*Kernel, network.Message) { pongs++ })
+			far := topo.N() - 1
+			var allocs float64
+			k.InjectTask(0, "pinger", func(e *Env) {
+				e.Send(far, kindPing, 8, e.Task()) // first sends allocate the FIFO clamp pages
+				allocs = testing.AllocsPerRun(200, func() {
+					e.Send(far, kindPing, 8, e.Task())
+				})
+			}, nil, 0)
+			if _, err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if pongs < 200 {
+				t.Fatalf("%d round trips, want at least 200", pongs)
+			}
+			if allocs != 0 {
+				t.Errorf("a warmed ping-pong allocates %.1f times per round trip, want 0", allocs)
+			}
+		})
+	}
+}
+
 func TestDeadlockDetected(t *testing.T) {
 	k := kernelOn(topology.Mesh(1), Spatial{T: DefaultT})
 	k.InjectTask(0, "stuck", func(e *Env) {

@@ -190,11 +190,11 @@ func (k *Kernel) drainBarrier() {
 	k.inBarrier = true
 	for i := range items {
 		if items[i].isMsg {
-			// sendNow routes the message (computing Arrival) and handles
-			// it; validation sees the routed form.
-			routed := k.sendNow(items[i].msg)
+			// sendNow routes the message in place (computing Arrival) and
+			// handles it; validation sees the routed form.
+			k.sendNow(&items[i].msg)
 			if k.bcheck != nil {
-				k.bcheck.recordMsg(routed)
+				k.bcheck.recordMsg(items[i].msg)
 			}
 		} else {
 			items[i].op()

@@ -188,17 +188,11 @@ func (e *Env) access(base uint64, n int64, elem int, write bool) {
 
 // Send emits an architectural message from this core at the current
 // virtual time. The destination's registered handler runs immediately
-// (timing is carried by the embedded stamps). It returns the routed
-// message with its arrival time.
-func (e *Env) Send(dst int, kind network.Kind, size int, payload any) network.Message {
-	return e.k.send(network.Message{
-		Src:     e.c.ID,
-		Dst:     dst,
-		Kind:    kind,
-		Size:    size,
-		Payload: payload,
-		Stamp:   e.c.vt,
-	})
+// (timing is carried by the embedded stamps).
+func (e *Env) Send(dst int, kind network.Kind, size int, payload any) {
+	var msg network.Message // field by field, as in Kernel.SendAt
+	msg.Src, msg.Dst, msg.Kind, msg.Size, msg.Payload, msg.Stamp = e.c.ID, dst, kind, size, payload, e.c.vt
+	e.k.send(&msg)
 }
 
 // Block parks the task until a handler calls Kernel.Unblock for it; the

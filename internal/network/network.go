@@ -179,24 +179,70 @@ func New(t *topology.Topology, p Params) *Model {
 	return m
 }
 
-// nextHop returns the index (into cur's neighbor list) of the next hop
-// toward dst, -1 when cur == dst. Flat topologies read the dense table;
-// hierarchical topologies compute the hop from the shared per-tier tables
-// and locate the neighbor with a scan over cur's (tiny) adjacency.
-func (m *Model) nextHop(cur, dst int) int {
-	if m.next != nil {
-		return int(m.next[cur][dst])
+// walk is the routing state of one route toward dst, the single routing
+// loop behind Transmit, AppendRoute, RouteWithin and MinLatency:
+//
+//	w := m.walkFrom(src, dst)
+//	for cur := src; cur != dst; {
+//		j, next := w.hop(cur)
+//		...
+//		cur = next
+//	}
+//
+// Flat topologies read the dense next-hop table at every hop. Hierarchical
+// topologies keep the tier-0 target of the chiplet the walk is in (tgt)
+// and the gateway core beyond it (gw): a hop inside the chiplet is one
+// tier-0 table read, and the tiers are descended again only after the walk
+// crosses a gateway into the next chiplet (route_hier.go).
+type walk struct {
+	m            *Model
+	dst          int
+	tgt, gw, off int // hierarchical only: see chipletTarget; off = first core of tgt's chiplet
+}
+
+// walkFrom starts a walk at src toward dst.
+func (m *Model) walkFrom(src, dst int) walk {
+	w := walk{m: m, dst: dst}
+	if m.hier != nil {
+		w.enterChiplet(src)
 	}
-	nc := m.hier.nextCore(cur, dst)
-	if nc < 0 {
-		return -1
+	return w
+}
+
+// enterChiplet descends the tiers for the chiplet the walk enters at cur.
+func (w *walk) enterChiplet(cur int) {
+	h := w.m.hier
+	w.tgt, w.gw = h.chipletTarget(cur, w.dst)
+	w.off = cur / h.per[0] * h.per[0]
+}
+
+// hop returns the link the route takes out of cur (cur != dst), as an index
+// into cur's neighbor list, and the core it leads to.
+func (w *walk) hop(cur int) (j, next int) {
+	m := w.m
+	if m.hier != nil {
+		return w.hierHop(cur)
 	}
-	for j, nb := range m.topo.Neighbors(cur) {
-		if nb == nc {
-			return j
+	j = int(m.next[cur][w.dst])
+	return j, m.topo.Neighbors(cur)[j]
+}
+
+// hierHop is hop on a hierarchical topology: a tier-0 table step toward
+// tgt, or the gateway link once the walk stands on tgt.
+func (w *walk) hierHop(cur int) (j, next int) {
+	if cur == w.tgt {
+		next = w.gw
+		w.enterChiplet(next)
+	} else {
+		h := w.m.hier
+		next = w.off + int(h.local[0][(cur-w.off)*h.per[0]+w.tgt-w.off])
+	}
+	for j, nb := range w.m.topo.Neighbors(cur) {
+		if nb == next {
+			return j, next
 		}
 	}
-	panic(fmt.Sprintf("network: hierarchical route %d -> %d proposes non-neighbor %d", cur, dst, nc))
+	panic(fmt.Sprintf("network: hierarchical route %d -> %d proposes non-neighbor %d", cur, w.dst, next))
 }
 
 // nbIndex returns the index of neighbor nb in node's neighbor list.
@@ -367,12 +413,9 @@ func (h *nodeHeap) pop() nodeItem {
 // storage — pass a slice with spare capacity and no allocation happens.
 func (m *Model) AppendRoute(path []int, src, dst int) []int {
 	path = append(path, src)
+	w := m.walkFrom(src, dst)
 	for cur := src; cur != dst; {
-		j := m.nextHop(cur, dst)
-		if j < 0 {
-			panic(fmt.Sprintf("network: no route %d -> %d", src, dst))
-		}
-		cur = m.topo.Neighbors(cur)[j]
+		_, cur = w.hop(cur)
 		path = append(path, cur)
 	}
 	return path
@@ -399,71 +442,102 @@ func (m *Model) chunks(size int) int64 {
 	return int64((size + m.params.ChunkSize - 1) / m.params.ChunkSize)
 }
 
-// Send computes the arrival time of a message emitted at msg.Stamp from
-// msg.Src to msg.Dst, updating link contention state, and returns the
-// message with Arrival, Hops and sequencing filled in. Sending to self
-// arrives immediately. At steady state (every active source has sent at
-// least once) Send performs no heap allocation.
+// serialization is the time a message's chunks occupy a link: chunk bytes
+// over the link's bandwidth, in cycles. The quotient is memoised on the
+// bandwidth, because a route crosses few bandwidth classes (one per tier
+// of a chiplet machine, one in all on a uniform mesh) and the 64-bit
+// division would otherwise run at every hop.
+type serialization struct {
+	bytes int64
+	bw    int
+	ser   vtime.Time
+}
+
+// serOf returns the serialization of a message of size bytes.
+func (m *Model) serOf(size int) serialization {
+	return serialization{bytes: m.chunks(size) * int64(m.params.ChunkSize)}
+}
+
+// on returns the serialization time on a link of bandwidth bw (zero when
+// bw ≤ 0, which the zero memo already holds for bw == 0).
+func (s *serialization) on(bw int) vtime.Time {
+	if bw != s.bw {
+		s.bw, s.ser = bw, 0
+		if bw > 0 {
+			//lint:allow rawvtime fixed-point serialization: Cycle is the millicycles-per-cycle scale constant, not a timestamp
+			s.ser = vtime.Time(int64(vtime.Cycle) * s.bytes / int64(bw))
+		}
+	}
+	return s.ser
+}
+
+// Send is Transmit for a message passed by value: it returns the routed
+// copy.
 func (m *Model) Send(msg Message) Message {
-	m.srcSeq[msg.Src]++
-	msg.seq = m.srcSeq[msg.Src]*uint64(len(m.srcSeq)) + uint64(msg.Src)
+	m.Transmit(&msg)
+	return msg
+}
+
+// Transmit routes msg in place: it computes the arrival time of a message
+// emitted at msg.Stamp from msg.Src to msg.Dst, updates link contention
+// state, and fills in Arrival, Hops and sequencing. Sending to self arrives
+// immediately. At steady state (every active source has sent at least once)
+// Transmit performs no heap allocation.
+func (m *Model) Transmit(msg *Message) {
+	// The fields the walk reads live in locals: writes to link state
+	// through the model's slices could otherwise alias *msg and force a
+	// reload at every hop.
+	src, dst := msg.Src, msg.Dst
+	m.srcSeq[src]++
+	msg.seq = m.srcSeq[src]*uint64(len(m.srcSeq)) + uint64(src)
 	stripe := 0
 	if m.stripeOf != nil {
-		stripe = m.stripeOf[msg.Src]
+		stripe = m.stripeOf[src]
 	}
 	m.messages.Add(stripe, 1)
 	m.bytes.Add(stripe, int64(msg.Size))
-	if msg.Src == msg.Dst {
+	if src == dst {
 		msg.Arrival = msg.Stamp
-		return msg
+		return
 	}
 	t := msg.Stamp
-	// Serialization input is loop-invariant: every link transfers the same
-	// chunk payload, only its bandwidth differs.
-	chunkBytes := m.chunks(msg.Size) * int64(m.params.ChunkSize)
-	cur := msg.Src
-	for cur != msg.Dst {
-		j := m.nextHop(cur, msg.Dst)
-		lat := m.nbLat[cur][j]
-		bw := m.nbBW[cur][j]
-		// Serialization: chunk bytes / bandwidth, in cycles.
-		ser := vtime.Time(0)
-		if bw > 0 {
-			//lint:allow rawvtime fixed-point serialization: Cycle is the millicycles-per-cycle scale constant, not a timestamp
-			ser = vtime.Time(int64(vtime.Cycle) * chunkBytes / int64(bw))
-		}
+	ser := m.serOf(msg.Size)
+	hops := msg.Hops
+	w := m.walkFrom(src, dst)
+	for cur := src; cur != dst; hops++ {
+		j, next := w.hop(cur)
+		occupy := ser.on(m.nbBW[cur][j])
 		// Contention: wait for the link to be free, then occupy it for the
 		// serialization time.
 		start := vtime.Max(t, m.nbFree[cur][j])
 		if m.obs != nil && start > t {
-			m.obs.LinkWait(cur, int(j), start-t)
+			m.obs.LinkWait(cur, j, start-t)
 		}
-		m.nbFree[cur][j] = start + ser
-		t = start + ser + lat + m.params.RouterDelay
-		cur = m.topo.Neighbors(cur)[j]
-		msg.Hops++
+		m.nbFree[cur][j] = start + occupy
+		t = start + occupy + m.nbLat[cur][j] + m.params.RouterDelay
+		cur = next
 	}
-	m.totalHops.Add(stripe, int64(msg.Hops))
+	msg.Hops = hops
+	m.totalHops.Add(stripe, int64(hops))
 	// FIFO guarantee per (src,dst): arrivals never reorder. The clamp page
 	// table is allocated on the source's first send, each destination page
 	// on first use, and both are owned by the source's shard.
-	tab := m.lastArrival[msg.Src]
+	tab := m.lastArrival[src]
 	if tab == nil {
 		tab = make([][]vtime.Time, (len(m.lastArrival)+laPageSize-1)/laPageSize)
-		m.lastArrival[msg.Src] = tab
+		m.lastArrival[src] = tab
 	}
-	page := tab[msg.Dst/laPageSize]
+	page := tab[dst/laPageSize]
 	if page == nil {
 		page = make([]vtime.Time, laPageSize)
-		tab[msg.Dst/laPageSize] = page
+		tab[dst/laPageSize] = page
 	}
-	slot := &page[msg.Dst%laPageSize]
+	slot := &page[dst%laPageSize]
 	if t < *slot {
 		t = *slot
 	}
 	*slot = t
 	msg.Arrival = t
-	return msg
 }
 
 // laPageSize is the FIFO clamp page granularity in destinations (4 KB
@@ -513,13 +587,9 @@ func (m *Model) RouteWithin(src, dst int, part []int) bool {
 	if part[dst] != p {
 		return false
 	}
+	w := m.walkFrom(src, dst)
 	for cur := src; cur != dst; {
-		j := m.nextHop(cur, dst)
-		if j < 0 {
-			panic(fmt.Sprintf("network: no route %d -> %d", src, dst))
-		}
-		cur = m.topo.Neighbors(cur)[j]
-		if part[cur] != p {
+		if _, cur = w.hop(cur); part[cur] != p {
 			return false
 		}
 	}
@@ -546,23 +616,13 @@ func (m *Model) OneHopLatency(a, b int) vtime.Time {
 // MinLatency returns the uncontended end-to-end latency from src to dst for
 // a message of the given size.
 func (m *Model) MinLatency(src, dst, size int) vtime.Time {
-	if src == dst {
-		return 0
-	}
-	nChunks := m.chunks(size)
+	ser := m.serOf(size)
 	var t vtime.Time
-	cur := src
-	for cur != dst {
-		j := m.nextHop(cur, dst)
-		bw := m.nbBW[cur][j]
-		ser := vtime.Time(0)
-		if bw > 0 {
-			bytes := nChunks * int64(m.params.ChunkSize)
-			//lint:allow rawvtime fixed-point serialization: Cycle is the millicycles-per-cycle scale constant, not a timestamp
-			ser = vtime.Time(int64(vtime.Cycle) * bytes / int64(bw))
-		}
-		t += ser + m.nbLat[cur][j] + m.params.RouterDelay
-		cur = m.topo.Neighbors(cur)[j]
+	w := m.walkFrom(src, dst)
+	for cur := src; cur != dst; {
+		j, next := w.hop(cur)
+		t += ser.on(m.nbBW[cur][j]) + m.nbLat[cur][j] + m.params.RouterDelay
+		cur = next
 	}
 	return t
 }

@@ -13,6 +13,13 @@ package network
 // full Dijkstra would find, which may cut through a unit at an angle the
 // corner gateways cannot express anyway. It is deterministic: the tables
 // depend only on the hierarchy parameters.
+//
+// The descent only changes its answer when the route leaves a chiplet: as
+// long as the walk stays inside one, every unit enclosing it at tiers ≥ 1
+// is the same, so the chain of exit corners is the same too. The walker
+// (walk in network.go) therefore descends once per chiplet it enters
+// (chipletTarget) and steps through the chiplet's mesh with the tier-0
+// table alone.
 
 import (
 	"simany/internal/topology"
@@ -95,24 +102,26 @@ func meshNext(w, h int) []int16 {
 	return tab
 }
 
-// nextCore returns the global core ID of the next hop from cur toward dst,
-// -1 when cur == dst. It descends the hierarchy: at the lowest tier whose
-// unit contains both cores, either take the gateway link (when cur sits on
-// the exit corner) or retarget to the exit corner and recurse downward.
-func (r *hierRouter) nextCore(cur, dst int) int {
+// chipletTarget descends the hierarchy once for a route that has just
+// entered cur's chiplet on its way to dst. It returns the core of this
+// chiplet the route heads for — dst itself when dst is in the chiplet,
+// otherwise the exit corner the descent settles on — and gw, the core
+// beyond that corner's gateway link (-1 when tgt == dst). At the
+// lowest tier whose unit contains both cores the descent either stops at
+// the gateway (cur sits on the exit corner) or retargets to the exit corner
+// and recurses downward, until the target lies in cur's chiplet.
+func (r *hierRouter) chipletTarget(cur, dst int) (tgt, gw int) {
+	gw = -1
 	for {
 		if cur == dst {
-			return -1
+			return cur, gw
 		}
 		tier := 0
 		for cur/r.per[tier] != dst/r.per[tier] {
 			tier++
 		}
 		if tier == 0 {
-			per := r.per[0]
-			base := (cur / per) * per
-			k := per
-			return base + int(r.local[0][(cur-base)*k+(dst-base)])
+			return dst, gw
 		}
 		per := r.per[tier-1]          // cores per lower unit
 		group := r.per[tier]          // cores per this unit
@@ -124,17 +133,9 @@ func (r *hierRouter) nextCore(cur, dst int) int {
 		// Gateways join a unit's last core to the next unit's first core,
 		// so the exit corner depends on the travel direction.
 		if un > ua {
-			exit := base + ua*per + per - 1
-			if cur == exit {
-				return base + un*per
-			}
-			dst = exit
+			dst, gw = base+ua*per+per-1, base+un*per
 		} else {
-			exit := base + ua*per
-			if cur == exit {
-				return base + un*per + per - 1
-			}
-			dst = exit
+			dst, gw = base+ua*per, base+un*per+per-1
 		}
 	}
 }

@@ -1,11 +1,200 @@
 package network
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"simany/internal/topology"
 	"simany/internal/vtime"
 )
+
+// descentNextCore is the oracle of the route walker: the per-hop
+// hierarchical router it replaced, which re-descends every tier at every
+// hop. It returns the global core ID of the next hop from cur toward dst,
+// -1 when cur == dst: at the lowest tier whose unit contains both cores,
+// either take the gateway link (when cur sits on the exit corner) or
+// retarget to the exit corner and recurse downward.
+func (r *hierRouter) descentNextCore(cur, dst int) int {
+	for {
+		if cur == dst {
+			return -1
+		}
+		tier := 0
+		for cur/r.per[tier] != dst/r.per[tier] {
+			tier++
+		}
+		if tier == 0 {
+			per := r.per[0]
+			base := (cur / per) * per
+			k := per
+			return base + int(r.local[0][(cur-base)*k+(dst-base)])
+		}
+		per := r.per[tier-1]          // cores per lower unit
+		group := r.per[tier]          // cores per this unit
+		base := (cur / group) * group // first core of the enclosing unit
+		ua := (cur - base) / per
+		ub := (dst - base) / per
+		k := group / per // lower units per unit at this tier
+		un := int(r.local[tier][ua*k+ub])
+		if un > ua {
+			exit := base + ua*per + per - 1
+			if cur == exit {
+				return base + un*per
+			}
+			dst = exit
+		} else {
+			exit := base + ua*per
+			if cur == exit {
+				return base + un*per + per - 1
+			}
+			dst = exit
+		}
+	}
+}
+
+// descentRoute is the oracle's full path from src to dst, both ends
+// included.
+func descentRoute(m *Model, src, dst int) []int {
+	path := []int{src}
+	for cur := src; cur != dst; {
+		cur = m.hier.descentNextCore(cur, dst)
+		path = append(path, cur)
+	}
+	return path
+}
+
+// descentSend times msg over the oracle's route with the model's link
+// contention rules, keeping its own per-(src,dst) FIFO clamp in last.
+func descentSend(m *Model, last map[[2]int]vtime.Time, msg Message) Message {
+	if msg.Src == msg.Dst {
+		msg.Arrival = msg.Stamp
+		return msg
+	}
+	t := msg.Stamp
+	chunkBytes := vtime.Time(m.chunks(msg.Size) * int64(m.params.ChunkSize))
+	for cur := msg.Src; cur != msg.Dst; {
+		next := m.hier.descentNextCore(cur, msg.Dst)
+		j := m.nbIndex(cur, next)
+		ser := vtime.Cycle * chunkBytes / vtime.Time(m.nbBW[cur][j])
+		start := vtime.Max(t, m.nbFree[cur][j])
+		m.nbFree[cur][j] = start + ser
+		t = start + ser + m.nbLat[cur][j] + m.params.RouterDelay
+		cur = next
+		msg.Hops++
+	}
+	key := [2]int{msg.Src, msg.Dst}
+	t = vtime.Max(t, last[key])
+	last[key] = t
+	msg.Arrival = t
+	return msg
+}
+
+func mustSpec(t testing.TB, spec string) *topology.Topology {
+	t.Helper()
+	top, err := topology.ParseSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return top
+}
+
+// TestWalkMatchesDescentAllPairs: for every (src, dst) pair of several
+// chiplet machines — including tiers that are 1×N, N×1 or a single unit —
+// the walker visits exactly the cores the per-hop descent does.
+func TestWalkMatchesDescentAllPairs(t *testing.T) {
+	for _, spec := range []string{
+		"chiplet:2x3,3x2,2x2",
+		"chiplet:4x4,2x2,3x3",
+		"chiplet:1x1,1x4",
+		"chiplet:1x5,1x1,3x1",
+		"chiplet:4x1,1x1,2x2",
+		"chiplet:3x3,1x1,1x1",
+		"chiplet:1x1,1x1,1x1",
+	} {
+		m := New(mustSpec(t, spec), DefaultParams())
+		n := m.Topology().N()
+		buf := make([]int, 0, n)
+		for src := 0; src < n; src++ {
+			for dst := 0; dst < n; dst++ {
+				buf = m.AppendRoute(buf[:0], src, dst)
+				if want := descentRoute(m, src, dst); !slices.Equal(buf, want) {
+					t.Fatalf("%s %d->%d: walker %v, descent %v", spec, src, dst, buf, want)
+				}
+			}
+		}
+	}
+}
+
+// TestWalkMatchesDescentSeeded sends 200 000 seeded messages on the
+// 1024-core chiplet machine through Send and through the per-hop descent
+// over an identical second model: routes, hop counts and arrival times —
+// link contention and the FIFO clamp included — must all agree.
+func TestWalkMatchesDescentSeeded(t *testing.T) {
+	top := mustSpec(t, "chiplet:8x8,4x4")
+	m, o := New(top, DefaultParams()), New(top, DefaultParams())
+	last := map[[2]int]vtime.Time{}
+	n := top.N()
+	rng := rand.New(rand.NewSource(7))
+	buf := make([]int, 0, n)
+	ops := 200_000
+	if testing.Short() {
+		ops = 20_000
+	}
+	for i := 0; i < ops; i++ {
+		src, dst := rng.Intn(n), rng.Intn(n)
+		msg := Message{Src: src, Dst: dst, Size: 8 + rng.Intn(200), Stamp: vtime.CyclesInt(int64(i / 4))}
+		got, want := m.Send(msg), descentSend(o, last, msg)
+		if got.Arrival != want.Arrival || got.Hops != want.Hops {
+			t.Fatalf("send %d (%d->%d): walker arrival %v hops %d, descent arrival %v hops %d",
+				i, src, dst, got.Arrival, got.Hops, want.Arrival, want.Hops)
+		}
+		buf = m.AppendRoute(buf[:0], src, dst)
+		if want := descentRoute(o, src, dst); !slices.Equal(buf, want) {
+			t.Fatalf("%d->%d: walker %v, descent %v", src, dst, buf, want)
+		}
+	}
+}
+
+// FuzzHierRoute compares the walker with the per-hop descent on random
+// hierarchies of one to three tiers (each tier 1..3 × 1..3) and a random
+// (src, dst) pair: the same cores in the same order, every step a link,
+// and MinLatency equal to the oracle route's uncontended latency.
+func FuzzHierRoute(f *testing.F) {
+	f.Add(uint8(3), uint8(2), uint8(2), uint8(3), uint8(1), uint8(2), uint8(3), uint16(0), uint16(100))
+	f.Add(uint8(1), uint8(3), uint8(3), uint8(1), uint8(1), uint8(1), uint8(2), uint16(5), uint16(2))
+	f.Add(uint8(2), uint8(2), uint8(1), uint8(1), uint8(2), uint8(2), uint8(3), uint16(63), uint16(0))
+	f.Fuzz(func(t *testing.T, w0, h0, w1, h1, w2, h2, ntiers uint8, src, dst uint16) {
+		dims := [][2]uint8{{w0, h0}, {w1, h1}, {w2, h2}}[:1+int(ntiers)%3]
+		var tiers []topology.Tier
+		for i, d := range dims {
+			tiers = append(tiers, topology.Tier{
+				W: 1 + int(d[0])%3, H: 1 + int(d[1])%3,
+				Lat: vtime.CyclesInt(int64(1 + 3*i)), BW: 128 >> i, Penalty: vtime.CyclesInt(int64(i)),
+			})
+		}
+		m := New(topology.Chiplet(tiers), DefaultParams())
+		n := m.Topology().N()
+		s, d := int(src)%n, int(dst)%n
+		got := m.Route(s, d)
+		want := descentRoute(m, s, d)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%v %d->%d: walker %v, descent %v", tiers, s, d, got, want)
+		}
+		// An 8-byte message is one 32-byte chunk on every link.
+		var lat vtime.Time
+		for i := 1; i < len(want); i++ {
+			l, ok := m.Topology().LinkBetween(want[i-1], want[i])
+			if !ok {
+				t.Fatalf("%v %d->%d: descent uses non-link %d-%d", tiers, s, d, want[i-1], want[i])
+			}
+			lat += vtime.Cycle*32/vtime.Time(l.Bandwidth) + l.Latency + m.params.RouterDelay
+		}
+		if got := m.MinLatency(s, d, 8); got != lat {
+			t.Fatalf("%v %d->%d: MinLatency %v, oracle route %v", tiers, s, d, got, lat)
+		}
+	})
+}
 
 func chipletModel() *Model {
 	top := topology.Chiplet([]topology.Tier{

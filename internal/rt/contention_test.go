@@ -59,19 +59,19 @@ func TestTaskMigration(t *testing.T) {
 	r := New(k, nil, opt)
 	// Fill core 1's queue directly, then ship one more task to it without
 	// a reservation; the spawn handler must forward it.
-	victim := k.NewTask(1, "victim", r.wrap(nil, func(e *core.Env) {
+	victim := rtTask(k, 1, "victim", func(e *core.Env) {
 		e.ComputeCycles(10)
-	}), &taskMeta{})
+	})
 	k.PlaceTask(victim, 1, 0, nil)
-	stuffed := k.NewTask(1, "stuffed", r.wrap(nil, func(e *core.Env) {
+	stuffed := rtTask(k, 1, "stuffed", func(e *core.Env) {
 		e.ComputeCycles(10_000)
-	}), &taskMeta{})
+	})
 	k.PlaceTask(stuffed, 1, 0, nil)
 
-	migrated := k.NewTask(0, "migrated", r.wrap(nil, func(e *core.Env) {
+	migrated := rtTask(k, 0, "migrated", func(e *core.Env) {
 		e.ComputeCycles(10)
-	}), &taskMeta{})
-	k.SendAt(0, 1, KindTaskSpawn, 64, &spawnMsg{task: migrated}, 0)
+	})
+	k.SendAt(0, 1, KindTaskSpawn, 64, migrated, 0)
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -98,16 +98,16 @@ func TestMigrationHopBound(t *testing.T) {
 	r := New(k, nil, opt)
 	for c := 0; c < 2; c++ {
 		for j := 0; j < 2; j++ {
-			tk := k.NewTask(c, "filler", r.wrap(nil, func(e *core.Env) {
+			tk := rtTask(k, c, "filler", func(e *core.Env) {
 				e.ComputeCycles(100)
-			}), &taskMeta{})
+			})
 			k.PlaceTask(tk, c, 0, nil)
 		}
 	}
-	extra := k.NewTask(0, "extra", r.wrap(nil, func(e *core.Env) {
+	extra := rtTask(k, 0, "extra", func(e *core.Env) {
 		e.ComputeCycles(10)
-	}), &taskMeta{})
-	k.SendAt(0, 1, KindTaskSpawn, 64, &spawnMsg{task: extra}, 0)
+	})
+	k.SendAt(0, 1, KindTaskSpawn, 64, extra, 0)
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -170,13 +170,13 @@ func TestCellLocalWaiter(t *testing.T) {
 		link = r.NewCell(e, 32, int(0))
 		// Two additional tasks on the same core; the runtime must
 		// serialize their accesses through the local waiter queue.
-		t1 := k.NewTask(0, "t1", r.wrap(nil, func(ce *core.Env) {
+		t1 := rtTask(k, 0, "t1", func(ce *core.Env) {
 			r.Access(ce, link, func(d any) any { return d.(int) + 1 })
-		}), &taskMeta{})
+		})
 		k.PlaceTask(t1, 0, e.Now(), nil)
-		t2 := k.NewTask(0, "t2", r.wrap(nil, func(ce *core.Env) {
+		t2 := rtTask(k, 0, "t2", func(ce *core.Env) {
 			r.Access(ce, link, func(d any) any { return d.(int) + 10 })
-		}), &taskMeta{})
+		})
 		k.PlaceTask(t2, 0, e.Now(), nil)
 		r.Access(e, link, func(d any) any { return d.(int) + 100 })
 	})
@@ -202,4 +202,10 @@ func TestRuntimeAccessors(t *testing.T) {
 	if g.Active() != 0 {
 		t.Error("fresh group active count")
 	}
+}
+
+// rtTask creates a runtime task running fn on core c, for tests that place
+// or ship tasks by hand.
+func rtTask(k *core.Kernel, c int, name string, fn func(*core.Env)) *core.Task {
+	return k.NewTask(c, name, runTask, &taskMeta{fn: fn})
 }

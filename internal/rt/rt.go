@@ -120,10 +120,17 @@ type Runtime struct {
 	stats Stats
 }
 
-// taskMeta is the runtime's per-task state, carried in core.Task.Meta.
+// taskMeta is the runtime's per-task state, carried in core.Task.Meta. It
+// is the one allocation a spawn makes: the body and group every task runs
+// with (runTask), the reply to the task's probe, and — while the task
+// itself travels in a TASK_SPAWN message — its spawn descriptor. The
+// protocol messages carry the *core.Task and nothing else.
 type taskMeta struct {
+	fn    func(*core.Env)
 	group *Group
-	probe *probeReply
+	probe probeReply
+	//simany:derived in-flight spawn state, consumed by onTaskSpawn before the task is placed; checkpoints never see a task in flight
+	spawn spawnDesc
 }
 
 func metaOf(t *core.Task) *taskMeta {
@@ -134,23 +141,34 @@ func metaOf(t *core.Task) *taskMeta {
 	return m
 }
 
-type probeMsg struct {
-	requester *core.Task
-	reqCore   int
-}
-
+// probeReply is the answer to a task's PROBE. The probed core's handler
+// writes it into the requester's taskMeta — safe, because that handler runs
+// in the requester's shard or in the barrier, and the requester is blocked
+// — and the PROBE_ACK/NACK's arrival marks it delivered and wakes the task.
 type probeReply struct {
-	ok       bool
-	queueLen int
-	from     int
-	//simany:derived the task whose Meta holds this reply; encoded with that task
-	requester *core.Task
+	delivered bool
+	ok        bool
+	queueLen  int
+	from      int
 }
 
-type spawnMsg struct {
-	task       *core.Task
+// spawnDesc travels with a task shipped by TASK_SPAWN: the spawner's core,
+// where the task's birth was registered, and the migrations so far.
+type spawnDesc struct {
 	birthOwner *core.Core
 	hops       int
+}
+
+// runTask is the body of every runtime task: the user body in a function
+// scope for the pessimistic L1, then the group bookkeeping at termination.
+func runTask(e *core.Env) {
+	m := metaOf(e.Task())
+	e.EnterScope()
+	m.fn(e)
+	e.LeaveScope()
+	if m.group != nil {
+		m.group.taskEnded(e)
+	}
 }
 
 type dataReq struct {
@@ -246,24 +264,11 @@ func (r *Runtime) Stats() Stats {
 	}
 }
 
-// wrap decorates a task body with the runtime prologue/epilogue: a function
-// scope for the pessimistic L1 and the group bookkeeping at termination.
-func (r *Runtime) wrap(g *Group, fn func(*core.Env)) func(*core.Env) {
-	return func(e *core.Env) {
-		e.EnterScope()
-		fn(e)
-		e.LeaveScope()
-		if g != nil {
-			g.taskEnded(e)
-		}
-	}
-}
-
 // Run injects the root task and drives the simulation to completion. On a
 // kernel with a resume armed, root must be the program of the checkpointed
 // run: restore re-executes it and verifies the state it reaches.
 func (r *Runtime) Run(name string, root func(*core.Env)) (core.Result, error) {
-	t := r.k.NewTask(r.opt.RootCore, name, r.wrap(nil, root), &taskMeta{}).ReleaseOnDone()
+	t := r.k.NewTask(r.opt.RootCore, name, runTask, &taskMeta{fn: root}).ReleaseOnDone()
 	r.k.PlaceTask(t, r.opt.RootCore, 0, nil)
 	return r.k.Run()
 }
@@ -321,11 +326,11 @@ func (r *Runtime) SpawnOrRun(e *core.Env, g *Group, name string, argBytes int, f
 	}
 	atomic.AddInt64(&r.stats.Probes, 1)
 	meta := metaOf(e.Task())
-	e.Send(cand, KindProbe, r.opt.ProbeSize, &probeMsg{requester: e.Task(), reqCore: me})
+	e.Send(cand, KindProbe, r.opt.ProbeSize, e.Task())
 	e.Block()
 	rep := meta.probe
-	meta.probe = nil
-	if rep == nil {
+	meta.probe = probeReply{}
+	if !rep.delivered {
 		panic("rt: probe reply lost")
 	}
 	fromIdx := r.nbIndex(me, rep.from)
@@ -341,11 +346,12 @@ func (r *Runtime) SpawnOrRun(e *core.Env, g *Group, name string, argBytes int, f
 	// earlier-or-equal stamp, so the home shard always applies it before the
 	// child can be placed (let alone terminate).
 	g.addFrom(me, birth, 1)
-	child := r.k.NewTask(me, name, r.wrap(g, fn), &taskMeta{group: g}).ReleaseOnDone()
-	r.k.RegisterBirth(r.k.Core(me), child, birth)
+	owner := r.k.Core(me)
+	child := r.k.NewTask(me, name, runTask,
+		&taskMeta{fn: fn, group: g, spawn: spawnDesc{birthOwner: owner}}).ReleaseOnDone()
+	r.k.RegisterBirth(owner, child, birth)
 	r.occ[me][fromIdx] = rep.queueLen + 1
-	e.Send(cand, KindTaskSpawn, r.opt.SpawnBaseSize+argBytes,
-		&spawnMsg{task: child, birthOwner: r.k.Core(me)})
+	e.Send(cand, KindTaskSpawn, r.opt.SpawnBaseSize+argBytes, child)
 	atomic.AddInt64(&r.stats.Spawns, 1)
 	return true
 }
@@ -360,8 +366,11 @@ func (r *Runtime) runInline(e *core.Env, fn func(*core.Env)) {
 // onProbe answers a slot reservation request. The probed core's hardware
 // queue controller replies without involving the tasks running there
 // (Capsule-style hardware-assisted task management, §IV).
+//
+// The payload is the requesting task, which runs on msg.Src; the reply
+// goes back with it and is written into its taskMeta here.
 func (r *Runtime) onProbe(k *core.Kernel, msg network.Message) {
-	pm := msg.Payload.(*probeMsg)
+	requester := msg.Payload.(*core.Task)
 	c := k.Core(msg.Dst)
 	qlen := c.QueueLength() + r.reservations[msg.Dst]
 	kind := KindProbeNack
@@ -370,23 +379,23 @@ func (r *Runtime) onProbe(k *core.Kernel, msg network.Message) {
 		r.reservations[msg.Dst]++
 		kind = KindProbeAck
 	}
-	k.SendAt(msg.Dst, pm.reqCore, kind, r.opt.AckSize,
-		&probeReply{ok: ok, queueLen: qlen, from: msg.Dst, requester: pm.requester},
-		msg.Arrival+r.opt.ProbeHandleCost)
+	metaOf(requester).probe = probeReply{ok: ok, queueLen: qlen, from: msg.Dst}
+	k.SendAt(msg.Dst, msg.Src, kind, r.opt.AckSize, requester, msg.Arrival+r.opt.ProbeHandleCost)
 }
 
 // onProbeReply delivers the probe outcome to the requesting task.
 func (r *Runtime) onProbeReply(k *core.Kernel, msg network.Message) {
-	rep := msg.Payload.(*probeReply)
-	metaOf(rep.requester).probe = rep
-	k.Unblock(rep.requester, msg.Arrival)
+	requester := msg.Payload.(*core.Task)
+	metaOf(requester).probe.delivered = true
+	k.Unblock(requester, msg.Arrival)
 }
 
 // onTaskSpawn receives a shipped task. An overloaded core forwards the task
 // to its least-loaded neighbor ("tasks can progressively migrate to other
 // cores if the local ones are overloaded", §IV), bounded by MaxMigrations.
 func (r *Runtime) onTaskSpawn(k *core.Kernel, msg network.Message) {
-	sm := msg.Payload.(*spawnMsg)
+	task := msg.Payload.(*core.Task)
+	sm := &metaOf(task).spawn
 	dst := msg.Dst
 	c := k.Core(dst)
 	if r.reservations[dst] > 0 {
@@ -406,12 +415,12 @@ func (r *Runtime) onTaskSpawn(k *core.Kernel, msg network.Message) {
 		if best >= 0 {
 			sm.hops++
 			atomic.AddInt64(&r.stats.Migrations, 1)
-			k.SendAt(dst, best, KindTaskSpawn, msg.Size, sm,
+			k.SendAt(dst, best, KindTaskSpawn, msg.Size, task,
 				msg.Arrival+r.opt.ProbeHandleCost)
 			return
 		}
 	}
-	k.PlaceTask(sm.task, dst, msg.Arrival, sm.birthOwner)
+	k.PlaceTask(task, dst, msg.Arrival, sm.birthOwner)
 	r.broadcastOcc(dst, c.QueueLength(), msg.Arrival)
 }
 

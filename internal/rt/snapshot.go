@@ -49,8 +49,8 @@ func encodeMeta(enc *snap.Encoder, m *taskMeta) {
 		}
 		enc.Uvarint(joiner)
 	}
-	enc.Bool(m.probe != nil)
-	if m.probe != nil {
+	enc.Bool(m.probe.delivered)
+	if m.probe.delivered {
 		enc.Bool(m.probe.ok)
 		enc.Varint(int64(m.probe.queueLen))
 		enc.Uvarint(uint64(m.probe.from))

@@ -203,8 +203,16 @@ func insertAt[T any](s []T, i int, v T) []T {
 
 func (t *Topology) checkCore(c int) {
 	if c < 0 || c >= t.n {
-		panic(fmt.Sprintf("topology: core %d out of range [0,%d)", c, t.n))
+		t.badCore(c)
 	}
+}
+
+// badCore panics for an out-of-range core. It is kept out of checkCore so
+// that the accessors below (Neighbors, on every route hop) stay inlinable.
+//
+//go:noinline
+func (t *Topology) badCore(c int) {
+	panic(fmt.Sprintf("topology: core %d out of range [0,%d)", c, t.n))
 }
 
 // Neighbors returns the sorted neighbor list of core c. The returned slice
@@ -262,26 +270,33 @@ func (t *Topology) Links() []Link {
 func (t *Topology) NumLinks() int { return t.nlinks }
 
 // Connected reports whether every core can reach every other core.
-func (t *Topology) Connected() bool {
+func (t *Topology) Connected() bool { return t.Unreachable() < 0 }
+
+// Unreachable returns the lowest-numbered core that core 0 cannot reach, or
+// -1 when the topology is connected.
+func (t *Topology) Unreachable() int {
 	if t.n == 0 {
-		return true
+		return -1
 	}
 	seen := make([]bool, t.n)
 	queue := []int{0}
 	seen[0] = true
-	count := 1
 	for len(queue) > 0 {
 		c := queue[0]
 		queue = queue[1:]
 		for _, nb := range t.adj[c] {
 			if !seen[nb] {
 				seen[nb] = true
-				count++
 				queue = append(queue, nb)
 			}
 		}
 	}
-	return count == t.n
+	for c, ok := range seen {
+		if !ok {
+			return c
+		}
+	}
+	return -1
 }
 
 // Diameter returns the largest topological distance (in hops) between any

@@ -188,6 +188,12 @@ func TestHopDistance(t *testing.T) {
 	if disc.Connected() {
 		t.Error("disconnected graph reported connected")
 	}
+	if c := disc.Unreachable(); c != 2 {
+		t.Errorf("Unreachable = %d, want 2", c)
+	}
+	if c := m.Unreachable(); c != -1 {
+		t.Errorf("Unreachable on a mesh = %d, want -1", c)
+	}
 	if disc.Diameter() != -1 {
 		t.Error("diameter of disconnected graph should be -1")
 	}
