@@ -68,6 +68,30 @@ func TestRunRejectsBadPolicyCycles(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNegativeShardsAndWorkers: -shards -3 used to run on the
+// sequential engine without a word and -workers -2 on every CPU. Both must
+// fail with an error naming the field, from the flags and with a machine
+// file alike.
+func TestRunRejectsNegativeShardsAndWorkers(t *testing.T) {
+	mPath := filepath.Join(t.TempDir(), "m.conf")
+	if err := os.WriteFile(mPath, []byte("cores 8\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-bench", "octree", "-cores", "8", "-scale", "0.1", "-shards", "-3"}, "Shards = -3"},
+		{[]string{"-bench", "octree", "-cores", "8", "-scale", "0.1", "-shards", "2", "-workers", "-2"}, "Workers = -2"},
+		{[]string{"-bench", "octree", "-machine", mPath, "-scale", "0.1", "-shards", "-3"}, "Shards = -3"},
+		{[]string{"-bench", "octree", "-machine", mPath, "-scale", "0.1", "-workers", "-2"}, "Workers = -2"},
+	} {
+		if err := run(tc.args); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: err = %v, want one naming %q", tc.args, err, tc.want)
+		}
+	}
+}
+
 func TestRunTraceAndTimeline(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "trace.txt")

@@ -109,11 +109,13 @@ type Machine struct {
 	MaxSteps int64
 	// Shards splits the machine into contiguous topology partitions that
 	// the kernel executes round-by-round. 0 or 1 keeps the sequential
-	// engine. The shard count is part of the event semantics: results are
-	// deterministic for a fixed (seed, shards) pair.
+	// engine; a negative count is an error. The shard count is part of the
+	// event semantics: results are deterministic for a fixed (seed, shards)
+	// pair.
 	Shards int
-	// Workers is the number of host threads driving the shards (0 =
-	// GOMAXPROCS, capped at Shards). It never affects results.
+	// Workers is the number of host threads driving the shards (0 = all
+	// CPUs, runtime.NumCPU, capped at Shards; negative is an error). It
+	// never affects results.
 	Workers int
 	// Metrics, when non-nil, attaches a deterministic metrics registry:
 	// the kernel records its standard instruments (message latency, link
@@ -244,6 +246,12 @@ func (m Machine) Build() (*core.Kernel, *rt.Runtime, error) {
 	}
 	if m.T < 0 {
 		return nil, nil, fmt.Errorf("config: negative drift bound T = %v", m.T)
+	}
+	if m.Shards < 0 {
+		return nil, nil, fmt.Errorf("config: negative shard count Shards = %d", m.Shards)
+	}
+	if m.Workers < 0 {
+		return nil, nil, fmt.Errorf("config: negative worker count Workers = %d", m.Workers)
 	}
 	if m.Topo != nil && m.Style == Polymorphic && m.Topo.N()%2 != 0 {
 		return nil, nil, fmt.Errorf("config: polymorphic style needs an even core count")

@@ -106,8 +106,22 @@ func (k *Kernel) setupEff() {
 			deg := len(c.neighbors)
 			c.nbEff = flat[off : off+deg : off+deg]
 			off += deg
+			for j, nbID := range c.neighbors {
+				if nb := k.cores[nbID]; nb.dom != c.dom {
+					c.dom.border = append(c.dom.border, borderLink{proxy: &c.nbEff[j], from: nb})
+				}
+			}
 		}
 	}
+}
+
+// borderLink is one cross-shard link as its reading domain sees it: the
+// proxy slot one of its cores holds, and the neighbor in another shard
+// whose effective time the slot freezes. Each domain lists its links once
+// (setupEff), so a barrier refreshes proxies over the shard border only.
+type borderLink struct {
+	proxy *vtime.Time
+	from  *Core
 }
 
 // effLandmarks is the number of landmark cores whose BFS hop-distance
@@ -615,7 +629,7 @@ func (d *domain) stallBest(limit vtime.Time) (best *Core, count int) {
 // with the scan's (key, ID) preference, plus the combined §VIII runnable
 // count.
 func (d *domain) pickIndexed(limit vtime.Time) (best *Core, key vtime.Time, count int) {
-	rqBest, rqCount := d.rq.pick(limit)
+	rqBest, rqCount := d.rq.pick() // armed at limit (domain.setLimit)
 	sBest, sCount := d.stallBest(limit)
 	count = rqCount + sCount
 	switch {
@@ -641,30 +655,23 @@ func (d *domain) pickIndexed(limit vtime.Time) (best *Core, key vtime.Time, coun
 }
 
 // rebuildLazyFromRefresh rebuilds the domain's bookkeeping after the
-// barrier-time global relaxation (refreshEff) has left every Core.eff at
-// the global fixpoint: the anchor heap and the frozen-proxy floor are
-// recomputed, and every idle core's memo is seeded from its
+// barrier-time global refresh (refreshEff) has left every Core.eff at the
+// global fixpoint and frozen the border proxies and their floor: the
+// anchor heap is recomputed, and every idle core's memo is seeded from its
 // already-correct eff (the global fixpoint restricted to a domain equals
 // the domain-local fixpoint anchored at the freshly frozen proxies).
 func (d *domain) rebuildLazyFromRefresh() {
-	k := d.k
 	d.effInvalidate()
 	// Refreshed frozen proxies can move horizons either way: drop the
 	// sticky runnable bits along with the value memos.
 	d.shapeEpoch++
 	busy := d.busyList.heap[:0]
-	d.frozenFloor = vtime.Inf
 	for _, c := range d.cores {
 		if c.idle {
 			c.busyPos = -1
 			c.effStamp = d.effEpoch
 		} else {
 			busy = append(busy, c)
-		}
-		for j, nbID := range c.neighbors {
-			if k.cores[nbID].dom != d && c.nbEff[j] < d.frozenFloor {
-				d.frozenFloor = c.nbEff[j]
-			}
 		}
 	}
 	d.busyList.init(busy)

@@ -71,7 +71,8 @@ type domain struct {
 	effSearches, effVisits, lmScans, lmCost int64 //simany:derived test-read counters, no simulated state
 	//simany:derived minimum over frozen cross-shard proxies, recomputed at every barrier
 	frozenFloor vtime.Time
-	effScratch  []int //simany:derived reusable BFS ring buffer, empty between uses
+	effScratch  []int        //simany:derived reusable BFS ring buffer, empty between uses
+	border      []borderLink //simany:derived the domain's cross-shard links, built from the immutable partition by setupEff
 
 	// Sharded-engine state: cross-shard traffic deferred to the next
 	// barrier, and the step count of the current round.

@@ -167,10 +167,10 @@ type Kernel struct {
 	lmOnce     sync.Once  //simany:derived guards that build: shard workers may reach their first scans concurrently
 
 	// Barrier scratch buffers, reused across rounds: the merged deferred
-	// items drained at each barrier and the worklist of the global
-	// effective-time relaxation.
+	// items drained at each barrier and the visiting order of the global
+	// effective-time refresh.
 	barrierItems []deferredItem //simany:derived barrier scratch, empty between rounds
-	effQueue     []int          //simany:derived relaxation scratch, empty between rounds
+	effOrder     []*Core        //simany:derived refresh scratch, empty between rounds
 
 	steps atomic.Int64
 	//simany:derived step budget from Config, reinstated by New

@@ -59,14 +59,41 @@ type CacheableHorizonPolicy interface {
 // and only if the last schedUpdate found it runnable; its position is
 // kept in Core.schedPos so membership tests and repositioning are O(1)
 // and O(log n).
+//
+// limit is the armed round limit (Inf outside shard rounds) and within
+// the number of entries whose key is ≤ limit — the §VIII runnable count,
+// adjusted by every insert, remove and key move so a pick reads it in
+// O(1).
 type runq struct {
-	d    *domain
-	heap []*Core
+	d      *domain
+	heap   []*Core
+	limit  vtime.Time
+	within int
 }
 
 func newRunq(d *domain) *runq {
-	return &runq{d: d, heap: make([]*Core, 0, len(d.cores))}
+	return &runq{d: d, heap: make([]*Core, 0, len(d.cores)), limit: vtime.Inf}
 }
+
+// in is 1 when c's cached key is within the armed limit, 0 otherwise.
+func (q *runq) in(c *Core) int {
+	if c.schedKey <= q.limit {
+		return 1
+	}
+	return 0
+}
+
+// arm sets the limit the runnable count is kept against, recounting the
+// queue once: O(entries), paid per shard round rather than per pick.
+func (q *runq) arm(limit vtime.Time) {
+	q.limit, q.within = limit, 0
+	for _, c := range q.heap {
+		q.within += q.in(c)
+	}
+}
+
+// countAtMost returns the number of entries with key ≤ the armed limit.
+func (q *runq) countAtMost() int { return q.within }
 
 // less is the scheduling order: virtual-time key first, core ID as the
 // deterministic tie-break — identical to the reference scan's preference.
@@ -115,12 +142,14 @@ func (q *runq) down(i int) {
 }
 
 func (q *runq) insert(c *Core) {
+	q.within += q.in(c)
 	c.schedPos = len(q.heap)
 	q.heap = append(q.heap, c)
 	q.up(c.schedPos)
 }
 
 func (q *runq) remove(c *Core) {
+	q.within -= q.in(c)
 	i := c.schedPos
 	last := len(q.heap) - 1
 	if i != last {
@@ -164,7 +193,9 @@ func (q *runq) update(c *Core) {
 	if key == c.schedKey {
 		return
 	}
+	q.within -= q.in(c)
 	c.schedKey = key
+	q.within += q.in(c)
 	q.down(c.schedPos)
 	q.up(c.schedPos)
 }
@@ -191,42 +222,18 @@ func (q *runq) rebuild() {
 	for i := len(q.heap)/2 - 1; i >= 0; i-- {
 		q.down(i)
 	}
-}
-
-// countAtMost counts the queued cores with key ≤ limit — the §VIII
-// runnable-cores sample the reference scan tallied on every pick. The
-// whole queue qualifies when limit is Inf (the sequential engine); under
-// a shard round limit the count is collected by walking only the heap
-// subtrees whose root qualifies (a node's descendants all carry keys ≥
-// its own), so the cost is proportional to the sample value itself, never
-// to the machine size.
-func (q *runq) countAtMost(limit vtime.Time) int {
-	if limit == vtime.Inf {
-		return len(q.heap)
-	}
-	n := 0
-	var walk func(i int)
-	walk = func(i int) {
-		if i >= len(q.heap) || q.heap[i].schedKey > limit {
-			return
-		}
-		n++
-		walk(2*i + 1)
-		walk(2*i + 2)
-	}
-	walk(0)
-	return n
+	q.arm(q.limit)
 }
 
 // pick returns the scan-equivalent scheduling decision: the minimal-key
-// core within limit and the number of runnable cores within limit (0, nil
-// when none qualifies).
-func (q *runq) pick(limit vtime.Time) (*Core, int) {
+// core within the armed limit and the number of runnable cores within it
+// (0, nil when none qualifies).
+func (q *runq) pick() (*Core, int) {
 	best := q.peek()
-	if best == nil || best.schedKey > limit {
+	if best == nil || best.schedKey > q.limit {
 		return nil, 0
 	}
-	return best, q.countAtMost(limit)
+	return best, q.countAtMost()
 }
 
 // schedUpdate posts an incremental runnability update for c to its
@@ -269,15 +276,17 @@ func (d *domain) schedUpdate(c *Core) {
 }
 
 // checkRunq verifies the structural invariants of the index — position
-// back-pointers, heap order, and membership/key agreement with the
-// reference runnable computation. The core currently mid-step (if any) is
-// exempt from the membership check: its entry is refreshed when the step
-// completes, before the queue is consulted again. Used by Kernel.Validate.
+// back-pointers, heap order, the runnable count at the armed limit, and
+// membership/key agreement with the reference runnable computation. The
+// core currently mid-step (if any) is exempt from the membership check:
+// its entry is refreshed when the step completes, before the queue is
+// consulted again. Used by Kernel.Validate.
 func (d *domain) checkRunq() error {
 	q := d.rq
 	if q == nil {
 		return nil
 	}
+	within := 0
 	for i, c := range q.heap {
 		if c.schedPos != i {
 			return fmt.Errorf("domain %d: core %d heap position %d, recorded %d", d.id, c.ID, i, c.schedPos)
@@ -285,6 +294,10 @@ func (d *domain) checkRunq() error {
 		if i > 0 && schedLess(c, q.heap[(i-1)/2]) {
 			return fmt.Errorf("domain %d: heap order violated at index %d (core %d)", d.id, i, c.ID)
 		}
+		within += q.in(c)
+	}
+	if q.within != within {
+		return fmt.Errorf("domain %d: runnable count %d within limit %v, linear count %d", d.id, q.within, q.limit, within)
 	}
 	if err := d.sq.check(); err != nil {
 		return fmt.Errorf("domain %d: stall heap: %w", d.id, err)

@@ -110,24 +110,72 @@ func TestRunqCountAtMostAndPick(t *testing.T) {
 	}{
 		{10, 0}, {20, 2}, {50, 3}, {70, 4}, {90, 5},
 	} {
-		if got := q.countAtMost(vtime.CyclesInt(tc.limit)); got != tc.want {
-			t.Errorf("countAtMost(%d) = %d, want %d", tc.limit, got, tc.want)
+		q.arm(vtime.CyclesInt(tc.limit))
+		if got := q.countAtMost(); got != tc.want {
+			t.Errorf("countAtMost() armed at %d = %d, want %d", tc.limit, got, tc.want)
 		}
+		mustCheck(t, d)
 	}
-	if got := q.countAtMost(vtime.Inf); got != len(stamps) {
-		t.Errorf("countAtMost(Inf) = %d, want %d", got, len(stamps))
+	q.arm(vtime.Inf)
+	if got := q.countAtMost(); got != len(stamps) {
+		t.Errorf("countAtMost() armed at Inf = %d, want %d", got, len(stamps))
 	}
 
-	if best, n := q.pick(vtime.CyclesInt(10)); best != nil || n != 0 {
-		t.Errorf("pick(10) = %v, %d, want none", best, n)
+	q.arm(vtime.CyclesInt(10))
+	if best, n := q.pick(); best != nil || n != 0 {
+		t.Errorf("pick() armed at 10 = %v, %d, want none", best, n)
 	}
-	best, n := q.pick(vtime.CyclesInt(60))
+	q.arm(vtime.CyclesInt(60))
+	best, n := q.pick()
 	if best == nil || best.ID != 1 || n != 3 {
-		t.Errorf("pick(60) = %v, %d, want core 1 of 3", best, n)
+		t.Errorf("pick() armed at 60 = %v, %d, want core 1 of 3", best, n)
 	}
-	// Both cores at stamp 20 qualify; the lower ID wins.
-	if best, _ := q.pick(vtime.Inf); best.ID != 1 {
-		t.Errorf("pick(Inf) = core %d, want core 1", best.ID)
+
+	// Keys crossing the armed limit (60) move the count both ways: by a key
+	// move, an insert and a remove, each checked against the linear count.
+	within := func(stage string, want int) {
+		t.Helper()
+		if got := q.countAtMost(); got != want {
+			t.Fatalf("%s: countAtMost() = %d, want %d", stage, got, want)
+		}
+		mustCheck(t, d)
+	}
+	readyAt(k, k.Core(4), vtime.CyclesInt(30)) // 90 → 30: moves in
+	q.update(k.Core(4))
+	within("key 90 → 30", 4)
+	for len(k.Core(2).ready) > 0 { // 50: leaves the queue from inside
+		k.Core(2).popReady()
+	}
+	q.update(k.Core(2))
+	within("remove at 50", 3)
+	readyAt(k, k.Core(6), vtime.CyclesInt(80)) // inserted outside
+	q.update(k.Core(6))
+	within("insert at 80", 3)
+	readyAt(k, k.Core(7), vtime.CyclesInt(60)) // inserted on the limit
+	q.update(k.Core(7))
+	within("insert at 60", 4)
+	k.Core(1).popReady() // 20: its queue drains, so it leaves
+	q.update(k.Core(1))
+	within("remove at 20", 3)
+	if best, n := q.pick(); best == nil || best.ID != 3 || n != 3 {
+		t.Errorf("pick() armed at 60 after the moves = %v, %d, want core 3 of 3", best, n)
+	}
+	q.rebuild()
+	within("rebuild", 3)
+	k.Core(7).popReady() // 60: leaves from the limit itself
+	q.update(k.Core(7))
+	within("remove at 60", 2)
+	readyAt(k, k.Core(0), vtime.CyclesInt(60)) // 70 → 60: moves onto the limit
+	q.update(k.Core(0))
+	within("key 70 → 60", 3)
+	readyAt(k, k.Core(0), vtime.CyclesInt(40)) // 60 → 40: stays within
+	q.update(k.Core(0))
+	within("key 60 → 40", 3)
+
+	// Armed back at Inf, as between rounds, every entry counts.
+	q.arm(vtime.Inf)
+	if best, n := q.pick(); best.ID != 3 || n != 4 {
+		t.Errorf("pick() armed at Inf = core %d of %d, want core 3 of 4", best.ID, n)
 	}
 }
 

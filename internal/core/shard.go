@@ -103,10 +103,6 @@ func (k *Kernel) minRunnableKey() vtime.Time {
 // runRound executes one bounded scheduling round on every domain,
 // fanning the domains out over the worker pool.
 func (k *Kernel) runRound(limit vtime.Time) {
-	for _, d := range k.domains {
-		d.limit = limit
-		d.roundSteps = 0
-	}
 	if k.workers <= 1 {
 		for _, d := range k.domains {
 			d.runLocal(limit)
@@ -129,15 +125,25 @@ func (k *Kernel) runRound(limit vtime.Time) {
 		}
 		wg.Wait()
 	}
-	for _, d := range k.domains {
-		d.limit = vtime.Inf
+}
+
+// setLimit caps the domain's horizons at limit and arms its runnable
+// count there.
+func (d *domain) setLimit(limit vtime.Time) {
+	d.limit = limit
+	if d.rq != nil {
+		d.rq.arm(limit)
 	}
 }
 
 // runLocal is one domain's share of a round: schedule local cores with
 // keys inside the round limit until none remain (or the step budget runs
-// out). Identical to the sequential loop, restricted to owned cores.
+// out). Identical to the sequential loop, restricted to owned cores. The
+// limit is armed for the round only: Inf again when it returns.
 func (d *domain) runLocal(limit vtime.Time) {
+	d.setLimit(limit)
+	defer d.setLimit(vtime.Inf)
+	d.roundSteps = 0
 	budget := shardStepBudget * len(d.cores)
 	for d.roundSteps < budget {
 		c := d.pickCore(limit)
@@ -208,57 +214,58 @@ func (k *Kernel) drainBarrier() {
 }
 
 // refreshEff rebuilds every core's advertised effective time from global
-// state: busy cores anchor at their clocks, idle cores relax downward from
-// Inf through the relay rule until the (unique) fixpoint. Running it
+// state: busy cores anchor at their clocks, idle cores settle at the
+// (unique) fixpoint of the relay rule by a multi-source BFS in value
+// order — busy cores sorted by eff merged with a FIFO of settled idle
+// cores. Every hop adds the same delta, so the first value an idle core is
+// handed is its fixpoint: O(idle + links + busy·log busy). Running it
 // single-threaded at each barrier lets it read across shard boundaries;
-// the values neighbors in other shards end up with are then frozen into
-// the proxies a round reads, the per-domain bookkeeping (efflazy.go) is
-// rebuilt with every idle memo seeded from the fixpoint, and the stalled
-// cores' queue entries are re-evaluated against the new horizons. A no-op
-// when the policy does not relay: nothing reads effective times then.
+// the border values are then frozen into the proxies a round reads, the
+// per-domain bookkeeping (efflazy.go) is rebuilt with every idle memo
+// seeded from the fixpoint, and the stalled cores' queue entries are
+// re-evaluated against the new horizons. A no-op when the policy does not
+// relay: nothing reads effective times then.
 func (k *Kernel) refreshEff() {
 	if !k.effLazy {
 		return
 	}
-	// Downward-only relaxation: order-independent, so any worklist order
-	// yields the same fixpoint. The worklist is kernel scratch reused
-	// across barriers, drained through a cursor so the backing array
-	// survives intact for the next round.
-	queue := k.effQueue[:0]
+	// Kernel scratch reused across barriers: the sorted busy cores, then
+	// the idle cores in the order they settle.
+	order := k.effOrder[:0]
 	for _, c := range k.cores {
 		if c.idle {
 			c.eff = vtime.Inf
-			queue = append(queue, c.ID)
 		} else {
 			c.eff = c.vt
+			order = append(order, c)
 		}
 	}
-	for head := 0; head < len(queue); head++ {
-		c := k.cores[queue[head]]
-		m := vtime.Inf
+	slices.SortFunc(order, func(a, b *Core) int { return cmp.Compare(a.eff, b.eff) })
+	for src, fifo, busy := 0, len(order), len(order); src < busy || fifo < len(order); {
+		var c *Core
+		if src < busy && (fifo == len(order) || order[src].eff <= order[fifo].eff) {
+			c, src = order[src], src+1
+		} else {
+			c, fifo = order[fifo], fifo+1
+		}
+		e := satAdd(c.eff, k.relayDelta)
+		if e == vtime.Inf {
+			break // every later pop saturates too
+		}
 		for _, nbID := range c.neighbors {
-			if e := k.cores[nbID].eff; e < m {
-				m = e
+			if nb := k.cores[nbID]; nb.idle && nb.eff == vtime.Inf {
+				nb.eff = e
+				order = append(order, nb)
 			}
 		}
-		e := satAdd(m, k.relayDelta)
-		if e >= c.eff {
-			continue
-		}
-		c.eff = e
-		for _, nbID := range c.neighbors {
-			if k.cores[nbID].idle {
-				queue = append(queue, nbID)
-			}
-		}
 	}
-	k.effQueue = queue[:0]
-	for _, c := range k.cores {
-		for j := range c.nbEff {
-			c.nbEff[j] = k.cores[c.neighbors[j]].eff
-		}
-	}
+	k.effOrder = order[:0]
 	for _, d := range k.domains {
+		d.frozenFloor = vtime.Inf
+		for _, b := range d.border {
+			*b.proxy = b.from.eff
+			d.frozenFloor = min(d.frozenFloor, b.from.eff)
+		}
 		d.rebuildLazyFromRefresh()
 	}
 	for _, c := range k.cores {

@@ -15,14 +15,16 @@ import (
 //   - when the policy relays effective times: a busy core never
 //     advertises a time ahead of its own clock, the anchor heap holds
 //     exactly each domain's busy cores in heap order with matching slot
-//     back-pointers, the pruning floor equals the minimum anchor (busy
-//     cores and frozen foreign proxies), and every fresh idle memo equals
-//     a fixpoint recomputed independently by plain relaxation;
+//     back-pointers, each domain's border list is exactly its cross-shard
+//     links, the pruning floor equals the minimum anchor (busy cores and
+//     frozen foreign proxies), and every fresh idle memo equals a
+//     fixpoint recomputed independently by plain relaxation;
 //   - the cached minimum birth stamp matches the birth map;
 //   - the cached queue minima (ready arrivals, continuation resumes)
 //     match a recomputation from the queues;
-//   - with the indexed scheduler active: heap positions, heap order and
-//     queue membership/keys agree with the reference runnable computation
+//   - with the indexed scheduler active: heap positions, heap order, the
+//     runnable count at the armed limit and queue membership/keys agree
+//     with the reference runnable computation
 //     (the mid-step core excepted — its entry settles at step end);
 //   - lock depths are non-negative;
 //   - task states are consistent with the queue each task sits in;
@@ -137,7 +139,9 @@ func (k *Kernel) checkLazyEff() error {
 		}
 		// The floors, recomputed from the cores: exactly the minimum over
 		// the frozen foreign proxies, and over those and the busy anchors.
+		// border walks d.border: exactly the cross-shard links, in order.
 		frozen, busyMin := vtime.Inf, vtime.Inf
+		border := 0
 		for _, c := range d.cores {
 			if c.idle != (c.busyPos < 0) {
 				return fmt.Errorf("domain %d: core %d idle=%v but anchor-heap slot %d", d.id, c.ID, c.idle, c.busyPos)
@@ -149,6 +153,10 @@ func (k *Kernel) checkLazyEff() error {
 			for j, nbID := range c.neighbors {
 				nb := k.cores[nbID]
 				if nb.dom != d {
+					if border >= len(d.border) || d.border[border] != (borderLink{proxy: &c.nbEff[j], from: nb}) {
+						return fmt.Errorf("domain %d: border link %d is not core %d's link to core %d", d.id, border, c.ID, nbID)
+					}
+					border++
 					frozen = min(frozen, c.nbEff[j])
 				} else if nb.idle {
 					idleNb++
@@ -157,6 +165,9 @@ func (k *Kernel) checkLazyEff() error {
 			if c.idleNb != idleNb {
 				return fmt.Errorf("domain %d: core %d idle-neighbor count %d, actual %d", d.id, c.ID, c.idleNb, idleNb)
 			}
+		}
+		if border != len(d.border) {
+			return fmt.Errorf("domain %d: %d border links listed, %d cross-shard links", d.id, len(d.border), border)
 		}
 		if d.frozenFloor != frozen {
 			return fmt.Errorf("domain %d: frozen-proxy floor %v, minimum foreign proxy %v", d.id, d.frozenFloor, frozen)

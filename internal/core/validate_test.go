@@ -119,6 +119,13 @@ func TestValidateDetectsLazyCorruption(t *testing.T) {
 			c.eff = vtime.CyclesInt(777)
 			c.effStamp = d.effEpoch
 		}, "fixpoint"},
+		{"runnable count off by one", func(k *Kernel, d *domain) {
+			d.rq.within++
+		}, "runnable count"},
+		{"border link dropped", func(k *Kernel, d *domain) {
+			// A barrier would never refresh the proxy of the dropped link.
+			d.border = append(d.border[:2:2], d.border[3:]...)
+		}, "border link 2 is not"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			k, d := anchoredKernel(t)
