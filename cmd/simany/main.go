@@ -46,7 +46,7 @@ func run(args []string) error {
 		memKind   = fs.String("mem", "shared", "memory organization: shared, coherent, distributed")
 		style     = fs.String("style", "uniform", "machine style: uniform, polymorphic, clustered4, clustered8")
 		policy    = fs.String("policy", "spatial", "sync policy: spatial, cyclelevel, quantum:<cy>, slack:<cy>, laxp2p:<cy>, unbounded")
-		tCycles   = fs.Float64("T", 100, "maximum local drift T in cycles (spatial sync)")
+		tFlag     = fs.String("T", "100", "maximum local drift T in cycles (spatial sync)")
 		seed      = fs.Int64("seed", 42, "random seed")
 		shards    = fs.Int("shards", 1, "topology partitions for the parallel engine (1 = sequential)")
 		workers   = fs.Int("workers", 0, "host threads driving the shards (0 = all CPUs, capped at -shards)")
@@ -66,6 +66,12 @@ func run(args []string) error {
 	}
 	if *ckptF != "" && *ckptAfter <= 0 {
 		return fmt.Errorf("-checkpoint requires -checkpoint-after N (N > 0)")
+	}
+	// Parsed as the machine file and policy arguments are: a float flag
+	// would let NaN, overflow and sub-resolution values through.
+	tCycles, err := vtime.ParseCycles(*tFlag)
+	if err != nil || tCycles == 0 {
+		return fmt.Errorf("-T %q: want a cycle count of at least 0.001", *tFlag)
 	}
 
 	b, err := bench.ByName(*benchName)
@@ -93,7 +99,7 @@ func run(args []string) error {
 			checkpointFile: *ckptF, checkpointAfter: *ckptAfter, resumeFile: *resumeF,
 		})
 	}
-	m = config.Machine{Cores: *cores, TopoSpec: *topoSpec, T: vtime.Cycles(*tCycles), Policy: *policy, Seed: *seed,
+	m = config.Machine{Cores: *cores, TopoSpec: *topoSpec, T: tCycles, Policy: *policy, Seed: *seed,
 		Shards: *shards, Workers: *workers}
 	switch *style {
 	case "uniform":
@@ -243,7 +249,6 @@ func execute(b bench.Benchmark, m config.Machine, mode bench.Mode, seed int64, s
 		simWall.Round(time.Microsecond), nativeWall.Round(time.Microsecond),
 		float64(simWall)/float64(nativeWall+1))
 	if verbose {
-		fmt.Printf("scheduler        %s\n", k.Scheduler())
 		fmt.Printf("kernel steps     %d\n", res.Steps)
 		if secs := simWall.Seconds(); secs > 0 {
 			fmt.Printf("throughput       %.0f steps/sec host\n", float64(res.Steps)/secs)

@@ -68,6 +68,19 @@ func TestRunRejectsBadPolicyCycles(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadT covers -T values that used to misbehave: 1e20 and NaN
+// overflowed into a "negative drift bound" error, 1e-9 and -0.0001 rounded
+// to zero and silently ran at the default T. Each must fail with an error
+// that names the argument.
+func TestRunRejectsBadT(t *testing.T) {
+	for _, v := range []string{"1e20", "NaN", "1e-9", "-0.0001"} {
+		err := run([]string{"-bench", "octree", "-cores", "4", "-scale", "0.1", "-T", v})
+		if err == nil || !strings.Contains(err.Error(), `"`+v+`"`) {
+			t.Errorf("-T %s: error %v, want one naming the argument", v, err)
+		}
+	}
+}
+
 // TestRunRejectsNegativeShardsAndWorkers: -shards -3 used to run on the
 // sequential engine without a word and -workers -2 on every CPU. Both must
 // fail with an error naming the field, from the flags and with a machine

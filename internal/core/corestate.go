@@ -43,7 +43,7 @@ type Core struct {
 	busyPos  int    //simany:derived slot in the domain.busyList heap (-1 = idle), a function of the encoded idle flags
 	stallPos int    //simany:derived index in domain.sq (-1 = not stalled), a function of the encoded queues and clocks
 	idleNb   int32  //simany:derived count of idle same-domain neighbors, a function of the encoded idle flags (schedRebuild)
-	rnStamp  uint64 //simany:derived sticky stalled-runnable stamp vs domain.shapeEpoch, cleared by schedUpdate
+	rnStamp  uint64 //simany:derived sticky stalled-runnable stamp vs domain.shapeEpoch (shard-local policies only), cleared by schedUpdate
 
 	//simany:derived immutable topology adjacency, rebuilt by New
 	neighbors []int // topological neighbors (sorted)

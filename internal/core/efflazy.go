@@ -30,13 +30,12 @@ import (
 //
 // where hops counts idle cores on a shortest path from c to a that stays
 // inside the domain's idle cores. domain.lazyFix computes exactly that by
-// a ring-layered BFS from the queried core, with two cutoffs: the exact
+// a ring-layered BFS from the queried core, with one cutoff: the exact
 // minimum over all anchors (domain.effFloor — the busy cores sit in a
 // min-heap by maintained eff, so it is the root) ends the search after a
-// ring or two whenever the anchors are within a few delta of each other,
-// and a per-anchor landmark-distance scan ends it when a distant laggard
-// holds the floor down — asked only once the search has spent what the
-// scan costs, so most machines never run it, nor build its tables.
+// ring or two whenever the anchors are within a few delta of each other.
+// A distant laggard holds the floor down and lets the search run as many
+// rings deep as it lags (docs/effective-time.md, "The late cohort").
 //
 // Memoization. Computed values are cached in Core.eff and stamped with
 // the domain's invalidation epoch (Core.effStamp vs domain.effEpoch). The
@@ -52,9 +51,9 @@ import (
 // (equiv_test.go) runs that check at every scheduling decision and pins
 // the pick sequences to a recording made with an eager propagation flood.
 //
-// Scheduling. The indexed scheduler splits the stalled cores by what
-// their horizons read. A stalled core with no idle same-domain neighbor
-// depends only on busy neighbors' maintained times (every change posts a
+// Scheduling. The scheduler splits the stalled cores by what their
+// horizons read. A stalled core with no idle same-domain neighbor depends
+// only on busy neighbors' maintained times (every change posts a
 // schedUpdate from effSite's O(degree) neighbor pass) and frozen
 // cross-shard proxies, so it keeps an exact cached key in the runq. Only
 // the stalled cores adjacent to an idle region — whose horizons read
@@ -122,56 +121,6 @@ func (k *Kernel) setupEff() {
 type borderLink struct {
 	proxy *vtime.Time
 	from  *Core
-}
-
-// effLandmarks is the number of landmark cores whose BFS hop-distance
-// tables back the triangle-inequality anchor bounds in lazyFix. Corners
-// of a mesh (which farthest-point sampling finds) make the bound exact
-// for Manhattan geometry; four cover the hierarchical chiplet fabrics
-// well. Purely a pruning aid — never affects results.
-const effLandmarks = 4
-
-// buildLandmarks precomputes hop distances from deterministically chosen
-// landmark cores (farthest-point sampling from core 0, ties to the lowest
-// ID) to every core. |dist_l(a) − dist_l(b)| lower-bounds the hop
-// distance between a and b for any landmark l, and hop distance in turn
-// lower-bounds the idle-restricted path length the relay rule telescopes
-// over — which is what lets the lazy BFS stop as soon as the best anchor
-// found beats every other anchor's provable minimum contribution.
-// O(landmarks · (cores + links)) over the immutable topology, run (through
-// lmOnce) by the kernel's first landmark scan: on most machines, never.
-func (k *Kernel) buildLandmarks() {
-	n := len(k.cores)
-	k.lmDist = make([][]int32, 0, effLandmarks)
-	queue := make([]int32, 0, n)
-	next := 0
-	for len(k.lmDist) < effLandmarks {
-		dist := make([]int32, n)
-		for i := range dist {
-			dist[i] = -1
-		}
-		dist[next] = 0
-		queue = append(queue[:0], int32(next))
-		for head := 0; head < len(queue); head++ {
-			c := k.cores[queue[head]]
-			for _, nbID := range c.neighbors {
-				if dist[nbID] < 0 {
-					dist[nbID] = dist[c.ID] + 1
-					queue = append(queue, int32(nbID))
-				}
-			}
-		}
-		k.lmDist = append(k.lmDist, dist)
-		// Farthest reached core (lowest ID on ties) seeds the next
-		// landmark; on a mesh this walks the corners.
-		far, farDist := 0, int32(0)
-		for i, dv := range dist {
-			if dv > farDist {
-				far, farDist = i, dv
-			}
-		}
-		next = far
-	}
 }
 
 // satScale multiplies a non-negative per-hop delta by a hop count,
@@ -300,14 +249,7 @@ func (d *domain) lazyEff(c *Core) vtime.Time {
 // anchor + delta·(hops+1) over all frontier anchors (local busy cores
 // and finite frozen cross-shard proxies). The ring index equals the hop
 // count, so once best ≤ floor + delta·(ring+1) no farther anchor can
-// improve the result and the search stops. When the exact floor cannot
-// decide — some anchor lags the nearest ones by more than the rings
-// walked — the per-anchor landmark scan (anchorCanImprove) is asked, but
-// only once the search has made, since the last scan, as many neighbour
-// visits as a scan reads table entries (len(busyList) × effLandmarks): a
-// search the floor or a few more rings end never scans, one that needs the
-// landmark bound spends on scans at most what it spent walking. Both
-// cutoffs only prune, so when they are asked never changes the result.
+// improve the result and the search stops.
 func (d *domain) lazyFix(c *Core) vtime.Time {
 	k := d.k
 	delta := k.relayDelta
@@ -319,18 +261,12 @@ func (d *domain) lazyFix(c *Core) vtime.Time {
 	c.effSeen = gen
 	best := vtime.Inf
 	floor := d.effFloor()
-	visits, scanned := 0, 0 // neighbour visits made; of them, already paid for a scan
+	visits := 0
 	ringStart, ringEnd := 0, 1
 	for depth := 0; ringStart < ringEnd; depth++ {
 		cost := satScale(delta, depth+1)
 		if satAdd(floor, cost) >= best {
 			break
-		}
-		if best < vtime.Inf && visits-scanned >= len(d.busyList.heap)*effLandmarks {
-			if !d.anchorCanImprove(c, depth, best) {
-				break
-			}
-			scanned = visits
 		}
 		for i := ringStart; i < ringEnd; i++ {
 			cc := k.cores[q[i]]
@@ -368,71 +304,6 @@ func (d *domain) lazyFix(c *Core) vtime.Time {
 	d.effSearches++
 	d.effVisits += int64(visits)
 	return best
-}
-
-// anchorCanImprove reports whether any frontier anchor could still beat
-// best when the BFS is about to scan ring `depth`. Every anchor not yet
-// credited sits at least depth+1 relay hops out — and at least its
-// landmark distance bound (|dist_l(c) − dist_l(a)|, a hop-count lower
-// bound by the triangle inequality, and idle-restricted paths are never
-// shorter than unrestricted ones) — so its contribution is at least
-// a.eff + max(bound, depth+1)·delta. Frozen cross-shard proxies are
-// bounded by the barrier-exact frozenFloor at depth+1 hops. The
-// per-anchor terms of anchors already credited to best understate their
-// real contribution, which only makes the answer conservatively true —
-// the cutoff can never prune a better anchor, so lazyFix stays exact.
-//
-// This is what ends a search around a core whose nearest anchors run far
-// ahead of a distant laggard: the laggard holds the floor below best for
-// as many rings as it lags, but prunes here by distance. lazyFix calls it
-// once per len(busyList) × effLandmarks neighbour visits, the most a scan
-// reads, so scanning at worst doubles a search's cost; the first call on
-// a kernel builds the tables.
-func (d *domain) anchorCanImprove(c *Core, depth int, best vtime.Time) bool {
-	d.lmScans++
-	d.lmCost += int64(len(d.busyList.heap) * effLandmarks)
-	k := d.k
-	near := satScale(k.relayDelta, depth+1)
-	if satAdd(d.frozenFloor, near) < best {
-		return true
-	}
-	k.lmOnce.Do(k.buildLandmarks)
-	var dc [effLandmarks]int32 // the reader's own landmark distances
-	for l, dist := range k.lmDist {
-		dc[l] = dist[c.ID]
-	}
-	// Pre-order walk of the anchor heap without a stack. A subtree whose
-	// root cannot beat best from depth+1 hops holds no anchor that can:
-	// its members advertise no less and sit no nearer.
-	h := d.busyList.heap
-	for i := 0; ; {
-		if i < len(h) && satAdd(h[i].eff, near) < best {
-			hops := depth + 1
-			for l, dist := range k.lmDist {
-				da := dist[h[i].ID]
-				if dc[l] < 0 || da < 0 {
-					continue // disconnected from this landmark: no bound
-				}
-				if diff := int(dc[l] - da); diff > hops {
-					hops = diff
-				} else if -diff > hops {
-					hops = -diff
-				}
-			}
-			if satAdd(h[i].eff, satScale(k.relayDelta, hops)) < best {
-				return true
-			}
-			i = 2*i + 1 // into the left subtree
-			continue
-		}
-		for i > 0 && i%2 == 0 {
-			i = (i - 1) / 2 // a right subtree is done: climb
-		}
-		if i == 0 {
-			return false
-		}
-		i++ // on to the right sibling
-	}
 }
 
 // minNeighborEff returns the minimum over c's neighbors of their
@@ -475,13 +346,14 @@ func anchorLess(a, b *Core) bool { return a.eff < b.eff }
 func anchorPos(c *Core) *int     { return &c.busyPos }
 
 // The stall heap is a domain's secondary scheduling heap: the stalled
-// cores with at least one idle same-domain neighbor (current != nil &&
-// idleNb > 0), ordered by (vt, ID). Their runnable keys — when runnable at
-// all — equal their clocks, but runnability itself depends on lazily
-// evaluated horizons, so membership means "idle-adjacent stalled", not
-// "runnable"; pickCore evaluates the horizons of the members with
-// vt ≤ limit on demand. The mid-step core is kept out (its clock is
-// moving), so the order holds between a put and the next.
+// cores whose horizons no cached key can track (domain.stallRouted) — the
+// idle-adjacent ones, and every one under a policy that is not
+// shard-local — ordered by (vt, ID). Their runnable keys — when runnable
+// at all — equal their clocks, but runnability itself depends on horizons
+// evaluated at the pick, so membership means "stalled, evaluated on
+// demand", not "runnable"; pickCore evaluates the horizons of the members
+// with vt ≤ limit. The mid-step core is kept out (its clock is moving),
+// so the order holds between a put and the next.
 func stallLess(a, b *Core) bool {
 	if a.vt != b.vt {
 		return a.vt < b.vt
@@ -580,16 +452,20 @@ func (q *coreHeap) check() error {
 }
 
 // stallBest finds the best runnable stalled core with vt ≤ limit — the
-// minimal (vt, ID) member whose lazily evaluated horizon has reached its
-// clock — plus the count of runnable stalled cores within the limit (the
-// §VIII sample share the runq cannot see). The walk visits only the heap
-// subtrees whose root clock qualifies. A member found runnable records a
-// sticky bit valid for the current shape epoch: anchor values are
-// monotone between busy/idle flips, so its horizon can only keep rising
-// above its frozen clock — the expensive region evaluation runs once,
-// not once per pick (any input that could lower the horizon — the
-// core's own clock, births, locks, a flip anywhere in the domain —
-// clears the bit via schedUpdate or the epoch).
+// minimal (vt, ID) member whose horizon has reached its clock — plus the
+// count of runnable stalled cores within the limit (the §VIII sample
+// share the runq cannot see). The walk visits only the heap subtrees
+// whose root clock qualifies. Under a shard-local policy a member found
+// runnable records a sticky bit valid for the current shape epoch: anchor
+// values are monotone between busy/idle flips, so its horizon can only
+// keep rising above its frozen clock — the expensive region evaluation
+// runs once, not once per pick (any input that could lower the horizon —
+// the core's own clock, births, locks, a flip anywhere in the domain —
+// clears the bit via schedUpdate or the epoch). Other policies get no
+// bit: their global horizons are not monotone and LaxP2P draws from the
+// RNG on every evaluation, so each member is asked exactly once per pick,
+// as a scan over every core would ask it. That equivalence needs the limit
+// to be Inf, which holds because such policies never run sharded.
 func (d *domain) stallBest(limit vtime.Time) (best *Core, count int) {
 	q := d.sq
 	if len(q.heap) == 0 {
@@ -608,7 +484,9 @@ func (d *domain) stallBest(limit vtime.Time) (best *Core, count int) {
 			runnable := c.rnStamp == d.shapeEpoch
 			if !runnable && c.vt <= d.k.policy.Horizon(c) {
 				runnable = true
-				c.rnStamp = d.shapeEpoch
+				if d.k.localPolicy {
+					c.rnStamp = d.shapeEpoch
+				}
 			}
 			if runnable {
 				count++
@@ -624,10 +502,9 @@ func (d *domain) stallBest(limit vtime.Time) (best *Core, count int) {
 	return best, count
 }
 
-// pickIndexed is pickCore's indexed decision: the best of the runq head
-// (exact cached keys) and the best runnable idle-adjacent stalled core,
-// with the scan's (key, ID) preference, plus the combined §VIII runnable
-// count.
+// pickIndexed is pickCore's decision: the best of the runq head (exact
+// cached keys) and the best runnable stall-heap core, with the scan's
+// (key, ID) preference, plus the combined §VIII runnable count.
 func (d *domain) pickIndexed(limit vtime.Time) (best *Core, key vtime.Time, count int) {
 	rqBest, rqCount := d.rq.pick() // armed at limit (domain.setLimit)
 	sBest, sCount := d.stallBest(limit)
@@ -677,17 +554,13 @@ func (d *domain) rebuildLazyFromRefresh() {
 	d.busyList.init(busy)
 }
 
-// rebuildStallq reseats the domain's idle-adjacent stalled cores in the
-// secondary heap; the counterpart of runq.rebuild for the stalled set.
-// Stalled cores with no idle same-domain neighbor stay in the runq:
-// every input of their horizons posts an invalidation (effSite's
-// neighbor pass, the barrier rebuild, schedUpdate), so their cached keys
-// are exact.
+// rebuildStallq reseats the domain's stall-routed cores in the secondary
+// heap; the counterpart of runq.rebuild for the stalled set.
 func (d *domain) rebuildStallq() {
 	stalled := d.sq.heap[:0]
 	for _, c := range d.cores {
 		c.stallPos = -1
-		if c.current != nil && c.idleNb > 0 {
+		if d.stallRouted(c) {
 			stalled = append(stalled, c)
 		}
 	}
@@ -699,8 +572,7 @@ func (d *domain) rebuildStallq() {
 // heap. Maintained incrementally by effSite's flip branches while
 // running; recomputed here before the scheduling structures are rebuilt
 // (engine start, restore). Kernels whose policy does not relay never
-// count: their stalled cores read no shadow times, so all stay in the
-// runq.
+// count: their stalled cores read no shadow times.
 func (d *domain) rebuildIdleNb() {
 	k := d.k
 	for _, c := range d.cores {

@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
-	"sync"
 	"testing"
 	"time"
 
@@ -87,16 +85,14 @@ func plantFrozenProxy(t *testing.T, k *Kernel, d *domain, v vtime.Time) {
 }
 
 // effCounts is the sum over a kernel's domains of the test-read search
-// counters: region searches (lazyFix calls), the neighbour visits they
-// made, landmark scans, and the table reads those scans were charged.
-type effCounts struct{ searches, visits, scans, scanCost int64 }
+// counters: region searches (lazyFix calls) and the neighbour visits they
+// made.
+type effCounts struct{ searches, visits int64 }
 
 func countEff(k *Kernel) (n effCounts) {
 	for _, d := range k.domains {
 		n.searches += d.effSearches
 		n.visits += d.effVisits
-		n.scans += d.lmScans
-		n.scanCost += d.lmCost
 	}
 	return n
 }
@@ -104,18 +100,15 @@ func countEff(k *Kernel) (n effCounts) {
 // sparseVisitsCeiling pins the mean neighbour visits of one region search
 // on TestSparseReadsNeverScan's workload (measured 12.36 / 9.27 / 8.92 on
 // the 1k / 10k / 100k machines; the benchmark's sparse-100k reads 10.7).
-// A floor that stops deciding, or a scan rule that lets searches run on,
-// shows here as a count, on any host.
+// A floor that stops deciding shows here as a count, on any host.
 const sparseVisitsCeiling = 15
 
 // TestSparseReadsNeverScan is the benchmark's sparse-100k shape on
 // machines from 1k to 100k cores: 64 strided tasks of 100 equal slices,
 // never synchronised by a message. Their anchors stay within a few T of
 // each other, so the exact floor ends every region search within a few
-// rings — long before the search has spent what a landmark scan costs. The
-// scan must therefore never run, the landmark tables it reads must never
-// be built, and a search must stay about ten neighbour visits long however
-// large the idle region around it: the per-completion cost of a sparse
+// rings: a search must stay about ten neighbour visits long however large
+// the idle region around it, so the per-completion cost of a sparse
 // machine does not grow with the machine.
 func TestSparseReadsNeverScan(t *testing.T) {
 	for _, tc := range []struct{ name, spec string }{
@@ -145,94 +138,32 @@ func TestSparseReadsNeverScan(t *testing.T) {
 				t.Fatal(err)
 			}
 			n := countEff(k)
-			if n.scans != 0 || k.lmDist != nil {
-				t.Errorf("%d landmark scans, tables built: %v; want none", n.scans, k.lmDist != nil)
-			}
 			if n.searches == 0 || n.visits > sparseVisitsCeiling*n.searches {
 				t.Errorf("%d neighbour visits in %d region searches, ceiling %d per search", n.visits, n.searches, sparseVisitsCeiling)
 			}
-			t.Logf("%d searches, %d visits (%.2f per search), %d scans", n.searches, n.visits, float64(n.visits)/float64(n.searches), n.scans)
+			t.Logf("%d searches, %d visits (%.2f per search)", n.searches, n.visits, float64(n.visits)/float64(n.searches))
 		})
 	}
 }
 
-// TestLandmarkScanMatchesLinearScan holds anchorCanImprove's pruned walk of
-// the anchor heap to the plain rule it implements — some anchor a has
-// a.eff + max(landmark bound, depth+1)·T < best — on randomized anchor
-// sets, readers, depths and bests. The four shards ask from four
-// goroutines at once, so the first scans race for the one lazy build of
-// the landmark tables (under the race detector in CI).
-func TestLandmarkScanMatchesLinearScan(t *testing.T) {
-	k := New(Config{Topo: topology.Mesh(256), Policy: Spatial{T: DefaultT}, Seed: 1, Shards: 4})
-	if k.lmDist != nil {
-		t.Fatal("landmark tables built before any scan")
-	}
-	var wg sync.WaitGroup
-	for i, d := range k.domains {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(i)))
-			for round := 0; round < 200; round++ {
-				c := d.cores[rng.Intn(len(d.cores))]
-				if c.idle && rng.Intn(4) > 0 {
-					setBusy(c, vtime.CyclesInt(rng.Int63n(3000)))
-				} else if !c.idle {
-					setIdle(c)
-				}
-				reader := d.cores[rng.Intn(len(d.cores))]
-				depth := rng.Intn(12)
-				best := vtime.CyclesInt(rng.Int63n(4000))
-				// Asked first: the call is what orders this goroutine after
-				// the table build.
-				got, want := d.anchorCanImprove(reader, depth, best), false
-				for _, a := range d.busyList.heap {
-					hops := depth + 1
-					for _, dist := range k.lmDist {
-						if diff := int(dist[reader.ID] - dist[a.ID]); diff > hops {
-							hops = diff
-						} else if -diff > hops {
-							hops = -diff
-						}
-					}
-					want = want || a.eff+k.relayDelta*vtime.Time(hops) < best
-				}
-				if got != want {
-					t.Errorf("shard %d round %d: anchorCanImprove(core %d, depth %d, best %v) = %v over %d anchors, linear scan says %v",
-						i, round, reader.ID, depth, best, got, len(d.busyList.heap), want)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if len(k.lmDist) != effLandmarks {
-		t.Fatalf("%d landmark tables after the scans, want %d", len(k.lmDist), effLandmarks)
-	}
-}
-
-// lateCohortBudget bounds the whole late-cohort test (four runs on the
-// 102400-core machine, two of them through the O(machine)-per-pick scan);
-// the same figure as TestScale100kSparse's budget for one run.
+// lateCohortBudget bounds the whole late-cohort test (two runs on the
+// 102400-core machine); the same figure as TestScale100kSparse's budget
+// for one run.
 const lateCohortBudget = 90 * time.Second
 
-// TestLateCohortReachesLandmarkScan is the workload the landmark scan
-// exists for. On the benchmark workloads the anchors stay within a few T
-// of each other and the scan only ever confirms what a ring or two more
-// would have found; here it is what ends the search. On the 102400-core
-// chiplet machine 199 strided tasks open with one long native block, which
-// puts them 150 T ahead of the one fine-grained task that starts beside
-// them at 0. That task is the floor, and it lags the cohort by far more
-// than a few rings' worth of T: around every cohort core the floor cutoff
-// alone would let the search run over a hundred rings deep, and only the
-// per-anchor landmark bound — for most of the cohort the laggard is more
-// hops away than it lags — ends it early (with the scan switched off this
-// test takes 9 s, not 3.6). The cohort's uneven closing blocks then spread
-// it over a few T, which is what a shard needs to reach the scan: the
-// round quantum keeps anything farther ahead from being read at all. The
-// scan must be seen to run, results must not depend on which scheduler
-// reads the values (indexed queues vs the scan seam), and Kernel.Validate
-// must hold at sampled picks, on the sequential engine and on 16 shards.
-func TestLateCohortReachesLandmarkScan(t *testing.T) {
+// TestLateCohortSearchCost runs the shape that costs the floor-only region
+// search the most (docs/effective-time.md, "The late cohort"). On the
+// 102400-core chiplet machine 199 strided tasks open with one long native
+// block, which puts them 150 T ahead of the one fine-grained task that
+// starts beside them at 0. That task is the floor, and it lags the cohort
+// by far more than a few rings' worth of T, so around every cohort core
+// the search runs over a hundred rings deep before the floor ends it. The
+// cohort's uneven closing blocks then spread it over a few T, so shards
+// read one another's frozen proxies too. Results are pinned (recorded
+// while a linear scan was checked to schedule them identically), and
+// Kernel.Validate must hold at sampled picks, on the sequential engine and
+// on 16 shards, within the wall budget.
+func TestLateCohortSearchCost(t *testing.T) {
 	if testing.Short() {
 		t.Skip("100k-core machine build in -short mode")
 	}
@@ -241,21 +172,26 @@ func TestLateCohortReachesLandmarkScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	run := func(shards int, scan bool) (Result, effCounts) {
-		k := New(Config{Topo: topo, Policy: Spatial{T: DefaultT}, Seed: 7, Shards: shards, Workers: 1})
-		if scan {
-			useScan(k)
-		} else {
-			// The scan reads the same memos, so validating them here is
-			// enough; and only while most of the cohort is still busy — once
-			// the anchors thin out, Validate's own relaxation sweeps the
-			// machine hundreds of times per call.
-			picks := 0
-			k.onPick = func(*Core, vtime.Time) {
-				if picks++; picks%150 == 0 && picks <= 600 {
-					if err := k.Validate(); err != nil {
-						panic(fmt.Sprintf("pick %d: %v", picks, err))
-					}
+	for _, tc := range []struct {
+		shards int
+		want   string
+	}{
+		{1, "{FinalVT:15820cy Steps:775 Messages:0 Hops:0 Bytes:0 OutOfOrder:0 Handled:0 Stalls:575 Instructions:0 AvgRunnable:153.25806451612902 MaxRunnable:200 Shards:1 PerShard:[{Cores:102400 Steps:775 Util:1}]}"},
+		{16, "{FinalVT:15820cy Steps:874 Messages:0 Hops:0 Bytes:0 OutOfOrder:0 Handled:0 Stalls:674 Instructions:0 AvgRunnable:5.91533180778032 MaxRunnable:14 Shards:16 PerShard:[" +
+			"{Cores:7168 Steps:105 Util:0.12013729977116705} {Cores:7168 Steps:57 Util:0.06521739130434782} {Cores:7168 Steps:58 Util:0.06636155606407322} {Cores:7168 Steps:60 Util:0.06864988558352403} " +
+			"{Cores:6144 Steps:47 Util:0.05377574370709382} {Cores:6144 Steps:52 Util:0.059496567505720827} {Cores:6144 Steps:47 Util:0.05377574370709382} {Cores:6144 Steps:52 Util:0.059496567505720827} " +
+			"{Cores:6144 Steps:47 Util:0.05377574370709382} {Cores:6144 Steps:52 Util:0.059496567505720827} {Cores:6144 Steps:47 Util:0.05377574370709382} {Cores:6144 Steps:52 Util:0.059496567505720827} " +
+			"{Cores:6144 Steps:47 Util:0.05377574370709382} {Cores:6144 Steps:52 Util:0.059496567505720827} {Cores:6144 Steps:47 Util:0.05377574370709382} {Cores:6144 Steps:52 Util:0.059496567505720827}]}"},
+	} {
+		k := New(Config{Topo: topo, Policy: Spatial{T: DefaultT}, Seed: 7, Shards: tc.shards, Workers: 1})
+		// Validate only while most of the cohort is still busy: once the
+		// anchors thin out, its own relaxation sweeps the machine hundreds
+		// of times per call.
+		picks := 0
+		k.onPick = func(*Core, vtime.Time, int) {
+			if picks++; picks%150 == 0 && picks <= 600 {
+				if err := k.Validate(); err != nil {
+					panic(fmt.Sprintf("pick %d: %v", picks, err))
 				}
 			}
 		}
@@ -279,24 +215,11 @@ func TestLateCohortReachesLandmarkScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, countEff(k)
-	}
-	for _, shards := range []int{1, 16} {
-		indexed, n := run(shards, false)
-		scanned, _ := run(shards, true)
-		if !reflect.DeepEqual(indexed, scanned) {
-			t.Errorf("shards=%d: Result differs between the indexed queues and the scan:\n  index %+v\n  scan  %+v", shards, indexed, scanned)
+		if got := fmt.Sprintf("%+v", res); got != tc.want {
+			t.Errorf("shards=%d: Result moved:\n  got  %s\n  want %s", tc.shards, got, tc.want)
 		}
-		if n.scans == 0 {
-			t.Errorf("shards=%d: the landmark scan never ran", shards)
-		}
-		// A scan runs only after its search has made as many neighbour
-		// visits as the scan reads table entries, so scanning can at most
-		// double what the searches cost.
-		if n.scanCost > n.visits {
-			t.Errorf("shards=%d: scans were charged %d table reads, the searches made only %d neighbour visits", shards, n.scanCost, n.visits)
-		}
-		t.Logf("shards=%d: %d steps, %d searches, %d visits, %d landmark scans charged %d", shards, indexed.Steps, n.searches, n.visits, n.scans, n.scanCost)
+		n := countEff(k)
+		t.Logf("shards=%d: %d steps, %d searches, %d visits", tc.shards, res.Steps, n.searches, n.visits)
 	}
 	if wall := time.Since(start); wall > lateCohortBudget {
 		t.Errorf("late-cohort runs took %v, budget %v", wall, lateCohortBudget)

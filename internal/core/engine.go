@@ -39,13 +39,12 @@ type domain struct {
 	limit vtime.Time
 
 	// rq is the indexed runnable queue (sched.go) and sq its companion
-	// heap of idle-adjacent stalled cores (efflazy.go); both nil when the
-	// policy's horizon is not cacheable and the domain schedules through
-	// the scan. stepping is the core currently inside step, whose index
+	// heap of the stalled cores evaluated at every pick (domain.stallRouted,
+	// efflazy.go). stepping is the core currently inside step, whose index
 	// entry is transient until the step completes.
-	rq       *runq     //simany:derived runnable heap, a function of the encoded queues and clocks (schedRebuild)
-	sq       *coreHeap //simany:derived stalled-core heap, a function of the encoded queues and clocks (schedRebuild)
-	stepping *Core     //simany:derived transient mid-step marker, nil at every barrier
+	rq       *runq    //simany:derived runnable heap, a function of the encoded queues and clocks (schedRebuild)
+	sq       coreHeap //simany:derived stalled-core heap, a function of the encoded queues and clocks (schedRebuild)
+	stepping *Core    //simany:derived transient mid-step marker, nil at every barrier
 
 	// Host-parallelism potential sampling (§VIII).
 	runnableSum     int64
@@ -65,10 +64,9 @@ type domain struct {
 	// once observed runnable stays runnable until its own inputs change.
 	shapeEpoch uint64 //simany:derived sticky-runnable invalidation epoch, host-side only like effEpoch
 	effGen     uint64 //simany:derived lazyFix BFS visited generation, transient per query
-	// Search counters, read by tests only: region searches run (lazyFix),
-	// the neighbour visits they made, landmark scans run
-	// (anchorCanImprove) and the table reads those scans were charged.
-	effSearches, effVisits, lmScans, lmCost int64 //simany:derived test-read counters, no simulated state
+	// Search counters, read by tests only: region searches run (lazyFix)
+	// and the neighbour visits they made.
+	effSearches, effVisits int64 //simany:derived test-read counters, no simulated state
 	//simany:derived minimum over frozen cross-shard proxies, recomputed at every barrier
 	frozenFloor vtime.Time
 	effScratch  []int        //simany:derived reusable BFS ring buffer, empty between uses
@@ -166,39 +164,6 @@ func (d *domain) runnable(c *Core) (vtime.Time, bool) {
 	return key, true
 }
 
-// scanRunnable is the scheduling decision spelled out: a linear scan over
-// the domain's cores for the runnable core with the lowest virtual-time
-// key not exceeding limit (ties broken by core ID), plus the count of
-// runnable cores within the limit. Domains without an index schedule
-// through it, and it is the semantic definition the indexed queue must
-// reproduce.
-func (d *domain) scanRunnable(limit vtime.Time) (best *Core, bestKey vtime.Time, count int) {
-	bestKey = vtime.Inf
-	for _, c := range d.cores {
-		key, ok := d.runnable(c)
-		if !ok || key > limit {
-			continue
-		}
-		count++
-		if best == nil || key < bestKey {
-			best = c
-			bestKey = key
-		}
-	}
-	return best, bestKey, count
-}
-
-// bestRunnable is the scheduling decision — the runnable core with the
-// lowest (key, ID) within limit, its key, and how many cores are runnable
-// within limit — from the indexed queues when the domain has them, from
-// the scan otherwise. This is the one place the two schedulers fork.
-func (d *domain) bestRunnable(limit vtime.Time) (*Core, vtime.Time, int) {
-	if d.rq == nil {
-		return d.scanRunnable(limit)
-	}
-	return d.pickIndexed(limit)
-}
-
 // pickCore selects the runnable core with the lowest virtual-time key not
 // exceeding limit (deterministic; ties broken by core ID). It also
 // samples how many cores were simultaneously runnable — the quantity
@@ -206,7 +171,7 @@ func (d *domain) bestRunnable(limit vtime.Time) (*Core, vtime.Time, int) {
 // leaves enough independently simulatable cores to keep a multi-core host
 // busy.
 func (d *domain) pickCore(limit vtime.Time) *Core {
-	best, key, runnable := d.bestRunnable(limit)
+	best, key, runnable := d.pickIndexed(limit)
 	if best != nil {
 		d.runnableSamples++
 		d.runnableSum += int64(runnable)
@@ -214,7 +179,7 @@ func (d *domain) pickCore(limit vtime.Time) *Core {
 			d.runnableMax = runnable
 		}
 		if d.k.onPick != nil {
-			d.k.onPick(best, key)
+			d.k.onPick(best, key, runnable)
 		}
 	}
 	return best

@@ -26,12 +26,12 @@ import (
 // reference implementations as kernel modes, from the linear-scan
 // scheduler with the eager effective-time flood (Config{Sched: SchedScan,
 // Eff: EffEager}). It is therefore an oracle independent of everything
-// the kernel runs today: the indexed queues and lazily evaluated idle
-// regions (TestEffEquivalence*) and the scan over the same lazy values
-// (TestSchedulerEquivalence*) are each held to it, so a change that
-// shifts all of them together still fails. To regenerate after a
-// deliberate semantic change, record from a build you trust by running
-// runEquivCase over equivCases and marshalling the map.
+// the kernel runs today. On top of it, every pick is checked against the
+// scan (scanRunnable below) over the same lazily evaluated values: the
+// indexed queues must name the core, key and runnable count a linear scan
+// over the domain finds. To regenerate after a deliberate semantic change,
+// record from a build you trust by running runEquivCase over equivCases
+// and marshalling the map.
 //
 // Dense soups (more tasks than cores, constant region churn) exercise
 // wake/sleep flips and memo invalidation under load; sparse ones (three
@@ -186,20 +186,34 @@ type equivOutcome struct {
 	Result Result     `json:"result"`
 }
 
-// useScan drops the kernel's runnable index before anything is placed, so
-// every domain schedules through scanRunnable: the in-package seam that
-// keeps the scan testable under a policy whose horizon is cacheable.
-func useScan(k *Kernel) {
-	for _, d := range k.domains {
-		d.rq, d.sq = nil, nil
+// scanRunnable is the scheduling decision spelled out, the oracle the
+// indexed queues reproduce: a linear scan over the domain's cores for the
+// runnable core with the lowest virtual-time key not exceeding limit (ties
+// broken by core ID), plus the count of runnable cores within the limit.
+// It evaluates every stalled core's horizon, so it is only an oracle for
+// policies whose horizons are pure (Spatial).
+func (d *domain) scanRunnable(limit vtime.Time) (best *Core, bestKey vtime.Time, count int) {
+	bestKey = vtime.Inf
+	for _, c := range d.cores {
+		key, ok := d.runnable(c)
+		if !ok || key > limit {
+			continue
+		}
+		count++
+		if best == nil || key < bestKey {
+			best = c
+			bestKey = key
+		}
 	}
+	return best, bestKey, count
 }
 
-// runEquivCase runs one case. prep, when non-nil, adjusts the fresh kernel
-// before the workload is injected; validate makes every scheduling
-// decision run Kernel.Validate first, which is only sound when no other
-// domain is mid-step (sequential engine, or one worker).
-func runEquivCase(t *testing.T, c equivCase, workers int, validate bool, prep func(*Kernel)) equivOutcome {
+// runEquivCase runs one case, checking every pick against scanRunnable on
+// the picking domain (which reads only that domain's state, so it is sound
+// on any number of workers). validate makes every scheduling decision run
+// Kernel.Validate first, which is only sound when no other domain is
+// mid-step (sequential engine, or one worker).
+func runEquivCase(t *testing.T, c equivCase, workers int, validate bool) equivOutcome {
 	t.Helper()
 	k := New(Config{
 		Topo:    c.topo(),
@@ -208,9 +222,6 @@ func runEquivCase(t *testing.T, c equivCase, workers int, validate bool, prep fu
 		Shards:  c.shards,
 		Workers: workers,
 	})
-	if prep != nil {
-		prep(k)
-	}
 	type acc struct {
 		n int
 		h hash.Hash64
@@ -219,16 +230,25 @@ func runEquivCase(t *testing.T, c equivCase, workers int, validate bool, prep fu
 	for i := range accs {
 		accs[i].h = fnv.New64a()
 	}
-	k.onPick = func(core *Core, key vtime.Time) {
+	k.onPick = func(core *Core, key vtime.Time, runnable int) {
 		if validate {
 			if err := k.Validate(); err != nil {
 				panic(fmt.Sprintf("%s: invariant violation before pick of core %d: %v", c.name, core.ID, err))
 			}
 		}
+		d := core.dom
+		if best, bestKey, count := d.scanRunnable(d.limit); best != core || bestKey != key || count != runnable {
+			id := -1
+			if best != nil {
+				id = best.ID
+			}
+			panic(fmt.Sprintf("%s: picked core %d key %v of %d runnable, the scan finds core %d key %v of %d",
+				c.name, core.ID, key, runnable, id, bestKey, count))
+		}
 		var buf [12]byte
 		binary.LittleEndian.PutUint32(buf[:4], uint32(core.ID))
 		binary.LittleEndian.PutUint64(buf[4:], uint64(key))
-		a := &accs[core.dom.id]
+		a := &accs[d.id]
 		a.n++
 		a.h.Write(buf[:])
 	}
@@ -278,44 +298,28 @@ func checkEquiv(t *testing.T, what string, got, want equivOutcome) {
 }
 
 // TestEffEquivalenceGolden holds the production path — indexed queues,
-// lazily evaluated idle regions — to the recording, with Kernel.Validate
-// (heap membership and keys against the runnable computation, every fresh
-// memo against an independent relaxation) before every pick. Sharded
-// cases run once more on three workers, where per-pick validation would
-// race and the barrier-time checks of the Validated test below take over.
+// lazily evaluated idle regions — to the recording on one worker, with
+// Kernel.Validate (heap membership and keys against the runnable
+// computation, every fresh memo against an independent relaxation) and the
+// scan oracle before every pick.
 func TestEffEquivalenceGolden(t *testing.T) {
 	golden := loadEquivGolden(t)
 	for _, c := range equivCases() {
 		t.Run(c.name, func(t *testing.T) {
-			want := golden[c.name]
-			prep := func(k *Kernel) {
-				if got := k.Scheduler(); got != "index" {
-					t.Fatalf("scheduler = %q, want index (spatial horizons are cacheable)", got)
-				}
-			}
-			checkEquiv(t, "index, one worker", runEquivCase(t, c, 1, true, prep), want)
-			if c.shards > 1 {
-				checkEquiv(t, "index, three workers", runEquivCase(t, c, 3, false, prep), want)
-			}
+			checkEquiv(t, "one worker", runEquivCase(t, c, 1, true), golden[c.name])
 		})
 	}
 }
 
-// TestSchedulerEquivalenceGolden holds the scan — the production
-// scheduler of every policy whose horizon is not cacheable — to the same
-// recording, pulling horizons through the lazily evaluated neighborhood
-// minimum with no runq or stall heap.
+// TestSchedulerEquivalenceGolden holds the same path to the recording on
+// three workers, where per-pick validation would race: the scan oracle,
+// which reads only the picking domain, still checks every pick, and the
+// barrier-time checks of the Validated test below cover the rest.
 func TestSchedulerEquivalenceGolden(t *testing.T) {
 	golden := loadEquivGolden(t)
 	for _, c := range equivCases() {
 		t.Run(c.name, func(t *testing.T) {
-			prep := func(k *Kernel) {
-				useScan(k)
-				if got := k.Scheduler(); got != "scan" {
-					t.Fatalf("scheduler = %q, want scan", got)
-				}
-			}
-			checkEquiv(t, "scan", runEquivCase(t, c, 3, false, prep), golden[c.name])
+			checkEquiv(t, "three workers", runEquivCase(t, c, 3, false), golden[c.name])
 		})
 	}
 }

@@ -153,9 +153,15 @@ type Kernel struct {
 	//simany:derived locality table, recomputed by setupEngine (nil if not precomputed)
 	pairLocal []bool // n×n: route stays inside one shard
 
-	// onPick, when set, observes every scheduling decision (test hook;
-	// called from the worker driving the picked core's domain).
-	onPick func(c *Core, key vtime.Time)
+	// onPick, when set, observes every scheduling decision — the core,
+	// its key and the runnable count sampled with it (test hook; called
+	// from the worker driving the picked core's domain).
+	onPick func(c *Core, key vtime.Time, runnable int)
+
+	// localPolicy records that the policy is shard-local
+	// (ShardLocalPolicy): its horizons are pure, so they may be cached
+	// between invalidations and may drive the sharded engine.
+	localPolicy bool //simany:derived policy-derived configuration, reinstated by New
 
 	// Effective-time evaluation (efflazy.go): effLazy records that the
 	// policy relays effective times through idle cores (IdleRelayPolicy),
@@ -163,8 +169,6 @@ type Kernel struct {
 	// relayDelta caches the policy's per-hop relay increment.
 	effLazy    bool       //simany:derived policy-derived configuration, reinstated by New
 	relayDelta vtime.Time //simany:derived policy-derived configuration, reinstated by New
-	lmDist     [][]int32  //simany:derived landmark hop-distance tables, built from the topology by the first landmark scan
-	lmOnce     sync.Once  //simany:derived guards that build: shard workers may reach their first scans concurrently
 
 	// Barrier scratch buffers, reused across rounds: the merged deferred
 	// items drained at each barrier and the visiting order of the global
@@ -396,6 +400,8 @@ func New(cfg Config) *Kernel {
 // builds the execution domains.
 func (k *Kernel) setupEngine(cfg Config) {
 	n := len(k.cores)
+	p, ok := k.policy.(ShardLocalPolicy)
+	k.localPolicy = ok && p.ShardLocal()
 	shards := cfg.Shards
 	if shards < 1 {
 		shards = 1
@@ -443,6 +449,7 @@ func (k *Kernel) setupEngine(cfg Config) {
 			// no anchors, infinite floor, epoch 1 so the zero memo stamps
 			// are stale (efflazy.go).
 			busyList:    coreHeap{less: anchorLess, pos: anchorPos},
+			sq:          coreHeap{less: stallLess, pos: stallPos},
 			effEpoch:    1,
 			shapeEpoch:  1,
 			frozenFloor: vtime.Inf,
@@ -453,8 +460,10 @@ func (k *Kernel) setupEngine(cfg Config) {
 		c.dom = d
 		d.cores = append(d.cores, c)
 	}
+	for _, d := range k.domains {
+		d.rq = newRunq(d)
+	}
 	k.setupEff()
-	k.setupScheduler()
 	if k.effLazy {
 		// Valid idle-neighbor counts from the start: Validate may run on a
 		// kernel that has never entered an engine loop.
@@ -471,22 +480,6 @@ func (k *Kernel) setupEngine(cfg Config) {
 	}
 }
 
-// setupScheduler arms the per-domain runnable queues when the policy's
-// horizon is cacheable (CacheableHorizonPolicy). The scan re-evaluates
-// Horizon for every stalled core at every decision, so a horizon that
-// reads global machine state or has side effects (RNG draws, metric
-// probes) can only be reproduced by keeping the scan.
-func (k *Kernel) setupScheduler() {
-	p, ok := k.policy.(CacheableHorizonPolicy)
-	if !ok || !p.HorizonCacheable() {
-		return
-	}
-	for _, d := range k.domains {
-		d.rq = newRunq(d)
-		d.sq = &coreHeap{less: stallLess, pos: stallPos}
-	}
-}
-
 // schedRebuild recomputes every domain's runnable queues from scratch.
 // Run() calls it once before entering an engine loop; all maintenance
 // after that is incremental.
@@ -497,20 +490,9 @@ func (k *Kernel) schedRebuild() {
 			// two heaps, so they must be exact before either rebuild.
 			d.rebuildIdleNb()
 		}
-		if d.rq != nil {
-			d.rq.rebuild()
-			d.rebuildStallq()
-		}
+		d.rq.rebuild()
+		d.rebuildStallq()
 	}
-}
-
-// Scheduler names the active scheduling implementation: "index" or
-// "scan".
-func (k *Kernel) Scheduler() string {
-	if k.domains[0].rq != nil {
-		return "index"
-	}
-	return "scan"
 }
 
 // shardUnsafeReason reports why the configuration cannot run sharded, or
@@ -519,8 +501,7 @@ func (k *Kernel) Scheduler() string {
 // core-owned state. Tracers are shard-safe (per-shard buffers merged at
 // barriers) and never gate the engine.
 func (k *Kernel) shardUnsafeReason(cfg Config) string {
-	p, ok := k.policy.(ShardLocalPolicy)
-	if !ok || !p.ShardLocal() {
+	if !k.localPolicy {
 		return fmt.Sprintf("policy %q does not make shard-local decisions", k.policy.Name())
 	}
 	m, ok := k.mem.(ShardSafeMem)

@@ -23,11 +23,17 @@ type Policy interface {
 	Horizon(c *Core) vtime.Time
 }
 
-// ShardLocalPolicy is implemented by policies whose Horizon depends only
-// on the core itself and its neighbors' effective times — never on global
-// machine state. Only such policies can drive the sharded parallel
-// engine: a policy that does not implement the interface (or returns
-// false) forces the sequential engine regardless of Config.Shards.
+// ShardLocalPolicy is implemented by policies whose Horizon is a pure
+// function of the core itself (its clock, lock depth and outstanding birth
+// stamps) and its neighbors' effective times: no reads of global machine
+// state and no side effects (no RNG draws, no metric probes). The kernel
+// relies on that purity twice. Only such policies can drive the sharded
+// parallel engine: a policy that does not implement the interface (or
+// returns false) forces the sequential engine regardless of Config.Shards.
+// And only their stalled cores keep cached runnable keys and sticky
+// runnable bits between the invalidation events (docs/scheduler.md);
+// under any other policy the scheduler evaluates every stalled core's
+// Horizon once per scheduling decision.
 type ShardLocalPolicy interface {
 	ShardLocal() bool
 }
@@ -45,15 +51,10 @@ type Spatial struct {
 // Name implements Policy.
 func (s Spatial) Name() string { return "spatial" }
 
-// ShardLocal implements ShardLocalPolicy: spatial decisions consult only
-// neighbor proxies and local birth stamps.
+// ShardLocal implements ShardLocalPolicy: the spatial horizon is a pure
+// function of the core's neighbor effective times, birth stamps and lock
+// depth.
 func (s Spatial) ShardLocal() bool { return true }
-
-// HorizonCacheable implements CacheableHorizonPolicy: the spatial horizon
-// is a pure function of the core's neighbor proxies, birth stamps and
-// lock depth — exactly the inputs the indexed scheduler invalidates on —
-// so it may be cached between those events.
-func (s Spatial) HorizonCacheable() bool { return true }
 
 // IdleRelay implements IdleRelayPolicy: an idle core's shadow time is the
 // relay rule "min neighbor effective time plus T", which the kernel

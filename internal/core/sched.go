@@ -6,14 +6,14 @@ import (
 	"simany/internal/vtime"
 )
 
-// The indexed scheduler.
+// The scheduler.
 //
-// The reference kernel picks the next core by scanning every core of the
-// domain on every scheduling step (scanRunnable): O(cores) per step, the
-// dominant cost at the 1024-core scale the paper targets. The structures
-// in this file replace that scan with an indexed runnable queue — a binary
-// min-heap keyed by (virtual-time key, core ID) — so picking becomes an
-// O(1) peek and repositioning a core after a step an O(log n) sift.
+// The scheduling decision is the runnable core with the lowest (virtual-time
+// key, core ID) within the limit — what a linear scan over the domain's
+// cores would find (the scan survives as the test oracle in
+// equiv_test.go). The structures in this file keep that decision indexed:
+// a binary min-heap keyed by (key, core ID), so picking is an O(1) peek and
+// repositioning a core after a step an O(log n) sift.
 //
 // The heap is maintained incrementally: every site that can change a
 // core's runnability or its key posts an update to the owning domain's
@@ -26,32 +26,14 @@ import (
 //   - its clock, idle flag and current task — mutated only inside
 //     domain.step (the post-step update covers them);
 //   - for a core stalled mid-task, the policy horizon — which for a
-//     cacheable-horizon policy (CacheableHorizonPolicy) is a pure function
-//     of its neighbors' effective times (effSite / refreshEff), its birth
-//     stamps (RegisterBirth / clearBirth) and its lock depth (mutated only
-//     by the core's own running task).
+//     shard-local policy (ShardLocalPolicy) is a pure function of its
+//     neighbors' effective times (effSite / refreshEff), its birth stamps
+//     (RegisterBirth / clearBirth) and its lock depth (mutated only by the
+//     core's own running task).
 //
-// Policies whose horizons read global machine state or have side effects
-// (the drift-comparison schemes draw referee RNGs and record probe
-// histograms per evaluation) cannot be indexed without changing observable
-// behavior; kernels running them schedule through the scan. The heap
-// orders by the exact (key, core ID) pair the scan minimizes, and the
-// equivalence suite (equiv_test.go) holds both to the same recorded pick
-// sequences.
-
-// CacheableHorizonPolicy is implemented by policies whose Horizon is a
-// pure function of the kernel-tracked inputs the indexed scheduler
-// invalidates on — the core's neighbor effective-time proxies, its
-// outstanding birth stamps and its lock depth — with no side effects (no
-// RNG draws, no metric probes) and no reads of other global machine
-// state. Only such horizons may be re-evaluated on invalidation instead
-// of at every scheduling decision; a policy that does not implement the
-// interface (or returns false) schedules through the scan, which
-// evaluates Horizon for every stalled core at every pick exactly as the
-// original kernel did.
-type CacheableHorizonPolicy interface {
-	HorizonCacheable() bool
-}
+// Stalled cores whose horizons no cached key could track live in the
+// stall heap instead (domain.stallRouted), evaluated on demand at every
+// pick (domain.stallBest).
 
 // runq is a domain's indexed runnable queue: a binary min-heap over the
 // domain's cores ordered by (schedKey, core ID), mirroring exactly the
@@ -202,15 +184,15 @@ func (q *runq) update(c *Core) {
 
 // rebuild recomputes the queue from scratch — membership, keys and heap
 // order — in O(cores). Run() calls it once per engine start; everything
-// after that is incremental. The idle-adjacent stalled cores belong to
-// the secondary heap (rebuilt separately) and are excluded here.
+// after that is incremental. The stall heap's cores (rebuilt separately)
+// are excluded here.
 func (q *runq) rebuild() {
 	q.heap = q.heap[:0]
 	for _, c := range q.d.cores {
 		c.schedPos = -1
 	}
 	for _, c := range q.d.cores {
-		if c.current != nil && c.idleNb > 0 {
+		if q.d.stallRouted(c) {
 			continue
 		}
 		if key, ok := q.d.runnable(c); ok {
@@ -236,29 +218,29 @@ func (q *runq) pick() (*Core, int) {
 	return best, q.countAtMost()
 }
 
+// stallRouted reports whether c belongs to the stall heap rather than the
+// runq: it is stalled mid-task and its horizon cannot be cached, because it
+// reads an idle neighbor's lazily evaluated shadow time (which posts no
+// invalidation callback) or because the policy is not shard-local (its
+// horizon is not monotone between invalidations and may draw from the
+// RNG). Stalled cores without idle neighbors under a shard-local policy
+// keep exact runq keys: their horizons read only busy neighbors'
+// maintained times (effSite notifies on every change) and frozen
+// cross-shard proxies (refreshed under a full rebuild).
+func (d *domain) stallRouted(c *Core) bool {
+	return c.current != nil && (c.idleNb > 0 || !d.k.localPolicy)
+}
+
 // schedUpdate posts an incremental runnability update for c to its
-// domain's index. It is a no-op on domains scheduling through the scan.
-// Calls for a core that is mid-step observe a transient state; the
-// post-step update in domain.step settles it before the queue is next
-// read (the domain only consults the queue between steps).
-//
-// A stalled core with an idle same-domain neighbor is routed to the
-// secondary (vt, ID) heap instead: its horizon reads lazily evaluated
-// shadow times that post no invalidation callbacks, so no cached key
-// could be kept honest — pickCore evaluates it on demand (efflazy.go).
-// Stalled cores without idle neighbors keep exact runq keys: their
-// horizons read only busy neighbors' maintained times (effSite notifies
-// on every change) and frozen cross-shard proxies (refreshed under a
-// full rebuild).
+// domain's queues. Calls for a core that is mid-step observe a transient
+// state; the post-step update in domain.step settles it before the queues
+// are next read (the domain only consults them between steps).
 func (d *domain) schedUpdate(c *Core) {
-	if d.rq == nil {
-		return
-	}
 	// Every non-eff horizon input (clock, births, locks) funnels its
 	// mutations through here, so dropping the sticky runnable bit on each
 	// update is exactly the invalidation its contract needs.
 	c.rnStamp = 0
-	if c.current != nil && c.idleNb > 0 {
+	if d.stallRouted(c) {
 		// The mid-step core stays out of the stall heap (its clock is
 		// moving); the post-step update re-seats it.
 		if c != d.stepping {
@@ -283,9 +265,6 @@ func (d *domain) schedUpdate(c *Core) {
 // consulted again. Used by Kernel.Validate.
 func (d *domain) checkRunq() error {
 	q := d.rq
-	if q == nil {
-		return nil
-	}
 	within := 0
 	for i, c := range q.heap {
 		if c.schedPos != i {
@@ -311,9 +290,9 @@ func (d *domain) checkRunq() error {
 		if c == d.stepping {
 			continue
 		}
-		if c.current != nil && c.idleNb > 0 {
-			// Idle-adjacent stalled cores live in the secondary heap; their
-			// runnability is evaluated on demand, never cached in the runq.
+		if d.stallRouted(c) {
+			// The stall heap's cores are evaluated on demand, never cached
+			// in the runq.
 			if c.schedPos >= 0 {
 				return fmt.Errorf("domain %d: stalled core %d still in the runq (key %v)", d.id, c.ID, c.schedKey)
 			}
@@ -323,7 +302,7 @@ func (d *domain) checkRunq() error {
 			continue
 		}
 		if c.stallPos >= 0 {
-			return fmt.Errorf("domain %d: core %d in the stall heap but not idle-adjacent stalled", d.id, c.ID)
+			return fmt.Errorf("domain %d: core %d in the stall heap but not routed there", d.id, c.ID)
 		}
 		key, ok := d.runnable(c)
 		switch {

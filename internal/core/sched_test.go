@@ -277,25 +277,3 @@ func TestContsMinCacheReordering(t *testing.T) {
 		t.Fatalf("drained queue conts-min %v, want Inf", got)
 	}
 }
-
-// TestSchedulerSelection: the kernel indexes exactly when the policy says
-// its horizon is cacheable, and schedules through the scan otherwise.
-func TestSchedulerSelection(t *testing.T) {
-	for _, tc := range []struct {
-		policy Policy
-		want   string
-	}{
-		{Spatial{T: DefaultT}, "index"},
-		{unboundedPolicy{}, "scan"}, // does not implement CacheableHorizonPolicy
-	} {
-		k := New(Config{Topo: topology.Mesh(4), Policy: tc.policy, Seed: 1})
-		if got := k.Scheduler(); got != tc.want {
-			t.Errorf("%s: Scheduler() = %q, want %q", tc.policy.Name(), got, tc.want)
-		}
-		d := k.domains[0]
-		if indexed := tc.want == "index"; (d.rq != nil) != indexed || (d.sq != nil) != indexed {
-			t.Errorf("%s: runq present %v, stall heap present %v, want both %v",
-				tc.policy.Name(), d.rq != nil, d.sq != nil, indexed)
-		}
-	}
-}

@@ -85,15 +85,15 @@ func (k *Kernel) runShard() (Result, error) {
 }
 
 // minRunnableKey returns the globally minimal runnable virtual-time key —
-// the anchor of the next round's window. With the indexed scheduler this
-// is a peek over the per-domain heap heads, O(shards) instead of a full
-// machine scan; barriers run the queues' invalidation hooks (drained
-// items, effective-time refresh) before this is called, so every head is
+// the anchor of the next round's window: a peek over the per-domain
+// queues, O(shards) plus the stall heaps' walks instead of a full machine
+// scan. Barriers run the queues' invalidation hooks (drained items,
+// effective-time refresh) before this is called, so every head is
 // settled.
 func (k *Kernel) minRunnableKey() vtime.Time {
 	minKey := vtime.Inf
 	for _, d := range k.domains {
-		if head, key, _ := d.bestRunnable(vtime.Inf); head != nil && key < minKey {
+		if head, key, _ := d.pickIndexed(vtime.Inf); head != nil && key < minKey {
 			minKey = key
 		}
 	}
@@ -131,9 +131,7 @@ func (k *Kernel) runRound(limit vtime.Time) {
 // count there.
 func (d *domain) setLimit(limit vtime.Time) {
 	d.limit = limit
-	if d.rq != nil {
-		d.rq.arm(limit)
-	}
+	d.rq.arm(limit)
 }
 
 // runLocal is one domain's share of a round: schedule local cores with

@@ -22,10 +22,10 @@ import (
 //   - the cached minimum birth stamp matches the birth map;
 //   - the cached queue minima (ready arrivals, continuation resumes)
 //     match a recomputation from the queues;
-//   - with the indexed scheduler active: heap positions, heap order, the
-//     runnable count at the armed limit and queue membership/keys agree
-//     with the reference runnable computation
-//     (the mid-step core excepted — its entry settles at step end);
+//   - the scheduler's heaps: positions, heap order, the runnable count at
+//     the armed limit, and queue membership/keys agree with the reference
+//     runnable computation (the mid-step core excepted — its entry
+//     settles at step end);
 //   - lock depths are non-negative;
 //   - task states are consistent with the queue each task sits in;
 //   - the busy-core counter matches the per-core idle flags;

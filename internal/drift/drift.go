@@ -28,7 +28,10 @@ import (
 // the measured drift the scheme's slack parameter bounds. The histograms
 // feed the deterministic metrics registry (docs/observability.md,
 // "drift-to-bound"). These global schemes run on the sequential engine
-// (none of them is shard-local), so stripe 0 is always the caller's own.
+// (none of them is shard-local), so stripe 0 is always the caller's own,
+// and the scheduler evaluates each stalled core's horizon once per
+// scheduling decision, so the histograms count one probe per stalled core
+// per decision.
 func probe(h *metrics.Histogram, ahead vtime.Time) {
 	if h == nil {
 		return
@@ -132,21 +135,18 @@ func (Unbounded) Name() string { return "unbounded" }
 // Horizon implements core.Policy.
 func (Unbounded) Horizon(*core.Core) vtime.Time { return vtime.Inf }
 
-// ShardLocal implements core.ShardLocalPolicy: Unbounded consults no state
-// at all, so it can drive the sharded engine.
-func (Unbounded) ShardLocal() bool { return true }
-
-// HorizonCacheable implements core.CacheableHorizonPolicy: a constant-Inf
-// horizon is trivially pure, so Unbounded runs on the indexed scheduler.
+// ShardLocal implements core.ShardLocalPolicy: a constant-Inf horizon
+// consults no state at all, so it is pure and can drive the sharded
+// engine.
 //
 // The other schemes in this package deliberately do NOT implement the
 // interface: their horizons read global machine state (GlobalMinTime,
 // every other core's NextEventTime) and have per-evaluation side effects
 // (LaxP2P draws a referee from the core's RNG, the Probe histograms count
-// evaluations), so the reference scan — which evaluates Horizon for every
-// stalled core at every scheduling decision — is the only implementation
-// that reproduces their published behavior.
-func (Unbounded) HorizonCacheable() bool { return true }
+// evaluations). The kernel therefore runs them sequentially and asks
+// every stalled core's Horizon at every scheduling decision, which is
+// what reproduces their published behavior.
+func (Unbounded) ShardLocal() bool { return true }
 
 // LaxP2P approximates Graphite's LaxP2P: each time a core is about to run,
 // it checks its progress against a randomly chosen other core; if it is

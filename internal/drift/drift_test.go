@@ -1,7 +1,11 @@
 package drift
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash"
+	"hash/fnv"
+	"math/rand"
 	"testing"
 
 	"simany/internal/core"
@@ -269,6 +273,179 @@ func TestPinnedResults(t *testing.T) {
 		}
 		if got := fmt.Sprintf("%+v", res); got != tc.want {
 			t.Errorf("%s: Result moved:\n  got  %s\n  want %s", tc.pol.Name(), got, tc.want)
+		}
+	}
+}
+
+const (
+	kindSoupEcho network.Kind = 210 + iota
+	kindSoupWake
+	kindSoupSpawn
+)
+
+type soupSpawn struct {
+	task  *core.Task
+	birth *core.Core
+}
+
+// soup injects a seeded random task soup: compute bursts, request/reply
+// blocks on an echo from a random core, lock-exempt sections, children
+// spawned elsewhere under a birth entry, and cooperative yields. Every
+// decision draws from RNGs seeded by (seed, task), never from host state.
+func soup(k *core.Kernel, seed int64, tasks int) {
+	n := k.NumCores()
+	k.Handle(kindSoupEcho, func(k *core.Kernel, msg network.Message) {
+		req := msg.Payload.(*core.Task)
+		k.SendAt(msg.Dst, req.Core().ID, kindSoupWake, 8, req, msg.Arrival+vtime.CyclesInt(3))
+	})
+	k.Handle(kindSoupWake, func(k *core.Kernel, msg network.Message) {
+		k.Unblock(msg.Payload.(*core.Task), msg.Arrival)
+	})
+	k.Handle(kindSoupSpawn, func(k *core.Kernel, msg network.Message) {
+		sp := msg.Payload.(soupSpawn)
+		k.PlaceTask(sp.task, msg.Dst, msg.Arrival, sp.birth)
+	})
+	var body func(depth int, taskSeed int64) func(*core.Env)
+	body = func(depth int, taskSeed int64) func(*core.Env) {
+		return func(e *core.Env) {
+			rng := rand.New(rand.NewSource(taskSeed))
+			rounds := 2 + rng.Intn(4)
+			for i := 0; i < rounds; i++ {
+				e.ComputeCycles(float64(1 + rng.Intn(220)))
+				switch rng.Intn(5) {
+				case 0:
+					e.Send(rng.Intn(n), kindSoupEcho, 16, e.Task())
+					e.Block()
+				case 1:
+					e.AcquireLockExempt()
+					e.ComputeCycles(float64(1 + rng.Intn(150)))
+					e.ReleaseLockExempt()
+				case 2:
+					if depth < 2 {
+						me := k.Core(e.CoreID())
+						child := k.NewTask(me.ID, "child", body(depth+1, taskSeed*31+int64(i)+7), nil)
+						k.RegisterBirth(me, child, e.Now())
+						e.Send(rng.Intn(n), kindSoupSpawn, 24, soupSpawn{task: child, birth: me})
+					}
+				case 3:
+					e.Yield()
+				default:
+					e.ComputeCycles(float64(1 + rng.Intn(60)))
+				}
+			}
+		}
+	}
+	root := rand.New(rand.NewSource(seed))
+	for i := 0; i < tasks; i++ {
+		at := vtime.CyclesInt(int64(root.Intn(400)))
+		k.InjectTask(root.Intn(n), "root", body(0, seed*97+int64(i)), nil, at)
+	}
+}
+
+// traceHash folds every field of every trace event, in delivery order,
+// into one FNV-1a hash.
+type traceHash struct {
+	events int
+	h      hash.Hash64
+}
+
+func (t *traceHash) Trace(ev core.TraceEvent) {
+	var buf [41]byte
+	binary.LittleEndian.PutUint64(buf[0:], ev.Seq)
+	buf[8] = byte(ev.Kind)
+	binary.LittleEndian.PutUint64(buf[9:], uint64(ev.VT))
+	binary.LittleEndian.PutUint64(buf[17:], uint64(ev.Core))
+	binary.LittleEndian.PutUint64(buf[25:], ev.TaskID)
+	binary.LittleEndian.PutUint64(buf[33:], uint64(ev.Aux))
+	t.h.Write(buf[:])
+	t.h.Write([]byte(ev.Task))
+	t.events++
+}
+
+// soupPin is what one soup run must reproduce: the trace stream (event
+// count and hash), the Result, and the drift probe's histogram ("-" for
+// the schemes without a probe).
+type soupPin struct{ trace, result, probe string }
+
+// TestPinnedSoup pins each drift scheme on a randomized soup on a 5×5
+// mesh, dense (more tasks than cores) and sparse (three tasks), with a
+// Probe attached where the scheme has one. The probe counts horizon
+// evaluations, so its count pins how often the scheduler asks each stalled
+// core; LaxP2P's referee draws come from the per-core RNGs the trace
+// stream reflects. The values were recorded while these schemes still
+// scheduled through a linear scan over every core, and hold unchanged on
+// the indexed queues.
+func TestPinnedSoup(t *testing.T) {
+	pins := map[string]soupPin{
+		"quantum/dense": {"989 events 8167e4f3467c794e",
+			"{FinalVT:4900.750cy Steps:511 Messages:167 Hops:513 Bytes:2568 OutOfOrder:4 Handled:167 Stalls:427 Instructions:0 AvgRunnable:4.500978473581213 MaxRunnable:20 Shards:1 PerShard:[{Cores:25 Steps:511 Util:1}]}",
+			"count 8233 sum 514167750 min 0 max 404000"},
+		"quantum/sparse": {"79 events dfd8ad8eeea6ec03",
+			"{FinalVT:1263cy Steps:34 Messages:16 Hops:41 Bytes:240 OutOfOrder:0 Handled:16 Stalls:27 Instructions:0 AvgRunnable:1.7352941176470589 MaxRunnable:3 Shards:1 PerShard:[{Cores:25 Steps:34 Util:1}]}",
+			"count 155 sum 4609750 min 0 max 242750"},
+		"bounded-slack/dense": {"966 events 31ae00c0cb4c5955",
+			"{FinalVT:4900.750cy Steps:488 Messages:167 Hops:513 Bytes:2568 OutOfOrder:3 Handled:167 Stalls:404 Instructions:0 AvgRunnable:4.954918032786885 MaxRunnable:20 Shards:1 PerShard:[{Cores:25 Steps:488 Util:1}]}",
+			"count 7840 sum 497557750 min 0 max 404000"},
+		"bounded-slack/sparse": {"81 events f12624e305359bd7",
+			"{FinalVT:1263cy Steps:36 Messages:16 Hops:41 Bytes:240 OutOfOrder:0 Handled:16 Stalls:29 Instructions:0 AvgRunnable:1.9444444444444444 MaxRunnable:4 Shards:1 PerShard:[{Cores:25 Steps:36 Util:1}]}",
+			"count 162 sum 4182000 min 0 max 183000"},
+		"laxp2p/dense": {"711 events 6a323ca30b6180ea",
+			"{FinalVT:5405.750cy Steps:233 Messages:167 Hops:513 Bytes:2568 OutOfOrder:6 Handled:167 Stalls:149 Instructions:0 AvgRunnable:12.098712446351932 MaxRunnable:20 Shards:1 PerShard:[{Cores:25 Steps:233 Util:1}]}",
+			"count 2063 sum 122285750 min 0 max 666500"},
+		"laxp2p/sparse": {"58 events d778c5ce19249df9",
+			"{FinalVT:1263cy Steps:13 Messages:16 Hops:41 Bytes:240 OutOfOrder:0 Handled:16 Stalls:6 Instructions:0 AvgRunnable:2.6923076923076925 MaxRunnable:5 Shards:1 PerShard:[{Cores:25 Steps:13 Util:1}]}",
+			"count 2 sum 124500 min 0 max 124500"},
+		"lockstep/dense": {"1066 events e18430df953a9c92",
+			"{FinalVT:4900.750cy Steps:588 Messages:167 Hops:513 Bytes:2568 OutOfOrder:2 Handled:167 Stalls:504 Instructions:0 AvgRunnable:1.7057823129251701 MaxRunnable:20 Shards:1 PerShard:[{Cores:25 Steps:588 Util:1}]}",
+			"-"},
+		"lockstep/sparse": {"79 events 5a6ae05abbef12d2",
+			"{FinalVT:1263cy Steps:34 Messages:16 Hops:41 Bytes:240 OutOfOrder:0 Handled:16 Stalls:27 Instructions:0 AvgRunnable:1.4411764705882353 MaxRunnable:3 Shards:1 PerShard:[{Cores:25 Steps:34 Util:1}]}",
+			"-"},
+		"unbounded/dense": {"615 events 0b462cdadaef9364",
+			"{FinalVT:5401.500cy Steps:137 Messages:167 Hops:513 Bytes:2568 OutOfOrder:9 Handled:167 Stalls:53 Instructions:0 AvgRunnable:13.620437956204379 MaxRunnable:21 Shards:1 PerShard:[{Cores:25 Steps:137 Util:1}]}",
+			"-"},
+		"unbounded/sparse": {"57 events c95bb795aa633120",
+			"{FinalVT:1263cy Steps:12 Messages:16 Hops:41 Bytes:240 OutOfOrder:0 Handled:16 Stalls:5 Instructions:0 AvgRunnable:2.4166666666666665 MaxRunnable:5 Shards:1 PerShard:[{Cores:25 Steps:12 Util:1}]}",
+			"-"},
+	}
+	schemes := []struct {
+		name string
+		mk   func(*metrics.Histogram) core.Policy
+	}{
+		{"quantum", func(h *metrics.Histogram) core.Policy { return GlobalQuantum{Q: vtime.CyclesInt(50), Probe: h} }},
+		{"bounded-slack", func(h *metrics.Histogram) core.Policy { return BoundedSlack{W: vtime.CyclesInt(30), Probe: h} }},
+		{"laxp2p", func(h *metrics.Histogram) core.Policy { return LaxP2P{Slack: vtime.CyclesInt(40), Probe: h} }},
+		{"lockstep", func(*metrics.Histogram) core.Policy { return Lockstep{} }},
+		{"unbounded", func(*metrics.Histogram) core.Policy { return Unbounded{} }},
+	}
+	loads := []struct {
+		name        string
+		tasks, seed int
+	}{{"dense", 37, 1}, {"sparse", 3, 2}}
+	for _, sc := range schemes {
+		for _, ld := range loads {
+			name := sc.name + "/" + ld.name
+			reg := metrics.New()
+			h := reg.Histogram("drift.probe", metrics.UnitTime, metrics.DefaultTimeBounds())
+			k := core.New(core.Config{Topo: topology.Mesh(25), Policy: sc.mk(h), Seed: int64(ld.seed)})
+			tr := &traceHash{h: fnv.New64a()}
+			k.SetTracer(tr)
+			soup(k, int64(ld.seed), ld.tasks)
+			res, err := k.Run()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			got := soupPin{
+				trace:  fmt.Sprintf("%d events %016x", tr.events, tr.h.Sum64()),
+				result: fmt.Sprintf("%+v", res),
+				probe:  "-",
+			}
+			if hs := reg.Snapshot().Histograms[0]; hs.Count > 0 {
+				got.probe = fmt.Sprintf("count %d sum %d min %d max %d", hs.Count, hs.Sum, hs.Min, hs.Max)
+			}
+			if want := pins[name]; got != want {
+				t.Errorf("%s moved:\n  got  %#v\n  want %#v", name, got, want)
+			}
 		}
 	}
 }
