@@ -58,7 +58,7 @@ func run(args []string) error {
 		pprofF    = fs.String("pprof", "", "write a host CPU profile of the simulation to this file")
 		machineF  = fs.String("machine", "", "load the architecture from a machine description file (overrides -cores/-style/-mem/-policy/-T)")
 		ckptF     = fs.String("checkpoint", "", "pause at the -checkpoint-after position and write a checkpoint to this file")
-		ckptAfter = fs.Int64("checkpoint-after", 0, "engine position (barriers for -shards > 1, steps otherwise) to checkpoint at; requires -checkpoint")
+		ckptAfter = fs.Int64("checkpoint-after", 0, "engine position (barriers on the sharded engine, steps otherwise — including a -shards run demoted to sequential) to checkpoint at; requires -checkpoint")
 		resumeF   = fs.String("resume", "", "resume from a checkpoint file written by -checkpoint (same benchmark, seed, scale and machine flags required)")
 	)
 	if err := fs.Parse(args); err != nil {

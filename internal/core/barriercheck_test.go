@@ -201,6 +201,38 @@ func TestDemotedRunMatchesSequential(t *testing.T) {
 	}
 }
 
+// unsafeMem is a memory system that is not shard-safe, like shared memory
+// with a coherence directory.
+type unsafeMem struct{ NullMem }
+
+func (unsafeMem) ShardSafe() bool { return false }
+
+// TestDemotedFingerprintMatchesSequential: a demoted Shards: 4 runs the
+// sequential engine, so its checkpoints must resume under Shards: 1 — for
+// either demotion cause — while a spatial Shards: 4, which runs sharded,
+// must not.
+func TestDemotedFingerprintMatchesSequential(t *testing.T) {
+	fp := func(shards int, p Policy, mem MemSystem) uint64 {
+		return New(Config{Topo: topology.Mesh(16), Policy: p, Mem: mem, Seed: 3, Shards: shards}).fprint
+	}
+	spatial := Spatial{T: DefaultT}
+	for _, tc := range []struct {
+		name string
+		p    Policy
+		mem  MemSystem
+	}{
+		{"policy", unboundedPolicy{}, nil},
+		{"memory", spatial, unsafeMem{}},
+	} {
+		if got, want := fp(4, tc.p, tc.mem), fp(1, tc.p, tc.mem); got != want {
+			t.Errorf("%s demotion: Shards 4 fingerprint %#x, Shards 1 %#x", tc.name, got, want)
+		}
+	}
+	if fp(4, spatial, nil) == fp(1, spatial, nil) {
+		t.Error("sharded Shards 4 fingerprint equals Shards 1's")
+	}
+}
+
 // countingTracer is a trivial Tracer for demotion tests.
 type countingTracer struct{}
 

@@ -36,14 +36,14 @@ type Core struct {
 	eff vtime.Time // advertised effective time (vt when busy, shadow memo when idle; Inf when the policy does not relay)
 
 	// Effective-time state (efflazy.go): the memo epoch stamp that
-	// validates eff for an idle core, the BFS visited generation, and the
-	// core's slots in its domain's anchor heap and stall heap.
+	// validates eff for an idle core and the BFS visited generation.
 	effStamp uint64 //simany:derived memo validity stamp vs domain.effEpoch, 0 = stale
 	effSeen  uint64 //simany:derived lazyFix visited marker vs domain.effGen, transient per BFS
-	busyPos  int    //simany:derived slot in the domain.busyList heap (-1 = idle), a function of the encoded idle flags
-	stallPos int    //simany:derived index in domain.sq (-1 = not stalled), a function of the encoded queues and clocks
-	idleNb   int32  //simany:derived count of idle same-domain neighbors, a function of the encoded idle flags (schedRebuild)
 	rnStamp  uint64 //simany:derived sticky stalled-runnable stamp vs domain.shapeEpoch (shard-local policies only), cleared by schedUpdate
+	idleNb   int32  //simany:derived count of idle same-domain neighbors, a function of the encoded idle flags (schedRebuild)
+	// hpos is the core's position in each of its domain's indexed heaps
+	// (coreHeap, indexed by runSlot/anchorSlot/stallSlot; -1 = out).
+	hpos [3]int32 //simany:derived heap positions, a function of the encoded queues, clocks and idle flags (schedRebuild)
 
 	//simany:derived immutable topology adjacency, rebuilt by New
 	neighbors []int // topological neighbors (sorted)
@@ -64,12 +64,6 @@ type Core struct {
 	readyMinDirty bool       //simany:derived validity bit of readyMin, host-side only
 	contsMin      vtime.Time //simany:derived lazy cache over conts, a function of the encoded queue
 	contsMinDirty bool       //simany:derived validity bit of contsMin, host-side only
-
-	// Indexed-scheduler state (sched.go), owned by the core's domain:
-	// position in the domain's runnable heap (-1 = not enqueued) and the
-	// cached runnable key it is ordered by while enqueued.
-	schedPos int        //simany:derived heap index, a function of the encoded queues and clocks (schedRebuild)
-	schedKey vtime.Time //simany:derived cached runnable key, a function of the encoded queues and clocks (schedRebuild)
 
 	lockDepth int // >0: lock-holder exemption from spatial stalls
 

@@ -154,8 +154,8 @@ func (d *domain) effInvalidate() {
 // the barrier-exact minimum over the frozen cross-shard proxies,
 // whichever is lower. Inf when the domain has neither.
 func (d *domain) effFloor() vtime.Time {
-	if h := d.busyList.heap; len(h) > 0 && h[0].eff < d.frozenFloor {
-		return h[0].eff
+	if h := d.busyList.heap; len(h) > 0 && h[0].key < d.frozenFloor {
+		return h[0].key
 	}
 	return d.frozenFloor
 }
@@ -174,12 +174,12 @@ func (d *domain) effSite(c *Core) {
 		return
 	}
 	if !c.idle {
-		flipped := c.busyPos < 0
+		flipped := c.hpos[anchorSlot] < 0
 		if !flipped && c.eff == c.vt {
 			return
 		}
 		c.eff = c.vt
-		d.busyList.put(c)
+		d.busyList.put(c, c.eff)
 		d.effInvalidate()
 		if flipped {
 			// Idle → busy: the core joins the frontier. Paths through it
@@ -207,7 +207,7 @@ func (d *domain) effSite(c *Core) {
 	// Busy → idle: the core stops being an anchor; its slot in the memo
 	// space is stale until the next lazy read recomputes it. Stalled
 	// neighbors gain an idle neighbor and are re-routed to the stall heap.
-	if c.busyPos >= 0 {
+	if c.hpos[anchorSlot] >= 0 {
 		d.busyList.remove(c)
 		c.effStamp = 0
 		d.effInvalidate()
@@ -330,43 +330,58 @@ func (d *domain) minNeighborEff(c *Core) vtime.Time {
 	return m
 }
 
-// coreHeap is an indexed binary min-heap over cores: less orders the
-// members and pos names the Core field that records each member's slot
-// (-1 while out), so membership is an O(1) test and re-seating a member
-// whose key moved an O(log n) sift. A domain keeps two: the anchor heap
-// (busyList: its busy cores by maintained eff, whose root is the exact
-// anchor floor) and the stall heap (sq, below).
-type coreHeap struct {
-	heap []*Core
-	less func(a, b *Core) bool
-	pos  func(c *Core) *int
+// The kernel's indexed heaps, one position each in Core.hpos:
+const (
+	runSlot    = iota // domain.rq: runnable cores by (cached runnable key, ID)
+	anchorSlot        // domain.busyList: busy cores by maintained eff
+	stallSlot         // domain.sq: stall-routed cores by (vt, ID)
+)
+
+// heapEntry is one coreHeap member with the key it is ordered by, copied
+// in at every put so a sift reads no Core field but the position (and the
+// ID on a tie, when the heap breaks ties).
+type heapEntry struct {
+	key vtime.Time
+	c   *Core
 }
 
-func anchorLess(a, b *Core) bool { return a.eff < b.eff }
-func anchorPos(c *Core) *int     { return &c.busyPos }
-
+// coreHeap is an indexed binary min-heap over cores: each member records
+// its position in c.hpos[slot] (-1 while out), so membership is an O(1)
+// test and re-seating a member whose key moved an O(log n) sift. A domain
+// keeps three: the runq (sched.go), the anchor heap (busyList, whose root
+// is the exact anchor floor) and the stall heap (sq, below). byID breaks
+// key ties by core ID — the scan's (key, ID) order, which the runq and
+// the stall heap need for their picks. The anchor heap is only ever asked
+// for its root's key, and skips the tie-break: on a machine of tied
+// clocks it would make every sift walk the whole tied class.
+//
 // The stall heap is a domain's secondary scheduling heap: the stalled
 // cores whose horizons no cached key can track (domain.stallRouted) — the
 // idle-adjacent ones, and every one under a policy that is not
-// shard-local — ordered by (vt, ID). Their runnable keys — when runnable
-// at all — equal their clocks, but runnability itself depends on horizons
+// shard-local — keyed by vt. Their runnable keys — when runnable at all —
+// equal their clocks, but runnability itself depends on horizons
 // evaluated at the pick, so membership means "stalled, evaluated on
 // demand", not "runnable"; pickCore evaluates the horizons of the members
 // with vt ≤ limit. The mid-step core is kept out (its clock is moving),
-// so the order holds between a put and the next.
-func stallLess(a, b *Core) bool {
-	if a.vt != b.vt {
-		return a.vt < b.vt
-	}
-	return a.ID < b.ID
+// so every key equals its clock between a put and the next.
+type coreHeap struct {
+	heap []heapEntry
+	slot int
+	byID bool
 }
-func stallPos(c *Core) *int { return &c.stallPos }
+
+func (q *coreHeap) less(a, b heapEntry) bool {
+	if a.key != b.key {
+		return a.key < b.key
+	}
+	return q.byID && a.c.ID < b.c.ID
+}
 
 func (q *coreHeap) swap(i, j int) {
 	h := q.heap
 	h[i], h[j] = h[j], h[i]
-	*q.pos(h[i]) = i
-	*q.pos(h[j]) = j
+	h[i].c.hpos[q.slot] = int32(i)
+	h[j].c.hpos[q.slot] = int32(j)
 }
 
 func (q *coreHeap) up(i int) {
@@ -380,7 +395,8 @@ func (q *coreHeap) up(i int) {
 	}
 }
 
-func (q *coreHeap) down(i int) {
+// down sifts the entry at i toward the leaves and returns where it stops.
+func (q *coreHeap) down(i int) int {
 	n := len(q.heap)
 	for {
 		l, r := 2*i+1, 2*i+2
@@ -392,60 +408,65 @@ func (q *coreHeap) down(i int) {
 			s = r
 		}
 		if s == i {
-			return
+			return i
 		}
 		q.swap(i, s)
 		i = s
 	}
 }
 
-// put seats c by its current key: appended when out, then sifted either
-// way from wherever it sits.
-func (q *coreHeap) put(c *Core) {
-	p := q.pos(c)
-	if *p < 0 {
-		*p = len(q.heap)
-		q.heap = append(q.heap, c)
+// put seats c at key: appended when out, then sifted either way from
+// wherever it sits.
+func (q *coreHeap) put(c *Core, key vtime.Time) {
+	i := int(c.hpos[q.slot])
+	if i < 0 {
+		i = len(q.heap)
+		c.hpos[q.slot] = int32(i)
+		q.heap = append(q.heap, heapEntry{key, c})
+	} else {
+		q.heap[i].key = key
 	}
-	q.down(*p)
-	q.up(*p)
+	q.up(q.down(i))
 }
 
 func (q *coreHeap) remove(c *Core) {
-	p := q.pos(c)
-	i, last := *p, len(q.heap)-1
+	i, last := int(c.hpos[q.slot]), len(q.heap)-1
 	if i != last {
 		q.swap(i, last)
 	}
-	q.heap[last] = nil
+	q.heap[last] = heapEntry{}
 	q.heap = q.heap[:last]
-	*p = -1
+	c.hpos[q.slot] = -1
 	if i != last {
-		q.down(i)
-		q.up(i)
+		q.up(q.down(i))
 	}
 }
 
-// init makes members (any order, no duplicates) the heap's whole content;
-// every other core's slot field must already read -1.
-func (q *coreHeap) init(members []*Core) {
-	q.heap = members
-	for i, c := range members {
-		*q.pos(c) = i
+// init makes entries (any order, no duplicate cores) the heap's whole
+// content; every other core's position must already read -1.
+func (q *coreHeap) init(entries []heapEntry) {
+	q.heap = entries
+	for i, e := range entries {
+		e.c.hpos[q.slot] = int32(i)
 	}
-	for i := len(members)/2 - 1; i >= 0; i-- {
+	for i := len(entries)/2 - 1; i >= 0; i-- {
 		q.down(i)
 	}
 }
 
-// check verifies slot back-pointers and heap order (Kernel.Validate).
-func (q *coreHeap) check() error {
-	for i, c := range q.heap {
-		if got := *q.pos(c); got != i {
-			return fmt.Errorf("core %d sits in slot %d, recorded %d", c.ID, i, got)
+// check verifies positions and heap order and, when live is given, that
+// every entry's key is the one live reads from its core now
+// (Kernel.Validate).
+func (q *coreHeap) check(live func(*Core) vtime.Time) error {
+	for i, e := range q.heap {
+		if got := e.c.hpos[q.slot]; got != int32(i) {
+			return fmt.Errorf("core %d sits in slot %d, recorded %d", e.c.ID, i, got)
 		}
-		if i > 0 && q.less(c, q.heap[(i-1)/2]) {
-			return fmt.Errorf("order violated at slot %d (core %d)", i, c.ID)
+		if i > 0 && q.less(e, q.heap[(i-1)/2]) {
+			return fmt.Errorf("order violated at slot %d (core %d)", i, e.c.ID)
+		}
+		if live != nil && live(e.c) != e.key {
+			return fmt.Errorf("core %d sits at key %v, live key %v", e.c.ID, e.key, live(e.c))
 		}
 	}
 	return nil
@@ -466,21 +487,21 @@ func (q *coreHeap) check() error {
 // RNG on every evaluation, so each member is asked exactly once per pick,
 // as a scan over every core would ask it. That equivalence needs the limit
 // to be Inf, which holds because such policies never run sharded.
-func (d *domain) stallBest(limit vtime.Time) (best *Core, count int) {
-	q := d.sq
+func (d *domain) stallBest(limit vtime.Time) (best heapEntry, count int) {
+	q := &d.sq
 	if len(q.heap) == 0 {
-		return nil, 0
+		return best, 0
 	}
 	var walk func(i int)
 	walk = func(i int) {
 		if i >= len(q.heap) {
 			return
 		}
-		c := q.heap[i]
-		if c.vt > limit {
+		e := q.heap[i]
+		if e.key > limit {
 			return
 		}
-		if c != d.stepping {
+		if c := e.c; c != d.stepping {
 			runnable := c.rnStamp == d.shapeEpoch
 			if !runnable && c.vt <= d.k.policy.Horizon(c) {
 				runnable = true
@@ -490,8 +511,8 @@ func (d *domain) stallBest(limit vtime.Time) (best *Core, count int) {
 			}
 			if runnable {
 				count++
-				if best == nil || stallLess(c, best) {
-					best = c
+				if best.c == nil || q.less(e, best) {
+					best = e
 				}
 			}
 		}
@@ -503,32 +524,16 @@ func (d *domain) stallBest(limit vtime.Time) (best *Core, count int) {
 }
 
 // pickIndexed is pickCore's decision: the best of the runq head (exact
-// cached keys) and the best runnable stall-heap core, with the scan's
-// (key, ID) preference, plus the combined §VIII runnable count.
-func (d *domain) pickIndexed(limit vtime.Time) (best *Core, key vtime.Time, count int) {
-	rqBest, rqCount := d.rq.pick() // armed at limit (domain.setLimit)
-	sBest, sCount := d.stallBest(limit)
-	count = rqCount + sCount
-	switch {
-	case rqBest == nil:
-		best = sBest
-	case sBest == nil:
-		best = rqBest
-	default:
-		// A stalled core's runnable key is its clock.
-		if sBest.vt < rqBest.schedKey || (sBest.vt == rqBest.schedKey && sBest.ID < rqBest.ID) {
-			best = sBest
-		} else {
-			best = rqBest
-		}
+// cached keys) and the best runnable stall-heap core (whose runnable key
+// is its clock), with the scan's (key, ID) preference, plus the combined
+// §VIII runnable count. A nil core when neither qualifies.
+func (d *domain) pickIndexed(limit vtime.Time) (*Core, vtime.Time, int) {
+	best, rqCount := d.rq.pick() // armed at limit (domain.setLimit)
+	s, sCount := d.stallBest(limit)
+	if s.c != nil && (best.c == nil || d.sq.less(s, best)) {
+		best = s
 	}
-	if best == nil {
-		return nil, 0, count
-	}
-	if best == sBest && best != rqBest {
-		return best, best.vt, count
-	}
-	return best, best.schedKey, count
+	return best.c, best.key, rqCount + sCount
 }
 
 // rebuildLazyFromRefresh rebuilds the domain's bookkeeping after the
@@ -544,11 +549,11 @@ func (d *domain) rebuildLazyFromRefresh() {
 	d.shapeEpoch++
 	busy := d.busyList.heap[:0]
 	for _, c := range d.cores {
+		c.hpos[anchorSlot] = -1
 		if c.idle {
-			c.busyPos = -1
 			c.effStamp = d.effEpoch
 		} else {
-			busy = append(busy, c)
+			busy = append(busy, heapEntry{c.eff, c})
 		}
 	}
 	d.busyList.init(busy)
@@ -559,9 +564,9 @@ func (d *domain) rebuildLazyFromRefresh() {
 func (d *domain) rebuildStallq() {
 	stalled := d.sq.heap[:0]
 	for _, c := range d.cores {
-		c.stallPos = -1
+		c.hpos[stallSlot] = -1
 		if d.stallRouted(c) {
-			stalled = append(stalled, c)
+			stalled = append(stalled, heapEntry{c.vt, c})
 		}
 	}
 	d.sq.init(stalled)

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -14,7 +16,7 @@ import (
 // idle→busy flips, anchor advances and busy→idle flips on one shard of a
 // small mesh — through effSite, the only production writer — and checks
 // after every operation that the root is the minimal maintained eff, every
-// busyPos names its slot, the heap holds exactly the busy cores, and
+// anchor position names its slot, the heap holds exactly the busy cores, and
 // effFloor equals a brute-force minimum over the anchors (busy cores and
 // the shard's frozen foreign proxies). Halfway through, a finite frozen
 // proxy is planted so the floor comes from either side.
@@ -44,23 +46,104 @@ func TestAnchorHeapRandomOps(t *testing.T) {
 				}
 				busyMin := vtime.Inf
 				for _, b := range d.cores {
+					pos := int(b.hpos[anchorSlot])
 					switch {
-					case b.idle && b.busyPos != -1:
-						t.Fatalf("op %d: idle core %d keeps slot %d", op, b.ID, b.busyPos)
-					case !b.idle && (b.busyPos < 0 || b.busyPos >= len(h) || h[b.busyPos] != b):
-						t.Fatalf("op %d: busy core %d records slot %d, which does not hold it", op, b.ID, b.busyPos)
+					case b.idle && pos != -1:
+						t.Fatalf("op %d: idle core %d keeps slot %d", op, b.ID, pos)
+					case !b.idle && (pos < 0 || pos >= len(h) || h[pos].c != b):
+						t.Fatalf("op %d: busy core %d records slot %d, which does not hold it", op, b.ID, pos)
 					case !b.idle:
 						busyMin = min(busyMin, b.eff)
 					}
 				}
-				if len(h) > 0 && h[0].eff != busyMin {
-					t.Fatalf("op %d: root advertises %v, minimum busy eff %v", op, h[0].eff, busyMin)
+				if len(h) > 0 && h[0].key != busyMin {
+					t.Fatalf("op %d: root advertises %v, minimum busy eff %v", op, h[0].key, busyMin)
 				}
 				if got, want := d.effFloor(), min(busyMin, d.frozenFloor); got != want {
 					t.Fatalf("op %d: effFloor %v, brute-force minimum %v", op, got, want)
 				}
 				if err := k.Validate(); err != nil {
 					t.Fatalf("op %d: %v", op, err)
+				}
+			}
+		})
+	}
+}
+
+// TestCoreHeapRandomOps drives one coreHeap per slot through random puts
+// (inserts and key moves), removes and re-inits, with keys drawn from five
+// values so most of them tie, against a sorted-slice oracle. After every
+// operation each member's position must name its entry and key, every
+// other core's must read -1, and the root must be the oracle's minimum:
+// by (key, ID) for the run and stall heaps, by key alone for the anchor
+// heap, which does not break ties.
+func TestCoreHeapRandomOps(t *testing.T) {
+	for _, slot := range []int{runSlot, anchorSlot, stallSlot} {
+		t.Run(fmt.Sprintf("slot%d", slot), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(slot) + 1))
+			cores := make([]Core, 40)
+			for i := range cores {
+				cores[i].ID = i
+				cores[i].hpos = [3]int32{-1, -1, -1}
+			}
+			q := coreHeap{slot: slot, byID: slot != anchorSlot}
+			var oracle []heapEntry // sorted by (key, ID)
+			find := func(c *Core) int {
+				return slices.IndexFunc(oracle, func(e heapEntry) bool { return e.c == c })
+			}
+			key := func() vtime.Time { return vtime.CyclesInt(rng.Int63n(5)) }
+			for op := 0; op < 3000; op++ {
+				c := &cores[rng.Intn(len(cores))]
+				switch r := rng.Intn(100); {
+				case r < 2:
+					oracle = oracle[:0]
+					for i := range cores {
+						cores[i].hpos[slot] = -1
+						if rng.Intn(2) == 0 {
+							oracle = append(oracle, heapEntry{key(), &cores[i]})
+						}
+					}
+					q.init(slices.Clone(oracle))
+				case r < 35:
+					if i := find(c); i >= 0 {
+						q.remove(c)
+						oracle = slices.Delete(oracle, i, i+1)
+					}
+				default:
+					k := key()
+					q.put(c, k)
+					if i := find(c); i >= 0 {
+						oracle[i].key = k
+					} else {
+						oracle = append(oracle, heapEntry{k, c})
+					}
+				}
+				slices.SortFunc(oracle, func(a, b heapEntry) int {
+					return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.c.ID, b.c.ID))
+				})
+				live := func(c *Core) vtime.Time {
+					if i := find(c); i >= 0 {
+						return oracle[i].key
+					}
+					return vtime.Inf // never drawn: a stray member fails the check
+				}
+				if err := q.check(live); err != nil {
+					t.Fatalf("op %d: %v", op, err)
+				}
+				if len(q.heap) != len(oracle) {
+					t.Fatalf("op %d: heap holds %d entries, oracle %d", op, len(q.heap), len(oracle))
+				}
+				for i := range cores {
+					c := &cores[i]
+					if pos := c.hpos[slot]; find(c) < 0 && pos != -1 {
+						t.Fatalf("op %d: core %d is out but records position %d", op, c.ID, pos)
+					}
+				}
+				if len(oracle) == 0 {
+					continue
+				}
+				if root, want := q.heap[0], oracle[0]; root.key != want.key || (q.byID && root.c != want.c) {
+					t.Fatalf("op %d: root is core %d at %v, oracle minimum core %d at %v", op, root.c.ID, root.key, want.c.ID, want.key)
 				}
 			}
 		})

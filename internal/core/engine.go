@@ -42,7 +42,7 @@ type domain struct {
 	// heap of the stalled cores evaluated at every pick (domain.stallRouted,
 	// efflazy.go). stepping is the core currently inside step, whose index
 	// entry is transient until the step completes.
-	rq       *runq    //simany:derived runnable heap, a function of the encoded queues and clocks (schedRebuild)
+	rq       runq     //simany:derived runnable heap, a function of the encoded queues and clocks (schedRebuild)
 	sq       coreHeap //simany:derived stalled-core heap, a function of the encoded queues and clocks (schedRebuild)
 	stepping *Core    //simany:derived transient mid-step marker, nil at every barrier
 
@@ -193,11 +193,10 @@ func (d *domain) step(c *Core) {
 	// While the step runs, c's clock, queues and current task are in
 	// flux; its index entry is settled by the schedUpdate at the end,
 	// before the domain consults the queue again. The runq tolerates the
-	// transient (it orders by the cached schedKey), but the stall heap
-	// orders by the live clock, so c leaves it for the duration: mid-step
-	// sifts of other cores must never compare against a moving key.
+	// transient (its entry holds the cached key), but a stall-heap key
+	// must equal the live clock, so c leaves that heap for the duration.
 	d.stepping = c
-	if c.stallPos >= 0 {
+	if c.hpos[stallSlot] >= 0 {
 		d.sq.remove(c)
 	}
 	t := c.current

@@ -108,11 +108,6 @@ type Config struct {
 	// (0 = runtime.NumCPU(), capped at Shards). Workers only adds host
 	// parallelism; it never changes the Result.
 	Workers int
-	// ShardQuantum bounds how far cores may be scheduled past the global
-	// minimum virtual time within one shard round (0 = 8×T for the
-	// spatial policy, 8×DefaultT otherwise). Smaller quanta tighten the
-	// cross-shard drift at the price of more barriers.
-	ShardQuantum vtime.Time
 }
 
 // DefaultT is the paper's reference maximum local drift (100 cycles).
@@ -250,21 +245,12 @@ func splitmix64(x uint64) uint64 {
 // event semantics. A checkpoint is only resumable into a kernel with the
 // same fingerprint; Workers is deliberately excluded because it never
 // affects results.
-func fingerprint(cfg Config) uint64 {
+func fingerprint(cfg Config, shards int) uint64 {
 	h := splitmix64(uint64(cfg.Seed))
 	mix := func(v uint64) { h = splitmix64(h ^ v) }
 	mix(uint64(cfg.Topo.N()))
-	// Mix the *effective* shard count, clamped exactly as setupEngine
-	// clamps it: Shards=200 on a 64-core machine and Shards=64 produce
-	// identical partitions and must produce interchangeable checkpoints —
-	// previously the raw value was mixed and the fingerprints disagreed.
-	shards := cfg.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > cfg.Topo.N() {
-		shards = cfg.Topo.N()
-	}
+	// The shard count the engine runs (setupEngine), not the one asked
+	// for: a clamped or demoted request resumes like the count it became.
 	mix(uint64(shards))
 	// The topology's shape and link parameters define routes and message
 	// timing; the name covers the shape for the bundled flat constructors,
@@ -289,8 +275,6 @@ func fingerprint(cfg Config) uint64 {
 	mix(uint64(cfg.TaskStartCost))
 	//lint:allow rawvtime fingerprint hashing of a configured cost constant
 	mix(uint64(cfg.CtxSwitchCost))
-	//lint:allow rawvtime fingerprint hashing of a configured quantum constant
-	mix(uint64(cfg.ShardQuantum))
 	for _, b := range []byte(cfg.Policy.Name()) {
 		mix(uint64(b))
 	}
@@ -347,7 +331,6 @@ func New(cfg Config) *Kernel {
 		tracer:        cfg.Tracer,
 		diam:          -2,
 	}
-	k.fprint = fingerprint(cfg)
 	// Per-core state is carved out of flat backing arrays — the Core
 	// structs themselves and their timing machinery — so a 100k-core
 	// machine costs a handful of large allocations instead of ~6 heap
@@ -385,14 +368,13 @@ func New(cfg Config) *Kernel {
 			birthCache: vtime.Inf,
 			readyMin:   vtime.Inf,
 			contsMin:   vtime.Inf,
-			schedPos:   -1,
-			busyPos:    -1,
-			stallPos:   -1,
+			hpos:       [3]int32{-1, -1, -1},
 			rng:        *rng.New(splitmix64(uint64(cfg.Seed) ^ uint64(i))),
 		}
 		k.cores[i] = c
 	}
 	k.setupEngine(cfg)
+	k.fprint = fingerprint(cfg, len(k.domains))
 	return k
 }
 
@@ -427,14 +409,11 @@ func (k *Kernel) setupEngine(cfg Config) {
 	}
 	k.workers = workers
 
-	k.quantum = cfg.ShardQuantum
-	if k.quantum <= 0 {
-		t := DefaultT
-		if sp, ok := k.policy.(Spatial); ok && sp.T > 0 {
-			t = sp.T
-		}
-		k.quantum = 8 * t
+	t := DefaultT
+	if sp, ok := k.policy.(Spatial); ok && sp.T > 0 {
+		t = sp.T
 	}
+	k.quantum = 8 * t
 
 	k.part = topology.PartitionFor(k.topo, shards)
 	k.net.SetStripes(shards, k.part)
@@ -448,8 +427,8 @@ func (k *Kernel) setupEngine(cfg Config) {
 			// Effective-time bookkeeping starts at the all-idle machine:
 			// no anchors, infinite floor, epoch 1 so the zero memo stamps
 			// are stale (efflazy.go).
-			busyList:    coreHeap{less: anchorLess, pos: anchorPos},
-			sq:          coreHeap{less: stallLess, pos: stallPos},
+			busyList:    coreHeap{slot: anchorSlot},
+			sq:          coreHeap{slot: stallSlot, byID: true},
 			effEpoch:    1,
 			shapeEpoch:  1,
 			frozenFloor: vtime.Inf,
@@ -461,7 +440,7 @@ func (k *Kernel) setupEngine(cfg Config) {
 		d.cores = append(d.cores, c)
 	}
 	for _, d := range k.domains {
-		d.rq = newRunq(d)
+		d.rq = runq{coreHeap: coreHeap{slot: runSlot, byID: true}, d: d, limit: vtime.Inf}
 	}
 	k.setupEff()
 	if k.effLazy {

@@ -542,6 +542,35 @@ func TestMaxStepsGuard(t *testing.T) {
 	}
 }
 
+// TestSpinWaitEndsRoundAtStepBudget: a core that spins with Env.Yield on a
+// flag another shard sets through Kernel.Defer never advances its clock,
+// so the round limit never stops it, and the deferred store lands only at
+// the next barrier. shardStepBudget is what ends that round: 512 spins (64
+// per core of the spinner's 8-core shard), the barrier, one last step.
+// Without the budget the round spins on until MaxSteps.
+func TestSpinWaitEndsRoundAtStepBudget(t *testing.T) {
+	k := New(Config{Topo: topology.Mesh(16), Policy: Spatial{T: DefaultT}, Seed: 1, Shards: 2, MaxSteps: 10000})
+	if k.part[0] == k.part[15] {
+		t.Fatal("cores 0 and 15 share a shard")
+	}
+	set := false
+	k.InjectTask(0, "spinner", func(e *Env) {
+		for !set {
+			e.Yield()
+		}
+	}, nil, 0)
+	k.InjectTask(15, "setter", func(e *Env) {
+		e.Kernel().Defer(15, e.Now(), func() { set = true })
+	}, nil, 0)
+	res, err := k.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(shardStepBudget*8 + 2); res.Steps != want {
+		t.Errorf("steps = %d, want %d", res.Steps, want)
+	}
+}
+
 func TestDuplicateHandlerPanics(t *testing.T) {
 	k := kernelOn(topology.Mesh(1), Spatial{T: DefaultT})
 	k.Handle(kindPing, func(*Kernel, network.Message) {})

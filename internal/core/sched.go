@@ -11,9 +11,9 @@ import (
 // The scheduling decision is the runnable core with the lowest (virtual-time
 // key, core ID) within the limit — what a linear scan over the domain's
 // cores would find (the scan survives as the test oracle in
-// equiv_test.go). The structures in this file keep that decision indexed:
-// a binary min-heap keyed by (key, core ID), so picking is an O(1) peek and
-// repositioning a core after a step an O(log n) sift.
+// equiv_test.go). The runq keeps that decision indexed: the run-slot
+// coreHeap (efflazy.go) keyed by (key, core ID), so picking is an O(1)
+// peek and repositioning a core after a step an O(log n) sift.
 //
 // The heap is maintained incrementally: every site that can change a
 // core's runnability or its key posts an update to the owning domain's
@@ -35,31 +35,25 @@ import (
 // stall heap instead (domain.stallRouted), evaluated on demand at every
 // pick (domain.stallBest).
 
-// runq is a domain's indexed runnable queue: a binary min-heap over the
-// domain's cores ordered by (schedKey, core ID), mirroring exactly the
-// (key, ID) minimization of the reference scan. A core is in the heap if
-// and only if the last schedUpdate found it runnable; its position is
-// kept in Core.schedPos so membership tests and repositioning are O(1)
-// and O(log n).
+// runq is a domain's indexed runnable queue: the run-slot coreHeap, whose
+// entries carry each core's cached runnable key and whose (key, ID) order
+// mirrors exactly the minimization of the reference scan. A core is in
+// the heap if and only if the last schedUpdate found it runnable.
 //
 // limit is the armed round limit (Inf outside shard rounds) and within
 // the number of entries whose key is ≤ limit — the §VIII runnable count,
 // adjusted by every insert, remove and key move so a pick reads it in
 // O(1).
 type runq struct {
+	coreHeap
 	d      *domain
-	heap   []*Core
 	limit  vtime.Time
 	within int
 }
 
-func newRunq(d *domain) *runq {
-	return &runq{d: d, heap: make([]*Core, 0, len(d.cores)), limit: vtime.Inf}
-}
-
-// in is 1 when c's cached key is within the armed limit, 0 otherwise.
-func (q *runq) in(c *Core) int {
-	if c.schedKey <= q.limit {
+// in is 1 when key is within the armed limit, 0 otherwise.
+func (q *runq) in(key vtime.Time) int {
+	if key <= q.limit {
 		return 1
 	}
 	return 0
@@ -69,90 +63,14 @@ func (q *runq) in(c *Core) int {
 // queue once: O(entries), paid per shard round rather than per pick.
 func (q *runq) arm(limit vtime.Time) {
 	q.limit, q.within = limit, 0
-	for _, c := range q.heap {
-		q.within += q.in(c)
+	for _, e := range q.heap {
+		q.within += q.in(e.key)
 	}
-}
-
-// countAtMost returns the number of entries with key ≤ the armed limit.
-func (q *runq) countAtMost() int { return q.within }
-
-// less is the scheduling order: virtual-time key first, core ID as the
-// deterministic tie-break — identical to the reference scan's preference.
-func schedLess(a, b *Core) bool {
-	if a.schedKey != b.schedKey {
-		return a.schedKey < b.schedKey
-	}
-	return a.ID < b.ID
-}
-
-func (q *runq) swap(i, j int) {
-	h := q.heap
-	h[i], h[j] = h[j], h[i]
-	h[i].schedPos = i
-	h[j].schedPos = j
-}
-
-func (q *runq) up(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !schedLess(q.heap[i], q.heap[p]) {
-			return
-		}
-		q.swap(i, p)
-		i = p
-	}
-}
-
-func (q *runq) down(i int) {
-	n := len(q.heap)
-	for {
-		l, r := 2*i+1, 2*i+2
-		s := i
-		if l < n && schedLess(q.heap[l], q.heap[s]) {
-			s = l
-		}
-		if r < n && schedLess(q.heap[r], q.heap[s]) {
-			s = r
-		}
-		if s == i {
-			return
-		}
-		q.swap(i, s)
-		i = s
-	}
-}
-
-func (q *runq) insert(c *Core) {
-	q.within += q.in(c)
-	c.schedPos = len(q.heap)
-	q.heap = append(q.heap, c)
-	q.up(c.schedPos)
 }
 
 func (q *runq) remove(c *Core) {
-	q.within -= q.in(c)
-	i := c.schedPos
-	last := len(q.heap) - 1
-	if i != last {
-		q.swap(i, last)
-	}
-	q.heap[last] = nil
-	q.heap = q.heap[:last]
-	c.schedPos = -1
-	if i != last {
-		q.down(i)
-		q.up(i)
-	}
-}
-
-// peek returns the runnable core with the minimal (key, ID), nil when the
-// queue is empty.
-func (q *runq) peek() *Core {
-	if len(q.heap) == 0 {
-		return nil
-	}
-	return q.heap[0]
+	q.within -= q.in(q.heap[c.hpos[runSlot]].key)
+	q.coreHeap.remove(c)
 }
 
 // update re-evaluates c's runnability and repositions it: insert when it
@@ -161,25 +79,21 @@ func (q *runq) peek() *Core {
 // sites do not need to prove the value actually changed.
 func (q *runq) update(c *Core) {
 	key, ok := q.d.runnable(c)
-	if !ok {
-		if c.schedPos >= 0 {
+	i := c.hpos[runSlot]
+	switch {
+	case !ok:
+		if i >= 0 {
 			q.remove(c)
 		}
 		return
+	case i >= 0:
+		if key == q.heap[i].key {
+			return
+		}
+		q.within -= q.in(q.heap[i].key)
 	}
-	if c.schedPos < 0 {
-		c.schedKey = key
-		q.insert(c)
-		return
-	}
-	if key == c.schedKey {
-		return
-	}
-	q.within -= q.in(c)
-	c.schedKey = key
-	q.within += q.in(c)
-	q.down(c.schedPos)
-	q.up(c.schedPos)
+	q.within += q.in(key)
+	q.put(c, key)
 }
 
 // rebuild recomputes the queue from scratch — membership, keys and heap
@@ -187,35 +101,28 @@ func (q *runq) update(c *Core) {
 // after that is incremental. The stall heap's cores (rebuilt separately)
 // are excluded here.
 func (q *runq) rebuild() {
-	q.heap = q.heap[:0]
+	members := q.heap[:0]
 	for _, c := range q.d.cores {
-		c.schedPos = -1
-	}
-	for _, c := range q.d.cores {
+		c.hpos[runSlot] = -1
 		if q.d.stallRouted(c) {
 			continue
 		}
 		if key, ok := q.d.runnable(c); ok {
-			c.schedKey = key
-			c.schedPos = len(q.heap)
-			q.heap = append(q.heap, c)
+			members = append(members, heapEntry{key, c})
 		}
 	}
-	for i := len(q.heap)/2 - 1; i >= 0; i-- {
-		q.down(i)
-	}
+	q.init(members)
 	q.arm(q.limit)
 }
 
 // pick returns the scan-equivalent scheduling decision: the minimal-key
-// core within the armed limit and the number of runnable cores within it
-// (0, nil when none qualifies).
-func (q *runq) pick() (*Core, int) {
-	best := q.peek()
-	if best == nil || best.schedKey > q.limit {
-		return nil, 0
+// entry within the armed limit and the number of runnable cores within
+// it (a zero entry and 0 when none qualifies).
+func (q *runq) pick() (heapEntry, int) {
+	if len(q.heap) == 0 || q.heap[0].key > q.limit {
+		return heapEntry{}, 0
 	}
-	return best, q.countAtMost()
+	return q.heap[0], q.within
 }
 
 // stallRouted reports whether c belongs to the stall heap rather than the
@@ -244,44 +151,41 @@ func (d *domain) schedUpdate(c *Core) {
 		// The mid-step core stays out of the stall heap (its clock is
 		// moving); the post-step update re-seats it.
 		if c != d.stepping {
-			d.sq.put(c)
+			d.sq.put(c, c.vt)
 		}
-		if c.schedPos >= 0 {
+		if c.hpos[runSlot] >= 0 {
 			d.rq.remove(c)
 		}
 		return
 	}
-	if c.stallPos >= 0 {
+	if c.hpos[stallSlot] >= 0 {
 		d.sq.remove(c)
 	}
 	d.rq.update(c)
 }
 
-// checkRunq verifies the structural invariants of the index — position
-// back-pointers, heap order, the runnable count at the armed limit, and
-// membership/key agreement with the reference runnable computation. The
-// core currently mid-step (if any) is exempt from the membership check:
-// its entry is refreshed when the step completes, before the queue is
-// consulted again. Used by Kernel.Validate.
+// checkRunq verifies the structural invariants of the index — positions,
+// heap order, the runnable count at the armed limit, stall-heap keys
+// against the live clocks, and runq membership/key agreement with the
+// reference runnable computation. The core currently mid-step (if any) is
+// exempt from the membership check: its entry is refreshed when the step
+// completes, before the queue is consulted again. Used by Kernel.Validate.
 func (d *domain) checkRunq() error {
-	q := d.rq
+	q := &d.rq
+	if err := q.check(nil); err != nil {
+		return fmt.Errorf("domain %d: runq: %w", d.id, err)
+	}
 	within := 0
-	for i, c := range q.heap {
-		if c.schedPos != i {
-			return fmt.Errorf("domain %d: core %d heap position %d, recorded %d", d.id, c.ID, i, c.schedPos)
-		}
-		if i > 0 && schedLess(c, q.heap[(i-1)/2]) {
-			return fmt.Errorf("domain %d: heap order violated at index %d (core %d)", d.id, i, c.ID)
-		}
-		within += q.in(c)
+	for _, e := range q.heap {
+		within += q.in(e.key)
 	}
 	if q.within != within {
 		return fmt.Errorf("domain %d: runnable count %d within limit %v, linear count %d", d.id, q.within, q.limit, within)
 	}
-	if err := d.sq.check(); err != nil {
+	if err := d.sq.check(func(c *Core) vtime.Time { return c.vt }); err != nil {
 		return fmt.Errorf("domain %d: stall heap: %w", d.id, err)
 	}
-	if c := d.stepping; c != nil && c.stallPos >= 0 {
+	if c := d.stepping; c != nil && c.hpos[stallSlot] >= 0 {
 		// The mid-step core's clock is in flux, so step removes it from
 		// this heap until the post-step update.
 		return fmt.Errorf("domain %d: mid-step core %d still in the stall heap", d.id, c.ID)
@@ -290,28 +194,29 @@ func (d *domain) checkRunq() error {
 		if c == d.stepping {
 			continue
 		}
+		i := c.hpos[runSlot]
 		if d.stallRouted(c) {
 			// The stall heap's cores are evaluated on demand, never cached
 			// in the runq.
-			if c.schedPos >= 0 {
-				return fmt.Errorf("domain %d: stalled core %d still in the runq (key %v)", d.id, c.ID, c.schedKey)
+			if i >= 0 {
+				return fmt.Errorf("domain %d: stalled core %d still in the runq (key %v)", d.id, c.ID, q.heap[i].key)
 			}
-			if c.stallPos < 0 {
+			if c.hpos[stallSlot] < 0 {
 				return fmt.Errorf("domain %d: stalled core %d missing from the stall heap", d.id, c.ID)
 			}
 			continue
 		}
-		if c.stallPos >= 0 {
+		if c.hpos[stallSlot] >= 0 {
 			return fmt.Errorf("domain %d: core %d in the stall heap but not routed there", d.id, c.ID)
 		}
 		key, ok := d.runnable(c)
 		switch {
-		case ok && c.schedPos < 0:
+		case ok && i < 0:
 			return fmt.Errorf("domain %d: core %d runnable (key %v) but not indexed", d.id, c.ID, key)
-		case !ok && c.schedPos >= 0:
-			return fmt.Errorf("domain %d: core %d indexed (key %v) but not runnable", d.id, c.ID, c.schedKey)
-		case ok && key != c.schedKey:
-			return fmt.Errorf("domain %d: core %d indexed with key %v, runnable key %v", d.id, c.ID, c.schedKey, key)
+		case !ok && i >= 0:
+			return fmt.Errorf("domain %d: core %d indexed (key %v) but not runnable", d.id, c.ID, q.heap[i].key)
+		case ok && key != q.heap[i].key:
+			return fmt.Errorf("domain %d: core %d indexed with key %v, runnable key %v", d.id, c.ID, q.heap[i].key, key)
 		}
 	}
 	return nil

@@ -29,32 +29,40 @@ func mustCheck(t *testing.T, d *domain) {
 	}
 }
 
+// head is the runq's root entry, the zero entry when it is empty.
+func head(q *runq) heapEntry {
+	if len(q.heap) == 0 {
+		return heapEntry{}
+	}
+	return q.heap[0]
+}
+
 func TestRunqInsertRemoveUpdate(t *testing.T) {
 	k := schedTestKernel(t)
 	d := k.domains[0]
-	q := d.rq
+	q := &d.rq
 
 	c1, c3, c5 := k.Core(1), k.Core(3), k.Core(5)
 
 	readyAt(k, c3, vtime.CyclesInt(50))
 	q.update(c3)
-	if got := q.peek(); got != c3 || got.schedKey != vtime.CyclesInt(50) {
-		t.Fatalf("peek = %v, want core 3 at 50", got)
+	if got := head(q); got.c != c3 || got.key != vtime.CyclesInt(50) {
+		t.Fatalf("head = %v, want core 3 at 50", got)
 	}
 	mustCheck(t, d)
 
 	// Equal keys break ties by core ID, exactly like the scan.
 	readyAt(k, c1, vtime.CyclesInt(50))
 	q.update(c1)
-	if got := q.peek(); got != c1 {
-		t.Fatalf("peek = core %d, want core 1 (ID tie-break)", got.ID)
+	if got := head(q).c; got != c1 {
+		t.Fatalf("head = core %d, want core 1 (ID tie-break)", got.ID)
 	}
 	mustCheck(t, d)
 
 	readyAt(k, c5, vtime.CyclesInt(20))
 	q.update(c5)
-	if got := q.peek(); got != c5 {
-		t.Fatalf("peek = core %d, want core 5 (earliest key)", got.ID)
+	if got := head(q).c; got != c5 {
+		t.Fatalf("head = core %d, want core 5 (earliest key)", got.ID)
 	}
 	mustCheck(t, d)
 
@@ -65,8 +73,8 @@ func TestRunqInsertRemoveUpdate(t *testing.T) {
 	// A new earlier arrival moves the key and repositions the core.
 	readyAt(k, c1, vtime.CyclesInt(5))
 	q.update(c1)
-	if got := q.peek(); got != c1 || got.schedKey != vtime.CyclesInt(5) {
-		t.Fatalf("peek = core %d key %v, want core 1 at 5", got.ID, got.schedKey)
+	if got := head(q); got.c != c1 || got.key != vtime.CyclesInt(5) {
+		t.Fatalf("head = core %d key %v, want core 1 at 5", got.c.ID, got.key)
 	}
 	mustCheck(t, d)
 
@@ -75,18 +83,18 @@ func TestRunqInsertRemoveUpdate(t *testing.T) {
 		c1.popReady()
 	}
 	q.update(c1)
-	if c1.schedPos != -1 {
-		t.Fatalf("core 1 still indexed at %d after draining", c1.schedPos)
+	if pos := c1.hpos[runSlot]; pos != -1 {
+		t.Fatalf("core 1 still indexed at %d after draining", pos)
 	}
-	if got := q.peek(); got != c5 {
-		t.Fatalf("peek = core %d, want core 5", got.ID)
+	if got := head(q).c; got != c5 {
+		t.Fatalf("head = core %d, want core 5", got.ID)
 	}
 	mustCheck(t, d)
 
 	// rebuild from scratch reproduces the same head.
 	q.rebuild()
-	if got := q.peek(); got != c5 {
-		t.Fatalf("peek after rebuild = core %d, want core 5", got.ID)
+	if got := head(q).c; got != c5 {
+		t.Fatalf("head after rebuild = core %d, want core 5", got.ID)
 	}
 	mustCheck(t, d)
 }
@@ -94,7 +102,7 @@ func TestRunqInsertRemoveUpdate(t *testing.T) {
 func TestRunqCountAtMostAndPick(t *testing.T) {
 	k := schedTestKernel(t)
 	d := k.domains[0]
-	q := d.rq
+	q := &d.rq
 
 	stamps := []int64{70, 20, 50, 20, 90}
 	for i, s := range stamps {
@@ -111,23 +119,23 @@ func TestRunqCountAtMostAndPick(t *testing.T) {
 		{10, 0}, {20, 2}, {50, 3}, {70, 4}, {90, 5},
 	} {
 		q.arm(vtime.CyclesInt(tc.limit))
-		if got := q.countAtMost(); got != tc.want {
-			t.Errorf("countAtMost() armed at %d = %d, want %d", tc.limit, got, tc.want)
+		if got := q.within; got != tc.want {
+			t.Errorf("within armed at %d = %d, want %d", tc.limit, got, tc.want)
 		}
 		mustCheck(t, d)
 	}
 	q.arm(vtime.Inf)
-	if got := q.countAtMost(); got != len(stamps) {
-		t.Errorf("countAtMost() armed at Inf = %d, want %d", got, len(stamps))
+	if got := q.within; got != len(stamps) {
+		t.Errorf("within armed at Inf = %d, want %d", got, len(stamps))
 	}
 
 	q.arm(vtime.CyclesInt(10))
-	if best, n := q.pick(); best != nil || n != 0 {
+	if best, n := q.pick(); best.c != nil || n != 0 {
 		t.Errorf("pick() armed at 10 = %v, %d, want none", best, n)
 	}
 	q.arm(vtime.CyclesInt(60))
 	best, n := q.pick()
-	if best == nil || best.ID != 1 || n != 3 {
+	if best.c == nil || best.c.ID != 1 || n != 3 {
 		t.Errorf("pick() armed at 60 = %v, %d, want core 1 of 3", best, n)
 	}
 
@@ -135,8 +143,8 @@ func TestRunqCountAtMostAndPick(t *testing.T) {
 	// move, an insert and a remove, each checked against the linear count.
 	within := func(stage string, want int) {
 		t.Helper()
-		if got := q.countAtMost(); got != want {
-			t.Fatalf("%s: countAtMost() = %d, want %d", stage, got, want)
+		if got := q.within; got != want {
+			t.Fatalf("%s: within = %d, want %d", stage, got, want)
 		}
 		mustCheck(t, d)
 	}
@@ -157,7 +165,7 @@ func TestRunqCountAtMostAndPick(t *testing.T) {
 	k.Core(1).popReady() // 20: its queue drains, so it leaves
 	q.update(k.Core(1))
 	within("remove at 20", 3)
-	if best, n := q.pick(); best == nil || best.ID != 3 || n != 3 {
+	if best, n := q.pick(); best.c == nil || best.c.ID != 3 || n != 3 {
 		t.Errorf("pick() armed at 60 after the moves = %v, %d, want core 3 of 3", best, n)
 	}
 	q.rebuild()
@@ -174,8 +182,8 @@ func TestRunqCountAtMostAndPick(t *testing.T) {
 
 	// Armed back at Inf, as between rounds, every entry counts.
 	q.arm(vtime.Inf)
-	if best, n := q.pick(); best.ID != 3 || n != 4 {
-		t.Errorf("pick() armed at Inf = core %d of %d, want core 3 of 4", best.ID, n)
+	if best, n := q.pick(); best.c.ID != 3 || n != 4 {
+		t.Errorf("pick() armed at Inf = core %d of %d, want core 3 of 4", best.c.ID, n)
 	}
 }
 

@@ -14,18 +14,19 @@ import (
 // Checked invariants:
 //   - when the policy relays effective times: a busy core never
 //     advertises a time ahead of its own clock, the anchor heap holds
-//     exactly each domain's busy cores in heap order with matching slot
-//     back-pointers, each domain's border list is exactly its cross-shard
-//     links, the pruning floor equals the minimum anchor (busy cores and
+//     exactly each domain's busy cores keyed by their maintained eff, in
+//     heap order with matching positions, each domain's border list is
+//     exactly its cross-shard links, the pruning floor equals the minimum
+//     anchor (busy cores and
 //     frozen foreign proxies), and every fresh idle memo equals a
 //     fixpoint recomputed independently by plain relaxation;
 //   - the cached minimum birth stamp matches the birth map;
 //   - the cached queue minima (ready arrivals, continuation resumes)
 //     match a recomputation from the queues;
 //   - the scheduler's heaps: positions, heap order, the runnable count at
-//     the armed limit, and queue membership/keys agree with the reference
-//     runnable computation (the mid-step core excepted — its entry
-//     settles at step end);
+//     the armed limit, stall-heap keys equal to the clocks, and runq
+//     membership/keys agree with the reference runnable computation (the
+//     mid-step core excepted — its entry settles at step end);
 //   - lock depths are non-negative;
 //   - task states are consistent with the queue each task sits in;
 //   - the busy-core counter matches the per-core idle flags;
@@ -143,8 +144,8 @@ func (k *Kernel) checkLazyEff() error {
 		frozen, busyMin := vtime.Inf, vtime.Inf
 		border := 0
 		for _, c := range d.cores {
-			if c.idle != (c.busyPos < 0) {
-				return fmt.Errorf("domain %d: core %d idle=%v but anchor-heap slot %d", d.id, c.ID, c.idle, c.busyPos)
+			if pos := c.hpos[anchorSlot]; c.idle != (pos < 0) {
+				return fmt.Errorf("domain %d: core %d idle=%v but anchor-heap slot %d", d.id, c.ID, c.idle, pos)
 			}
 			if !c.idle {
 				busyMin = min(busyMin, c.eff)
@@ -176,8 +177,8 @@ func (k *Kernel) checkLazyEff() error {
 			return fmt.Errorf("domain %d: anchor floor %v, minimum anchor %v", d.id, got, want)
 		}
 		// Below the root the order is what keeps the next removal's root
-		// exact.
-		if err := d.busyList.check(); err != nil {
+		// exact, and each key must be its core's maintained eff.
+		if err := d.busyList.check(func(c *Core) vtime.Time { return c.eff }); err != nil {
 			return fmt.Errorf("domain %d: anchor heap: %w", d.id, err)
 		}
 		// Reference fixpoint: seed anchors, relax idle cores downward

@@ -63,7 +63,7 @@ func anchoredKernel(t *testing.T) (*Kernel, *domain) {
 		setBusy(k.cores[i], vtime.CyclesInt(vt))
 	}
 	for slot, id := range []int{1, 0, 2, 3} {
-		if got := d.busyList.heap[slot].ID; got != id {
+		if got := d.busyList.heap[slot].c.ID; got != id {
 			t.Fatalf("anchor heap slot %d holds core %d, want core %d", slot, got, id)
 		}
 	}
@@ -97,7 +97,7 @@ func TestValidateDetectsLazyCorruption(t *testing.T) {
 		want    string
 	}{
 		{"idle core claiming an anchor slot", func(k *Kernel, d *domain) {
-			k.cores[4].busyPos = 1
+			k.cores[4].hpos[anchorSlot] = 1
 		}, "anchor-heap slot"},
 		{"heap slots swapped under their back-pointers", func(k *Kernel, d *domain) {
 			h := d.busyList.heap
@@ -122,6 +122,25 @@ func TestValidateDetectsLazyCorruption(t *testing.T) {
 		{"runnable count off by one", func(k *Kernel, d *domain) {
 			d.rq.within++
 		}, "runnable count"},
+		{"stale stall-heap key", func(k *Kernel, d *domain) {
+			// Core 5 stalls beside idle cores 4 and 6, so it is seated in
+			// the stall heap at its clock; then the clock moves without a
+			// re-seat.
+			c := k.cores[5]
+			setBusy(c, vtime.CyclesInt(25))
+			c.current = k.NewTask(c.ID, "stalled", nil, nil)
+			c.current.state = TaskRunning
+			d.schedUpdate(c)
+			c.vt = vtime.CyclesInt(35)
+		}, "stall heap: core 5 sits at key 25"},
+		{"stale runq entry key", func(k *Kernel, d *domain) {
+			// An earlier arrival lowers core 6's runnable key without the
+			// schedUpdate every queue push posts.
+			c := k.cores[6]
+			readyAt(k, c, vtime.CyclesInt(50))
+			d.schedUpdate(c)
+			readyAt(k, c, vtime.CyclesInt(20))
+		}, "core 6 indexed with key 50"},
 		{"border link dropped", func(k *Kernel, d *domain) {
 			// A barrier would never refresh the proxy of the dropped link.
 			d.border = append(d.border[:2:2], d.border[3:]...)

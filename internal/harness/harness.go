@@ -32,7 +32,8 @@ type Options struct {
 	// Shards, when > 1, runs every machine on the sharded parallel engine
 	// with that many topology partitions (see core.Config.Shards).
 	Shards int
-	// Workers bounds the host threads driving the shards (0 = GOMAXPROCS).
+	// Workers bounds the host threads driving the shards
+	// (0 = runtime.NumCPU(), see core.Config.Workers).
 	Workers int
 	// Log, when non-nil, receives progress lines.
 	Log io.Writer
