@@ -48,7 +48,7 @@ func run(args []string) error {
 		policy    = fs.String("policy", "spatial", "sync policy: spatial, cyclelevel, quantum:<cy>, slack:<cy>, laxp2p:<cy>, unbounded")
 		tFlag     = fs.String("T", "100", "maximum local drift T in cycles (spatial sync)")
 		seed      = fs.Int64("seed", 42, "random seed")
-		shards    = fs.Int("shards", 1, "topology partitions for the parallel engine (1 = sequential)")
+		shards    = fs.Int("shards", 1, "topology partitions for the parallel engine (1 = sequential; more than the cores, or more than 1 under a non-shard-local policy or coherent memory, is an error)")
 		workers   = fs.Int("workers", 0, "host threads driving the shards (0 = all CPUs, capped at -shards)")
 		scale     = fs.Float64("scale", 1, "dataset scale factor (≥1 approaches paper-sized inputs)")
 		verbose   = fs.Bool("v", false, "print runtime statistics")
@@ -58,7 +58,7 @@ func run(args []string) error {
 		pprofF    = fs.String("pprof", "", "write a host CPU profile of the simulation to this file")
 		machineF  = fs.String("machine", "", "load the architecture from a machine description file (overrides -cores/-style/-mem/-policy/-T)")
 		ckptF     = fs.String("checkpoint", "", "pause at the -checkpoint-after position and write a checkpoint to this file")
-		ckptAfter = fs.Int64("checkpoint-after", 0, "engine position (barriers on the sharded engine, steps otherwise — including a -shards run demoted to sequential) to checkpoint at; requires -checkpoint")
+		ckptAfter = fs.Int64("checkpoint-after", 0, "engine position in scheduling steps to checkpoint at (the sharded engine pauses at the first barrier that reaches it); requires -checkpoint")
 		resumeF   = fs.String("resume", "", "resume from a checkpoint file written by -checkpoint (same benchmark, seed, scale and machine flags required)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -163,12 +163,6 @@ func execute(b bench.Benchmark, m config.Machine, mode bench.Mode, seed int64, s
 	k, r, err := m.Build()
 	if err != nil {
 		return err
-	}
-	if n := k.ClampNotice(); n != "" {
-		fmt.Fprintln(os.Stderr, n)
-	}
-	if n := k.DemotionNotice(); n != "" {
-		fmt.Fprintln(os.Stderr, n)
 	}
 	var rec *trace.Recorder
 	if traceFile != "" || timeline {

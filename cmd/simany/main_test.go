@@ -105,6 +105,27 @@ func TestRunRejectsNegativeShardsAndWorkers(t *testing.T) {
 	}
 }
 
+// TestRunRefusesUnrunnableShards: a -shards request the engine cannot
+// honour is an error naming the cause. Under a global policy it used to
+// run sequentially behind a stderr notice, and above the core count it
+// used to be clamped.
+func TestRunRefusesUnrunnableShards(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want []string
+	}{
+		{[]string{"-bench", "octree", "-cores", "8", "-scale", "0.1", "-shards", "4", "-policy", "quantum"}, []string{"Shards = 4", `policy "quantum"`}},
+		{[]string{"-bench", "octree", "-cores", "8", "-scale", "0.1", "-shards", "16"}, []string{"Shards = 16", "8 cores"}},
+	} {
+		err := run(tc.args)
+		for _, w := range tc.want {
+			if err == nil || !strings.Contains(err.Error(), w) {
+				t.Errorf("%v: err = %v, want one naming %q", tc.args, err, w)
+			}
+		}
+	}
+}
+
 func TestRunTraceAndTimeline(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "trace.txt")

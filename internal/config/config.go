@@ -109,7 +109,9 @@ type Machine struct {
 	MaxSteps int64
 	// Shards splits the machine into contiguous topology partitions that
 	// the kernel executes round-by-round. 0 or 1 keeps the sequential
-	// engine; a negative count is an error. The shard count is part of the
+	// engine. A negative count, more shards than cores, or more than one
+	// under a policy that is not shard-local or coherent shared memory is
+	// an error (core.Config.CheckShards). The shard count is part of the
 	// event semantics: results are deterministic for a fixed (seed, shards)
 	// pair.
 	Shards int
@@ -203,7 +205,7 @@ func (m Machine) parsePolicy() (core.Policy, bool, error) {
 	case "", "spatial":
 		return core.Spatial{T: t}, false, nil
 	case "cyclelevel", "cycle-level", "lockstep":
-		return cyclelevel.Lockstep{}, true, nil
+		return drift.Lockstep{}, true, nil
 	case "quantum":
 		q, err := argCycles(t)
 		if err != nil {
@@ -229,12 +231,31 @@ func (m Machine) parsePolicy() (core.Policy, bool, error) {
 	}
 }
 
-// Build constructs the kernel and its task runtime.
+// Build constructs the kernel and its task runtime. A Shards/Workers
+// request the kernel cannot run as given is an error
+// (core.Config.CheckShards), never a quietly different engine.
 func (m Machine) Build() (*core.Kernel, *rt.Runtime, error) {
+	cfg, err := m.kernelConfig()
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := cfg.CheckShards(); err != nil {
+		return nil, nil, err
+	}
+	k := core.New(cfg)
+	rtOpt := rt.DefaultOptions()
+	rtOpt.SpeedAware = m.SpeedAwareRT
+	r := rt.New(k, nil, rtOpt)
+	return k, r, nil
+}
+
+// kernelConfig validates the machine description and assembles the
+// kernel configuration it names.
+func (m Machine) kernelConfig() (core.Config, error) {
 	if m.Topo == nil && m.TopoSpec != "" {
 		t, err := topology.ParseSpec(m.TopoSpec)
 		if err != nil {
-			return nil, nil, err
+			return core.Config{}, err
 		}
 		m.Topo = t
 	}
@@ -242,47 +263,26 @@ func (m Machine) Build() (*core.Kernel, *rt.Runtime, error) {
 		m.Cores = m.Topo.N()
 	}
 	if m.Cores <= 0 {
-		return nil, nil, fmt.Errorf("config: invalid core count %d", m.Cores)
+		return core.Config{}, fmt.Errorf("config: invalid core count %d", m.Cores)
 	}
 	if m.T < 0 {
-		return nil, nil, fmt.Errorf("config: negative drift bound T = %v", m.T)
-	}
-	if m.Shards < 0 {
-		return nil, nil, fmt.Errorf("config: negative shard count Shards = %d", m.Shards)
-	}
-	if m.Workers < 0 {
-		return nil, nil, fmt.Errorf("config: negative worker count Workers = %d", m.Workers)
+		return core.Config{}, fmt.Errorf("config: negative drift bound T = %v", m.T)
 	}
 	if m.Topo != nil && m.Style == Polymorphic && m.Topo.N()%2 != 0 {
-		return nil, nil, fmt.Errorf("config: polymorphic style needs an even core count")
+		return core.Config{}, fmt.Errorf("config: polymorphic style needs an even core count")
 	}
 	pol, isCycleLevel, err := m.parsePolicy()
 	if err != nil {
-		return nil, nil, err
+		return core.Config{}, err
 	}
 	topo := m.Topology()
 	if c := topo.Unreachable(); c >= 0 {
-		return nil, nil, fmt.Errorf("config: topology is disconnected: core %d cannot reach core 0", c)
-	}
-	netParams := network.DefaultParams()
-	var ms core.MemSystem
-	switch {
-	case isCycleLevel:
-		// The cycle-level reference always models the detailed memory
-		// system with full coherence (and constant-speed L1s).
-		ms = cyclelevel.NewMem(topo.N(), network.New(topo, netParams))
-	case m.Mem == DistributedMem:
-		ms = mem.NewDistributed()
-	case m.Mem == SharedMemCoherent:
-		ms = mem.NewShared().WithCoherence(network.New(topo, netParams))
-	default:
-		ms = mem.NewShared()
+		return core.Config{}, fmt.Errorf("config: topology is disconnected: core %d cannot reach core 0", c)
 	}
 	cfg := core.Config{
 		Topo:      topo,
-		NetParams: netParams,
+		NetParams: network.DefaultParams(),
 		Policy:    pol,
-		Mem:       ms,
 		Speeds:    m.Speeds(),
 		Seed:      m.Seed,
 		MaxSteps:  m.MaxSteps,
@@ -290,14 +290,20 @@ func (m Machine) Build() (*core.Kernel, *rt.Runtime, error) {
 		Workers:   m.Workers,
 		Metrics:   m.Metrics,
 	}
-	if isCycleLevel {
-		clCfg := cyclelevel.NewConfig(topo, m.Speeds(), m.Seed)
+	switch {
+	case isCycleLevel:
+		// The cycle-level reference always models the detailed memory
+		// system with full coherence (and constant-speed L1s) and its
+		// 2-bit branch predictor.
+		clCfg := cyclelevel.NewConfig(topo, cfg.Speeds, m.Seed)
 		cfg.Predict = clCfg.Predict
 		cfg.Mem = clCfg.Mem
+	case m.Mem == DistributedMem:
+		cfg.Mem = mem.NewDistributed()
+	case m.Mem == SharedMemCoherent:
+		cfg.Mem = mem.NewShared().WithCoherence(network.New(topo, cfg.NetParams))
+	default:
+		cfg.Mem = mem.NewShared()
 	}
-	k := core.New(cfg)
-	rtOpt := rt.DefaultOptions()
-	rtOpt.SpeedAware = m.SpeedAwareRT
-	r := rt.New(k, nil, rtOpt)
-	return k, r, nil
+	return cfg, nil
 }

@@ -1,6 +1,8 @@
 package config
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"simany/internal/core"
@@ -63,7 +65,7 @@ func TestPolicyParsing(t *testing.T) {
 	cases := map[string]string{
 		"":           "spatial",
 		"spatial":    "spatial",
-		"cyclelevel": "cycle-level",
+		"cyclelevel": "lockstep",
 		"quantum:50": "quantum",
 		"slack:200":  "bounded-slack",
 		"laxp2p:100": "laxp2p",
@@ -100,6 +102,52 @@ func TestBuildErrors(t *testing.T) {
 		if _, _, err := m.Build(); err == nil {
 			t.Errorf("%s: no error", name)
 		}
+	}
+}
+
+// TestBuildRefusesShards: a Shards/Workers request the kernel cannot run
+// as given fails with an error naming the cause — it used to be demoted
+// to the sequential engine or clamped to the core count without a word
+// — and core.New refuses the same configuration with the same text.
+func TestBuildRefusesShards(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		m    Machine
+		want []string
+	}{
+		{"policy", Machine{Cores: 8, Policy: "quantum:50", Shards: 4}, []string{"Shards = 4", "shard-local policy", `"quantum"`}},
+		{"coherent memory", Machine{Cores: 8, Mem: SharedMemCoherent, Shards: 4}, []string{"Shards = 4", "shard-safe memory"}},
+		{"too many", Machine{Cores: 8, Shards: 99}, []string{"Shards = 99", "8 cores"}},
+		{"negative shards", Machine{Cores: 8, Shards: -3}, []string{"Shards = -3"}},
+		{"negative workers", Machine{Cores: 8, Workers: -1}, []string{"Workers = -1"}},
+	} {
+		_, _, err := tc.m.Build()
+		if err == nil {
+			t.Errorf("%s: Build accepted %+v", tc.name, tc.m)
+			continue
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: error %q does not name %q", tc.name, err, w)
+			}
+		}
+		cfg, cerr := tc.m.kernelConfig()
+		if cerr != nil {
+			t.Fatalf("%s: %v", tc.name, cerr)
+		}
+		func() {
+			defer func() {
+				if got := fmt.Sprint(recover()); got != err.Error() {
+					t.Errorf("%s: core.New panicked with %q, want %q", tc.name, got, err)
+				}
+			}()
+			core.New(cfg)
+		}()
+	}
+	// One shard per core is honoured.
+	k, _, err := Machine{Cores: 8, Shards: 8}.Build()
+	if err != nil || k.NumShards() != 8 {
+		t.Fatalf("Shards = 8 on 8 cores: err %v", err)
 	}
 }
 

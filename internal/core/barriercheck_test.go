@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -137,67 +138,61 @@ func TestCheckDriftBoundTrips(t *testing.T) {
 	}
 }
 
-// TestDemotionNotice: a tracer never demotes the sharded engine
-// (per-shard buffers merge at barriers), while construction-time demotion
-// by an unsafe component is explicit.
-func TestDemotionNotice(t *testing.T) {
+// TestShardsHonouredOrRefused: the kernel runs exactly the shard count
+// the configuration names. A tracer keeps the sharded engine (per-shard
+// buffers merge at barriers); Shards: 0 is Shards: 1, fingerprint
+// included; nil Policy and Mem stand for their shard-capable defaults. A
+// request the engine cannot honour is refused by CheckShards, and New
+// panics with the same text.
+func TestShardsHonouredOrRefused(t *testing.T) {
 	traced := New(Config{Topo: topology.Mesh(16), Policy: Spatial{T: DefaultT},
 		Seed: 1, Shards: 4, Tracer: countingTracer{}})
-	if !traced.Sharded() {
-		t.Fatal("tracer-equipped kernel came up demoted")
+	if !traced.Sharded() || traced.NumShards() != 4 {
+		t.Fatalf("tracer-equipped kernel runs %d shards, want 4 sharded", traced.NumShards())
 	}
-	if n := traced.DemotionNotice(); n != "" {
-		t.Errorf("sharded kernel has notice %q", n)
+	fp := func(shards int) uint64 {
+		return New(Config{Topo: topology.Mesh(16), Seed: 3, Shards: shards}).fprint
+	}
+	if fp(0) != fp(1) {
+		t.Error("Shards 0 fingerprint differs from Shards 1's")
+	}
+	if fp(4) == fp(1) {
+		t.Error("Shards 4 fingerprint equals Shards 1's")
+	}
+	if err := (Config{Topo: topology.Mesh(8), Shards: 8}).CheckShards(); err != nil {
+		t.Errorf("one shard per core with default policy and memory refused: %v", err)
 	}
 
-	// A policy without shard-local decisions forces the sequential engine.
-	dem := New(Config{Topo: topology.Mesh(16), Policy: unboundedPolicy{},
-		Seed: 1, Shards: 4})
-	if dem.Sharded() {
-		t.Fatal("non-shard-local policy came up sharded")
-	}
-	if n := dem.DemotionNotice(); !strings.Contains(n, "policy") {
-		t.Errorf("notice %q does not name the policy", n)
-	}
-}
-
-// TestDemotedRunMatchesSequential: a sharded configuration demoted at
-// construction (here: by a policy without shard-local decisions) must
-// produce exactly the Result a natively sequential kernel does.
-func TestDemotedRunMatchesSequential(t *testing.T) {
-	build := func(shards int) *Kernel {
-		k := New(Config{Topo: topology.Mesh(16), Policy: unboundedPolicy{},
-			Seed: 23, Shards: shards})
-		if k.Sharded() {
-			t.Fatal("non-shard-local policy came up sharded")
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want []string
+	}{
+		{"policy", Config{Policy: unboundedPolicy{}, Shards: 4}, []string{"shard-local policy", `"unbounded-test"`}},
+		{"memory", Config{Mem: unsafeMem{}, Shards: 4}, []string{"shard-safe memory"}},
+		{"too many", Config{Shards: 99}, []string{"Shards = 99", "8 cores"}},
+		{"negative shards", Config{Shards: -3}, []string{"Shards = -3"}},
+		{"negative workers", Config{Workers: -1}, []string{"Workers = -1"}},
+	} {
+		tc.cfg.Topo = topology.Mesh(8)
+		err := tc.cfg.CheckShards()
+		if err == nil {
+			t.Errorf("%s: CheckShards accepted %+v", tc.name, tc.cfg)
+			continue
 		}
-		k.Handle(kindOneWay, func(k *Kernel, msg network.Message) {})
-		for c := 0; c < 16; c++ {
-			c := c
-			k.InjectTask(c, "w", func(e *Env) {
-				for i := 0; i < 20; i++ {
-					e.ComputeCycles(12)
-					e.Send((c+5)%16, kindOneWay, 16, nil)
+		for _, w := range tc.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: error %q does not name %q", tc.name, err, w)
+			}
+		}
+		func() {
+			defer func() {
+				if got := fmt.Sprint(recover()); got != err.Error() {
+					t.Errorf("%s: New panicked with %q, want %q", tc.name, got, err)
 				}
-			}, nil, 0)
-		}
-		return k
-	}
-	demoted := build(4)
-	if demoted.DemotionNotice() == "" {
-		t.Fatal("expected demotion")
-	}
-	plain := build(1)
-	got, err := demoted.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := plain.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("demoted result diverged:\n  got  %+v\n  want %+v", got, want)
+			}()
+			New(tc.cfg)
+		}()
 	}
 }
 
@@ -207,33 +202,7 @@ type unsafeMem struct{ NullMem }
 
 func (unsafeMem) ShardSafe() bool { return false }
 
-// TestDemotedFingerprintMatchesSequential: a demoted Shards: 4 runs the
-// sequential engine, so its checkpoints must resume under Shards: 1 — for
-// either demotion cause — while a spatial Shards: 4, which runs sharded,
-// must not.
-func TestDemotedFingerprintMatchesSequential(t *testing.T) {
-	fp := func(shards int, p Policy, mem MemSystem) uint64 {
-		return New(Config{Topo: topology.Mesh(16), Policy: p, Mem: mem, Seed: 3, Shards: shards}).fprint
-	}
-	spatial := Spatial{T: DefaultT}
-	for _, tc := range []struct {
-		name string
-		p    Policy
-		mem  MemSystem
-	}{
-		{"policy", unboundedPolicy{}, nil},
-		{"memory", spatial, unsafeMem{}},
-	} {
-		if got, want := fp(4, tc.p, tc.mem), fp(1, tc.p, tc.mem); got != want {
-			t.Errorf("%s demotion: Shards 4 fingerprint %#x, Shards 1 %#x", tc.name, got, want)
-		}
-	}
-	if fp(4, spatial, nil) == fp(1, spatial, nil) {
-		t.Error("sharded Shards 4 fingerprint equals Shards 1's")
-	}
-}
-
-// countingTracer is a trivial Tracer for demotion tests.
+// countingTracer is a trivial Tracer.
 type countingTracer struct{}
 
 func (countingTracer) Trace(TraceEvent) {}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"simany/internal/network"
@@ -15,58 +14,6 @@ func chiplet16() *topology.Topology {
 		{W: 2, H: 2, Lat: vtime.CyclesInt(1), BW: 128},
 		{W: 2, H: 2, Lat: vtime.CyclesInt(4), BW: 64, Penalty: vtime.CyclesInt(2)},
 	})
-}
-
-// TestShardClampNotice: requesting more shards than cores used to clamp
-// silently; the kernel now surfaces the effective count.
-func TestShardClampNotice(t *testing.T) {
-	k := New(Config{Topo: topology.Mesh(8), Policy: Spatial{T: DefaultT},
-		Seed: 1, Shards: 99})
-	if k.NumShards() != 8 {
-		t.Fatalf("effective shards = %d, want 8", k.NumShards())
-	}
-	notice := k.ClampNotice()
-	if !strings.Contains(notice, "99") || !strings.Contains(notice, "clamped to 8") {
-		t.Errorf("clamp notice %q does not name both counts", notice)
-	}
-	// An in-range request stays silent.
-	quiet := New(Config{Topo: topology.Mesh(8), Policy: Spatial{T: DefaultT},
-		Seed: 1, Shards: 4})
-	if quiet.ClampNotice() != "" {
-		t.Errorf("unexpected clamp notice %q", quiet.ClampNotice())
-	}
-}
-
-// TestClampedShardsEquivalent: Shards=99 on 8 cores is the same machine as
-// Shards=8 — identical results and identical checkpoint fingerprint.
-func TestClampedShardsEquivalent(t *testing.T) {
-	run := func(shards int) (Result, uint64) {
-		k := New(Config{Topo: topology.Mesh(8), Policy: Spatial{T: DefaultT},
-			Seed: 5, Shards: shards})
-		k.Handle(kindOneWay, func(k *Kernel, msg network.Message) {})
-		for c := 0; c < 8; c++ {
-			c := c
-			k.InjectTask(c, "w", func(e *Env) {
-				for i := 0; i < 10; i++ {
-					e.ComputeCycles(20)
-					e.Send((c+3)%8, kindOneWay, 16, nil)
-				}
-			}, nil, 0)
-		}
-		res, err := k.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, k.fprint
-	}
-	resA, fpA := run(8)
-	resB, fpB := run(99)
-	if !reflect.DeepEqual(resA, resB) {
-		t.Errorf("clamped run diverged:\n  shards=8  %+v\n  shards=99 %+v", resA, resB)
-	}
-	if fpA != fpB {
-		t.Errorf("fingerprint differs between shards=8 (%x) and clamped shards=99 (%x)", fpA, fpB)
-	}
 }
 
 // TestChipletShardsAlignWithChiplets: on a hierarchical topology the engine

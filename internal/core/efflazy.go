@@ -486,7 +486,8 @@ func (q *coreHeap) check(live func(*Core) vtime.Time) error {
 // bit: their global horizons are not monotone and LaxP2P draws from the
 // RNG on every evaluation, so each member is asked exactly once per pick,
 // as a scan over every core would ask it. That equivalence needs the limit
-// to be Inf, which holds because such policies never run sharded.
+// to be Inf, which holds because New refuses them more than one shard
+// (Config.CheckShards).
 func (d *domain) stallBest(limit vtime.Time) (best heapEntry, count int) {
 	q := &d.sq
 	if len(q.heap) == 0 {

@@ -40,9 +40,9 @@ func (NullMem) ShardSafe() bool { return true }
 
 // ShardSafeMem is implemented by memory systems whose Access method only
 // mutates state owned by the accessing core (its L1/L2), making them safe
-// to drive from concurrent shard workers. Memory systems that do not
-// implement it (or return false) force the kernel onto the sequential
-// engine regardless of Config.Shards.
+// to drive from concurrent shard workers. A configuration asking for more
+// than one shard with a memory system that does not implement it (or
+// returns false) is refused (Config.CheckShards).
 type ShardSafeMem interface {
 	ShardSafe() bool
 }
@@ -99,15 +99,48 @@ type Config struct {
 	// at deterministic barriers. Shards defines the event semantics: for a
 	// fixed seed and shard count the Result is identical regardless of
 	// Workers or host scheduling. Shards=1 (the default, also used when 0)
-	// reproduces the original sequential kernel bit-for-bit. Values above
-	// the core count are clamped. Sharding silently falls back to the
-	// sequential engine when the policy or the memory system is not
-	// shard-safe (tracers and metrics are shard-safe; see Tracer).
+	// reproduces the original sequential kernel bit-for-bit. The kernel
+	// runs exactly the count asked for or refuses it (CheckShards): above
+	// the core count, or above 1 with a policy that is not shard-local or
+	// a memory system that is not shard-safe. Tracers and metrics are
+	// shard-safe (see Tracer).
 	Shards int
 	// Workers is the number of host threads driving the shards
 	// (0 = runtime.NumCPU(), capped at Shards). Workers only adds host
 	// parallelism; it never changes the Result.
 	Workers int
+}
+
+// CheckShards reports why the kernel cannot run the configuration's
+// Shards and Workers as given, or nil when it can: a negative count, more
+// shards than cores, or more than one shard under a policy that is not
+// shard-local (ShardLocalPolicy) or a memory system that is not
+// shard-safe (ShardSafeMem). A nil Policy or Mem stands for the defaults,
+// Spatial and NullMem, which are both. New panics with the same error.
+func (cfg Config) CheckShards() error {
+	if cfg.Shards < 0 {
+		return fmt.Errorf("core: negative shard count Shards = %d", cfg.Shards)
+	}
+	if cfg.Workers < 0 {
+		return fmt.Errorf("core: negative worker count Workers = %d", cfg.Workers)
+	}
+	if cfg.Shards <= 1 {
+		return nil
+	}
+	if cfg.Topo != nil && cfg.Shards > cfg.Topo.N() {
+		return fmt.Errorf("core: Shards = %d exceeds the %d cores (one shard per core at most)", cfg.Shards, cfg.Topo.N())
+	}
+	if cfg.Policy != nil {
+		if p, ok := cfg.Policy.(ShardLocalPolicy); !ok || !p.ShardLocal() {
+			return fmt.Errorf("core: Shards = %d needs a shard-local policy (ShardLocalPolicy); policy %q is not", cfg.Shards, cfg.Policy.Name())
+		}
+	}
+	if cfg.Mem != nil {
+		if m, ok := cfg.Mem.(ShardSafeMem); !ok || !m.ShardSafe() {
+			return fmt.Errorf("core: Shards = %d needs a shard-safe memory system (ShardSafeMem); the configured one is not", cfg.Shards)
+		}
+	}
+	return nil
 }
 
 // DefaultT is the paper's reference maximum local drift (100 cycles).
@@ -139,14 +172,12 @@ type Kernel struct {
 	// deterministic barriers (see shard.go).
 	domains []*domain
 	//simany:derived partition map, recomputed by setupEngine from (topology, shards)
-	part    []int // core ID -> domain index
-	sharded bool
+	part    []int      // core ID -> domain index
+	sharded bool       //simany:derived engine configuration, reinstated by New (len(domains) > 1, which the fingerprint mixes)
 	workers int        //simany:derived engine configuration, reinstated by New
 	quantum vtime.Time //simany:derived engine configuration, reinstated by New
 	//simany:derived transient: checkpoints only happen outside barriers
 	inBarrier bool
-	//simany:derived locality table, recomputed by setupEngine (nil if not precomputed)
-	pairLocal []bool // n×n: route stays inside one shard
 
 	// onPick, when set, observes every scheduling decision — the core,
 	// its key and the runnable count sampled with it (test hook; called
@@ -179,16 +210,14 @@ type Kernel struct {
 	//simany:derived a panicked kernel refuses Checkpoint; always nil when one is taken
 	taskPanic error
 
-	// Checkpoint machinery (snapshot.go). barriers counts completed
-	// sharded rounds; the engine position is barriers on the sharded
-	// engine and the step count on the sequential one. stopAfter, when
-	// non-zero, pauses the engine (Run returns ErrPaused) once the
-	// position reaches it; paused records that the kernel sits at such a
-	// quiescent point, the only state where Checkpoint is legal. resume
-	// holds a parsed checkpoint armed by ArmResume, consumed by the next
-	// Run. fprint is the configuration fingerprint embedded in
-	// checkpoint files.
-	barriers  int64
+	// Checkpoint machinery (snapshot.go). The engine position is the
+	// step count on both engines. stopAfter, when non-zero, pauses the
+	// engine (Run returns ErrPaused) once the position reaches it — at
+	// the next barrier on the sharded engine; paused records that the
+	// kernel sits at such a quiescent point, the only state where
+	// Checkpoint is legal. resume holds a parsed checkpoint armed by
+	// ArmResume, consumed by the next Run. fprint is the configuration
+	// fingerprint embedded in checkpoint files.
 	stopAfter int64
 	paused    bool
 	resume    *snap.Container
@@ -203,17 +232,6 @@ type Kernel struct {
 	// barriercheck.go). diam caches Topology.Diameter (-2 = not computed).
 	bcheck *barrierCheck //simany:derived validation harness, re-armed by EnableBarrierValidation
 	diam   int           //simany:derived cached Topology.Diameter, lazily recomputed (-2 = unset)
-
-	// demotion records why a requested sharded configuration fell back to
-	// the sequential engine ("" = no demotion); see DemotionNotice.
-	//simany:derived recomputed by setupEngine from the same Config
-	demotion string
-	// clamp records that the requested shard count exceeded the core
-	// count and was reduced ("" = no clamp); see ClampNotice. Before this
-	// existed the clamp was silent, and the reported shard count could
-	// disagree with what the user asked for with no explanation.
-	//simany:derived recomputed by setupEngine from the same Config
-	clamp string
 
 	// onTaskStart, when set, runs right after a fresh task is popped from
 	// a core's queue (the task runtime broadcasts queue occupancy here).
@@ -249,8 +267,8 @@ func fingerprint(cfg Config, shards int) uint64 {
 	h := splitmix64(uint64(cfg.Seed))
 	mix := func(v uint64) { h = splitmix64(h ^ v) }
 	mix(uint64(cfg.Topo.N()))
-	// The shard count the engine runs (setupEngine), not the one asked
-	// for: a clamped or demoted request resumes like the count it became.
+	// The shard count the engine runs (Shards: 0 runs one shard); it
+	// alone decides the engine.
 	mix(uint64(shards))
 	// The topology's shape and link parameters define routes and message
 	// timing; the name covers the shape for the bundled flat constructors,
@@ -288,10 +306,15 @@ func fingerprint(cfg Config, shards int) uint64 {
 	return h
 }
 
-// New builds a kernel from a configuration.
+// New builds a kernel from a configuration. It panics on a configuration
+// it cannot run as given: a nil Topo, bad Speeds, or a Shards/Workers
+// request CheckShards refuses.
 func New(cfg Config) *Kernel {
 	if cfg.Topo == nil {
 		panic("core: Config.Topo is required")
+	}
+	if err := cfg.CheckShards(); err != nil {
+		panic(err.Error())
 	}
 	if cfg.Policy == nil {
 		cfg.Policy = Spatial{T: DefaultT}
@@ -378,26 +401,12 @@ func New(cfg Config) *Kernel {
 	return k
 }
 
-// setupEngine resolves the Shards/Workers knobs, checks shard safety, and
-// builds the execution domains.
+// setupEngine resolves the Shards/Workers knobs (New has checked them)
+// and builds the execution domains.
 func (k *Kernel) setupEngine(cfg Config) {
-	n := len(k.cores)
 	p, ok := k.policy.(ShardLocalPolicy)
 	k.localPolicy = ok && p.ShardLocal()
-	shards := cfg.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > n {
-		shards = n
-		k.clamp = fmt.Sprintf("core: requested %d shards clamped to %d (one shard per core maximum)", cfg.Shards, n)
-	}
-	if shards > 1 {
-		if reason := k.shardUnsafeReason(cfg); reason != "" {
-			shards = 1
-			k.demotion = reason
-		}
-	}
+	shards := max(cfg.Shards, 1)
 	k.sharded = shards > 1
 
 	workers := cfg.Workers
@@ -450,9 +459,6 @@ func (k *Kernel) setupEngine(cfg Config) {
 			d.rebuildIdleNb()
 		}
 	}
-	if k.sharded {
-		k.buildPairLocal()
-	}
 	if cfg.Metrics != nil {
 		k.met = newKernelMetrics(cfg.Metrics, shards)
 		k.net.SetObserver(netObserver{k})
@@ -472,47 +478,6 @@ func (k *Kernel) schedRebuild() {
 		d.rq.rebuild()
 		d.rebuildStallq()
 	}
-}
-
-// shardUnsafeReason reports why the configuration cannot run sharded, or
-// "" when every component tolerates sharded execution: the policy must
-// make purely local decisions and the memory system must only mutate
-// core-owned state. Tracers are shard-safe (per-shard buffers merged at
-// barriers) and never gate the engine.
-func (k *Kernel) shardUnsafeReason(cfg Config) string {
-	if !k.localPolicy {
-		return fmt.Sprintf("policy %q does not make shard-local decisions", k.policy.Name())
-	}
-	m, ok := k.mem.(ShardSafeMem)
-	if !ok || !m.ShardSafe() {
-		return "the memory system is not shard-safe"
-	}
-	return ""
-}
-
-// buildPairLocal precomputes, for every (src,dst) pair, whether the
-// network route stays inside a single shard, so intra-shard messages can
-// be delivered synchronously without touching another shard's link state.
-func (k *Kernel) buildPairLocal() {
-	n := len(k.cores)
-	if n > 4096 {
-		return // fall back to per-send route walks
-	}
-	k.pairLocal = make([]bool, n*n)
-	for src := 0; src < n; src++ {
-		for dst := 0; dst < n; dst++ {
-			k.pairLocal[src*n+dst] = k.net.RouteWithin(src, dst, k.part)
-		}
-	}
-}
-
-// localDelivery reports whether a message can be routed and handled
-// synchronously by the shard that owns both endpoints.
-func (k *Kernel) localDelivery(src, dst int) bool {
-	if k.pairLocal != nil {
-		return k.pairLocal[src*len(k.cores)+dst]
-	}
-	return k.net.RouteWithin(src, dst, k.part)
 }
 
 // Core returns core i.
@@ -577,7 +542,7 @@ func (k *Kernel) Handle(kind network.Kind, h Handler) {
 // Passing the handler a pointer instead would make it escape through the
 // Handler func value — one heap allocation per message.
 func (k *Kernel) send(msg *network.Message) {
-	if k.sharded && !k.inBarrier && !k.localDelivery(msg.Src, msg.Dst) {
+	if k.sharded && !k.inBarrier && !k.net.RouteWithin(msg.Src, msg.Dst, k.part) {
 		k.domains[k.part[msg.Src]].enqueueMsg(msg)
 		return
 	}
@@ -690,7 +655,7 @@ func (k *Kernel) PlaceTask(t *Task, coreID int, arrival vtime.Time, birthOwner *
 	c.dom.live++
 	c.dom.schedUpdate(c)
 	if birthOwner != nil {
-		if k.sharded && !k.inBarrier && k.part[birthOwner.ID] != k.part[coreID] {
+		if !k.inBarrier && k.part[birthOwner.ID] != k.part[coreID] {
 			id := t.ID
 			k.Defer(coreID, arrival, func() { k.clearBirth(birthOwner, id) })
 		} else {
@@ -783,7 +748,7 @@ func (k *Kernel) Unblock(t *Task, at vtime.Time) {
 // cross-shard wakes are deferred to the next barrier so only the owning
 // shard ever mutates the task's core.
 func (k *Kernel) UnblockFrom(src int, t *Task, at vtime.Time) {
-	if !k.sharded || k.inBarrier || k.part[src] == k.part[t.core.ID] {
+	if k.inBarrier || k.part[src] == k.part[t.core.ID] {
 		k.Unblock(t, at)
 		return
 	}
@@ -893,21 +858,17 @@ func (k *Kernel) runEngine() (Result, error) {
 }
 
 // PauseAfter arms a pause position: the engine returns ErrPaused from Run
-// once pos is reached, leaving the kernel at a quiescent, checkpointable
-// point. The position counts completed barriers on the sharded engine and
-// completed scheduling steps on the sequential one (see Position). Zero
-// disarms.
+// once pos scheduling steps have completed, leaving the kernel at a
+// quiescent, checkpointable point — before the next step on the
+// sequential engine, at the first barrier where the count reaches pos on
+// the sharded one (see Position). Zero disarms.
 func (k *Kernel) PauseAfter(pos int64) { k.stopAfter = pos }
 
-// Position returns the engine position: completed barriers (sharded) or
-// completed scheduling steps (sequential). Checkpoint files record it so a
-// resumed replay pauses at exactly the same point.
-func (k *Kernel) Position() int64 {
-	if k.sharded {
-		return k.barriers
-	}
-	return k.steps.Load()
-}
+// Position returns the engine position: completed scheduling steps, on
+// either engine. Checkpoint files record it so a resumed replay pauses at
+// exactly the same point: every sharded round takes at least one step,
+// so no two barriers share a position.
+func (k *Kernel) Position() int64 { return k.steps.Load() }
 
 // Paused reports whether the kernel sits at a pause point (Run returned
 // ErrPaused and nothing ran since).

@@ -28,8 +28,9 @@ type Policy interface {
 // stamps) and its neighbors' effective times: no reads of global machine
 // state and no side effects (no RNG draws, no metric probes). The kernel
 // relies on that purity twice. Only such policies can drive the sharded
-// parallel engine: a policy that does not implement the interface (or
-// returns false) forces the sequential engine regardless of Config.Shards.
+// parallel engine: a configuration asking for more than one shard under a
+// policy that does not implement the interface (or returns false) is
+// refused (Config.CheckShards).
 // And only their stalled cores keep cached runnable keys and sticky
 // runnable bits between the invalidation events (docs/scheduler.md);
 // under any other policy the scheduler evaluates every stalled core's

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"simany/internal/metrics"
 	"simany/internal/network"
 	"simany/internal/topology"
 )
@@ -26,8 +27,13 @@ const (
 // whole pooled lifecycle — worker reuse, task-struct recycling and the
 // network hot path — on both engines.
 func churnKernel(shards, workers, rounds int) *Kernel {
-	k := New(Config{Topo: topology.Mesh(16), Policy: Spatial{T: DefaultT},
-		Seed: 3, Shards: shards, Workers: workers})
+	return churnOn(Config{Topo: topology.Mesh(16), Policy: Spatial{T: DefaultT},
+		Seed: 3, Shards: shards, Workers: workers}, rounds)
+}
+
+// churnOn is churnKernel on a given 16-core configuration.
+func churnOn(cfg Config, rounds int) *Kernel {
+	k := New(cfg)
 	childFn := func(e *Env) {
 		e.ComputeCycles(15)
 		parent := e.Task().Meta.(*Task)
@@ -214,7 +220,9 @@ func TestPausedRunKeepsParkedWorkers(t *testing.T) {
 // run (and the race detector must stay quiet: CI runs this under -race).
 func TestCoroutineResumedAcrossHostWorkers(t *testing.T) {
 	run := func(workers int) (Result, []TraceEvent, int64) {
-		k := churnKernel(4, workers, 80)
+		reg := metrics.New()
+		k := churnOn(Config{Topo: topology.Mesh(16), Policy: Spatial{T: DefaultT},
+			Seed: 3, Shards: 4, Workers: workers, Metrics: reg}, 80)
 		tr := &sliceTracer{}
 		k.SetTracer(tr)
 		for c := 0; c < 16; c++ {
@@ -228,7 +236,13 @@ func TestCoroutineResumedAcrossHostWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		return res, tr.events, k.barriers
+		var barriers int64
+		for _, c := range reg.Snapshot().Counters {
+			if c.Name == "shard.barrier.count" {
+				barriers = c.Value
+			}
+		}
+		return res, tr.events, barriers
 	}
 	want, wantEvents, barriers := run(1)
 	if want.Stalls < 100 || barriers < 20 {

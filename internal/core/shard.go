@@ -73,11 +73,11 @@ func (k *Kernel) runShard() (Result, error) {
 				return Result{}, err
 			}
 		}
-		k.barriers++
-		if k.stopAfter > 0 && k.barriers >= k.stopAfter {
+		if k.stopAfter > 0 && k.steps.Load() >= k.stopAfter {
 			// The barrier sequence above has fully quiesced the machine:
 			// outboxes drained, proxies refreshed, traces flushed. This is
-			// the one point where a checkpoint is legal.
+			// the one point where a checkpoint is legal. Every round takes
+			// a step, so a replay to the recorded step count stops here.
 			k.paused = true
 			return k.result(), ErrPaused
 		}

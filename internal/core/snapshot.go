@@ -11,10 +11,11 @@ import (
 	"simany/internal/timing"
 )
 
-// ErrPaused is returned by Run when the engine reaches the position armed
-// with PauseAfter: the kernel sits at a quiescent, checkpointable point
-// (a completed barrier on the sharded engine, between steps on the
-// sequential one) and Run may be called again to continue.
+// ErrPaused is returned by Run when the engine reaches the step count
+// armed with PauseAfter: the kernel sits at a quiescent, checkpointable
+// point (between steps on the sequential engine, at the first barrier
+// that reaches the count on the sharded one) and Run may be called again
+// to continue.
 var ErrPaused = errors.New("core: paused at checkpoint position")
 
 // TaskCodec serializes the runtime metadata of a task. The kernel owns
@@ -76,9 +77,6 @@ func (k *Kernel) buildContainer() *snap.Container {
 		Fingerprint: k.fprint,
 		Pos:         k.Position(),
 	}
-	if k.sharded {
-		ck.Engine = snap.EngineSharded
-	}
 	k.payload(ck)
 	k.obsSections(ck)
 	return ck
@@ -89,7 +87,6 @@ func (k *Kernel) buildContainer() *snap.Container {
 func (k *Kernel) payload(ck *snap.Container) {
 	enc := snap.NewEncoder()
 	enc.Varint(k.steps.Load())
-	enc.Varint(k.barriers)
 	ck.Add("kernel", enc.Bytes())
 
 	for _, d := range k.domains {
@@ -244,15 +241,8 @@ func (k *Kernel) ArmResume(ck *snap.Container) error {
 	if ck.Fingerprint != k.fprint {
 		return fmt.Errorf("core: checkpoint fingerprint %#x does not match this configuration (%#x): same (seed, shards, topology, policy) required", ck.Fingerprint, k.fprint)
 	}
-	wantEngine := snap.EngineSequential
-	if k.sharded {
-		wantEngine = snap.EngineSharded
-	}
-	if ck.Engine != wantEngine {
-		return fmt.Errorf("core: checkpoint engine kind %d does not match this kernel (%d)", ck.Engine, wantEngine)
-	}
 	if ck.Pos < 1 {
-		return fmt.Errorf("core: checkpoint position %d is not a barrier", ck.Pos)
+		return fmt.Errorf("core: checkpoint position %d is not a pause point", ck.Pos)
 	}
 	k.resume = ck
 	return nil
@@ -286,7 +276,7 @@ func Resume(r io.Reader, cfg Config) (*Kernel, error) {
 // obs.* sections record); the caller's PauseAfter position is kept for
 // the continuation and must lie beyond the checkpoint's.
 func (k *Kernel) restoreReplay(ck *snap.Container) error {
-	if k.steps.Load() != 0 || k.barriers != 0 {
+	if k.steps.Load() != 0 {
 		return errors.New("core: resume requires a freshly constructed kernel")
 	}
 	pause := k.stopAfter

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -61,7 +62,8 @@ func TestChainedCheckpoints(t *testing.T) {
 			t.Fatal(err)
 		}
 		ckB := pausedCheckpoint(t, b, posB)
-		if ckB.Pos != posB {
+		// The sharded engine pauses at the first barrier reaching posB.
+		if ckB.Pos < posB || (shards == 1 && ckB.Pos != posB) {
 			t.Fatalf("shards=%d: second checkpoint at position %d, want %d", shards, ckB.Pos, posB)
 		}
 
@@ -87,10 +89,67 @@ func TestChainedCheckpoints(t *testing.T) {
 		if err := d.ArmResume(ckB); err != nil {
 			t.Fatal(err)
 		}
-		d.PauseAfter(posB)
+		d.PauseAfter(ckB.Pos)
 		if _, err := d.Run(); err == nil || !strings.Contains(err.Error(), "not beyond") {
 			t.Errorf("shards=%d: pause at the resumed position: err = %v, want a refusal", shards, err)
 		}
+	}
+}
+
+// TestShardedPauseCountsSteps: a position counts scheduling steps on the
+// sharded engine too. PauseAfter(N) stops at the first barrier whose step
+// count reaches N, Position() is the paused Result.Steps, and a replay to
+// that position resumes there byte-identically.
+func TestShardedPauseCountsSteps(t *testing.T) {
+	want, err := churnKernel(4, 2, 20).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Walk every barrier: each pause's Position()+1 is the next stop.
+	k := churnKernel(4, 1, 20)
+	var stops []int64
+	for pos := int64(1); ; pos = k.Position() + 1 {
+		k.PauseAfter(pos)
+		res, err := k.Run()
+		if err == nil {
+			if !reflect.DeepEqual(res, want) {
+				t.Errorf("run paused at every barrier differs:\n  got  %+v\n  want %+v", res, want)
+			}
+			break
+		}
+		if !errors.Is(err, ErrPaused) {
+			t.Fatal(err)
+		}
+		if k.Position() != res.Steps || k.Position() < pos {
+			t.Fatalf("paused for %d at position %d, Result.Steps %d", pos, k.Position(), res.Steps)
+		}
+		stops = append(stops, k.Position())
+	}
+	// Pick a barrier more than one step after the previous one, so the
+	// pause request falls strictly inside the round that reaches it.
+	j := 0
+	for i := 1; i < len(stops) && j == 0; i++ {
+		if stops[i]-stops[i-1] > 1 {
+			j = i
+		}
+	}
+	if len(stops) < 5 || j == 0 {
+		t.Fatalf("workload too tame: barriers at steps %v", stops)
+	}
+	ck := pausedCheckpoint(t, churnKernel(4, 3, 20), stops[j-1]+1)
+	if ck.Pos != stops[j] {
+		t.Fatalf("pause for %d stopped at position %d, want the barrier at %d", stops[j-1]+1, ck.Pos, stops[j])
+	}
+	r := churnKernel(4, 2, 20)
+	if err := r.ArmResume(ck); err != nil {
+		t.Fatal(err)
+	}
+	got, err := r.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("resumed result differs:\n  got  %+v\n  want %+v", got, want)
 	}
 }
 
@@ -117,7 +176,7 @@ func TestFailedResumeIsTerminal(t *testing.T) {
 		if err == nil {
 			t.Fatalf("shards=%d: resume over a damaged section succeeded", shards)
 		}
-		for _, want := range []string{`section "shard.0"`, "position 6", "fingerprint does not cover", "not deterministic"} {
+		for _, want := range []string{`section "shard.0"`, fmt.Sprintf("position %d", ck.Pos), "fingerprint does not cover", "not deterministic"} {
 			if !strings.Contains(err.Error(), want) {
 				t.Errorf("shards=%d: error does not mention %q: %v", shards, want, err)
 			}

@@ -161,22 +161,3 @@ func (k *Kernel) flushTrace() {
 // each virtual-time barrier. Install the tracer before Run to capture the
 // full stream.
 func (k *Kernel) SetTracer(t Tracer) { k.tracer = t }
-
-// DemotionNotice returns a human-readable explanation when a requested
-// sharded configuration was demoted to the sequential engine by an
-// unsafe component at construction, and "" when the kernel runs as
-// configured. Results are identical either way — demotion costs parallel
-// speedup, never correctness — which is why the engines may substitute
-// for each other silently at the result level.
-func (k *Kernel) DemotionNotice() string {
-	if k.demotion == "" {
-		return ""
-	}
-	return "core: sharded execution demoted to sequential: " + k.demotion
-}
-
-// ClampNotice returns a warning when the requested shard count exceeded
-// the core count and was clamped (Config.Shards > N means some shards
-// would own no cores), and "" when the configuration was used as given.
-// The effective count is what Result.Shards and the partition reflect.
-func (k *Kernel) ClampNotice() string { return k.clamp }

@@ -27,6 +27,7 @@ package cyclelevel
 import (
 	"simany/internal/cache"
 	"simany/internal/core"
+	"simany/internal/drift"
 	"simany/internal/network"
 	"simany/internal/timing"
 	"simany/internal/topology"
@@ -150,33 +151,6 @@ func (m *Mem) Access(c *core.Core, base uint64, n int64, elem int, write bool, n
 // Stats exposes the coherence totals.
 func (m *Mem) Stats() (invalidations, transfers int64) { return m.dir.Stats() }
 
-// Lockstep is the conservative strict-order policy used by the reference
-// simulator. It is re-declared here (identical to drift.Lockstep) to keep
-// this package self-contained for configuration purposes.
-type Lockstep struct{}
-
-// Name implements core.Policy.
-func (Lockstep) Name() string { return "cycle-level" }
-
-// Horizon implements core.Policy: run only until the earliest other core's
-// next event, so all interactions happen in exact virtual-time order.
-func (Lockstep) Horizon(c *core.Core) vtime.Time {
-	if c.LockDepth() > 0 {
-		return vtime.Inf
-	}
-	k := c.Kernel()
-	m := vtime.Inf
-	for i := 0; i < k.NumCores(); i++ {
-		o := k.Core(i)
-		if o.ID != c.ID {
-			if t := o.NextEventTime(); t < m {
-				m = t
-			}
-		}
-	}
-	return m
-}
-
 // NewConfig assembles a complete cycle-level machine configuration for the
 // given topology: lockstep ordering, detailed memory, 2-bit branch
 // prediction. Speeds may be nil for a homogeneous machine.
@@ -186,7 +160,7 @@ func NewConfig(topo *topology.Topology, speeds []float64, seed int64) core.Confi
 	return core.Config{
 		Topo:      topo,
 		NetParams: netParams,
-		Policy:    Lockstep{},
+		Policy:    drift.Lockstep{},
 		Mem:       NewMem(topo.N(), net),
 		Speeds:    speeds,
 		Predict: func(coreID int, s int64) timing.Predictor {

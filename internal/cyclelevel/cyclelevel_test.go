@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"simany/internal/core"
+	"simany/internal/drift"
 	"simany/internal/mem"
 	"simany/internal/network"
 	"simany/internal/rt"
@@ -45,7 +46,7 @@ func TestMemCoherenceInvalidation(t *testing.T) {
 	topo := topology.Mesh(4)
 	net := network.New(topo, network.DefaultParams())
 	m := NewMem(4, net)
-	k := core.New(core.Config{Topo: topo, Mem: m, Policy: Lockstep{}, Seed: 1})
+	k := core.New(core.Config{Topo: topo, Mem: m, Policy: drift.Lockstep{}, Seed: 1})
 	var writerCost vtime.Time
 	k.InjectTask(0, "reader", func(e *core.Env) {
 		e.Read(0, 4, 8)
@@ -74,7 +75,7 @@ func TestInvalidatedLineMissesAgain(t *testing.T) {
 	topo := topology.Mesh(2)
 	net := network.New(topo, network.DefaultParams())
 	m := NewMem(2, net)
-	k := core.New(core.Config{Topo: topo, Mem: m, Policy: Lockstep{}, Seed: 1})
+	k := core.New(core.Config{Topo: topo, Mem: m, Policy: drift.Lockstep{}, Seed: 1})
 	var recost vtime.Time
 	k.InjectTask(0, "reader", func(e *core.Env) {
 		e.Read(0, 4, 8) // install
@@ -121,7 +122,7 @@ func TestNewConfigRuns(t *testing.T) {
 	if res.FinalVT <= 0 {
 		t.Error("no virtual time elapsed")
 	}
-	if k.Policy().Name() != "cycle-level" {
+	if k.Policy().Name() != "lockstep" {
 		t.Errorf("policy = %s", k.Policy().Name())
 	}
 }

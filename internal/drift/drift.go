@@ -28,7 +28,8 @@ import (
 // the measured drift the scheme's slack parameter bounds. The histograms
 // feed the deterministic metrics registry (docs/observability.md,
 // "drift-to-bound"). These global schemes run on the sequential engine
-// (none of them is shard-local), so stripe 0 is always the caller's own,
+// only (none of them is shard-local, so a sharded configuration naming
+// one is refused), so stripe 0 is always the caller's own,
 // and the scheduler evaluates each stalled core's horizon once per
 // scheduling decision, so the histograms count one probe per stalled core
 // per decision.

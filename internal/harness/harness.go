@@ -29,12 +29,6 @@ type Options struct {
 	Quick bool
 	// Benchmarks filters by name (nil = all six).
 	Benchmarks []string
-	// Shards, when > 1, runs every machine on the sharded parallel engine
-	// with that many topology partitions (see core.Config.Shards).
-	Shards int
-	// Workers bounds the host threads driving the shards
-	// (0 = runtime.NumCPU(), see core.Config.Workers).
-	Workers int
 	// Log, when non-nil, receives progress lines.
 	Log io.Writer
 }
@@ -146,15 +140,10 @@ func (h *Harness) Run(name string, m config.Machine) (Outcome, error) {
 	if m.Seed == 0 {
 		m.Seed = h.opt.Seed
 	}
-	if m.Shards == 0 {
-		m.Shards = h.opt.Shards
-		m.Workers = h.opt.Workers
-	}
-	k, r, err := m.Build()
+	_, r, err := m.Build()
 	if err != nil {
 		return Outcome{}, err
 	}
-	_ = k
 	root, finish := b.Program(r, mode(m))
 	start := time.Now()
 	res, err := r.Run(name, root)

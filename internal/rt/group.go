@@ -44,7 +44,7 @@ func (g *Group) Active() int { return g.active }
 // the deferral closure is only materialized when the call actually crosses
 // shards — group traffic is on the spawn hot path.
 func (g *Group) addFrom(me int, stamp vtime.Time, n int) {
-	if !g.r.k.Sharded() || g.r.k.SameShard(me, g.home) {
+	if g.r.k.SameShard(me, g.home) {
 		g.active += n
 		return
 	}
@@ -55,7 +55,7 @@ func (g *Group) addFrom(me int, stamp vtime.Time, n int) {
 func (g *Group) taskEnded(e *core.Env) {
 	me := e.CoreID()
 	now := e.Now()
-	if !g.r.k.Sharded() || g.r.k.SameShard(me, g.home) {
+	if g.r.k.SameShard(me, g.home) {
 		//lint:allow homeshard the branch above is runAt's home-context guard, inlined to keep the closure off the same-shard hot path
 		g.ended(me, now)
 		return
@@ -94,7 +94,7 @@ func (g *Group) ended(coreID int, now vtime.Time) {
 func (r *Runtime) Join(e *core.Env, g *Group) {
 	e.ComputeCycles(1) // counter check
 	me := e.CoreID()
-	if !r.k.Sharded() || r.k.SameShard(me, g.home) {
+	if r.k.SameShard(me, g.home) {
 		if g.active == 0 {
 			if g.lastEnd > e.Now() {
 				e.ComputeTime(g.lastEnd - e.Now())

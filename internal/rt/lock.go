@@ -50,7 +50,7 @@ func (r *Runtime) AcquireLock(e *core.Env, l *Lock) {
 	e.Write(l.addr, 1, 8)
 	me := e.CoreID()
 	t := e.Task()
-	if !r.k.Sharded() || r.k.SameShard(me, l.home) {
+	if r.k.SameShard(me, l.home) {
 		if l.holder == 0 {
 			l.holder = t.ID
 			e.AcquireLockExempt()
@@ -114,7 +114,7 @@ func (r *Runtime) TryAcquireLock(e *core.Env, l *Lock) bool {
 	e.Write(l.addr, 1, 8)
 	me := e.CoreID()
 	t := e.Task()
-	if !r.k.Sharded() || r.k.SameShard(me, l.home) {
+	if r.k.SameShard(me, l.home) {
 		if l.holder != 0 {
 			return false
 		}

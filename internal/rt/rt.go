@@ -240,7 +240,7 @@ func (r *Runtime) Kernel() *core.Kernel { return r.k }
 //
 //simany:arbiter
 func (r *Runtime) runAt(me, home int, stamp vtime.Time, fn func()) {
-	if !r.k.Sharded() || r.k.SameShard(me, home) {
+	if r.k.SameShard(me, home) {
 		fn()
 		return
 	}

@@ -189,33 +189,22 @@ const (
 	// Version 3 dropped the header's restore-mode byte and the runtime's
 	// step-group registry: every file is restored by verified replay.
 	// Version 4 writes the L1/L2 cache-model contents as (lo, hi) line
-	// spans instead of one varint per line.
-	Version = 4
-)
-
-// Engine identifies which kernel engine wrote the checkpoint; the position
-// field counts completed barriers (sharded) or completed steps
-// (sequential).
-type Engine uint8
-
-// Engine kinds.
-const (
-	EngineSequential Engine = 0
-	EngineSharded    Engine = 1
+	// spans instead of one varint per line. Version 5 dropped the
+	// header's engine byte (the fingerprint decides the engine) and counts
+	// the position in scheduling steps on both engines.
+	Version = 5
 )
 
 // Container is a parsed checkpoint file: the header fields plus the named
 // section payloads, in file order.
 type Container struct {
 	// Fingerprint is a hash of the configuration fields that define the
-	// simulation (cores, shards, seed, policy, quantum, scheduler); resume
+	// simulation (cores, shards, seed, topology, policy, costs); resume
 	// refuses a checkpoint whose fingerprint differs from the target
 	// kernel's.
 	Fingerprint uint64
-	// Engine is the kernel engine that wrote the file.
-	Engine Engine
-	// Pos is the engine position at checkpoint: completed barriers for the
-	// sharded engine, completed steps for the sequential engine.
+	// Pos is the engine position at checkpoint: completed scheduling
+	// steps.
 	Pos int64
 	// Sections maps section name to payload. SectionOrder preserves the
 	// canonical file order for writing and byte comparison.
@@ -253,7 +242,6 @@ func (c *Container) WriteTo(w io.Writer) (int64, error) {
 	e.buf = append(e.buf, magic...)
 	e.Uvarint(Version)
 	e.Uvarint(c.Fingerprint)
-	e.buf = append(e.buf, byte(c.Engine))
 	e.Varint(c.Pos)
 	e.Uvarint(uint64(len(c.SectionOrder)))
 	for _, name := range c.SectionOrder {
@@ -295,14 +283,6 @@ func ReadContainer(r io.Reader) (*Container, error) {
 	c := &Container{Sections: make(map[string][]byte)}
 	if c.Fingerprint, err = d.Uvarint(); err != nil {
 		return nil, err
-	}
-	if d.Remaining() < 1 {
-		return nil, ErrTruncated
-	}
-	c.Engine = Engine(d.buf[d.off])
-	d.off++
-	if c.Engine > EngineSharded {
-		return nil, fmt.Errorf("%w: unknown engine kind %d", ErrCorrupt, c.Engine)
 	}
 	if c.Pos, err = d.Varint(); err != nil {
 		return nil, err

@@ -125,7 +125,7 @@ func reseal(data []byte) []byte {
 }
 
 func sampleContainer() *Container {
-	c := &Container{Fingerprint: 0xfeed, Engine: EngineSharded, Pos: 42}
+	c := &Container{Fingerprint: 0xfeed, Pos: 42}
 	c.Add("kernel", []byte{1, 2, 3})
 	c.Add("shard.0", []byte{4, 5})
 	c.Add("obs.trace", nil)
@@ -138,7 +138,7 @@ func TestContainerRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Fingerprint != 0xfeed || c.Engine != EngineSharded || c.Pos != 42 {
+	if c.Fingerprint != 0xfeed || c.Pos != 42 {
 		t.Errorf("header fields: %+v", c)
 	}
 	if len(c.SectionOrder) != 3 || c.SectionOrder[0] != "kernel" || c.SectionOrder[2] != "obs.trace" {
@@ -191,7 +191,7 @@ func TestContainerVersionMismatch(t *testing.T) {
 	e.buf = append(e.buf, magic...)
 	e.Uvarint(2)
 	e.Uvarint(0xfeed)
-	e.buf = append(e.buf, byte(EngineSharded))
+	e.buf = append(e.buf, 1) // engine: sharded
 	e.Varint(42)
 	e.buf = append(e.buf, 1) // restore mode: decode
 	e.Uvarint(1)
@@ -202,39 +202,38 @@ func TestContainerVersionMismatch(t *testing.T) {
 		t.Errorf("version-2 file: got %v, want ErrVersion", err)
 	}
 
-	// A version-3 file has today's container layout; only the cache
-	// sets inside the shard sections are encoded per line instead of per
-	// span. It too is refused by its version, not at the byte comparison.
-	v3 := append([]byte(nil), data...)
-	v3[len(magic)] = 3
-	if _, err := ReadContainer(bytes.NewReader(reseal(v3))); !errors.Is(err, ErrVersion) {
-		t.Errorf("version-3 file: got %v, want ErrVersion", err)
+	// Version-3 and version-4 files carry an engine byte after the
+	// fingerprint and count sharded positions in barriers; whatever
+	// follows, they are refused by their version, never parsed with the
+	// engine byte read as the position.
+	for _, ver := range []uint64{3, 4} {
+		e := NewEncoder()
+		e.buf = append(e.buf, magic...)
+		e.Uvarint(ver)
+		e.Uvarint(0xfeed)
+		e.buf = append(e.buf, 1) // engine: sharded
+		e.Varint(42)
+		e.Uvarint(1)
+		e.String("kernel")
+		e.Bytes64([]byte{1, 2, 3})
+		old := binary.LittleEndian.AppendUint32(e.buf, crc32.ChecksumIEEE(e.buf))
+		if _, err := ReadContainer(bytes.NewReader(old)); !errors.Is(err, ErrVersion) {
+			t.Errorf("version-%d file: got %v, want ErrVersion", ver, err)
+		}
 	}
 }
 
 func TestContainerStructuralCorruption(t *testing.T) {
 	// Duplicate section names must be rejected.
-	dup := &Container{Engine: EngineSequential}
+	dup := &Container{}
 	dup.Sections = map[string][]byte{"kernel": {1}}
 	dup.SectionOrder = []string{"kernel", "kernel"}
 	if _, err := ReadContainer(bytes.NewReader(writeContainer(t, dup))); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("duplicate section: %v", err)
 	}
 
-	// Unknown engine kind. Locate the engine byte by re-encoding the
-	// header prefix rather than hand-counting varint widths.
-	data := writeContainer(t, sampleContainer())
-	hdr := NewEncoder()
-	hdr.Uvarint(Version)
-	hdr.Uvarint(0xfeed)
-	engOff := len(magic) + hdr.Len()
-	mut := append([]byte(nil), data...)
-	mut[engOff] = byte(EngineSharded) + 1
-	if _, err := ReadContainer(bytes.NewReader(reseal(mut))); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("unknown engine: %v", err)
-	}
-
 	// Trailing garbage after the section directory.
+	data := writeContainer(t, sampleContainer())
 	body := append([]byte(nil), data[:len(data)-4]...)
 	body = append(body, 0xff)
 	garbled := binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))

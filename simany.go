@@ -34,8 +34,10 @@
 // engine: the topology is split into contiguous partitions executed on
 // host worker threads (Machine.Workers) that synchronize at deterministic
 // virtual-time barriers. Results are fully determined by the (seed,
-// shards) pair — the worker count only changes wall-clock time. See
-// docs/parallel.md.
+// shards) pair — the worker count only changes wall-clock time. A shard
+// count the engine cannot honour (more shards than cores, or more than one
+// under a policy that is not shard-local or coherent shared memory) makes
+// NewSimulation return an error. See docs/parallel.md.
 package simany
 
 import (
