@@ -280,15 +280,14 @@ func (m Machine) kernelConfig() (core.Config, error) {
 		return core.Config{}, fmt.Errorf("config: topology is disconnected: core %d cannot reach core 0", c)
 	}
 	cfg := core.Config{
-		Topo:      topo,
-		NetParams: network.DefaultParams(),
-		Policy:    pol,
-		Speeds:    m.Speeds(),
-		Seed:      m.Seed,
-		MaxSteps:  m.MaxSteps,
-		Shards:    m.Shards,
-		Workers:   m.Workers,
-		Metrics:   m.Metrics,
+		Topo:     topo,
+		Policy:   pol,
+		Speeds:   m.Speeds(),
+		Seed:     m.Seed,
+		MaxSteps: m.MaxSteps,
+		Shards:   m.Shards,
+		Workers:  m.Workers,
+		Metrics:  m.Metrics,
 	}
 	switch {
 	case isCycleLevel:
@@ -301,7 +300,7 @@ func (m Machine) kernelConfig() (core.Config, error) {
 	case m.Mem == DistributedMem:
 		cfg.Mem = mem.NewDistributed()
 	case m.Mem == SharedMemCoherent:
-		cfg.Mem = mem.NewShared().WithCoherence(network.New(topo, cfg.NetParams))
+		cfg.Mem = mem.NewShared().WithCoherence(network.New(topo, network.DefaultParams()))
 	default:
 		cfg.Mem = mem.NewShared()
 	}

@@ -88,8 +88,7 @@ func (k *Kernel) barrierInvariants() error {
 // vtime.Inf when the policy provides no spatial guarantee or the topology
 // is disconnected.
 func (k *Kernel) DriftBound() vtime.Time {
-	sp, ok := k.policy.(Spatial)
-	if !ok {
+	if !k.effLazy {
 		return vtime.Inf
 	}
 	if k.diam == -2 {
@@ -98,7 +97,7 @@ func (k *Kernel) DriftBound() vtime.Time {
 	if k.diam < 0 {
 		return vtime.Inf
 	}
-	bound := vtime.Time(k.diam) * sp.T
+	bound := vtime.Time(k.diam) * k.relayDelta
 	if k.sharded {
 		bound += k.quantum
 	}

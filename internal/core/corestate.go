@@ -50,20 +50,18 @@ type Core struct {
 	//simany:derived neighbor effective-time proxies, refreshed from eff at every barrier
 	nbEff []vtime.Time // exact at barriers; read between them only for neighbors in other shards
 
-	// Resident tasks. conts and ready are only mutated through the
-	// push/pop helpers below, which maintain the cached queue minima.
+	// Resident tasks. ready is only mutated through the push/pop helpers
+	// below, which maintain its cached minimum.
 	current *Task   // task that yielded as stalled, resumed first
 	conts   []*Task // unblocked continuations (run before fresh tasks)
 	ready   []*Task // fresh tasks in arrival order
 
-	// Cached queue minima: the minimum arrival stamp over ready and the
-	// minimum resume stamp over conts, maintained incrementally (same
-	// lazy-recompute discipline as the birth cache) so the scheduler's
-	// runnable-key computation and NextEventTime never rescan the queues.
+	// Cached queue minimum: the minimum arrival stamp over ready,
+	// maintained incrementally (same lazy-recompute discipline as the
+	// birth cache) so the scheduler's runnable-key computation never
+	// rescans the queue.
 	readyMin      vtime.Time //simany:derived lazy cache over ready, a function of the encoded queue
 	readyMinDirty bool       //simany:derived validity bit of readyMin, host-side only
-	contsMin      vtime.Time //simany:derived lazy cache over conts, a function of the encoded queue
-	contsMinDirty bool       //simany:derived validity bit of contsMin, host-side only
 
 	lockDepth int // >0: lock-holder exemption from spatial stalls
 
@@ -93,15 +91,14 @@ type Core struct {
 
 // CoreStats aggregates per-core counters.
 type CoreStats struct {
-	Blocks        int64 // annotation blocks executed
-	Instructions  int64
-	Stalls        int64 // spatial/policy stalls
-	TaskStarts    int64
-	Switches      int64 // context switches to resumed continuations
-	MsgsSent      int64
-	ComputeTime   vtime.Time // virtual time spent computing
-	MemTime       vtime.Time // virtual time spent in memory accesses
-	StallWaitTime vtime.Time // not simulated time; count of stall events only
+	Blocks       int64 // annotation blocks executed
+	Instructions int64
+	Stalls       int64 // spatial/policy stalls
+	TaskStarts   int64
+	Switches     int64 // context switches to resumed continuations
+	MsgsSent     int64
+	ComputeTime  vtime.Time // virtual time spent computing
+	MemTime      vtime.Time // virtual time spent in memory accesses
 }
 
 // VT returns the core's current virtual time.
@@ -113,8 +110,8 @@ func (c *Core) Kernel() *Kernel { return c.k }
 // Eff returns the effective time the core advertises to its neighbors: a
 // busy core's clock as of its last step boundary, an idle core's shadow
 // time computed on demand from its region's busy frontier (and memoized).
-// Effective times exist only under policies that relay them
-// (IdleRelayPolicy); under any other policy Eff is Inf.
+// Effective times exist only under Spatial, the policy that relays them;
+// under any other policy Eff is Inf.
 func (c *Core) Eff() vtime.Time {
 	if !c.k.effLazy {
 		return vtime.Inf
@@ -198,22 +195,6 @@ func (c *Core) minReadyArrival() vtime.Time {
 	return c.readyMin
 }
 
-// minContResume returns the minimum resume stamp over the core's
-// continuation queue, Inf when it is empty.
-func (c *Core) minContResume() vtime.Time {
-	if c.contsMinDirty {
-		m := vtime.Inf
-		for _, t := range c.conts {
-			if t.resume < m {
-				m = t.resume
-			}
-		}
-		c.contsMin = m
-		c.contsMinDirty = false
-	}
-	return c.contsMin
-}
-
 // pushReady appends a fresh task; the cached minimum absorbs the new
 // arrival directly unless it is already pending a recompute.
 func (c *Core) pushReady(t *Task) {
@@ -234,27 +215,6 @@ func (c *Core) popReady() *Task {
 		c.readyMinDirty = false
 	} else if !c.readyMinDirty && t.arrival == c.readyMin {
 		c.readyMinDirty = true
-	}
-	return t
-}
-
-// pushCont appends an unblocked continuation (see pushReady).
-func (c *Core) pushCont(t *Task) {
-	c.conts = append(c.conts, t)
-	if !c.contsMinDirty && t.resume < c.contsMin {
-		c.contsMin = t.resume
-	}
-}
-
-// popCont removes and returns the head continuation (see popReady).
-func (c *Core) popCont() *Task {
-	t := c.conts[0]
-	c.conts = c.conts[1:]
-	if len(c.conts) == 0 {
-		c.contsMin = vtime.Inf
-		c.contsMinDirty = false
-	} else if !c.contsMinDirty && t.resume == c.contsMin {
-		c.contsMinDirty = true
 	}
 	return t
 }
@@ -282,13 +242,17 @@ func (c *Core) QueueLength() int { return len(c.ready) }
 // execute something: its clock while busy, the earliest pending task stamp
 // while it only has queued work, and Inf when it is fully idle. Global
 // synchronization schemes use it as the core's position in virtual time.
+// The scheduler never reads it, so the continuation queue (at most one
+// entry deep in the drift studies) is scanned, not cached.
 func (c *Core) NextEventTime() vtime.Time {
 	if !c.idle {
 		return c.vt
 	}
-	m := c.minContResume()
-	if r := c.minReadyArrival(); r < m {
-		m = r
+	m := c.minReadyArrival()
+	for _, t := range c.conts {
+		if t.resume < m {
+			m = t.resume
+		}
 	}
 	if m == vtime.Inf {
 		return m

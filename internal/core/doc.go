@@ -40,5 +40,6 @@
 // like real time updates, which keeps non-connected sets of active cores
 // synchronized through idle regions (§II.A, Fig. 2). A core holding a lock
 // is exempted from stalling until it releases it, which prevents the
-// deadlock of §II.B (Fig. 4).
+// deadlock of §II.B (Fig. 4); the kernel applies that exemption itself,
+// under every policy (Kernel.policyHorizon).
 package core

@@ -63,52 +63,23 @@ import (
 // found runnable from being evaluated again.
 // See docs/effective-time.md for the full design and cost model.
 
-// IdleRelayPolicy is implemented by policies under which an idle core
-// advertises "min over neighbor effective times, plus a constant delta"
-// (Inf when no neighbor advertises a finite time). For such policies the
-// kernel maintains effective times — busy cores' at their step
-// boundaries, idle regions' on demand from the busy frontier. Policies
-// that do not implement the interface (or return ok=false) never read
-// effective times, and the kernel does not maintain any. Of the bundled
-// policies only the paper's Spatial relays.
-type IdleRelayPolicy interface {
-	// IdleRelay returns the per-hop relay increment (Spatial.T), which
-	// must be positive, and whether the policy relays at all.
-	IdleRelay() (delta vtime.Time, ok bool)
-}
-
-// setupEff arms effective-time maintenance when the policy relays. A
-// non-positive delta is rejected: the relay rule then has no unique
-// fixpoint (idle cores could sustain each other's stale times), and a
-// negative one hands out horizons behind the slowest neighbor.
+// setupEff allocates the proxies through which a sharded run's relay
+// reads neighbors in other shards, frozen between barriers: one flat array
+// sliced per core. Same-shard neighbors are read directly, so the
+// sequential engine needs none.
 func (k *Kernel) setupEff() {
-	p, ok := k.policy.(IdleRelayPolicy)
-	if !ok {
-		return
+	flat := make([]vtime.Time, k.topo.NumLinks())
+	for i := range flat {
+		flat[i] = vtime.Inf
 	}
-	if k.relayDelta, k.effLazy = p.IdleRelay(); !k.effLazy {
-		return
-	}
-	if k.relayDelta <= 0 {
-		panic(fmt.Sprintf("core: policy %q relays idle effective times with non-positive delta %v", k.policy.Name(), k.relayDelta))
-	}
-	if k.sharded {
-		// Proxies for neighbors in other shards, frozen between barriers;
-		// one flat array sliced per core. Same-shard neighbors are read
-		// directly, so the sequential engine needs none.
-		flat := make([]vtime.Time, k.topo.NumLinks())
-		for i := range flat {
-			flat[i] = vtime.Inf
-		}
-		off := 0
-		for _, c := range k.cores {
-			deg := len(c.neighbors)
-			c.nbEff = flat[off : off+deg : off+deg]
-			off += deg
-			for j, nbID := range c.neighbors {
-				if nb := k.cores[nbID]; nb.dom != c.dom {
-					c.dom.border = append(c.dom.border, borderLink{proxy: &c.nbEff[j], from: nb})
-				}
+	off := 0
+	for _, c := range k.cores {
+		deg := len(c.neighbors)
+		c.nbEff = flat[off : off+deg : off+deg]
+		off += deg
+		for j, nbID := range c.neighbors {
+			if nb := k.cores[nbID]; nb.dom != c.dom {
+				c.dom.border = append(c.dom.border, borderLink{proxy: &c.nbEff[j], from: nb})
 			}
 		}
 	}
@@ -504,7 +475,7 @@ func (d *domain) stallBest(limit vtime.Time) (best heapEntry, count int) {
 		}
 		if c := e.c; c != d.stepping {
 			runnable := c.rnStamp == d.shapeEpoch
-			if !runnable && c.vt <= d.k.policy.Horizon(c) {
+			if !runnable && c.vt <= d.k.policyHorizon(c) {
 				runnable = true
 				if d.k.localPolicy {
 					c.rnStamp = d.shapeEpoch

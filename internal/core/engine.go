@@ -139,7 +139,7 @@ func (d *domain) runnable(c *Core) (vtime.Time, bool) {
 	if c.current != nil {
 		// Stalled mid-task: runnable when the horizon has moved past the
 		// core's clock.
-		if c.vt <= k.policy.Horizon(c) {
+		if c.vt <= k.policyHorizon(c) {
 			return c.vt, true
 		}
 		return 0, false
@@ -204,9 +204,10 @@ func (d *domain) step(c *Core) {
 	case t != nil:
 		// Resume the stalled task in place.
 	case len(c.conts) > 0:
-		t = c.popCont()
+		t = c.conts[0]
+		c.conts = c.conts[1:]
 		// Context switch to a joining task resuming execution (§V).
-		c.vt = vtime.Max(c.vt, t.resume) + k.ctxSwitchCost
+		c.vt = vtime.Max(c.vt, t.resume) + ctxSwitchCost
 		c.stats.Switches++
 		t.state = TaskRunning
 		c.current = t
@@ -215,7 +216,7 @@ func (d *domain) step(c *Core) {
 		t = c.popReady()
 		// Starting a task costs 10 cycles in addition to the transit time
 		// of the spawn message (§V).
-		c.vt = vtime.Max(c.vt, t.arrival) + k.taskStartCost
+		c.vt = vtime.Max(c.vt, t.arrival) + taskStartCost
 		c.stats.TaskStarts++
 		t.state = TaskRunning
 		c.current = t

@@ -41,9 +41,6 @@ func TestAccessors(t *testing.T) {
 	if k.GlobalMinTime() != vtime.Inf {
 		t.Error("empty kernel global min should be Inf")
 	}
-	if k.BusyMinVT() != vtime.Inf {
-		t.Error("no busy core yet")
-	}
 	if k.MaxTime() != 0 {
 		t.Error("fresh max time")
 	}

@@ -56,13 +56,9 @@ type Handler func(k *Kernel, msg network.Message)
 type Config struct {
 	// Topo is the interconnection network. Required.
 	Topo *topology.Topology
-	// NetParams tunes the network model.
-	NetParams network.Params
 	// Policy is the synchronization scheme. Defaults to Spatial{T: 100
 	// cycles}, the paper's reference configuration.
 	Policy Policy
-	// CostModel prices instruction classes; defaults to timing.PPC405.
-	CostModel *timing.CostModel
 	// Predict builds the per-core branch predictor; defaults to the
 	// paper's 90% probabilistic predictor.
 	Predict func(coreID int, seed int64) timing.Predictor
@@ -71,12 +67,6 @@ type Config struct {
 	// Speeds gives per-core computing-power factors (nil = homogeneous
 	// 1.0).
 	Speeds []float64
-	// TaskStartCost is the overhead of starting a task on a core (10
-	// cycles in §V), in addition to the spawn-message transit time.
-	TaskStartCost vtime.Time
-	// CtxSwitchCost is the cost of switching to a joining task resuming
-	// execution (15 cycles in §V).
-	CtxSwitchCost vtime.Time
 	// Seed makes the run reproducible.
 	Seed int64
 	// MaxSteps aborts runaway simulations (0 = no limit).
@@ -148,6 +138,14 @@ func (cfg Config) CheckShards() error {
 //lint:allow snapshotsafe immutable configuration default, read only at kernel construction
 var DefaultT = vtime.CyclesInt(100)
 
+// The scheduling overheads of §V: starting a task on a core, in addition
+// to the spawn message's transit time, and switching to a joining task
+// that resumes execution.
+const (
+	taskStartCost = 10 * vtime.Cycle
+	ctxSwitchCost = 15 * vtime.Cycle
+)
+
 // Kernel is the discrete-event simulator.
 type Kernel struct {
 	cores []*Core //simany:derived serialized through their owning domains
@@ -162,9 +160,6 @@ type Kernel struct {
 	handlers map[network.Kind]Handler
 	//simany:derived setup-time stream only: simulation draws come from per-core rng.Rand state
 	rng *rand.Rand
-
-	taskStartCost vtime.Time //simany:derived immutable cost configuration from Config
-	ctxSwitchCost vtime.Time //simany:derived immutable cost configuration from Config
 
 	// Execution engine state: the machine is split into one or more
 	// domains (shards). The sequential engine uses a single domain; the
@@ -190,9 +185,9 @@ type Kernel struct {
 	localPolicy bool //simany:derived policy-derived configuration, reinstated by New
 
 	// Effective-time evaluation (efflazy.go): effLazy records that the
-	// policy relays effective times through idle cores (IdleRelayPolicy),
-	// so the kernel maintains them — lazily, from the busy frontier;
-	// relayDelta caches the policy's per-hop relay increment.
+	// policy is Spatial, whose idle cores relay effective times, so the
+	// kernel maintains them — lazily, from the busy frontier; relayDelta
+	// is the per-hop relay increment, Spatial.T.
 	effLazy    bool       //simany:derived policy-derived configuration, reinstated by New
 	relayDelta vtime.Time //simany:derived policy-derived configuration, reinstated by New
 
@@ -289,10 +284,6 @@ func fingerprint(cfg Config, shards int) uint64 {
 		}
 	}
 	mix(uint64(cfg.MaxSteps))
-	//lint:allow rawvtime fingerprint hashing: the millicycle values are mixed into a hash, never used as times
-	mix(uint64(cfg.TaskStartCost))
-	//lint:allow rawvtime fingerprint hashing of a configured cost constant
-	mix(uint64(cfg.CtxSwitchCost))
 	for _, b := range []byte(cfg.Policy.Name()) {
 		mix(uint64(b))
 	}
@@ -319,11 +310,9 @@ func New(cfg Config) *Kernel {
 	if cfg.Policy == nil {
 		cfg.Policy = Spatial{T: DefaultT}
 	}
-	if cfg.CostModel == nil {
-		cfg.CostModel = timing.PPC405()
-	}
+	costs := timing.PPC405()
 	if cfg.Predict == nil {
-		rate := cfg.CostModel.PredictRate
+		rate := costs.PredictRate
 		cfg.Predict = func(coreID int, seed int64) timing.Predictor {
 			return timing.NewProbabilisticPredictor(rate, seed+int64(coreID))
 		}
@@ -331,28 +320,17 @@ func New(cfg Config) *Kernel {
 	if cfg.Mem == nil {
 		cfg.Mem = NullMem{}
 	}
-	if cfg.NetParams.ChunkSize == 0 {
-		cfg.NetParams = network.DefaultParams()
-	}
-	if cfg.TaskStartCost == 0 {
-		cfg.TaskStartCost = vtime.CyclesInt(10)
-	}
-	if cfg.CtxSwitchCost == 0 {
-		cfg.CtxSwitchCost = vtime.CyclesInt(15)
-	}
 	n := cfg.Topo.N()
 	k := &Kernel{
-		topo:          cfg.Topo,
-		net:           network.New(cfg.Topo, cfg.NetParams),
-		policy:        cfg.Policy,
-		mem:           cfg.Mem,
-		handlers:      make(map[network.Kind]Handler),
-		rng:           rand.New(rand.NewSource(cfg.Seed)),
-		taskStartCost: cfg.TaskStartCost,
-		ctxSwitchCost: cfg.CtxSwitchCost,
-		maxSteps:      cfg.MaxSteps,
-		tracer:        cfg.Tracer,
-		diam:          -2,
+		topo:     cfg.Topo,
+		net:      network.New(cfg.Topo, network.DefaultParams()),
+		policy:   cfg.Policy,
+		mem:      cfg.Mem,
+		handlers: make(map[network.Kind]Handler),
+		rng:      rand.New(rand.NewSource(cfg.Seed)),
+		maxSteps: cfg.MaxSteps,
+		tracer:   cfg.Tracer,
+		diam:     -2,
 	}
 	// Per-core state is carved out of flat backing arrays — the Core
 	// structs themselves and their timing machinery — so a 100k-core
@@ -374,7 +352,7 @@ func New(cfg Config) *Kernel {
 				panic("core: non-positive core speed")
 			}
 		}
-		timers[i] = *timing.NewBlockTimer(cfg.CostModel, cfg.Predict(i, cfg.Seed))
+		timers[i] = *timing.NewBlockTimer(costs, cfg.Predict(i, cfg.Seed))
 		l1s[i] = *cache.NewScoped(cache.DefaultLineSize)
 		l2s[i] = *cache.NewL2(cache.DefaultLineSize)
 		c := &backing[i]
@@ -390,7 +368,6 @@ func New(cfg Config) *Kernel {
 			l2:         &l2s[i],
 			birthCache: vtime.Inf,
 			readyMin:   vtime.Inf,
-			contsMin:   vtime.Inf,
 			hpos:       [3]int32{-1, -1, -1},
 			rng:        *rng.New(splitmix64(uint64(cfg.Seed) ^ uint64(i))),
 		}
@@ -418,9 +395,18 @@ func (k *Kernel) setupEngine(cfg Config) {
 	}
 	k.workers = workers
 
+	// Spatial is the one policy whose idle cores relay "min neighbor + T"
+	// (§II.A), so the kernel maintains effective times under it alone; its
+	// T is the per-hop relay increment and sets the round quantum. A
+	// non-positive T is rejected: the relay rule then has no unique
+	// fixpoint (idle cores could sustain each other's stale times), and a
+	// negative one hands out horizons behind the slowest neighbor.
 	t := DefaultT
-	if sp, ok := k.policy.(Spatial); ok && sp.T > 0 {
-		t = sp.T
+	if sp, ok := k.policy.(Spatial); ok {
+		if sp.T <= 0 {
+			panic(fmt.Sprintf("core: policy %q relays idle effective times with non-positive delta %v", sp.Name(), sp.T))
+		}
+		k.effLazy, k.relayDelta, t = true, sp.T, sp.T
 	}
 	k.quantum = 8 * t
 
@@ -451,8 +437,10 @@ func (k *Kernel) setupEngine(cfg Config) {
 	for _, d := range k.domains {
 		d.rq = runq{coreHeap: coreHeap{slot: runSlot, byID: true}, d: d, limit: vtime.Inf}
 	}
-	k.setupEff()
 	if k.effLazy {
+		if k.sharded {
+			k.setupEff()
+		}
 		// Valid idle-neighbor counts from the start: Validate may run on a
 		// kernel that has never entered an engine loop.
 		for _, d := range k.domains {
@@ -500,9 +488,6 @@ func (k *Kernel) Policy() Policy { return k.policy }
 // stay independent of host scheduling.
 func (k *Kernel) Rand() *rand.Rand { return k.rng }
 
-// CtxSwitchCost returns the configured context-switch overhead.
-func (k *Kernel) CtxSwitchCost() vtime.Time { return k.ctxSwitchCost }
-
 // Sharded reports whether the kernel runs on the sharded parallel engine.
 func (k *Kernel) Sharded() bool { return k.sharded }
 
@@ -512,9 +497,6 @@ func (k *Kernel) NumShards() int { return len(k.domains) }
 
 // Workers returns the number of host threads driving the shards.
 func (k *Kernel) Workers() int { return k.workers }
-
-// ShardOf returns the shard owning core i.
-func (k *Kernel) ShardOf(i int) int { return k.part[i] }
 
 // SameShard reports whether cores a and b belong to the same shard (always
 // true on the sequential engine).
@@ -675,11 +657,22 @@ func (k *Kernel) clearBirth(c *Core, taskID uint64) {
 	}
 }
 
+// policyHorizon is the horizon of core c under the policy, with the
+// lock-holder exemption (§II.B) applied first: a core holding a lock runs
+// until it releases it, whatever the scheme, so Fig. 4's deadlock cannot
+// occur. It is the only place the kernel asks the policy.
+func (k *Kernel) policyHorizon(c *Core) vtime.Time {
+	if c.lockDepth > 0 {
+		return vtime.Inf
+	}
+	return k.policy.Horizon(c)
+}
+
 // horizonFor evaluates the policy horizon for c, capped by the shard round
 // limit while a round is in progress (frozen cross-shard proxies are only
 // trustworthy up to the round quantum).
 func (k *Kernel) horizonFor(c *Core) vtime.Time {
-	h := k.policy.Horizon(c)
+	h := k.policyHorizon(c)
 	if c.dom != nil && h > c.dom.limit {
 		h = c.dom.limit
 	}
@@ -728,7 +721,7 @@ func (k *Kernel) Unblock(t *Task, at vtime.Time) {
 		delete(t.core.dom.blocked, t.ID)
 		t.state = TaskReady
 		t.resume = at
-		t.core.pushCont(t)
+		t.core.conts = append(t.core.conts, t)
 		t.core.dom.schedUpdate(t.core)
 	case TaskRunning:
 		// The wake-up raced ahead of the Block call (handlers run
@@ -996,22 +989,9 @@ func (k *Kernel) deadlockError() error {
 			cur = c.current.Name
 		}
 		fmt.Fprintf(&b, "\n  core%d shard%d vt=%v eff=%v horizon=%v cur=%s ready=%d conts=%d locks=%d minBirth=%v",
-			c.ID, k.part[c.ID], c.vt, c.Eff(), k.policy.Horizon(c), cur, len(c.ready), len(c.conts), c.lockDepth, c.minBirth())
+			c.ID, k.part[c.ID], c.vt, c.Eff(), k.policyHorizon(c), cur, len(c.ready), len(c.conts), c.lockDepth, c.minBirth())
 	}
 	return fmt.Errorf("%s", b.String())
-}
-
-// BusyMinVT returns the minimum virtual time among busy cores, Inf when all
-// cores are idle. Used by the global synchronization policies in package
-// drift.
-func (k *Kernel) BusyMinVT() vtime.Time {
-	m := vtime.Inf
-	for _, c := range k.cores {
-		if !c.idle && c.vt < m {
-			m = c.vt
-		}
-	}
-	return m
 }
 
 // MaxTime returns the latest task completion time seen so far.

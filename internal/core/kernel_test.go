@@ -225,6 +225,56 @@ func TestLockExemptionAllowsOverrun(t *testing.T) {
 	}
 }
 
+// lockCountingPolicy is a global-minimum window that counts how often the
+// kernel asks it about a core holding a lock.
+type lockCountingPolicy struct{ lockedAsks *int }
+
+func (lockCountingPolicy) Name() string { return "lock-counting" }
+
+func (p lockCountingPolicy) Horizon(c *Core) vtime.Time {
+	if c.LockDepth() > 0 {
+		*p.lockedAsks++
+	}
+	m := c.Kernel().GlobalMinTime()
+	if m == vtime.Inf {
+		return m
+	}
+	return m + vtime.CyclesInt(20)
+}
+
+// TestPolicyNeverAskedForLockHolder: the lock-holder exemption (§II.B) is
+// the kernel's, applied before any policy is consulted, so a policy that
+// does not restate it still cannot stall a lock holder — and is never
+// asked about one.
+func TestPolicyNeverAskedForLockHolder(t *testing.T) {
+	asks := 0
+	topo := topology.Mesh2D(2, 1, topology.DefaultLatency, topology.DefaultBandwidth)
+	k := kernelOn(topo, lockCountingPolicy{&asks})
+	var span vtime.Time
+	k.InjectTask(0, "locker", func(e *Env) {
+		e.AcquireLockExempt()
+		s := e.Now()
+		e.ComputeCycles(1000)
+		span = e.Now() - s
+		e.ReleaseLockExempt()
+		e.ComputeCycles(10)
+	}, nil, 0)
+	k.InjectTask(1, "other", func(e *Env) {
+		for i := 0; i < 50; i++ {
+			e.ComputeCycles(1)
+		}
+	}, nil, 0)
+	if _, err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if span != vtime.CyclesInt(1000) {
+		t.Errorf("locked section spanned %v, want uninterrupted 1000cy", span)
+	}
+	if asks != 0 {
+		t.Errorf("policy asked %d times about a core holding a lock", asks)
+	}
+}
+
 func TestLockDepthUnderflowPanics(t *testing.T) {
 	k := kernelOn(topology.Mesh(1), Spatial{T: DefaultT})
 	k.InjectTask(0, "bad", func(e *Env) {
@@ -303,7 +353,7 @@ func TestBlockedTaskFreesCore(t *testing.T) {
 		t.Errorf("order = %v, want %v", order, want)
 	}
 	// Resume stamp: at least the waker's 510cy send + transit + switch.
-	if resumeVT < vtime.CyclesInt(510)+k2.CtxSwitchCost() {
+	if resumeVT < vtime.CyclesInt(510)+ctxSwitchCost {
 		t.Errorf("blocker resumed at %v", resumeVT)
 	}
 }
@@ -408,7 +458,7 @@ func TestTaskPanicSurfaces(t *testing.T) {
 		}
 		// The bomber starts once the bystander on core 6 is done (2010
 		// cycles), at its own arrival stamp plus the start cost.
-		at := vtime.CyclesInt(3000) + k.taskStartCost + vtime.CyclesInt(25)
+		at := vtime.CyclesInt(3000) + taskStartCost + vtime.CyclesInt(25)
 		head := fmt.Sprintf("task %q (id %d) on core 6 at vt %v panicked: boom\n", "bomber", bomber.ID, at)
 		if msg := err.Error(); !strings.HasPrefix(msg, head) || !strings.Contains(msg, "kernel_test.go") {
 			t.Errorf("shards=%d: err = %v\nwant prefix %q and a stack through this file", shards, err, head)

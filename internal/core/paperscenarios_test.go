@@ -18,7 +18,7 @@ import (
 func TestFig1SpatialWakeups(t *testing.T) {
 	T := vtime.CyclesInt(20)
 	topo := topology.Mesh2D(3, 1, topology.DefaultLatency, topology.DefaultBandwidth)
-	k := New(Config{Topo: topo, Policy: Spatial{T: T}, TaskStartCost: vtime.Time(1), Seed: 1})
+	k := New(Config{Topo: topo, Policy: Spatial{T: T}, Seed: 1})
 	type rec struct {
 		core int
 		vt   vtime.Time

@@ -25,11 +25,11 @@ import (
 //     the queue pops in domain.step;
 //   - its clock, idle flag and current task — mutated only inside
 //     domain.step (the post-step update covers them);
-//   - for a core stalled mid-task, the policy horizon — which for a
-//     shard-local policy (ShardLocalPolicy) is a pure function of its
-//     neighbors' effective times (effSite / refreshEff), its birth stamps
-//     (RegisterBirth / clearBirth) and its lock depth (mutated only by the
-//     core's own running task).
+//   - for a core stalled mid-task, its horizon (Kernel.policyHorizon) —
+//     its lock depth (mutated only by the core's own running task) and,
+//     under a shard-local policy (ShardLocalPolicy), a pure function of
+//     its neighbors' effective times (effSite / refreshEff) and its birth
+//     stamps (RegisterBirth / clearBirth).
 //
 // Stalled cores whose horizons no cached key could track live in the
 // stall heap instead (domain.stallRouted), evaluated on demand at every

@@ -241,47 +241,3 @@ func TestReadyMinCacheReordering(t *testing.T) {
 		t.Fatalf("drained queue ready-min %v, want Inf", got)
 	}
 }
-
-// TestContsMinCacheReordering is the continuation-queue twin of the
-// ready-queue test above.
-func TestContsMinCacheReordering(t *testing.T) {
-	k := schedTestKernel(t)
-	c := k.Core(0)
-
-	push := func(at int64) {
-		tk := k.NewTask(c.ID, "c", nil, nil)
-		tk.resume = vtime.CyclesInt(at)
-		c.pushCont(tk)
-	}
-	recompute := func() vtime.Time {
-		m := vtime.Inf
-		for _, t := range c.conts {
-			if t.resume < m {
-				m = t.resume
-			}
-		}
-		return m
-	}
-	check := func(stage string) {
-		t.Helper()
-		if got, want := c.minContResume(), recompute(); got != want {
-			t.Fatalf("%s: cached conts-min %v, recomputed %v", stage, got, want)
-		}
-	}
-
-	push(30)
-	check("push 30")
-	push(5)
-	check("push 5")
-	push(20)
-	check("push 20")
-	c.popCont() // 30: min survives
-	check("pop 30")
-	c.popCont() // 5: carried the min, recompute yields 20
-	check("pop 5")
-	c.popCont()
-	check("drained")
-	if got := c.minContResume(); got != vtime.Inf {
-		t.Fatalf("drained queue conts-min %v, want Inf", got)
-	}
-}

@@ -183,7 +183,6 @@ func (c *Core) snapshot(enc *snap.Encoder) {
 	enc.Varint(st.MsgsSent)
 	enc.Time(st.ComputeTime)
 	enc.Time(st.MemTime)
-	enc.Time(st.StallWaitTime)
 	ids := make([]uint64, 0, len(c.births))
 	for id := range c.births {
 		ids = append(ids, id)

@@ -65,15 +65,6 @@ func (k *Kernel) Validate() error {
 		if got := c.minReadyArrival(); got != rm {
 			return fmt.Errorf("core %d: ready-min cache %v, queue minimum %v", c.ID, got, rm)
 		}
-		cm := vtime.Inf
-		for _, t := range c.conts {
-			if t.resume < cm {
-				cm = t.resume
-			}
-		}
-		if got := c.minContResume(); got != cm {
-			return fmt.Errorf("core %d: conts-min cache %v, queue minimum %v", c.ID, got, cm)
-		}
 		if c.current != nil && c.current.state != TaskRunning {
 			return fmt.Errorf("core %d: current task %q in state %d", c.ID, c.current.Name, c.current.state)
 		}

@@ -155,14 +155,12 @@ func (m *Mem) Stats() (invalidations, transfers int64) { return m.dir.Stats() }
 // given topology: lockstep ordering, detailed memory, 2-bit branch
 // prediction. Speeds may be nil for a homogeneous machine.
 func NewConfig(topo *topology.Topology, speeds []float64, seed int64) core.Config {
-	netParams := network.DefaultParams()
-	net := network.New(topo, netParams)
+	net := network.New(topo, network.DefaultParams())
 	return core.Config{
-		Topo:      topo,
-		NetParams: netParams,
-		Policy:    drift.Lockstep{},
-		Mem:       NewMem(topo.N(), net),
-		Speeds:    speeds,
+		Topo:   topo,
+		Policy: drift.Lockstep{},
+		Mem:    NewMem(topo.N(), net),
+		Speeds: speeds,
 		Predict: func(coreID int, s int64) timing.Predictor {
 			return timing.NewTwoBitPredictor(0.9, s+int64(coreID)*7919)
 		},

@@ -14,7 +14,10 @@
 //
 // All of them implement core.Policy, so any simulation can be re-run under
 // a different scheme by switching one configuration field — this powers the
-// ablation benchmarks.
+// ablation benchmarks. The lock-holder exemption of §II.B is not restated
+// here: the kernel answers Inf for a core holding a lock without asking
+// the policy, so every scheme inherits it (and its probes never count a
+// lock holder).
 package drift
 
 import (
@@ -59,9 +62,6 @@ func (GlobalQuantum) Name() string { return "quantum" }
 
 // Horizon implements core.Policy.
 func (p GlobalQuantum) Horizon(c *core.Core) vtime.Time {
-	if c.LockDepth() > 0 {
-		return vtime.Inf
-	}
 	m := c.Kernel().GlobalMinTime()
 	if m == vtime.Inf {
 		return vtime.Inf
@@ -85,9 +85,6 @@ func (BoundedSlack) Name() string { return "bounded-slack" }
 
 // Horizon implements core.Policy.
 func (p BoundedSlack) Horizon(c *core.Core) vtime.Time {
-	if c.LockDepth() > 0 {
-		return vtime.Inf
-	}
 	m := c.Kernel().GlobalMinTime()
 	if m == vtime.Inf {
 		return vtime.Inf
@@ -107,9 +104,6 @@ func (Lockstep) Name() string { return "lockstep" }
 
 // Horizon implements core.Policy.
 func (Lockstep) Horizon(c *core.Core) vtime.Time {
-	if c.LockDepth() > 0 {
-		return vtime.Inf
-	}
 	k := c.Kernel()
 	// Run until the earliest other core's next event; the kernel always
 	// schedules the earliest runnable core, so ordering is exact at block
@@ -166,9 +160,6 @@ func (LaxP2P) Name() string { return "laxp2p" }
 
 // Horizon implements core.Policy.
 func (p LaxP2P) Horizon(c *core.Core) vtime.Time {
-	if c.LockDepth() > 0 {
-		return vtime.Inf
-	}
 	k := c.Kernel()
 	n := k.NumCores()
 	if n == 1 {

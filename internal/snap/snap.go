@@ -191,8 +191,11 @@ const (
 	// Version 4 writes the L1/L2 cache-model contents as (lo, hi) line
 	// spans instead of one varint per line. Version 5 dropped the
 	// header's engine byte (the fingerprint decides the engine) and counts
-	// the position in scheduling steps on both engines.
-	Version = 5
+	// the position in scheduling steps on both engines. Version 6 dropped
+	// a per-core stall-wait counter nothing wrote, and its fingerprint no
+	// longer mixes the task-start and context-switch costs (constants of
+	// §V).
+	Version = 6
 )
 
 // Container is a parsed checkpoint file: the header fields plus the named

@@ -221,6 +221,16 @@ func TestContainerVersionMismatch(t *testing.T) {
 			t.Errorf("version-%d file: got %v, want ErrVersion", ver, err)
 		}
 	}
+
+	// A version-5 file has today's header layout, but its core records
+	// carry one more counter (a stall-wait time) and its fingerprint mixed
+	// the task-start and context-switch costs: it is refused by its
+	// version, never decoded or verified against this kernel.
+	v5 := writeContainer(t, sampleContainer())
+	v5[len(magic)] = 5
+	if _, err := ReadContainer(bytes.NewReader(reseal(v5))); !errors.Is(err, ErrVersion) {
+		t.Errorf("version-5 file: got %v, want ErrVersion", err)
+	}
 }
 
 func TestContainerStructuralCorruption(t *testing.T) {
