@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"simany/internal/mem"
 	"simany/internal/metrics"
 	"simany/internal/rt"
+	"simany/internal/snap"
 	"simany/internal/topology"
 	"simany/internal/trace"
 )
@@ -283,12 +285,14 @@ func TestCheckpointCorruptionDetected(t *testing.T) {
 	}
 }
 
-// TestCheckpointDamagedObsSections: obs.trace and obs.metrics are the only
-// sections a resume decodes rather than compares, so a file whose CRC is
-// valid but whose obs payload is truncated or padded must fail the resume
-// with an error — never a panic, never a run that continues with half the
-// counters spliced.
-func TestCheckpointDamagedObsSections(t *testing.T) {
+// TestCheckpointDamagedSections: a resume decodes no section; it compares
+// each against the replay, and the file must carry exactly the sections
+// the replay writes. So a file whose CRC is valid but whose kernel, shard,
+// runtime or network section is damaged or dropped must fail the resume
+// with an error naming the section — never a panic, never a run that
+// continues with part of its state unchecked — and so must a file with a
+// section no replay writes, like version 6's obs.trace.
+func TestCheckpointDamagedSections(t *testing.T) {
 	b, err := ByName("quicksort")
 	if err != nil {
 		t.Fatal(err)
@@ -304,7 +308,34 @@ func TestCheckpointDamagedObsSections(t *testing.T) {
 	if err := run.k.Checkpoint(&file); err != nil {
 		t.Fatal(err)
 	}
-	for _, section := range []string{"obs.trace", "obs.metrics"} {
+	resume := func(what, section string, damage func(*snap.Container)) {
+		ck, err := core.ReadCheckpoint(bytes.NewReader(file.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		damage(ck)
+		// Through the writer and the reader again: the damaged file is
+		// CRC-valid, as one written by a buggy or hostile producer is.
+		var damaged bytes.Buffer
+		if _, err := ck.WriteTo(&damaged); err != nil {
+			t.Fatal(err)
+		}
+		if ck, err = core.ReadCheckpoint(&damaged); err != nil {
+			t.Fatalf("%s: container refused: %v", what, err)
+		}
+		res := newObsRun(4, 2, 5)
+		if err := res.k.ArmResume(ck); err != nil {
+			t.Fatalf("%s: arming: %v", what, err)
+		}
+		root, _ := b.Program(res.r, Shared)
+		_, err = res.r.Run(b.Name(), root)
+		if err == nil || errors.Is(err, core.ErrPaused) {
+			t.Errorf("%s: resume returned %v, want an error", what, err)
+		} else if !strings.Contains(err.Error(), fmt.Sprintf("section %q", section)) {
+			t.Errorf("%s: error does not name the section: %v", what, err)
+		}
+	}
+	for _, section := range []string{"kernel", "shard.0", "rt", "network"} {
 		for _, damage := range []struct {
 			name string
 			do   func([]byte) []byte
@@ -315,28 +346,16 @@ func TestCheckpointDamagedObsSections(t *testing.T) {
 			{"padded", func(p []byte) []byte { return append(p, 0) }},
 			{"garbled", func(p []byte) []byte { return bytes.Repeat([]byte{0xff}, len(p)) }},
 		} {
-			ck, err := core.ReadCheckpoint(bytes.NewReader(file.Bytes()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			ck.Sections[section] = damage.do(ck.Sections[section])
-			// Through the writer and the reader again: the damaged file is
-			// CRC-valid, as one written by a buggy or hostile producer is.
-			var damaged bytes.Buffer
-			if _, err := ck.WriteTo(&damaged); err != nil {
-				t.Fatal(err)
-			}
-			if ck, err = core.ReadCheckpoint(&damaged); err != nil {
-				t.Fatalf("%s %s: container refused: %v", section, damage.name, err)
-			}
-			res := newObsRun(4, 2, 5)
-			if err := res.k.ArmResume(ck); err != nil {
-				t.Fatalf("%s %s: arming: %v", section, damage.name, err)
-			}
-			root, _ := b.Program(res.r, Shared)
-			if _, err := res.r.Run(b.Name(), root); err == nil || errors.Is(err, core.ErrPaused) {
-				t.Errorf("%s %s: resume returned %v, want an error", section, damage.name, err)
-			}
+			resume(section+" "+damage.name, section, func(ck *snap.Container) {
+				ck.Sections[section] = damage.do(ck.Sections[section])
+			})
 		}
+		resume(section+" dropped", section, func(ck *snap.Container) {
+			delete(ck.Sections, section)
+			ck.SectionOrder = slices.DeleteFunc(ck.SectionOrder, func(n string) bool { return n == section })
+		})
 	}
+	resume("leftover obs.trace", "obs.trace", func(ck *snap.Container) {
+		ck.Add("obs.trace", []byte{0})
+	})
 }

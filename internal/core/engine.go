@@ -101,7 +101,7 @@ type domain struct {
 	// emission order, the merge's tie-break within (VT, Core).
 	//simany:derived flushed by Kernel.flushTrace at every barrier, so empty at each checkpoint
 	traceBuf []TraceEvent
-	traceSeq uint64
+	traceSeq uint64 //simany:derived observability state, reproduced by the replay, never compared
 }
 
 // deferredItem is one unit of cross-shard traffic: either an architectural

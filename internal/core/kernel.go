@@ -233,7 +233,7 @@ type Kernel struct {
 	onTaskStart func(c *Core, t *Task)
 
 	tracer   Tracer
-	traceSeq uint64
+	traceSeq uint64 //simany:derived observability state, reproduced by the replay, never compared
 	// traceMerge is the scratch slice flushTrace reuses to merge the
 	// per-shard trace buffers at each barrier.
 	//
@@ -242,7 +242,7 @@ type Kernel struct {
 
 	// met, when non-nil, holds the kernel's standard instruments in the
 	// attached metrics registry (see metrics.go).
-	met *kernelMetrics
+	met *kernelMetrics //simany:derived observability state, reproduced by the replay, never compared
 }
 
 // splitmix64 is the SplitMix64 finalizer, used to decorrelate per-core

@@ -12,31 +12,30 @@ import (
 // stripe during rounds, the single-threaded barrier may write any — so
 // recording is lock-free and the merged snapshot is bitwise identical at
 // every worker count (docs/observability.md lists the catalogue).
-// The instrument pointers below alias series owned by reg, whose
-// SnapshotState serializes every counter and histogram; each pointer is
-// re-resolved from the registry by name when metrics are re-attached.
+// The instrument pointers below alias series owned by reg; newKernelMetrics
+// sets them once and nothing reassigns them.
 type kernelMetrics struct {
 	reg *metrics.Registry
 
 	// linkWait is the distribution of virtual time messages spent waiting
 	// for a busy link (the network's per-link next-free contention model).
-	linkWait *metrics.Histogram //simany:derived alias into reg, re-resolved by name on attach
+	linkWait *metrics.Histogram //simany:derived alias into reg, set once by newKernelMetrics
 	// msgLatency is the end-to-end message latency distribution
 	// (arrival − emission stamp, including contention and FIFO clamping).
-	msgLatency *metrics.Histogram //simany:derived alias into reg, re-resolved by name on attach
+	msgLatency *metrics.Histogram //simany:derived alias into reg, set once by newKernelMetrics
 	// barriers counts shard rounds (= barrier merges) executed.
-	barriers *metrics.Counter //simany:derived alias into reg, re-resolved by name on attach
+	barriers *metrics.Counter //simany:derived alias into reg, set once by newKernelMetrics
 	// barrierStall accumulates, per shard, the virtual time of each round
 	// quantum the shard could not fill with local work — the deterministic
 	// analogue of "time spent waiting at the barrier".
-	barrierStall *metrics.Counter //simany:derived alias into reg, re-resolved by name on attach
+	barrierStall *metrics.Counter //simany:derived alias into reg, set once by newKernelMetrics
 	// roundSteps is the distribution of scheduling steps a shard took per
 	// round (shape of the load balance).
-	roundSteps *metrics.Histogram //simany:derived alias into reg, re-resolved by name on attach
+	roundSteps *metrics.Histogram //simany:derived alias into reg, set once by newKernelMetrics
 	// driftSpread samples, at every barrier, the clock spread between the
 	// fastest and slowest busy cores — the measured counterpart of
 	// DriftBound.
-	driftSpread *metrics.Histogram //simany:derived alias into reg, re-resolved by name on attach
+	driftSpread *metrics.Histogram //simany:derived alias into reg, set once by newKernelMetrics
 }
 
 // newKernelMetrics widens the registry to the shard count and creates the

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 
 	"simany/internal/snap"
 	"simany/internal/timing"
@@ -65,25 +64,14 @@ func (k *Kernel) Checkpoint(w io.Writer) error {
 	if !k.paused {
 		return errors.New("core: Checkpoint is only legal at a virtual-time barrier (run with PauseAfter and checkpoint after ErrPaused)")
 	}
-	ck := k.buildContainer()
+	ck := &snap.Container{Fingerprint: k.fprint, Pos: k.Position()}
+	k.payload(ck)
 	_, err := ck.WriteTo(w)
 	return err
 }
 
-// buildContainer assembles the checkpoint container from the current
-// state.
-func (k *Kernel) buildContainer() *snap.Container {
-	ck := &snap.Container{
-		Fingerprint: k.fprint,
-		Pos:         k.Position(),
-	}
-	k.payload(ck)
-	k.obsSections(ck)
-	return ck
-}
-
-// payload appends every simulation-state section (everything the
-// replay-verified restore byte-compares).
+// payload appends every section of a checkpoint: the simulation state the
+// replay-verified restore byte-compares.
 func (k *Kernel) payload(ck *snap.Container) {
 	enc := snap.NewEncoder()
 	enc.Varint(k.steps.Load())
@@ -104,24 +92,6 @@ func (k *Kernel) payload(ck *snap.Container) {
 	enc = snap.NewEncoder()
 	k.net.Snapshot(enc)
 	ck.Add("network", enc.Bytes())
-}
-
-// obsSections appends the observability sections: trace sequence counters
-// and the metrics registry. They are spliced in verbatim rather than
-// replay-verified (replay runs with observability detached), so their
-// names carry the "obs." prefix that excludes them from byte comparison.
-func (k *Kernel) obsSections(ck *snap.Container) {
-	enc := snap.NewEncoder()
-	enc.Uvarint(k.traceSeq)
-	for _, d := range k.domains {
-		enc.Uvarint(d.traceSeq)
-	}
-	ck.Add("obs.trace", enc.Bytes())
-	if k.met != nil {
-		enc := snap.NewEncoder()
-		k.met.reg.SnapshotState(enc)
-		ck.Add("obs.metrics", enc.Bytes())
-	}
 }
 
 // snapshot appends one domain's state: the per-shard root of the
@@ -247,33 +217,18 @@ func (k *Kernel) ArmResume(ck *snap.Container) error {
 	return nil
 }
 
-// Resume reads a checkpoint and builds a kernel armed to restore it on
-// its next Run. The configuration must reproduce the checkpointed one
-// (enforced via the embedded fingerprint), and the caller must rebuild
-// and inject the original program (the benchmark drivers do: Program is
-// required to be re-callable) before running.
-func Resume(r io.Reader, cfg Config) (*Kernel, error) {
-	ck, err := ReadCheckpoint(r)
-	if err != nil {
-		return nil, err
-	}
-	k := New(cfg)
-	if err := k.ArmResume(ck); err != nil {
-		return nil, err
-	}
-	return k, nil
-}
-
 // restoreReplay is the one restore path: it re-derives the checkpointed
 // state by deterministic replay, so a resume costs what the prefix cost.
 // The engine's core guarantee — results depend only on (seed, shards,
 // config), never on workers or host scheduling — makes the re-execution
 // reproduce the original prefix exactly; pausing at the recorded position
-// and byte-comparing every simulation-state section against the file
-// turns that argument into a checked invariant. The prefix runs with
-// observability detached (its events and samples are what the file's
-// obs.* sections record); the caller's PauseAfter position is kept for
-// the continuation and must lie beyond the checkpoint's.
+// and byte-comparing every section against the file turns that argument
+// into a checked invariant. Observability is reproduced the same way:
+// metrics and the network observer stay attached, and an installed tracer
+// is swapped for one that drops the prefix's events, so every trace
+// sequence counter ends where the uninterrupted run's does. The caller's
+// PauseAfter position is kept for the continuation and must lie beyond
+// the checkpoint's.
 func (k *Kernel) restoreReplay(ck *snap.Container) error {
 	if k.steps.Load() != 0 {
 		return errors.New("core: resume requires a freshly constructed kernel")
@@ -282,18 +237,13 @@ func (k *Kernel) restoreReplay(ck *snap.Container) error {
 	if pause > 0 && pause <= ck.Pos {
 		return fmt.Errorf("core: pause position %d is not beyond the resumed checkpoint's position %d", pause, ck.Pos)
 	}
-	tracer, met := k.tracer, k.met
-	k.tracer, k.met = nil, nil
-	if met != nil {
-		k.net.SetObserver(nil)
+	tracer := k.tracer
+	if tracer != nil {
+		k.tracer = discardTracer{}
 	}
 	k.stopAfter = ck.Pos
 	_, err := k.runEngine()
-	k.stopAfter = pause
-	k.tracer, k.met = tracer, met
-	if met != nil {
-		k.net.SetObserver(netObserver{k})
-	}
+	k.stopAfter, k.tracer = pause, tracer
 	if err == nil {
 		return fmt.Errorf("core: program finished before checkpoint position %d; was the original program re-injected?", ck.Pos)
 	}
@@ -303,67 +253,35 @@ func (k *Kernel) restoreReplay(ck *snap.Container) error {
 	if err := k.verifyReplay(ck); err != nil {
 		return err
 	}
-	if err := k.restoreObs(ck); err != nil {
-		return err
-	}
 	k.paused = false
 	return nil
 }
 
-// verifyReplay byte-compares every simulation-state section of the file
-// against the state the replay reached ("obs." sections are spliced, not
-// compared).
+// discardTracer drops every event. It stands in for the caller's tracer
+// during the replay, so emit and flushTrace still number the events.
+type discardTracer struct{}
+
+// Trace implements Tracer.
+func (discardTracer) Trace(TraceEvent) {}
+
+// verifyReplay byte-compares every section against the state the replay
+// reached. The file and the replay must name the same sections: one
+// dropped from the file would otherwise resume with its state unchecked.
 func (k *Kernel) verifyReplay(ck *snap.Container) error {
 	replayed := &snap.Container{}
 	k.payload(replayed)
-	for _, name := range ck.SectionOrder {
-		if strings.HasPrefix(name, "obs.") {
-			continue
-		}
-		want := ck.Sections[name]
-		got, ok := replayed.Sections[name]
+	for _, name := range replayed.SectionOrder {
+		want, ok := ck.Sections[name]
 		if !ok {
-			return fmt.Errorf("core: replay verification failed: section %q missing from replayed state (layer not re-registered?)", name)
+			return fmt.Errorf("core: replay verification failed: section %q is missing from the checkpoint", name)
 		}
-		if string(want) != string(got) {
+		if got := replayed.Sections[name]; string(want) != string(got) {
 			return fmt.Errorf("core: replay verification failed at position %d: section %q differs from the checkpoint (%d bytes in the file, %d replayed) — either this run differs from the checkpointed one in something the fingerprint does not cover (the program: benchmark, dataset scale; the memory system; network or cost-model parameters), or the run is not deterministic under this configuration", ck.Pos, name, len(want), len(got))
 		}
 	}
-	return nil
-}
-
-// restoreObs splices the recorded observability state — global and
-// per-shard trace sequence counters, the metrics registry's striped
-// instrument state — into the kernel, so the resumed run's trace stream
-// and metrics snapshots continue exactly where the original's stopped.
-func (k *Kernel) restoreObs(ck *snap.Container) error {
-	b, err := ck.Section("obs.trace")
-	if err != nil {
-		return err
-	}
-	dec := snap.NewDecoder(b)
-	if k.traceSeq, err = dec.Uvarint(); err != nil {
-		return fmt.Errorf("core: restoring trace counters: %w", err)
-	}
-	for _, d := range k.domains {
-		if d.traceSeq, err = dec.Uvarint(); err != nil {
-			return fmt.Errorf("core: restoring trace counters: %w", err)
-		}
-	}
-	if dec.Remaining() != 0 {
-		return fmt.Errorf("core: restoring trace counters: %w: %d trailing bytes", snap.ErrCorrupt, dec.Remaining())
-	}
-	if k.met != nil {
-		b, ok := ck.Sections["obs.metrics"]
-		if !ok {
-			return errors.New("core: kernel has a metrics registry but the checkpoint carries none")
-		}
-		dec := snap.NewDecoder(b)
-		if err := k.met.reg.RestoreState(dec); err != nil {
-			return fmt.Errorf("core: restoring metrics: %w", err)
-		}
-		if dec.Remaining() != 0 {
-			return fmt.Errorf("core: restoring metrics: %w: %d trailing bytes", snap.ErrCorrupt, dec.Remaining())
+	for _, name := range ck.SectionOrder {
+		if _, ok := replayed.Sections[name]; !ok {
+			return fmt.Errorf("core: replay verification failed: section %q missing from replayed state (layer not re-registered?)", name)
 		}
 	}
 	return nil

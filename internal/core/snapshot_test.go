@@ -11,6 +11,7 @@ import (
 
 	"simany/internal/metrics"
 	"simany/internal/snap"
+	"simany/internal/topology"
 )
 
 // pausedCheckpoint runs k to ErrPaused at pos and returns the parsed
@@ -154,9 +155,9 @@ func TestShardedPauseCountsSteps(t *testing.T) {
 }
 
 // TestFailedResumeIsTerminal: a resume whose replay does not reproduce the
-// file says which section differs and at what position, hands back the
-// observability it detached for the replay, and — like any failed run —
-// leaves no worker coroutine parked in a task body behind.
+// file says which section differs and at what position, keeps its metrics
+// and gets back the tracer it swapped out for the replay, and — like any
+// failed run — leaves no worker coroutine parked in a task body behind.
 func TestFailedResumeIsTerminal(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		ck := pausedCheckpoint(t, churnKernel(shards, 2, 20), 6)
@@ -189,6 +190,56 @@ func TestFailedResumeIsTerminal(t *testing.T) {
 		}
 		if g := settledGoroutines(before); g > before {
 			t.Errorf("shards=%d: goroutines grew %d -> %d: parked workers leaked", shards, before, g)
+		}
+	}
+}
+
+// TestResumeAttachesObservability: a resume may attach a tracer and metrics
+// the checkpointed run lacked. The replay reproduces both over the prefix,
+// so the continuation's trace, Seq values included, is the tail of an
+// uninterrupted traced run and its metrics text is that run's.
+func TestResumeAttachesObservability(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		observed := func(workers int) (*Kernel, *sliceTracer, *metrics.Registry) {
+			tr, reg := &sliceTracer{}, metrics.New()
+			k := churnOn(Config{Topo: topology.Mesh(16), Policy: Spatial{T: DefaultT},
+				Seed: 3, Shards: shards, Workers: workers, Tracer: tr, Metrics: reg}, 20)
+			return k, tr, reg
+		}
+		full, fullTr, fullReg := observed(2)
+		want, err := full.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ck := pausedCheckpoint(t, churnKernel(shards, 2, 20), full.Position()/2)
+
+		k, tr, reg := observed(3)
+		if err := k.ArmResume(ck); err != nil {
+			t.Fatal(err)
+		}
+		got, err := k.Run()
+		if err != nil {
+			t.Fatalf("shards=%d: resuming with observability attached: %v", shards, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("shards=%d: resumed result differs:\n  got  %+v\n  want %+v", shards, got, want)
+		}
+		n := len(tr.events)
+		if n == 0 || n >= len(fullTr.events) {
+			t.Fatalf("shards=%d: continuation traced %d of the full run's %d events", shards, n, len(fullTr.events))
+		}
+		if tail := fullTr.events[len(fullTr.events)-n:]; !reflect.DeepEqual(tr.events, tail) {
+			t.Errorf("shards=%d: continuation trace is not the full run's tail: first event %+v, want %+v", shards, tr.events[0], tail[0])
+		}
+		var gotText, wantText bytes.Buffer
+		if err := reg.WriteText(&gotText); err != nil {
+			t.Fatal(err)
+		}
+		if err := fullReg.WriteText(&wantText); err != nil {
+			t.Fatal(err)
+		}
+		if gotText.String() != wantText.String() {
+			t.Errorf("shards=%d: resumed metrics differ:\n%s\nwant\n%s", shards, gotText.String(), wantText.String())
 		}
 	}
 }

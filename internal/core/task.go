@@ -122,11 +122,18 @@ func (e *Env) advance(cost vtime.Time) {
 	e.checkHorizon()
 }
 
+// WaitUntil moves the core's clock forward to t, if it is behind, then
+// enforces the policy horizon. Waiting is not work: the gap is not scaled
+// by core speed and counts in no compute statistic.
+func (e *Env) WaitUntil(t vtime.Time) {
+	e.c.vt = max(e.c.vt, t)
+	e.checkHorizon()
+}
+
 // checkHorizon yields as stalled while the core sits beyond its policy
 // horizon.
 func (e *Env) checkHorizon() {
 	for e.c.vt > e.horizon {
-		e.c.stats.Stalls++
 		e.yield(yieldStalled)
 	}
 }
@@ -207,8 +214,7 @@ func (e *Env) Block() vtime.Time {
 		// already there, so the task just waits in place until its
 		// arrival stamp without freeing the core.
 		e.t.pendingWake = false
-		e.c.vt = vtime.Max(e.c.vt, e.t.resume)
-		e.checkHorizon()
+		e.WaitUntil(e.t.resume)
 		return e.t.resume
 	}
 	e.yield(yieldBlocked)
@@ -219,7 +225,6 @@ func (e *Env) Block() vtime.Time {
 // task remains runnable. It is primarily useful in tests and in spin-style
 // waiting loops.
 func (e *Env) Yield() {
-	e.c.stats.Stalls++
 	e.yield(yieldStalled)
 }
 
@@ -242,9 +247,13 @@ func (e *Env) ReleaseLockExempt() {
 }
 
 // yield switches back to the kernel (the next call in domain.step) and
-// returns when the kernel resumes the task. The worker's yield reports
-// false once the kernel has stopped the worker: the body is then unwound.
+// returns when the kernel resumes the task; a stalled yield counts as a
+// stall. The worker's yield reports false once the kernel has stopped the
+// worker: the body is then unwound.
 func (e *Env) yield(kind yieldKind) {
+	if kind == yieldStalled {
+		e.c.stats.Stalls++
+	}
 	if !e.t.worker.yield(kind) {
 		panic(workerStopped{})
 	}

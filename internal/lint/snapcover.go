@@ -28,8 +28,8 @@ import (
 // helpers), the function literals they contain, and — for kernel
 // bookkeeping spread around the container plumbing — functions that
 // mention the snap package without being decode-side. A field referenced
-// only by decode code (the obs.* splice is the one decoder left) is still
-// a finding: an un-encoded field is never compared. Deleting one field's
+// only by decode code (no section has one; only the container header is
+// decoded) is still a finding: an un-encoded field is never compared. Deleting one field's
 // encode line therefore fails CI with exactly that field named.
 //
 // Exempt without annotation: blank fields, function- and channel-typed

@@ -96,9 +96,7 @@ func (r *Runtime) Join(e *core.Env, g *Group) {
 	me := e.CoreID()
 	if r.k.SameShard(me, g.home) {
 		if g.active == 0 {
-			if g.lastEnd > e.Now() {
-				e.ComputeTime(g.lastEnd - e.Now())
-			}
+			e.WaitUntil(g.lastEnd)
 			return
 		}
 		if g.waiting {

@@ -118,6 +118,31 @@ func TestJoinWaitsForAllChildren(t *testing.T) {
 	}
 }
 
+// TestJoinFinishedGroupWaitsUntilLastEnd: joining a group whose members
+// all ended is a wait for the last end stamp, not work: the clock lands
+// exactly on it whatever the joining core's speed.
+func TestJoinFinishedGroupWaitsUntilLastEnd(t *testing.T) {
+	for _, speed := range []float64{0.5, 1.5} {
+		k := core.New(core.Config{Topo: topology.Mesh(4), Mem: mem.NewShared(), Seed: 7,
+			Speeds: []float64{speed, speed, speed, speed}})
+		r := New(k, nil, DefaultOptions())
+		var joinVT, lastEnd vtime.Time
+		_, err := r.Run("root", func(e *core.Env) {
+			g := r.NewGroup()
+			g.lastEnd = e.Now() + vtime.CyclesInt(90)
+			lastEnd = g.lastEnd
+			r.Join(e, g)
+			joinVT = e.Now()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if joinVT != lastEnd {
+			t.Errorf("speed %v: join returned at %v, want the group's last end %v", speed, joinVT, lastEnd)
+		}
+	}
+}
+
 func TestNestedGroups(t *testing.T) {
 	_, r := newRT(8)
 	leaves := 0

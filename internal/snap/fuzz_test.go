@@ -9,7 +9,6 @@ import (
 
 	"simany/internal/core"
 	"simany/internal/mem"
-	"simany/internal/metrics"
 	"simany/internal/rt"
 	"simany/internal/snap"
 	"simany/internal/topology"
@@ -22,7 +21,7 @@ func realCheckpoint(tb testing.TB, shards int) []byte {
 	tb.Helper()
 	k := core.New(core.Config{
 		Topo: topology.Mesh(4), Mem: mem.NewShared(), Seed: 7,
-		Shards: shards, Workers: 1, Metrics: metrics.New(),
+		Shards: shards, Workers: 1,
 	})
 	r := rt.New(k, nil, rt.DefaultOptions())
 	k.PauseAfter(3)

@@ -9,8 +9,9 @@
 // equality. The outer layer is a self-describing container: a magic
 // header, a format version, a config fingerprint, the engine position the
 // checkpoint was taken at, a directory of named sections, and a trailing
-// CRC-32 over everything before it. Unknown sections are skipped on read,
-// so later format revisions can add sections without breaking old readers.
+// CRC-32 over everything before it. The reader parses only that
+// container; section payloads are never decoded, only compared byte for
+// byte against the ones a replay writes.
 package snap
 
 import (
@@ -92,15 +93,15 @@ func (e *Encoder) String(s string) {
 	e.buf = append(e.buf, s...)
 }
 
-// Time appends a virtual-time value as a signed varint. The matching
-// Decoder.Time returns it typed, so the millicycle unit is preserved
-// end-to-end across the serialization boundary.
+// Time appends a virtual-time value as a signed varint of millicycles.
+// Nothing decodes it: restore compares the bytes a replay writes.
 func (e *Encoder) Time(t vtime.Time) {
-	//lint:allow rawvtime serialization boundary: Decoder.Time restores the millicycle unit typed
+	//lint:allow rawvtime serialization boundary: the millicycle count is only ever byte-compared
 	e.Varint(int64(t))
 }
 
-// Decoder consumes the primitive encoding from a byte slice.
+// Decoder consumes the primitive encoding from a byte slice. It reads the
+// container header and section directory.
 type Decoder struct {
 	buf []byte
 	off int
@@ -140,19 +141,6 @@ func (d *Decoder) Varint() (int64, error) {
 	return v, err
 }
 
-// Bool reads a boolean byte.
-func (d *Decoder) Bool() (bool, error) {
-	if d.off >= len(d.buf) {
-		return false, ErrTruncated
-	}
-	b := d.buf[d.off]
-	d.off++
-	if b > 1 {
-		return false, fmt.Errorf("%w: bad bool byte %#x at offset %d", ErrCorrupt, b, d.off-1)
-	}
-	return b == 1, nil
-}
-
 // Bytes64 reads a length-prefixed byte string. The returned slice aliases
 // the decoder's buffer.
 func (d *Decoder) Bytes64() ([]byte, error) {
@@ -174,12 +162,6 @@ func (d *Decoder) String() (string, error) {
 	return string(b), err
 }
 
-// Time reads a virtual-time value written by Encoder.Time.
-func (d *Decoder) Time() (vtime.Time, error) {
-	v, err := d.Varint()
-	return vtime.Time(v), err
-}
-
 // Container format constants.
 const (
 	magic = "SIMANYCK"
@@ -194,8 +176,9 @@ const (
 	// the position in scheduling steps on both engines. Version 6 dropped
 	// a per-core stall-wait counter nothing wrote, and its fingerprint no
 	// longer mixes the task-start and context-switch costs (constants of
-	// §V).
-	Version = 6
+	// §V). Version 7 dropped the obs.* sections (trace sequence counters,
+	// metrics registry): the replay reproduces observability too.
+	Version = 7
 )
 
 // Container is a parsed checkpoint file: the header fields plus the named
@@ -213,16 +196,6 @@ type Container struct {
 	// canonical file order for writing and byte comparison.
 	Sections     map[string][]byte
 	SectionOrder []string
-}
-
-// Section returns a named section payload, or an error naming the section
-// if it is absent.
-func (c *Container) Section(name string) ([]byte, error) {
-	b, ok := c.Sections[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: missing section %q", ErrCorrupt, name)
-	}
-	return b, nil
 }
 
 // Add appends a section. Adding the same name twice is a programming
