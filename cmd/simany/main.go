@@ -16,6 +16,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime/pprof"
 	"strings"
@@ -80,53 +81,23 @@ func run(args []string) error {
 	}
 	var m config.Machine
 	if *machineF != "" {
-		var err error
-		m, err = config.LoadMachineFile(*machineF)
-		if err != nil {
+		if m, err = config.LoadMachineFile(*machineF); err != nil {
 			return err
 		}
 		if m.Seed == 0 {
 			m.Seed = *seed
 		}
-		m.Shards, m.Workers = *shards, *workers
-		mode := bench.Shared
-		if m.Mem == config.DistributedMem {
-			mode = bench.Distributed
+	} else {
+		m = config.Machine{Cores: *cores, TopoSpec: *topoSpec, T: tCycles, Policy: *policy, Seed: *seed}
+		if m.Style, err = config.ParseStyle(*style); err != nil {
+			return err
 		}
-		return execute(b, m, mode, *seed, *scale, runOpts{
-			verbose: *verbose, traceFile: *traceFile, timeline: *timeline,
-			metricsFile: *metricsF, pprofFile: *pprofF,
-			checkpointFile: *ckptF, checkpointAfter: *ckptAfter, resumeFile: *resumeF,
-		})
+		if m.Mem, err = config.ParseMem(*memKind); err != nil {
+			return err
+		}
 	}
-	m = config.Machine{Cores: *cores, TopoSpec: *topoSpec, T: tCycles, Policy: *policy, Seed: *seed,
-		Shards: *shards, Workers: *workers}
-	switch *style {
-	case "uniform":
-		m.Style = config.Uniform
-	case "polymorphic":
-		m.Style = config.Polymorphic
-	case "clustered4":
-		m.Style = config.Clustered4
-	case "clustered8":
-		m.Style = config.Clustered8
-	default:
-		return fmt.Errorf("unknown style %q", *style)
-	}
-	mode := bench.Shared
-	switch *memKind {
-	case "shared":
-		m.Mem = config.SharedMem
-	case "coherent", "shared+coherence":
-		m.Mem = config.SharedMemCoherent
-	case "distributed", "dist":
-		m.Mem = config.DistributedMem
-		mode = bench.Distributed
-	default:
-		return fmt.Errorf("unknown memory kind %q", *memKind)
-	}
-
-	return execute(b, m, mode, *seed, *scale, runOpts{
+	m.Shards, m.Workers = *shards, *workers
+	return execute(b, m, *seed, *scale, runOpts{
 		verbose: *verbose, traceFile: *traceFile, timeline: *timeline,
 		metricsFile: *metricsF, pprofFile: *pprofF,
 		checkpointFile: *ckptF, checkpointAfter: *ckptAfter, resumeFile: *resumeF,
@@ -150,8 +121,8 @@ type runOpts struct {
 }
 
 // execute generates the workload, runs the simulation and reports.
-func execute(b bench.Benchmark, m config.Machine, mode bench.Mode, seed int64, scale float64, opts runOpts) error {
-	verbose, traceFile, timeline := opts.verbose, opts.traceFile, opts.timeline
+func execute(b bench.Benchmark, m config.Machine, seed int64, scale float64, opts runOpts) error {
+	mode := m.Mem.Mode()
 	b.Generate(seed, scale)
 	nativeStart := time.Now()
 	want := b.RunNative()
@@ -165,7 +136,7 @@ func execute(b bench.Benchmark, m config.Machine, mode bench.Mode, seed int64, s
 		return err
 	}
 	var rec *trace.Recorder
-	if traceFile != "" || timeline {
+	if opts.traceFile != "" || opts.timeline {
 		rec = trace.NewRecorder(1_000_000)
 		k.SetTracer(rec)
 	}
@@ -204,20 +175,13 @@ func execute(b bench.Benchmark, m config.Machine, mode bench.Mode, seed int64, s
 		pprof.StopCPUProfile()
 	}
 	if errors.Is(err, core.ErrPaused) && opts.checkpointFile != "" {
-		f, cerr := os.Create(opts.checkpointFile)
-		if cerr != nil {
-			return cerr
-		}
-		if cerr := k.Checkpoint(f); cerr != nil {
-			f.Close()
-			return cerr
-		}
-		if cerr := f.Close(); cerr != nil {
-			return cerr
+		if err := writeFile(opts.checkpointFile, k.Checkpoint); err != nil {
+			return err
 		}
 		fmt.Printf("checkpoint       position %d -> %s (resume with -resume %s and identical flags)\n",
 			k.Position(), opts.checkpointFile, opts.checkpointFile)
-		return nil
+		// The paused run's trace is the prefix the resumed run's continues.
+		return writeOutputs(k, rec, m.Metrics, res.FinalVT, opts)
 	}
 	if err != nil {
 		return err
@@ -242,7 +206,7 @@ func execute(b bench.Benchmark, m config.Machine, mode bench.Mode, seed int64, s
 	fmt.Printf("simulation wall  %v (native %v, normalized %.1fx)\n",
 		simWall.Round(time.Microsecond), nativeWall.Round(time.Microsecond),
 		float64(simWall)/float64(nativeWall+1))
-	if verbose {
+	if opts.verbose {
 		fmt.Printf("kernel steps     %d\n", res.Steps)
 		if secs := simWall.Seconds(); secs > 0 {
 			fmt.Printf("throughput       %.0f steps/sec host\n", float64(res.Steps)/secs)
@@ -264,6 +228,18 @@ func execute(b bench.Benchmark, m config.Machine, mode bench.Mode, seed int64, s
 		}
 		printBusiest(k, r)
 	}
+	if err := writeOutputs(k, rec, m.Metrics, res.FinalVT, opts); err != nil {
+		return err
+	}
+	if !ok {
+		return fmt.Errorf("simulated output diverged from native run")
+	}
+	return nil
+}
+
+// writeOutputs writes the timeline, trace file and metrics the run was
+// asked for, up to virtual time end.
+func writeOutputs(k *core.Kernel, rec *trace.Recorder, reg *metrics.Registry, end vtime.Time, opts runOpts) error {
 	if rec != nil {
 		if rec.Truncated() {
 			// A truncated trace is a valid prefix, but utilization and
@@ -271,50 +247,48 @@ func execute(b bench.Benchmark, m config.Machine, mode bench.Mode, seed int64, s
 			fmt.Fprintf(os.Stderr, "simany: trace truncated: %d events dropped beyond the %d-event limit; analyses cover the retained prefix only\n",
 				rec.Dropped(), rec.Limit)
 		}
-		if timeline {
+		if opts.timeline {
 			fmt.Println()
-			if err := trace.Timeline(os.Stdout, rec.Events(), k.NumCores(), res.FinalVT, 72); err != nil {
+			if err := trace.Timeline(os.Stdout, rec.Events(), k.NumCores(), end, 72); err != nil {
 				return err
 			}
-			for _, a := range trace.Anomalies(rec.Events(), k.NumCores(), res.FinalVT) {
+			for _, a := range trace.Anomalies(rec.Events(), k.NumCores(), end) {
 				fmt.Fprintln(os.Stderr, "simany: trace anomaly:", a)
 			}
 		}
-		if traceFile != "" {
-			f, err := os.Create(traceFile)
-			if err != nil {
+		if opts.traceFile != "" {
+			write := rec.WriteText
+			if strings.HasSuffix(opts.traceFile, ".json") {
+				write = func(w io.Writer) error { return trace.WriteChrome(w, rec.Events(), k.NumCores(), end) }
+			}
+			if err := writeFile(opts.traceFile, write); err != nil {
 				return err
 			}
-			defer f.Close()
-			if strings.HasSuffix(traceFile, ".json") {
-				err = trace.WriteChrome(f, rec.Events(), k.NumCores(), res.FinalVT)
-			} else {
-				err = rec.WriteText(f)
-			}
-			if err != nil {
-				return err
-			}
-			fmt.Printf("trace            %d events -> %s\n", len(rec.Events()), traceFile)
+			fmt.Printf("trace            %d events -> %s\n", len(rec.Events()), opts.traceFile)
 		}
 	}
-	if opts.metricsFile != "" {
-		out := os.Stdout
-		if opts.metricsFile != "-" {
-			f, err := os.Create(opts.metricsFile)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			out = f
-		}
-		if err := m.Metrics.WriteText(out); err != nil {
-			return err
-		}
+	switch opts.metricsFile {
+	case "":
+		return nil
+	case "-":
+		return reg.WriteText(os.Stdout)
+	default:
+		return writeFile(opts.metricsFile, reg.WriteText)
 	}
-	if !ok {
-		return fmt.Errorf("simulated output diverged from native run")
+}
+
+// writeFile creates path and fills it with write, reporting the first
+// error of the write or the close.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	return nil
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func printBusiest(k *core.Kernel, r *rt.Runtime) {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -248,6 +249,45 @@ func TestRunCheckpointChain(t *testing.T) {
 	} {
 		if err := run(tc.args); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%v: err = %v, want one mentioning %q", tc.args, err, tc.want)
+		}
+	}
+}
+
+// TestRunCheckpointWritesOutputs: a run that stops at -checkpoint still
+// writes the -trace and -metrics files it was given (it used to return
+// after the checkpoint and write neither), and its trace followed by the
+// resumed run's equals the uninterrupted run's trace byte for byte.
+func TestRunCheckpointWritesOutputs(t *testing.T) {
+	for _, shards := range []string{"1", "4"} {
+		dir := t.TempDir()
+		path := func(name string) string { return filepath.Join(dir, name) }
+		base := []string{"-bench", "conncomp", "-cores", "64", "-shards", shards, "-workers", "1"}
+		with := func(extra ...string) []string { return append(append([]string(nil), base...), extra...) }
+
+		if err := run(with("-trace", path("full.txt"))); err != nil {
+			t.Fatal(err)
+		}
+		if err := run(with("-trace", path("pre.txt"), "-metrics", path("pre.met"),
+			"-checkpoint", path("a.ck"), "-checkpoint-after", "4000")); err != nil {
+			t.Fatal(err)
+		}
+		if err := run(with("-trace", path("post.txt"), "-resume", path("a.ck"))); err != nil {
+			t.Fatal(err)
+		}
+		read := func(name string) []byte {
+			data, err := os.ReadFile(path(name))
+			if err != nil {
+				t.Fatalf("shards %s: %v", shards, err)
+			}
+			return data
+		}
+		if len(read("pre.met")) == 0 {
+			t.Errorf("shards %s: the checkpoint run wrote an empty metrics file", shards)
+		}
+		full, joined := read("full.txt"), append(read("pre.txt"), read("post.txt")...)
+		if !bytes.Equal(joined, full) {
+			t.Errorf("shards %s: checkpoint trace + resumed trace (%d bytes) differs from the uninterrupted trace (%d bytes)",
+				shards, len(joined), len(full))
 		}
 	}
 }

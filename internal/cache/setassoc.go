@@ -1,10 +1,9 @@
 package cache
 
-// SetAssoc is an n-way set-associative cache with LRU replacement — the
-// higher-fidelity alternative to DirectMapped for the cycle-level
-// reference's L1s (§V's UNISIM configuration is associative; the
-// reproduction defaults to direct-mapped and offers this model through
-// cyclelevel.NewMemAssoc).
+// SetAssoc is an n-way set-associative cache with LRU replacement — a
+// higher-fidelity alternative to DirectMapped (§V's UNISIM configuration
+// is associative). No memory system uses it: the cycle-level reference's
+// L1s are direct-mapped.
 type SetAssoc struct {
 	lineSize int
 	ways     int

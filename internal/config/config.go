@@ -9,12 +9,12 @@ import (
 	"fmt"
 	"strings"
 
+	"simany/internal/bench"
 	"simany/internal/core"
 	"simany/internal/cyclelevel"
 	"simany/internal/drift"
 	"simany/internal/mem"
 	"simany/internal/metrics"
-	"simany/internal/network"
 	"simany/internal/rt"
 	"simany/internal/topology"
 	"simany/internal/vtime"
@@ -50,6 +50,17 @@ func (s Style) String() string {
 	}
 }
 
+// ParseStyle returns the style a keyword names: the String form of each
+// Style.
+func ParseStyle(s string) (Style, error) {
+	for st := Uniform; st <= Clustered8; st++ {
+		if st.String() == s {
+			return st, nil
+		}
+	}
+	return Uniform, fmt.Errorf("unknown style %q", s)
+}
+
 // MemKind selects the memory organization.
 type MemKind int
 
@@ -75,6 +86,29 @@ func (m MemKind) String() string {
 	default:
 		return "shared"
 	}
+}
+
+// ParseMem returns the memory kind a keyword names: shared, coherent
+// (or shared+coherence), distributed (or dist).
+func ParseMem(s string) (MemKind, error) {
+	switch s {
+	case "shared":
+		return SharedMem, nil
+	case "coherent", "shared+coherence":
+		return SharedMemCoherent, nil
+	case "distributed", "dist":
+		return DistributedMem, nil
+	}
+	return SharedMem, fmt.Errorf("unknown memory kind %q", s)
+}
+
+// Mode is the benchmark program variant the memory kind runs: the
+// cell-based programs on distributed memory, the shared ones otherwise.
+func (m MemKind) Mode() bench.Mode {
+	if m == DistributedMem {
+		return bench.Distributed
+	}
+	return bench.Shared
 }
 
 // Machine is a complete architecture description.
@@ -300,7 +334,7 @@ func (m Machine) kernelConfig() (core.Config, error) {
 	case m.Mem == DistributedMem:
 		cfg.Mem = mem.NewDistributed()
 	case m.Mem == SharedMemCoherent:
-		cfg.Mem = mem.NewShared().WithCoherence(network.New(topo, network.DefaultParams()))
+		cfg.Mem = mem.NewShared().WithCoherence()
 	default:
 		cfg.Mem = mem.NewShared()
 	}

@@ -58,29 +58,17 @@ func ParseMachine(r io.Reader, resolve func(path string) (io.ReadCloser, error))
 			}
 			m.Cores = n
 		case "style":
-			switch val {
-			case "uniform":
-				m.Style = Uniform
-			case "polymorphic":
-				m.Style = Polymorphic
-			case "clustered4":
-				m.Style = Clustered4
-			case "clustered8":
-				m.Style = Clustered8
-			default:
-				return m, fmt.Errorf("config: line %d: unknown style %q", lineNo, val)
+			st, err := ParseStyle(val)
+			if err != nil {
+				return m, fmt.Errorf("config: line %d: %w", lineNo, err)
 			}
+			m.Style = st
 		case "mem":
-			switch val {
-			case "shared":
-				m.Mem = SharedMem
-			case "coherent", "shared+coherence":
-				m.Mem = SharedMemCoherent
-			case "distributed", "dist":
-				m.Mem = DistributedMem
-			default:
-				return m, fmt.Errorf("config: line %d: unknown memory kind %q", lineNo, val)
+			mk, err := ParseMem(val)
+			if err != nil {
+				return m, fmt.Errorf("config: line %d: %w", lineNo, err)
 			}
+			m.Mem = mk
 		case "policy":
 			m.Policy = val
 		case "T":
@@ -164,19 +152,8 @@ func WriteMachine(w io.Writer, m Machine) error {
 		t = vtime.CyclesInt(100)
 	}
 	_, err := fmt.Fprintf(w, "cores %d\nstyle %s\nmem %s\npolicy %s\nT %g\nseed %d\nspeedaware %v\n",
-		m.Cores, m.Style, memKeyword(m.Mem), policyOrDefault(m.Policy), t.InCycles(), m.Seed, m.SpeedAwareRT)
+		m.Cores, m.Style, m.Mem, policyOrDefault(m.Policy), t.InCycles(), m.Seed, m.SpeedAwareRT)
 	return err
-}
-
-func memKeyword(m MemKind) string {
-	switch m {
-	case SharedMemCoherent:
-		return "coherent"
-	case DistributedMem:
-		return "distributed"
-	default:
-		return "shared"
-	}
 }
 
 func policyOrDefault(p string) string {

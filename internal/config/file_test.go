@@ -125,22 +125,25 @@ func TestLoadMachineFile(t *testing.T) {
 }
 
 func TestWriteMachineRoundTrip(t *testing.T) {
-	orig := Machine{
-		Cores: 64, Style: Polymorphic, Mem: DistributedMem,
-		Policy: "laxp2p:80", T: vtime.CyclesInt(150), Seed: 3, SpeedAwareRT: true,
-	}
 	var buf bytes.Buffer
-	if err := WriteMachine(&buf, orig); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ParseMachine(&buf, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Cores != orig.Cores || back.Style != orig.Style || back.Mem != orig.Mem ||
-		back.Policy != orig.Policy || back.T != orig.T || back.Seed != orig.Seed ||
-		back.SpeedAwareRT != orig.SpeedAwareRT {
-		t.Errorf("round trip changed machine: %+v vs %+v", back, orig)
+	for _, mk := range []MemKind{SharedMem, SharedMemCoherent, DistributedMem} {
+		orig := Machine{
+			Cores: 64, Style: Polymorphic, Mem: mk,
+			Policy: "laxp2p:80", T: vtime.CyclesInt(150), Seed: 3, SpeedAwareRT: true,
+		}
+		buf.Reset()
+		if err := WriteMachine(&buf, orig); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ParseMachine(&buf, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back.Cores != orig.Cores || back.Style != orig.Style || back.Mem != orig.Mem ||
+			back.Policy != orig.Policy || back.T != orig.T || back.Seed != orig.Seed ||
+			back.SpeedAwareRT != orig.SpeedAwareRT {
+			t.Errorf("round trip changed machine: %+v vs %+v", back, orig)
+		}
 	}
 	// Zero-valued machine gets defaults on write.
 	buf.Reset()

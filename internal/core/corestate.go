@@ -50,18 +50,10 @@ type Core struct {
 	//simany:derived neighbor effective-time proxies, refreshed from eff at every barrier
 	nbEff []vtime.Time // exact at barriers; read between them only for neighbors in other shards
 
-	// Resident tasks. ready is only mutated through the push/pop helpers
-	// below, which maintain its cached minimum.
+	// Resident tasks.
 	current *Task   // task that yielded as stalled, resumed first
 	conts   []*Task // unblocked continuations (run before fresh tasks)
 	ready   []*Task // fresh tasks in arrival order
-
-	// Cached queue minimum: the minimum arrival stamp over ready,
-	// maintained incrementally (same lazy-recompute discipline as the
-	// birth cache) so the scheduler's runnable-key computation never
-	// rescans the queue.
-	readyMin      vtime.Time //simany:derived lazy cache over ready, a function of the encoded queue
-	readyMinDirty bool       //simany:derived validity bit of readyMin, host-side only
 
 	lockDepth int // >0: lock-holder exemption from spatial stalls
 
@@ -71,9 +63,10 @@ type Core struct {
 	// state: sendNow always runs in the destination shard's context.
 	lastHandled vtime.Time
 
-	births     map[uint64]vtime.Time // birth stamps of spawned, not-yet-started tasks
-	birthCache vtime.Time            //simany:derived lazy min over births, a function of the encoded registry
-	birthDirty bool                  //simany:derived validity bit of birthCache, host-side only
+	// births holds the birth stamps of spawned, not-yet-placed tasks in
+	// registration order, which is ascending task ID: IDs grow with
+	// taskSeq. Measured at most 5 deep, so minBirth scans it.
+	births []birth
 
 	// taskSeq numbers the tasks this core has spawned. Task IDs are
 	// allocated per spawning core (NewTask), so they are deterministic
@@ -130,9 +123,8 @@ func (c *Core) LockDepth() int { return c.lockDepth }
 func (c *Core) Stats() CoreStats { return c.stats }
 
 // Rand returns the core's private deterministic random source. Simulated
-// code (runtime policies, benchmark task bodies) must draw from here
-// rather than Kernel.Rand so results do not depend on the interleaving of
-// shard workers.
+// code (runtime policies, benchmark task bodies) must draw from here so
+// results do not depend on the interleaving of shard workers.
 func (c *Core) Rand() *rng.Rand { return &c.rng }
 
 // Neighbors returns the core's topological neighbors.
@@ -144,94 +136,55 @@ func (c *Core) L1() *cache.Scoped { return c.l1 }
 // L2 returns the core's L2 model (used by the distributed-memory runtime).
 func (c *Core) L2() *cache.L2 { return c.l2 }
 
+// birth is one outstanding birth stamp of a task spawned by the core.
+type birth struct {
+	id    uint64
+	stamp vtime.Time
+}
+
 // minBirth returns the minimum outstanding birth stamp, Inf if none.
 func (c *Core) minBirth() vtime.Time {
-	if !c.birthDirty {
-		return c.birthCache
-	}
 	m := vtime.Inf
-	for _, t := range c.births {
-		if t < m {
-			m = t
+	for _, b := range c.births {
+		if b.stamp < m {
+			m = b.stamp
 		}
 	}
-	c.birthCache = m
-	c.birthDirty = false
 	return m
 }
 
-// addBirth records the birth stamp of a task spawned by this core that has
-// not started executing yet (§II.A "Time drift of dynamically created
-// tasks").
-func (c *Core) addBirth(id uint64, stamp vtime.Time) {
-	if c.births == nil {
-		c.births = make(map[uint64]vtime.Time)
-	}
-	c.births[id] = stamp
-	c.birthDirty = true
-}
-
-// removeBirth discards a birth stamp once the spawned task has started.
+// removeBirth discards a birth stamp once the spawned task has been
+// placed. The delete keeps the order, so births stays sorted by ID.
 func (c *Core) removeBirth(id uint64) {
-	if _, ok := c.births[id]; ok {
-		delete(c.births, id)
-		c.birthDirty = true
+	for i, b := range c.births {
+		if b.id == id {
+			c.births = append(c.births[:i], c.births[i+1:]...)
+			return
+		}
 	}
 }
 
 // minReadyArrival returns the minimum arrival stamp over the core's fresh
-// task queue, Inf when it is empty.
+// task queue, Inf when it is empty. The queue is bounded by the runtime's
+// queue capacity, so it is scanned.
 func (c *Core) minReadyArrival() vtime.Time {
-	if c.readyMinDirty {
-		m := vtime.Inf
-		for _, t := range c.ready {
-			if t.arrival < m {
-				m = t.arrival
-			}
+	m := vtime.Inf
+	for _, t := range c.ready {
+		if t.arrival < m {
+			m = t.arrival
 		}
-		c.readyMin = m
-		c.readyMinDirty = false
 	}
-	return c.readyMin
+	return m
 }
 
-// pushReady appends a fresh task; the cached minimum absorbs the new
-// arrival directly unless it is already pending a recompute.
-func (c *Core) pushReady(t *Task) {
-	c.ready = append(c.ready, t)
-	if !c.readyMinDirty && t.arrival < c.readyMin {
-		c.readyMin = t.arrival
-	}
-}
+// pushReady appends a fresh task to the core's queue.
+func (c *Core) pushReady(t *Task) { c.ready = append(c.ready, t) }
 
-// popReady removes and returns the head of the fresh task queue. Removing
-// the task that carried the cached minimum schedules a lazy recompute;
-// draining the queue resets the cache exactly.
+// popReady removes and returns the head of the fresh task queue.
 func (c *Core) popReady() *Task {
 	t := c.ready[0]
 	c.ready = c.ready[1:]
-	if len(c.ready) == 0 {
-		c.readyMin = vtime.Inf
-		c.readyMinDirty = false
-	} else if !c.readyMinDirty && t.arrival == c.readyMin {
-		c.readyMinDirty = true
-	}
 	return t
-}
-
-// hasRunnableWork reports whether the core has anything to execute.
-func (c *Core) hasRunnableWork() bool {
-	return c.current != nil || len(c.conts) > 0 || len(c.ready) > 0
-}
-
-// residentTasks counts tasks attached to the core in any state, used for
-// occupancy probes by the task runtime.
-func (c *Core) residentTasks() int {
-	n := len(c.conts) + len(c.ready)
-	if c.current != nil {
-		n++
-	}
-	return n
 }
 
 // QueueLength returns the number of fresh tasks waiting in the core's task

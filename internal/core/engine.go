@@ -235,7 +235,6 @@ func (d *domain) step(c *Core) {
 	t.env.horizon = k.horizonFor(c)
 	if t.worker == nil {
 		// First slice of the body.
-		t.started = true
 		d.startTask(t)
 	}
 	kind, _ := t.worker.next()

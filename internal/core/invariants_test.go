@@ -19,7 +19,7 @@ func TestAccessors(t *testing.T) {
 	if k.NumCores() != 4 || k.Topology() != topo {
 		t.Error("kernel accessors")
 	}
-	if k.Rand() == nil || k.Network() == nil {
+	if k.Network() == nil {
 		t.Error("nil accessors")
 	}
 	c := k.Core(2)

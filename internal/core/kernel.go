@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sort"
 	"strings"
@@ -158,8 +157,6 @@ type Kernel struct {
 	mem MemSystem
 	//simany:derived registered handler table (configuration), repopulated before Run
 	handlers map[network.Kind]Handler
-	//simany:derived setup-time stream only: simulation draws come from per-core rng.Rand state
-	rng *rand.Rand
 
 	// Execution engine state: the machine is split into one or more
 	// domains (shards). The sequential engine uses a single domain; the
@@ -327,7 +324,6 @@ func New(cfg Config) *Kernel {
 		policy:   cfg.Policy,
 		mem:      cfg.Mem,
 		handlers: make(map[network.Kind]Handler),
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		maxSteps: cfg.MaxSteps,
 		tracer:   cfg.Tracer,
 		diam:     -2,
@@ -357,19 +353,17 @@ func New(cfg Config) *Kernel {
 		l2s[i] = *cache.NewL2(cache.DefaultLineSize)
 		c := &backing[i]
 		*c = Core{
-			ID:         i,
-			Speed:      speed,
-			k:          k,
-			idle:       true,
-			eff:        vtime.Inf,
-			neighbors:  cfg.Topo.Neighbors(i),
-			timer:      &timers[i],
-			l1:         &l1s[i],
-			l2:         &l2s[i],
-			birthCache: vtime.Inf,
-			readyMin:   vtime.Inf,
-			hpos:       [3]int32{-1, -1, -1},
-			rng:        *rng.New(splitmix64(uint64(cfg.Seed) ^ uint64(i))),
+			ID:        i,
+			Speed:     speed,
+			k:         k,
+			idle:      true,
+			eff:       vtime.Inf,
+			neighbors: cfg.Topo.Neighbors(i),
+			timer:     &timers[i],
+			l1:        &l1s[i],
+			l2:        &l2s[i],
+			hpos:      [3]int32{-1, -1, -1},
+			rng:       *rng.New(splitmix64(uint64(cfg.Seed) ^ uint64(i))),
 		}
 		k.cores[i] = c
 	}
@@ -482,11 +476,6 @@ func (k *Kernel) Network() *network.Model { return k.net }
 
 // Policy returns the active synchronization policy.
 func (k *Kernel) Policy() Policy { return k.policy }
-
-// Rand returns the kernel's deterministic random source. It is safe for
-// pre-run setup only; simulated code must draw from Core.Rand so results
-// stay independent of host scheduling.
-func (k *Kernel) Rand() *rand.Rand { return k.rng }
 
 // Sharded reports whether the kernel runs on the sharded parallel engine.
 func (k *Kernel) Sharded() bool { return k.sharded }
@@ -691,7 +680,7 @@ func (k *Kernel) SetTaskStartHook(f func(c *Core, t *Task)) { k.onTaskStart = f 
 // is discarded automatically when the spawned task starts (PlaceTask's
 // birthOwner).
 func (k *Kernel) RegisterBirth(c *Core, spawned *Task, stamp vtime.Time) {
-	c.addBirth(spawned.ID, stamp)
+	c.births = append(c.births, birth{spawned.ID, stamp})
 	if c.current != nil {
 		c.current.env.horizon = k.horizonFor(c)
 		// A tightened horizon can park a stalled core (defensive: births

@@ -8,7 +8,7 @@ import (
 )
 
 // schedTestKernel returns a kernel that never runs: the tests below drive
-// its (empty) runnable queue and per-core queue caches by hand.
+// its (empty) runnable queue and per-core queues by hand.
 func schedTestKernel(t *testing.T) *Kernel {
 	t.Helper()
 	return New(Config{Topo: topology.Mesh(9), Policy: Spatial{T: DefaultT}, Seed: 1})
@@ -187,11 +187,11 @@ func TestRunqCountAtMostAndPick(t *testing.T) {
 	}
 }
 
-// TestReadyMinCacheReordering pins the incremental min-arrival cache
-// against a recomputation from the raw queue across a pop sequence that
-// reorders arrivals: the FIFO pop order (70, 10, 40) disagrees with the
-// stamp order, so the cache must survive both popping a non-minimal head
-// and popping the task that carried the minimum.
+// TestReadyMinCacheReordering pins minReadyArrival against a
+// recomputation from the raw queue across a pop sequence that reorders
+// arrivals: the FIFO pop order (70, 10, 40) disagrees with the stamp
+// order, so the minimum must survive both popping a non-minimal head and
+// popping the task that carried it.
 func TestReadyMinCacheReordering(t *testing.T) {
 	k := schedTestKernel(t)
 	c := k.Core(0)
@@ -225,12 +225,12 @@ func TestReadyMinCacheReordering(t *testing.T) {
 		t.Fatalf("popped arrival %v, want 70", got.arrival)
 	}
 	check("pop 70")
-	// Pop the task carrying the cached minimum: forces the lazy recompute.
+	// Pop the task carrying the minimum.
 	if got := c.popReady(); got.arrival != vtime.CyclesInt(10) {
 		t.Fatalf("popped arrival %v, want 10", got.arrival)
 	}
 	check("pop 10")
-	// Pushing below the new minimum while the cache is clean absorbs it.
+	// Push below the new minimum.
 	readyAt(k, c, vtime.CyclesInt(15))
 	check("push 15")
 	c.popReady()

@@ -153,15 +153,10 @@ func (c *Core) snapshot(enc *snap.Encoder) {
 	enc.Varint(st.MsgsSent)
 	enc.Time(st.ComputeTime)
 	enc.Time(st.MemTime)
-	ids := make([]uint64, 0, len(c.births))
-	for id := range c.births {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	enc.Uvarint(uint64(len(ids)))
-	for _, id := range ids {
-		enc.Uvarint(id)
-		enc.Time(c.births[id])
+	enc.Uvarint(uint64(len(c.births)))
+	for _, b := range c.births {
+		enc.Uvarint(b.id)
+		enc.Time(b.stamp)
 	}
 	c.l1.Snapshot(enc)
 	c.l2.Snapshot(enc)
@@ -186,7 +181,7 @@ func (k *Kernel) encodeTask(enc *snap.Encoder, t *Task) {
 	enc.String(t.Name)
 	enc.Time(t.arrival)
 	enc.Time(t.resume)
-	enc.Bool(t.started)
+	enc.Bool(t.worker != nil)
 	enc.Bool(t.pendingWake)
 	enc.Bool(t.release)
 	if k.taskCodec != nil {

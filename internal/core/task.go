@@ -44,7 +44,6 @@ type Task struct {
 	//simany:derived only meaningful for TaskDone tasks, which never appear in a checkpoint
 	endVT vtime.Time
 
-	started     bool
 	pendingWake bool // Unblock arrived before the task reached Block
 	release     bool // recycle the struct into the task pool at Done
 

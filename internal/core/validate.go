@@ -20,9 +20,6 @@ import (
 //     anchor (busy cores and
 //     frozen foreign proxies), and every fresh idle memo equals a
 //     fixpoint recomputed independently by plain relaxation;
-//   - the cached minimum birth stamp matches the birth map;
-//   - the cached queue minima (ready arrivals, continuation resumes)
-//     match a recomputation from the queues;
 //   - the scheduler's heaps: positions, heap order, the runnable count at
 //     the armed limit, stall-heap keys equal to the clocks, and runq
 //     membership/keys agree with the reference runnable computation (the
@@ -46,24 +43,6 @@ func (k *Kernel) Validate() error {
 		}
 		if c.lockDepth < 0 {
 			return fmt.Errorf("core %d: negative lock depth %d", c.ID, c.lockDepth)
-		}
-		min := vtime.Inf
-		for _, b := range c.births {
-			if b < min {
-				min = b
-			}
-		}
-		if got := c.minBirth(); got != min {
-			return fmt.Errorf("core %d: birth cache %v, map minimum %v", c.ID, got, min)
-		}
-		rm := vtime.Inf
-		for _, t := range c.ready {
-			if t.arrival < rm {
-				rm = t.arrival
-			}
-		}
-		if got := c.minReadyArrival(); got != rm {
-			return fmt.Errorf("core %d: ready-min cache %v, queue minimum %v", c.ID, got, rm)
 		}
 		if c.current != nil && c.current.state != TaskRunning {
 			return fmt.Errorf("core %d: current task %q in state %d", c.ID, c.current.Name, c.current.state)

@@ -28,7 +28,6 @@ import (
 	"simany/internal/cache"
 	"simany/internal/core"
 	"simany/internal/drift"
-	"simany/internal/network"
 	"simany/internal/timing"
 	"simany/internal/topology"
 	"simany/internal/vtime"
@@ -44,51 +43,29 @@ type Mem struct {
 	// InvLat is charged per invalidated remote copy.
 	InvLat vtime.Time
 
-	l1s []l1cache
+	l1s []*cache.DirectMapped
 	dir *cache.Directory
-	net *network.Model
-}
-
-// l1cache is the behaviour the detailed memory system needs from an L1
-// model; cache.DirectMapped and cache.SetAssoc both provide it.
-type l1cache interface {
-	Access(addr uint64) bool
-	InvalidateLine(line uint64)
 }
 
 // L1Size is the per-core data-L1 capacity in bytes (16 KiB, a PPC405-class
 // configuration).
 const L1Size = 16 << 10
 
-// NewMem builds the detailed memory system for n cores over net, with
-// direct-mapped L1s.
-func NewMem(n int, net *network.Model) *Mem {
-	m := newMemBase(n, net)
+// NewMem builds the detailed memory system for n cores, with
+// direct-mapped L1s. Ownership transfers are priced with the running
+// kernel's network model.
+func NewMem(n int) *Mem {
+	m := &Mem{
+		HitLat:  vtime.CyclesInt(1),
+		BankLat: vtime.CyclesInt(10),
+		InvLat:  vtime.CyclesInt(10),
+		l1s:     make([]*cache.DirectMapped, n),
+		dir:     cache.NewDirectory(cache.DefaultLineSize),
+	}
 	for i := range m.l1s {
 		m.l1s[i] = cache.NewDirectMapped(L1Size, cache.DefaultLineSize)
 	}
 	return m
-}
-
-// NewMemAssoc is NewMem with ways-set-associative LRU L1s, the
-// higher-fidelity configuration.
-func NewMemAssoc(n int, net *network.Model, ways int) *Mem {
-	m := newMemBase(n, net)
-	for i := range m.l1s {
-		m.l1s[i] = cache.NewSetAssoc(L1Size, cache.DefaultLineSize, ways)
-	}
-	return m
-}
-
-func newMemBase(n int, net *network.Model) *Mem {
-	return &Mem{
-		HitLat:  vtime.CyclesInt(1),
-		BankLat: vtime.CyclesInt(10),
-		InvLat:  vtime.CyclesInt(10),
-		l1s:     make([]l1cache, n),
-		dir:     cache.NewDirectory(cache.DefaultLineSize),
-		net:     net,
-	}
 }
 
 var _ core.MemSystem = (*Mem)(nil)
@@ -140,7 +117,7 @@ func (m *Mem) Access(c *core.Core, base uint64, n int64, elem int, write bool, n
 		if o.Transfer {
 			d += m.BankLat
 			if o.FromCore >= 0 {
-				d += m.net.MinLatency(o.FromCore, c.ID, cache.DefaultLineSize)
+				d += c.Kernel().Network().MinLatency(o.FromCore, c.ID, cache.DefaultLineSize)
 			}
 		}
 		addr += cache.DefaultLineSize
@@ -155,11 +132,10 @@ func (m *Mem) Stats() (invalidations, transfers int64) { return m.dir.Stats() }
 // given topology: lockstep ordering, detailed memory, 2-bit branch
 // prediction. Speeds may be nil for a homogeneous machine.
 func NewConfig(topo *topology.Topology, speeds []float64, seed int64) core.Config {
-	net := network.New(topo, network.DefaultParams())
 	return core.Config{
 		Topo:   topo,
 		Policy: drift.Lockstep{},
-		Mem:    NewMem(topo.N(), net),
+		Mem:    NewMem(topo.N()),
 		Speeds: speeds,
 		Predict: func(coreID int, s int64) timing.Predictor {
 			return timing.NewTwoBitPredictor(0.9, s+int64(coreID)*7919)

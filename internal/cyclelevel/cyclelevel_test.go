@@ -6,7 +6,6 @@ import (
 	"simany/internal/core"
 	"simany/internal/drift"
 	"simany/internal/mem"
-	"simany/internal/network"
 	"simany/internal/rt"
 	"simany/internal/topology"
 	"simany/internal/vtime"
@@ -16,8 +15,7 @@ func TestMemRetainsAcrossScopes(t *testing.T) {
 	// Unlike SiMany's pessimistic L1, the cycle-level D-cache keeps lines
 	// across function boundaries.
 	topo := topology.Mesh(1)
-	net := network.New(topo, network.DefaultParams())
-	m := NewMem(1, net)
+	m := NewMem(1)
 	k := core.New(core.Config{Topo: topo, Mem: m, Seed: 1})
 	var first, second vtime.Time
 	k.InjectTask(0, "r", func(e *core.Env) {
@@ -44,8 +42,7 @@ func TestMemRetainsAcrossScopes(t *testing.T) {
 
 func TestMemCoherenceInvalidation(t *testing.T) {
 	topo := topology.Mesh(4)
-	net := network.New(topo, network.DefaultParams())
-	m := NewMem(4, net)
+	m := NewMem(4)
 	k := core.New(core.Config{Topo: topo, Mem: m, Policy: drift.Lockstep{}, Seed: 1})
 	var writerCost vtime.Time
 	k.InjectTask(0, "reader", func(e *core.Env) {
@@ -73,8 +70,7 @@ func TestMemCoherenceInvalidation(t *testing.T) {
 
 func TestInvalidatedLineMissesAgain(t *testing.T) {
 	topo := topology.Mesh(2)
-	net := network.New(topo, network.DefaultParams())
-	m := NewMem(2, net)
+	m := NewMem(2)
 	k := core.New(core.Config{Topo: topo, Mem: m, Policy: drift.Lockstep{}, Seed: 1})
 	var recost vtime.Time
 	k.InjectTask(0, "reader", func(e *core.Env) {
@@ -175,8 +171,7 @@ func TestLockstepOrderedHandling(t *testing.T) {
 func TestPolymorphicL1FixedSpeed(t *testing.T) {
 	// The cycle-level memory does not scale L1 latency with core speed.
 	topo := topology.Mesh(2)
-	net := network.New(topo, network.DefaultParams())
-	m := NewMem(2, net)
+	m := NewMem(2)
 	k := core.New(core.Config{Topo: topo, Mem: m, Speeds: []float64{0.5, 1}, Seed: 1})
 	var cost vtime.Time
 	k.InjectTask(0, "slow", func(e *core.Env) {
@@ -190,40 +185,5 @@ func TestPolymorphicL1FixedSpeed(t *testing.T) {
 	}
 	if cost != vtime.CyclesInt(8) {
 		t.Errorf("warm L1 on 0.5x core = %v, want 8cy (unscaled)", cost)
-	}
-}
-
-func TestNewMemAssocFewerConflictMisses(t *testing.T) {
-	topo := topology.Mesh(1)
-	net := network.New(topo, network.DefaultParams())
-	dm := NewMem(1, net)
-	sa := NewMemAssoc(1, net, 4)
-	k1 := core.New(core.Config{Topo: topo, Mem: dm, Seed: 1})
-	var dmTime vtime.Time
-	k1.InjectTask(0, "r", func(e *core.Env) {
-		for i := 0; i < 50; i++ {
-			e.Read(0, 4, 8)
-			e.Read(L1Size, 4, 8) // conflicts with 0 in a direct-mapped L1
-		}
-		dmTime = k1.Core(0).Stats().MemTime
-	}, nil, 0)
-	if _, err := k1.Run(); err != nil {
-		t.Fatal(err)
-	}
-	topo2 := topology.Mesh(1)
-	k2 := core.New(core.Config{Topo: topo2, Mem: sa, Seed: 1})
-	var saTime vtime.Time
-	k2.InjectTask(0, "r", func(e *core.Env) {
-		for i := 0; i < 50; i++ {
-			e.Read(0, 4, 8)
-			e.Read(L1Size, 4, 8) // different ways of the same set
-		}
-		saTime = k2.Core(0).Stats().MemTime
-	}, nil, 0)
-	if _, err := k2.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if saTime >= dmTime {
-		t.Errorf("4-way L1 time %v not below direct-mapped %v on conflict trace", saTime, dmTime)
 	}
 }

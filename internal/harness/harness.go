@@ -120,14 +120,6 @@ type Outcome struct {
 	OK bool
 }
 
-// mode maps the machine's memory kind to the benchmark program mode.
-func mode(m config.Machine) bench.Mode {
-	if m.Mem == config.DistributedMem {
-		return bench.Distributed
-	}
-	return bench.Shared
-}
-
 // Run executes one benchmark on one machine and verifies its output
 // against the native reference.
 func (h *Harness) Run(name string, m config.Machine) (Outcome, error) {
@@ -144,7 +136,7 @@ func (h *Harness) Run(name string, m config.Machine) (Outcome, error) {
 	if err != nil {
 		return Outcome{}, err
 	}
-	root, finish := b.Program(r, mode(m))
+	root, finish := b.Program(r, m.Mem.Mode())
 	start := time.Now()
 	res, err := r.Run(name, root)
 	if err != nil {

@@ -104,9 +104,6 @@ func (c *Cell) PopWaiter() (any, bool) {
 	return w, true
 }
 
-// NumWaiters returns the number of deferred requests.
-func (c *Cell) NumWaiters() int { return len(c.waiters) }
-
 // CellStore is the global registry of cells for one simulation. The
 // registry map is guarded by a read-write mutex (task bodies on different
 // shards create and resolve cells concurrently); the cells themselves are

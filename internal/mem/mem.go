@@ -19,7 +19,6 @@ import (
 
 	"simany/internal/cache"
 	"simany/internal/core"
-	"simany/internal/network"
 	"simany/internal/vtime"
 )
 
@@ -98,9 +97,6 @@ type Shared struct {
 	Dir *cache.Directory
 	// InvLat is the latency charged per remote invalidation.
 	InvLat vtime.Time
-	// Net, when set together with Dir, prices dirty transfers with the
-	// uncontended network distance between owner and requester.
-	Net *network.Model
 	// ScaleL1WithSpeed mimics SiMany's polymorphic implementation where
 	// L1 speed is proportional to core speed; the UNISIM reference keeps
 	// L1 speed constant (§VI explains the resulting offset in Fig. 6).
@@ -118,10 +114,11 @@ func NewShared() *Shared {
 }
 
 // WithCoherence enables coherence-effect timing (used for the cycle-level
-// validation runs) and returns s.
-func (s *Shared) WithCoherence(net *network.Model) *Shared {
+// validation runs) and returns s. Dirty transfers are priced with the
+// uncontended distance between owner and requester in the running
+// kernel's network model.
+func (s *Shared) WithCoherence() *Shared {
 	s.Dir = cache.NewDirectory(cache.DefaultLineSize)
-	s.Net = net
 	return s
 }
 
@@ -154,8 +151,8 @@ func (s *Shared) Access(c *core.Core, base uint64, n int64, elem int, write bool
 		d += s.InvLat * vtime.Time(o.Invalidations)
 		if o.Transfer {
 			d += s.BankLat
-			if s.Net != nil && o.FromCore >= 0 {
-				d += s.Net.MinLatency(o.FromCore, c.ID, cache.DefaultLineSize)
+			if o.FromCore >= 0 {
+				d += c.Kernel().Network().MinLatency(o.FromCore, c.ID, cache.DefaultLineSize)
 			}
 		}
 	}

@@ -5,7 +5,6 @@ import (
 
 	"simany/internal/cache"
 	"simany/internal/core"
-	"simany/internal/network"
 	"simany/internal/topology"
 	"simany/internal/vtime"
 )
@@ -117,8 +116,7 @@ func TestSharedL1SpeedScaling(t *testing.T) {
 
 func TestSharedCoherenceCharged(t *testing.T) {
 	topo := topology.Mesh(2)
-	net := network.New(topo, network.DefaultParams())
-	s := NewShared().WithCoherence(net)
+	s := NewShared().WithCoherence()
 	k := core.New(core.Config{Topo: topo, Mem: s, Seed: 1})
 	var rdTime, wrTime vtime.Time
 	k.InjectTask(0, "reader", func(e *core.Env) {
@@ -239,9 +237,6 @@ func TestCellLockProtocol(t *testing.T) {
 	}
 	c.PushWaiter("w1")
 	c.PushWaiter("w2")
-	if c.NumWaiters() != 2 {
-		t.Error("waiters lost")
-	}
 	w, ok := c.PopWaiter()
 	if !ok || w.(string) != "w1" {
 		t.Error("waiter order wrong")

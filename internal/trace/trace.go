@@ -246,52 +246,3 @@ func Timeline(w io.Writer, events []core.TraceEvent, numCores int, endVT vtime.T
 	}
 	return nil
 }
-
-// MessageCounts aggregates sends per (src, dst) pair, useful for spotting
-// traffic hot spots. The map form is convenient for lookups; use
-// MessageCountsSorted when iterating or reporting, so the order does not
-// depend on map iteration.
-func MessageCounts(events []core.TraceEvent) map[[2]int]int64 {
-	out := make(map[[2]int]int64)
-	for _, ev := range events {
-		if ev.Kind == core.TraceSend {
-			out[[2]int{ev.Core, int(ev.Aux)}]++
-		}
-	}
-	return out
-}
-
-// MessageCount is one (src, dst) traffic aggregate.
-type MessageCount struct {
-	Src, Dst int
-	Count    int64
-}
-
-// MessageCountsSorted aggregates sends per (src, dst) pair and returns
-// them sorted by (src, dst) — a deterministic form suitable for reports
-// and golden tests.
-func MessageCountsSorted(events []core.TraceEvent) []MessageCount {
-	counts := MessageCounts(events)
-	out := make([]MessageCount, 0, len(counts))
-	for k, n := range counts {
-		out = append(out, MessageCount{Src: k[0], Dst: k[1], Count: n})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Src != out[j].Src {
-			return out[i].Src < out[j].Src
-		}
-		return out[i].Dst < out[j].Dst
-	})
-	return out
-}
-
-// WriteMessageCounts writes the sorted (src, dst, count) traffic report,
-// one line per pair.
-func WriteMessageCounts(w io.Writer, events []core.TraceEvent) error {
-	for _, mc := range MessageCountsSorted(events) {
-		if _, err := fmt.Fprintf(w, "core%-4d -> core%-4d %8d\n", mc.Src, mc.Dst, mc.Count); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -170,24 +170,6 @@ func TestTimeline(t *testing.T) {
 	}
 }
 
-func TestMessageCounts(t *testing.T) {
-	rec, _, _ := tracedRun(t, 0)
-	counts := MessageCounts(rec.Events())
-	if len(counts) == 0 {
-		t.Fatal("no message pairs")
-	}
-	var total int64
-	for pair, n := range counts {
-		if pair[0] == pair[1] {
-			continue // self messages allowed (joins on same core)
-		}
-		total += n
-	}
-	if total == 0 {
-		t.Error("no cross-core traffic recorded")
-	}
-}
-
 func TestOpenSpanClosedAtEnd(t *testing.T) {
 	// Regression: a task still running when the stream ends used to drop
 	// its final span entirely, under-reporting utilization.
@@ -274,33 +256,6 @@ func TestOverUtilizationSurfaced(t *testing.T) {
 	// A clean trace reports nothing.
 	if got := Anomalies(evs[:2], 1, end); len(got) != 0 {
 		t.Errorf("false anomalies: %v", got)
-	}
-}
-
-func TestMessageCountsSorted(t *testing.T) {
-	rec, _, _ := tracedRun(t, 0)
-	sorted := MessageCountsSorted(rec.Events())
-	counts := MessageCounts(rec.Events())
-	if len(sorted) != len(counts) {
-		t.Fatalf("sorted has %d pairs, map has %d", len(sorted), len(counts))
-	}
-	for i, mc := range sorted {
-		if counts[[2]int{mc.Src, mc.Dst}] != mc.Count {
-			t.Errorf("count mismatch for (%d,%d)", mc.Src, mc.Dst)
-		}
-		if i > 0 {
-			p := sorted[i-1]
-			if p.Src > mc.Src || (p.Src == mc.Src && p.Dst >= mc.Dst) {
-				t.Fatalf("not sorted: %v before %v", p, mc)
-			}
-		}
-	}
-	var buf bytes.Buffer
-	if err := WriteMessageCounts(&buf, rec.Events()); err != nil {
-		t.Fatal(err)
-	}
-	if lines := strings.Count(strings.TrimSpace(buf.String()), "\n") + 1; lines != len(sorted) {
-		t.Errorf("report lines = %d, pairs = %d", lines, len(sorted))
 	}
 }
 

@@ -1,13 +1,6 @@
 package workloads
 
-import (
-	"bufio"
-	"fmt"
-	"io"
-	"math/rand"
-	"strconv"
-	"strings"
-)
+import "math/rand"
 
 // SparseMatrix is a sparse matrix in the row-oriented compressed format the
 // paper describes as "alike to the Harwell-Boeing format" (§V): row
@@ -69,85 +62,4 @@ func (m *SparseMatrix) MultiplySeq(x []float64) []float64 {
 		y[r] = acc
 	}
 	return y
-}
-
-// WriteRowFormat serializes the matrix in the textual row-oriented format:
-//
-//	spmxv <rows> <cols> <nnz>
-//	<rowptr...  (rows+1 entries)>
-//	<colidx value> per nnz line
-func (m *SparseMatrix) WriteRowFormat(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "spmxv %d %d %d\n", m.Rows, m.Cols, m.NNZ())
-	for i, p := range m.RowPtr {
-		if i > 0 {
-			bw.WriteByte(' ')
-		}
-		fmt.Fprintf(bw, "%d", p)
-	}
-	bw.WriteByte('\n')
-	for i := range m.Vals {
-		fmt.Fprintf(bw, "%d %.17g\n", m.ColIdx[i], m.Vals[i])
-	}
-	return bw.Flush()
-}
-
-// ReadRowFormat parses the format written by WriteRowFormat, so matrices
-// from external collections can be dropped in.
-func ReadRowFormat(r io.Reader) (*SparseMatrix, error) {
-	br := bufio.NewReader(r)
-	var rows, cols int
-	var nnz int64
-	header, err := br.ReadString('\n')
-	if err != nil {
-		return nil, fmt.Errorf("workloads: reading header: %w", err)
-	}
-	if _, err := fmt.Sscanf(strings.TrimSpace(header), "spmxv %d %d %d", &rows, &cols, &nnz); err != nil {
-		return nil, fmt.Errorf("workloads: bad header %q: %w", strings.TrimSpace(header), err)
-	}
-	if rows <= 0 || cols <= 0 || nnz < 0 {
-		return nil, fmt.Errorf("workloads: invalid dimensions %dx%d nnz %d", rows, cols, nnz)
-	}
-	m := &SparseMatrix{
-		Rows:   rows,
-		Cols:   cols,
-		RowPtr: make([]int64, 0, rows+1),
-		ColIdx: make([]int32, 0, nnz),
-		Vals:   make([]float64, 0, nnz),
-	}
-	ptrLine, err := br.ReadString('\n')
-	if err != nil {
-		return nil, fmt.Errorf("workloads: reading row pointers: %w", err)
-	}
-	for _, f := range strings.Fields(ptrLine) {
-		v, err := strconv.ParseInt(f, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("workloads: bad row pointer %q", f)
-		}
-		m.RowPtr = append(m.RowPtr, v)
-	}
-	if len(m.RowPtr) != rows+1 {
-		return nil, fmt.Errorf("workloads: %d row pointers, want %d", len(m.RowPtr), rows+1)
-	}
-	if m.RowPtr[rows] != nnz {
-		return nil, fmt.Errorf("workloads: last row pointer %d != nnz %d", m.RowPtr[rows], nnz)
-	}
-	for i := int64(0); i < nnz; i++ {
-		line, err := br.ReadString('\n')
-		if err != nil && line == "" {
-			return nil, fmt.Errorf("workloads: truncated at coefficient %d: %w", i, err)
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			return nil, fmt.Errorf("workloads: bad coefficient line %q", strings.TrimSpace(line))
-		}
-		c, err1 := strconv.ParseInt(fields[0], 10, 32)
-		v, err2 := strconv.ParseFloat(fields[1], 64)
-		if err1 != nil || err2 != nil || c < 0 || int(c) >= cols {
-			return nil, fmt.Errorf("workloads: bad coefficient %q", strings.TrimSpace(line))
-		}
-		m.ColIdx = append(m.ColIdx, int32(c))
-		m.Vals = append(m.Vals, v)
-	}
-	return m, nil
 }

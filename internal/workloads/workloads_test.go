@@ -1,7 +1,6 @@
 package workloads
 
 import (
-	"bytes"
 	"math"
 	"sort"
 	"testing"
@@ -186,50 +185,6 @@ func TestMultiplySeqIdentityLike(t *testing.T) {
 	y := m.MultiplySeq([]float64{1, 1, 1})
 	if y[0] != 2 || y[1] != 3 || y[2] != 4 {
 		t.Errorf("y = %v", y)
-	}
-}
-
-func TestSparseRoundTrip(t *testing.T) {
-	m := RandomSparse(8, 50, 60, 7)
-	var buf bytes.Buffer
-	if err := m.WriteRowFormat(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadRowFormat(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Rows != m.Rows || back.Cols != m.Cols || back.NNZ() != m.NNZ() {
-		t.Fatal("shape changed")
-	}
-	x := make([]float64, m.Cols)
-	for i := range x {
-		x[i] = float64(i%13) * 0.25
-	}
-	y1 := m.MultiplySeq(x)
-	y2 := back.MultiplySeq(x)
-	for i := range y1 {
-		if math.Abs(y1[i]-y2[i]) > 1e-12 {
-			t.Fatalf("row %d: %v vs %v", i, y1[i], y2[i])
-		}
-	}
-}
-
-func TestReadRowFormatErrors(t *testing.T) {
-	bad := []string{
-		"",
-		"nope\n",
-		"spmxv 0 3 0\n\n",
-		"spmxv 2 2 1\n0 1\n0 1.0\n",   // rowptr count wrong
-		"spmxv 2 2 1\n0 0 2\n0 1.0\n", // last ptr != nnz
-		"spmxv 1 1 1\n0 1\nbroken\n",  // bad coefficient
-		"spmxv 1 1 1\n0 1\n5 1.0\n",   // column out of range
-		"spmxv 1 1 2\n0 2\n0 1.0\n",   // truncated
-	}
-	for _, s := range bad {
-		if _, err := ReadRowFormat(bytes.NewReader([]byte(s))); err == nil {
-			t.Errorf("no error for %q", s)
-		}
 	}
 }
 
