@@ -26,7 +26,6 @@ import (
 	"simany/internal/config"
 	"simany/internal/core"
 	"simany/internal/metrics"
-	"simany/internal/rt"
 	"simany/internal/trace"
 	"simany/internal/vtime"
 )
@@ -226,7 +225,7 @@ func execute(b bench.Benchmark, m config.Machine, seed int64, scale float64, opt
 					i, s.Cores, s.Steps, 100*s.Util)
 			}
 		}
-		printBusiest(k, r)
+		printBusiest(k)
 	}
 	if err := writeOutputs(k, rec, m.Metrics, res.FinalVT, opts); err != nil {
 		return err
@@ -291,12 +290,9 @@ func writeFile(path string, write func(io.Writer) error) error {
 	return f.Close()
 }
 
-func printBusiest(k *core.Kernel, r *rt.Runtime) {
-	busiest, maxStarts := 0, int64(-1)
-	for i := 0; i < k.NumCores(); i++ {
-		if s := k.Core(i).Stats().TaskStarts; s > maxStarts {
-			busiest, maxStarts = i, s
-		}
-	}
-	fmt.Printf("busiest core     %d (%d task starts)\n", busiest, maxStarts)
+// printBusiest names the core that started the most tasks, from the
+// core.task.starts vector in the kernel's registry.
+func printBusiest(k *core.Kernel) {
+	starts, busiest := k.Metrics().Vector("core.task.starts", metrics.UnitCount, k.NumCores()).Max()
+	fmt.Printf("busiest core     %d (%d task starts)\n", busiest, starts)
 }

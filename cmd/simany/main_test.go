@@ -291,3 +291,127 @@ func TestRunCheckpointWritesOutputs(t *testing.T) {
 		}
 	}
 }
+
+// TestVerboseMatchesMetrics: every counter -v prints is read from the
+// registry -metrics dumps, so the two must agree on all six benchmarks,
+// both memories, sequential and sharded: messages, bytes, hops,
+// out-of-order deliveries, stalls, instructions, each task-runtime field,
+// per-shard steps and the busiest core's task starts.
+func TestVerboseMatchesMetrics(t *testing.T) {
+	rtNames := map[string]string{
+		"Spawns": "rt.spawns", "Probes": "rt.probes", "Denied": "rt.denied",
+		"LocalRuns": "rt.local.runs", "Migrations": "rt.migrations",
+		"DataReqs": "rt.data.reqs", "DataChases": "rt.data.chases", "JoinWaits": "rt.join.waits",
+	}
+	for _, b := range []string{"quicksort", "conncomp", "dijkstra", "barnes-hut", "spmxv", "octree"} {
+		for _, memKind := range []string{"shared", "distributed"} {
+			for _, shards := range []string{"1", "4"} {
+				name := b + "/" + memKind + "/shards" + shards
+				out := captureStdout(t, func() error {
+					return run([]string{"-bench", b, "-cores", "16", "-scale", "0.1", "-mem", memKind,
+						"-shards", shards, "-v", "-metrics", "-"})
+				})
+				v, m := verboseFields(t, out), metricsFields(out)
+				want := map[string]string{
+					"messages": m["net.msgs"], "bytes": m["net.bytes"], "hops": m["net.hops"],
+					"ooo": m["core.msgs.ooo"], "stalls": m["core.stalls"],
+					"instructions": m["core.instructions"], "steps": m["core.steps"],
+					"busiest": m["core.task.starts max"], "busiest core": m["core.task.starts at"],
+				}
+				for field, reg := range rtNames {
+					want[field] = m[reg]
+				}
+				if shards != "1" {
+					want["per-shard steps"] = m["core.steps per-shard"]
+				}
+				for field, w := range want {
+					if w == "" || v[field] != w {
+						t.Errorf("%s: -v %s = %q, -metrics %q", name, field, v[field], w)
+					}
+				}
+			}
+		}
+	}
+}
+
+// captureStdout runs fn with os.Stdout sent to a file and returns what it
+// wrote.
+func captureStdout(t *testing.T, fn func() error) string {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	stdout := os.Stdout
+	os.Stdout = f
+	err = fn()
+	os.Stdout = stdout
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// verboseFields parses the counters out of simany -v's report.
+func verboseFields(t *testing.T, out string) map[string]string {
+	t.Helper()
+	v := map[string]string{}
+	var perShard []string
+	for _, line := range strings.Split(out, "\n") {
+		f := strings.Fields(line)
+		switch {
+		case strings.HasPrefix(line, "kernel steps "):
+			v["steps"] = f[2]
+		case strings.HasPrefix(line, "messages "):
+			// messages N (B bytes, H hops, O handled out of order)
+			v["messages"], v["bytes"], v["hops"], v["ooo"] = f[1], strings.TrimPrefix(f[2], "("), f[4], f[6]
+		case strings.HasPrefix(line, "policy stalls "):
+			v["stalls"] = f[2]
+		case strings.HasPrefix(line, "instructions "):
+			v["instructions"] = f[1]
+		case strings.HasPrefix(line, "task runtime "):
+			// task runtime {Spawns:1 Probes:2 ...}
+			for _, kv := range strings.Fields(strings.Trim(strings.Join(f[2:], " "), "{}")) {
+				name, val, _ := strings.Cut(kv, ":")
+				v[name] = val
+			}
+		case strings.HasPrefix(line, "  shard "):
+			perShard = append(perShard, f[4])
+		case strings.HasPrefix(line, "busiest core "):
+			v["busiest core"], v["busiest"] = f[2], strings.TrimPrefix(f[3], "(")
+		}
+	}
+	if len(perShard) > 0 {
+		v["per-shard steps"] = "[" + strings.Join(perShard, " ") + "]"
+	}
+	if len(v) == 0 {
+		t.Fatalf("no -v report in:\n%s", out)
+	}
+	return v
+}
+
+// metricsFields parses the counter and vector lines of a -metrics dump:
+// name → total, "name per-shard" → the stripe list, "name max" and
+// "name at" → a vector's busiest core.
+func metricsFields(out string) map[string]string {
+	m := map[string]string{}
+	for _, line := range strings.Split(out, "\n") {
+		f := strings.Fields(line)
+		if len(f) < 2 || !strings.Contains(f[0], ".") || strings.HasPrefix(f[1], "count=") {
+			continue
+		}
+		m[f[0]] = f[1]
+		if i := strings.Index(line, "per-shard "); i >= 0 {
+			m[f[0]+" per-shard"] = line[i+len("per-shard "):]
+		}
+		if len(f) == 6 && f[2] == "max" { // name total max M (core i)
+			m[f[0]+" max"], m[f[0]+" at"] = f[3], strings.TrimSuffix(f[5], ")")
+		}
+	}
+	return m
+}

@@ -18,7 +18,6 @@ import (
 
 	"simany/internal/core"
 	"simany/internal/timing"
-	"simany/internal/vtime"
 )
 
 // Calibrator converts host-native execution time of Go code into simulated
@@ -119,23 +118,4 @@ func (m *Model) Mix(compares, swaps, chases, floatOps int64) timing.Counts {
 	add(m.PerPointerChase, chases)
 	add(m.PerFloatOp, floatOps)
 	return out
-}
-
-// Static is the manual-annotation helper: a fixed cycle cost validated to
-// be non-negative at construction instead of at every use.
-type Static struct {
-	cost vtime.Time
-}
-
-// NewStatic builds a static annotation of the given cycle cost.
-func NewStatic(cycles float64) Static {
-	if cycles < 0 {
-		panic("annotate: negative static annotation")
-	}
-	return Static{cost: vtime.Cycles(cycles)}
-}
-
-// Apply charges the annotation to the running task.
-func (s Static) Apply(e *core.Env) {
-	e.ComputeTime(s.cost)
 }

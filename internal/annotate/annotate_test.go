@@ -72,29 +72,3 @@ func TestModelMix(t *testing.T) {
 		t.Error("empty mix not empty")
 	}
 }
-
-func TestStatic(t *testing.T) {
-	k := core.New(core.Config{Topo: topology.Mesh(1), Seed: 1})
-	s := NewStatic(250)
-	var span vtime.Time
-	k.InjectTask(0, "s", func(e *core.Env) {
-		before := e.Now()
-		s.Apply(e)
-		span = e.Now() - before
-	}, nil, 0)
-	if _, err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if span != vtime.CyclesInt(250) {
-		t.Errorf("span = %v", span)
-	}
-}
-
-func TestStaticNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	NewStatic(-1)
-}

@@ -25,8 +25,6 @@ type Scoped struct {
 	lineSize int //simany:derived immutable line-size configuration from NewScoped
 	present  *lineSet
 	depth    int
-
-	hits, misses int64
 }
 
 // NewScoped creates a pessimistic scoped L1 with the given line size. The
@@ -76,13 +74,8 @@ func (s *Scoped) Range(base uint64, n int64, elem int) (hits, misses int64) {
 	if newLines > n {
 		newLines = n
 	}
-	s.hits += n - newLines
-	s.misses += newLines
 	return n - newLines, newLines
 }
-
-// Stats returns cumulative hit and miss counts.
-func (s *Scoped) Stats() (hits, misses int64) { return s.hits, s.misses }
 
 // DirectMapped is a real direct-mapped cache used by the cycle-level
 // reference simulator's split I/D L1s.
@@ -91,8 +84,6 @@ type DirectMapped struct {
 	nLines   int
 	tags     []uint64
 	valid    []bool
-
-	hits, misses int64
 }
 
 // NewDirectMapped creates a direct-mapped cache of sizeBytes capacity.
@@ -118,12 +109,10 @@ func (d *DirectMapped) Access(addr uint64) bool {
 	line := LineOf(addr, d.lineSize)
 	idx := int(line % uint64(d.nLines))
 	if d.valid[idx] && d.tags[idx] == line {
-		d.hits++
 		return true
 	}
 	d.valid[idx] = true
 	d.tags[idx] = line
-	d.misses++
 	return false
 }
 
@@ -160,13 +149,8 @@ func (d *DirectMapped) Range(base uint64, n int64, elem int) (hits, misses int64
 		}
 		addr += uint64(d.lineSize)
 	}
-	d.hits += hits
-	d.misses += misses
 	return hits, misses
 }
-
-// Stats returns cumulative hit and miss counts.
-func (d *DirectMapped) Stats() (hits, misses int64) { return d.hits, d.misses }
 
 // Flush invalidates the whole cache.
 func (d *DirectMapped) Flush() {
@@ -191,8 +175,6 @@ func (d *DirectMapped) InvalidateLine(line uint64) {
 type L2 struct {
 	lineSize int //simany:derived immutable line-size configuration from NewL2
 	present  *lineSet
-
-	hits, misses int64
 }
 
 // NewL2 creates an L2 model. Like NewScoped, the presence set is allocated
@@ -229,8 +211,6 @@ func (l *L2) AccessRange(base uint64, lines int64) (hits, misses int64) {
 		l.present = new(lineSet)
 	}
 	misses = l.present.add(first, first+uint64(lines)-1)
-	l.hits += lines - misses
-	l.misses += misses
 	return lines - misses, misses
 }
 
@@ -259,6 +239,3 @@ func (l *L2) Evict(base uint64, bytes int64) {
 func (l *L2) Contains(addr uint64) bool {
 	return l.present.has(LineOf(addr, l.lineSize))
 }
-
-// Stats returns cumulative hit and miss counts.
-func (l *L2) Stats() (hits, misses int64) { return l.hits, l.misses }

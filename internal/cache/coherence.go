@@ -13,9 +13,6 @@ package cache
 type Directory struct {
 	lineSize int
 	lines    map[uint64]*dirLine
-
-	invalidations int64
-	transfers     int64
 }
 
 type dirLine struct {
@@ -29,11 +26,12 @@ type Outcome struct {
 	// Invalidations is the number of remote copies that had to be
 	// invalidated.
 	Invalidations int
-	// Transfer reports whether the line had to be fetched from a remote
-	// owner's cache (dirty transfer) rather than from memory.
-	Transfer bool
-	// FromCore is the previous exclusive owner when Transfer is true,
-	// otherwise -1. It lets the caller charge distance-dependent costs.
+	// Transfers is the number of lines that had to be fetched from a
+	// remote owner's cache (dirty transfer) rather than from memory.
+	Transfers int
+	// FromCore is the previous exclusive owner of the last transferred
+	// line, or -1 without a transfer. It lets the caller charge
+	// distance-dependent costs.
 	FromCore int
 }
 
@@ -65,9 +63,8 @@ func (d *Directory) ReadLine(core int, line uint64) Outcome {
 	out := Outcome{FromCore: -1}
 	if dl.owner >= 0 && dl.owner != core {
 		// Dirty in a remote cache: owner must write back / forward.
-		out.Transfer = true
+		out.Transfers = 1
 		out.FromCore = dl.owner
-		d.transfers++
 		dl.sharers[dl.owner] = struct{}{}
 		dl.owner = -1
 	} else if dl.owner == core {
@@ -90,16 +87,13 @@ func (d *Directory) WriteLine(core int, line uint64) Outcome {
 		return out // already exclusive
 	}
 	if dl.owner >= 0 {
-		out.Transfer = true
+		out.Transfers = 1
 		out.FromCore = dl.owner
 		out.Invalidations = 1
-		d.transfers++
-		d.invalidations++
 	}
 	for s := range dl.sharers {
 		if s != core {
 			out.Invalidations++
-			d.invalidations++
 		}
 	}
 	clear(dl.sharers)
@@ -124,8 +118,8 @@ func (d *Directory) RangeWrite(core int, base uint64, n int64, elem int) Outcome
 	for line := first; line <= last; line++ {
 		o := d.WriteLine(core, line)
 		agg.Invalidations += o.Invalidations
-		if o.Transfer {
-			agg.Transfer = true
+		if o.Transfers > 0 {
+			agg.Transfers++
 			agg.FromCore = o.FromCore
 		}
 	}
@@ -146,15 +140,10 @@ func (d *Directory) RangeRead(core int, base uint64, n int64, elem int) Outcome 
 	for line := first; line <= last; line++ {
 		o := d.ReadLine(core, line)
 		agg.Invalidations += o.Invalidations
-		if o.Transfer {
-			agg.Transfer = true
+		if o.Transfers > 0 {
+			agg.Transfers++
 			agg.FromCore = o.FromCore
 		}
 	}
 	return agg
-}
-
-// Stats returns cumulative invalidation and transfer counts.
-func (d *Directory) Stats() (invalidations, transfers int64) {
-	return d.invalidations, d.transfers
 }

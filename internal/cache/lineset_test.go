@@ -258,10 +258,4 @@ func TestL2AccessRange(t *testing.T) {
 	if h1 != h2 || m1 != m2 {
 		t.Errorf("AccessRange = %d/%d, per-line loop %d/%d", h2, m2, h1, m1)
 	}
-	if a, b := byLine.Stats(); a != h1 || b != m1 {
-		t.Errorf("stats %d/%d", a, b)
-	}
-	if a, b := ranged.Stats(); a != h2 || b != m2 {
-		t.Errorf("stats %d/%d", a, b)
-	}
 }

@@ -8,14 +8,10 @@ import "simany/internal/snap"
 // restore).
 func (s *Scoped) Snapshot(enc *snap.Encoder) {
 	enc.Varint(int64(s.depth))
-	enc.Varint(s.hits)
-	enc.Varint(s.misses)
 	s.present.snapshot(enc)
 }
 
 // Snapshot appends the L2's state in canonical (sorted span) form.
 func (l *L2) Snapshot(enc *snap.Encoder) {
-	enc.Varint(l.hits)
-	enc.Varint(l.misses)
 	l.present.snapshot(enc)
 }

@@ -153,10 +153,10 @@ type Machine struct {
 	// CPUs, runtime.NumCPU, capped at Shards; negative is an error). It
 	// never affects results.
 	Workers int
-	// Metrics, when non-nil, attaches a deterministic metrics registry:
-	// the kernel records its standard instruments (message latency, link
-	// contention, barrier stalls — see docs/observability.md) into it, and
-	// the drift-comparison policies record their drift-to-bound probes.
+	// Metrics, when non-nil, is the kernel's registry (core.Config.Metrics):
+	// every counter lands there, the kernel also records its histograms
+	// and barrier instruments (see docs/observability.md), and the
+	// drift-comparison policies record their drift-to-bound probes.
 	Metrics *metrics.Registry
 }
 

@@ -78,20 +78,6 @@ type Core struct {
 	timer *timing.BlockTimer
 	l1    *cache.Scoped
 	l2    *cache.L2
-
-	stats CoreStats
-}
-
-// CoreStats aggregates per-core counters.
-type CoreStats struct {
-	Blocks       int64 // annotation blocks executed
-	Instructions int64
-	Stalls       int64 // spatial/policy stalls
-	TaskStarts   int64
-	Switches     int64 // context switches to resumed continuations
-	MsgsSent     int64
-	ComputeTime  vtime.Time // virtual time spent computing
-	MemTime      vtime.Time // virtual time spent in memory accesses
 }
 
 // VT returns the core's current virtual time.
@@ -118,9 +104,6 @@ func (c *Core) Idle() bool { return c.idle }
 // LockDepth returns the number of locks currently held by tasks on this
 // core.
 func (c *Core) LockDepth() int { return c.lockDepth }
-
-// Stats returns a copy of the core's counters.
-func (c *Core) Stats() CoreStats { return c.stats }
 
 // Rand returns the core's private deterministic random source. Simulated
 // code (runtime policies, benchmark task bodies) must draw from here so

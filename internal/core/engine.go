@@ -46,10 +46,9 @@ type domain struct {
 	sq       coreHeap //simany:derived stalled-core heap, a function of the encoded queues and clocks (schedRebuild)
 	stepping *Core    //simany:derived transient mid-step marker, nil at every barrier
 
-	// Host-parallelism potential sampling (§VIII).
-	runnableSum     int64
-	runnableSamples int64
-	runnableMax     int
+	// runnableMax is the most cores ever sampled runnable at one pick
+	// (§VIII; the sum is the core.runnable counter).
+	runnableMax int
 
 	// Effective-time state (efflazy.go), maintained when the policy
 	// relays: the busy frontier anchors (a min-heap by maintained eff, so
@@ -76,14 +75,6 @@ type domain struct {
 	// barrier, and the step count of the current round.
 	outbox     []deferredItem //simany:derived drained at every barrier, so empty at each checkpoint
 	roundSteps int            //simany:derived transient per-round counter, reset when a round starts
-	stepsTotal int64
-
-	// Message-delivery statistics, owned by this domain: sendNow always
-	// runs either on the worker driving the destination's shard or inside
-	// the single-threaded barrier, so plain counters suffice and the state
-	// stays reachable from the per-shard root for checkpointing.
-	oooMsgs int64
-	handled int64
 
 	// Coroutine/struct pools for the task lifecycle hot path. Both are
 	// owned-state in the shard-safety sense: pushed in step's yieldDone
@@ -173,11 +164,8 @@ func (d *domain) runnable(c *Core) (vtime.Time, bool) {
 func (d *domain) pickCore(limit vtime.Time) *Core {
 	best, key, runnable := d.pickIndexed(limit)
 	if best != nil {
-		d.runnableSamples++
-		d.runnableSum += int64(runnable)
-		if runnable > d.runnableMax {
-			d.runnableMax = runnable
-		}
+		d.k.ctr.runnable.Add(d.id, int64(runnable))
+		d.runnableMax = max(d.runnableMax, runnable)
 		if d.k.onPick != nil {
 			d.k.onPick(best, key, runnable)
 		}
@@ -189,7 +177,7 @@ func (d *domain) pickCore(limit vtime.Time) *Core {
 func (d *domain) step(c *Core) {
 	k := d.k
 	k.steps.Add(1)
-	d.stepsTotal++
+	k.ctr.steps.Inc(d.id)
 	// While the step runs, c's clock, queues and current task are in
 	// flux; its index entry is settled by the schedUpdate at the end,
 	// before the domain consults the queue again. The runq tolerates the
@@ -208,7 +196,7 @@ func (d *domain) step(c *Core) {
 		c.conts = c.conts[1:]
 		// Context switch to a joining task resuming execution (§V).
 		c.vt = vtime.Max(c.vt, t.resume) + ctxSwitchCost
-		c.stats.Switches++
+		k.ctr.switches.Inc(c.ID)
 		t.state = TaskRunning
 		c.current = t
 		k.emit(TraceTaskResume, c.vt, c.ID, t, 0)
@@ -217,7 +205,7 @@ func (d *domain) step(c *Core) {
 		// Starting a task costs 10 cycles in addition to the transit time
 		// of the spawn message (§V).
 		c.vt = vtime.Max(c.vt, t.arrival) + taskStartCost
-		c.stats.TaskStarts++
+		k.ctr.taskStarts.Inc(c.ID)
 		t.state = TaskRunning
 		c.current = t
 		k.emit(TraceTaskStart, c.vt, c.ID, t, 0)

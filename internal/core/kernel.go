@@ -37,6 +37,13 @@ func (NullMem) Access(*Core, uint64, int64, int, bool, vtime.Time) vtime.Time { 
 // ShardSafe implements ShardSafeMem: NullMem is stateless.
 func (NullMem) ShardSafe() bool { return true }
 
+// MeteredMem is a memory system with counters of its own (cache hits and
+// misses, coherence actions): New hands it the kernel's registry and core
+// count once, to register them by name. It serves one kernel.
+type MeteredMem interface {
+	RegisterMetrics(reg *metrics.Registry, cores int)
+}
+
 // ShardSafeMem is implemented by memory systems whose Access method only
 // mutates state owned by the accessing core (its L1/L2), making them safe
 // to drive from concurrent shard workers. A configuration asking for more
@@ -75,12 +82,11 @@ type Config struct {
 	// shard and merged deterministically at each virtual-time barrier, so a
 	// tracer never forces the sequential engine.
 	Tracer Tracer
-	// Metrics, when set, attaches a registry of deterministic simulator
-	// instruments (per-link contention waits, message latency, barrier
-	// stall time, drift spread; see docs/observability.md). The kernel
-	// widens the registry to one stripe per shard, so updates from
-	// concurrent shard workers stay lock-free and the merged snapshot is
-	// identical at every worker count.
+	// Metrics, when set, is the kernel's registry, the one stats root
+	// every component registers its counters in (nil: the kernel makes
+	// its own). A registry set here also records the histograms and
+	// barrier instruments (link waits, message latency, barrier stall,
+	// drift spread; docs/observability.md). It serves one kernel.
 	Metrics *metrics.Registry
 
 	// Shards partitions the topology into contiguous regions, each driven
@@ -229,6 +235,11 @@ type Kernel struct {
 	// a core's queue (the task runtime broadcasts queue occupancy here).
 	onTaskStart func(c *Core, t *Task)
 
+	// reg is the root registry (Kernel.Metrics) and ctr the kernel's own
+	// always-on counters in it (metrics.go).
+	reg *metrics.Registry
+	ctr counters //simany:derived aliases into reg, whose section encodes them
+
 	tracer   Tracer
 	traceSeq uint64 //simany:derived observability state, reproduced by the replay, never compared
 	// traceMerge is the scratch slice flushTrace reuses to merge the
@@ -237,8 +248,8 @@ type Kernel struct {
 	//simany:derived merge scratch, contents dead between flushTrace calls
 	traceMerge []TraceEvent
 
-	// met, when non-nil, holds the kernel's standard instruments in the
-	// attached metrics registry (see metrics.go).
+	// met, when non-nil, holds the instruments recorded only into a
+	// caller-supplied registry (see metrics.go).
 	met *kernelMetrics //simany:derived observability state, reproduced by the replay, never compared
 }
 
@@ -318,9 +329,14 @@ func New(cfg Config) *Kernel {
 		cfg.Mem = NullMem{}
 	}
 	n := cfg.Topo.N()
+	reg := cfg.Metrics
+	if reg == nil {
+		reg = metrics.New()
+	}
 	k := &Kernel{
 		topo:     cfg.Topo,
-		net:      network.New(cfg.Topo, network.DefaultParams()),
+		reg:      reg,
+		ctr:      newCounters(reg, n),
 		policy:   cfg.Policy,
 		mem:      cfg.Mem,
 		handlers: make(map[network.Kind]Handler),
@@ -368,6 +384,9 @@ func New(cfg Config) *Kernel {
 		k.cores[i] = c
 	}
 	k.setupEngine(cfg)
+	if m, ok := cfg.Mem.(MeteredMem); ok {
+		m.RegisterMetrics(reg, n)
+	}
 	k.fprint = fingerprint(cfg, len(k.domains))
 	return k
 }
@@ -405,7 +424,8 @@ func (k *Kernel) setupEngine(cfg Config) {
 	k.quantum = 8 * t
 
 	k.part = topology.PartitionFor(k.topo, shards)
-	k.net.SetStripes(shards, k.part)
+	k.reg.SetShards(shards)
+	k.net = network.NewIn(k.reg, k.part, k.topo, network.DefaultParams())
 	k.domains = make([]*domain, shards)
 	for s := 0; s < shards; s++ {
 		k.domains[s] = &domain{
@@ -487,6 +507,10 @@ func (k *Kernel) NumShards() int { return len(k.domains) }
 // Workers returns the number of host threads driving the shards.
 func (k *Kernel) Workers() int { return k.workers }
 
+// ShardOf returns the shard that drives core i: the counter stripe an
+// event in core i's context writes.
+func (k *Kernel) ShardOf(i int) int { return k.part[i] }
+
 // SameShard reports whether cores a and b belong to the same shard (always
 // true on the sequential engine).
 func (k *Kernel) SameShard(a, b int) bool { return k.part[a] == k.part[b] }
@@ -527,15 +551,14 @@ func (k *Kernel) send(msg *network.Message) {
 // bookkeeping and the per-shard handled counters need no atomics.
 func (k *Kernel) sendNow(msg *network.Message) {
 	k.net.Transmit(msg)
-	k.cores[msg.Src].stats.MsgsSent++
 	h, ok := k.handlers[msg.Kind]
 	if !ok {
 		panic(fmt.Sprintf("core: no handler for message kind %d", msg.Kind))
 	}
 	dst := k.cores[msg.Dst]
-	dst.dom.handled++
+	k.ctr.handled.Inc(dst.dom.id)
 	if msg.Arrival < dst.lastHandled {
-		dst.dom.oooMsgs++
+		k.ctr.ooo.Inc(dst.dom.id)
 	} else {
 		dst.lastHandled = msg.Arrival
 	}
@@ -897,40 +920,32 @@ func (k *Kernel) liveTasks() int64 {
 	return n
 }
 
+// result reads the run's figures from the root registry. Every step
+// samples the runnable count once (pickCore).
 func (k *Kernel) result() Result {
 	msgs, hops, bytes := k.net.Stats()
 	r := Result{
-		FinalVT:  k.MaxTime(),
-		Steps:    k.steps.Load(),
-		Messages: msgs,
-		Hops:     hops,
-		Bytes:    bytes,
-		Shards:   len(k.domains),
+		FinalVT:      k.MaxTime(),
+		Steps:        k.steps.Load(),
+		Messages:     msgs,
+		Hops:         hops,
+		Bytes:        bytes,
+		OutOfOrder:   k.ctr.ooo.Value(),
+		Handled:      k.ctr.handled.Value(),
+		Stalls:       k.ctr.stalls.Sum(),
+		Instructions: k.ctr.instructions.Sum(),
+		Shards:       len(k.domains),
+		PerShard:     make([]ShardStat, len(k.domains)),
 	}
-	for _, d := range k.domains {
-		r.OutOfOrder += d.oooMsgs
-		r.Handled += d.handled
+	if r.Steps > 0 {
+		r.AvgRunnable = float64(k.ctr.runnable.Value()) / float64(r.Steps)
 	}
-	for _, c := range k.cores {
-		r.Stalls += c.stats.Stalls
-		r.Instructions += c.stats.Instructions
-	}
-	var rSum, rSamples int64
-	for _, d := range k.domains {
-		rSum += d.runnableSum
-		rSamples += d.runnableSamples
-		if d.runnableMax > r.MaxRunnable {
-			r.MaxRunnable = d.runnableMax
-		}
-	}
-	if rSamples > 0 {
-		r.AvgRunnable = float64(rSum) / float64(rSamples)
-	}
-	r.PerShard = make([]ShardStat, len(k.domains))
+	steps := k.ctr.steps.PerShard()
 	for i, d := range k.domains {
-		r.PerShard[i] = ShardStat{Cores: len(d.cores), Steps: d.stepsTotal}
+		r.MaxRunnable = max(r.MaxRunnable, d.runnableMax)
+		r.PerShard[i] = ShardStat{Cores: len(d.cores), Steps: steps[i]}
 		if r.Steps > 0 {
-			r.PerShard[i].Util = float64(d.stepsTotal) / float64(r.Steps)
+			r.PerShard[i].Util = float64(steps[i]) / float64(r.Steps)
 		}
 	}
 	return r

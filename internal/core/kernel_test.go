@@ -515,8 +515,8 @@ func TestMemSystemCharged(t *testing.T) {
 	if span != vtime.CyclesInt(80) {
 		t.Errorf("memory span = %v, want 80cy", span)
 	}
-	if k.Core(0).Stats().MemTime != vtime.CyclesInt(80) {
-		t.Errorf("MemTime stat = %v", k.Core(0).Stats().MemTime)
+	if got := vtime.Time(k.ctr.mem.At(0)); got != vtime.CyclesInt(80) {
+		t.Errorf("core.mem = %v", got)
 	}
 }
 
@@ -540,7 +540,7 @@ func TestStatsCounters(t *testing.T) {
 	if res.Stalls == 0 {
 		t.Error("expected stalls with tiny T")
 	}
-	if got := k.Core(0).Stats().TaskStarts; got != 1 {
+	if got := k.ctr.taskStarts.At(0); got != 1 {
 		t.Errorf("task starts = %d", got)
 	}
 	if res.Steps <= 2 {

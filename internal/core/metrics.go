@@ -6,45 +6,64 @@ import (
 	"simany/internal/vtime"
 )
 
-// kernelMetrics holds the kernel's standard instruments in an attached
-// metrics registry (Config.Metrics). Every instrument follows the
-// registry's stripe discipline — shard workers write only their own
-// stripe during rounds, the single-threaded barrier may write any — so
-// recording is lock-free and the merged snapshot is bitwise identical at
-// every worker count (docs/observability.md lists the catalogue).
-// The instrument pointers below alias series owned by reg; newKernelMetrics
-// sets them once and nothing reassigns them.
-type kernelMetrics struct {
-	reg *metrics.Registry
+// counters are the kernel's always-on instruments in its root registry
+// (Kernel.Metrics; docs/observability.md lists the catalogue): vectors
+// with one entry per core, written only by the worker driving the core's
+// shard, and counters striped by shard. They are set once by newCounters.
+type counters struct {
+	blocks, instructions, stalls, taskStarts, switches, compute, mem *metrics.Vector
+	steps, runnable, handled, ooo                                    *metrics.Counter
+}
 
+func newCounters(reg *metrics.Registry, cores int) counters {
+	vec := func(name string) *metrics.Vector { return reg.Vector(name, metrics.UnitCount, cores) }
+	cnt := func(name string) *metrics.Counter { return reg.Counter(name, metrics.UnitCount) }
+	return counters{
+		blocks:       vec("core.blocks"),
+		instructions: vec("core.instructions"),
+		stalls:       vec("core.stalls"),
+		taskStarts:   vec("core.task.starts"),
+		switches:     vec("core.switches"),
+		compute:      reg.Vector("core.compute", metrics.UnitTime, cores),
+		mem:          reg.Vector("core.mem", metrics.UnitTime, cores),
+		steps:        cnt("core.steps"),
+		runnable:     cnt("core.runnable"),
+		handled:      cnt("core.msgs.handled"),
+		ooo:          cnt("core.msgs.ooo"),
+	}
+}
+
+// kernelMetrics holds the instruments recorded only into a caller-supplied
+// registry (Config.Metrics): histograms and the per-round barrier record,
+// whose cost an unobserved run does not pay. newKernelMetrics sets them.
+type kernelMetrics struct {
 	// linkWait is the distribution of virtual time messages spent waiting
 	// for a busy link (the network's per-link next-free contention model).
-	linkWait *metrics.Histogram //simany:derived alias into reg, set once by newKernelMetrics
+	linkWait *metrics.Histogram //simany:derived alias into the registry, set once by newKernelMetrics
 	// msgLatency is the end-to-end message latency distribution
 	// (arrival − emission stamp, including contention and FIFO clamping).
-	msgLatency *metrics.Histogram //simany:derived alias into reg, set once by newKernelMetrics
+	msgLatency *metrics.Histogram //simany:derived alias into the registry, set once by newKernelMetrics
 	// barriers counts shard rounds (= barrier merges) executed.
-	barriers *metrics.Counter //simany:derived alias into reg, set once by newKernelMetrics
+	barriers *metrics.Counter //simany:derived alias into the registry, set once by newKernelMetrics
 	// barrierStall accumulates, per shard, the virtual time of each round
 	// quantum the shard could not fill with local work — the deterministic
 	// analogue of "time spent waiting at the barrier".
-	barrierStall *metrics.Counter //simany:derived alias into reg, set once by newKernelMetrics
+	barrierStall *metrics.Counter //simany:derived alias into the registry, set once by newKernelMetrics
 	// roundSteps is the distribution of scheduling steps a shard took per
 	// round (shape of the load balance).
-	roundSteps *metrics.Histogram //simany:derived alias into reg, set once by newKernelMetrics
+	roundSteps *metrics.Histogram //simany:derived alias into the registry, set once by newKernelMetrics
 	// driftSpread samples, at every barrier, the clock spread between the
 	// fastest and slowest busy cores — the measured counterpart of
 	// DriftBound.
-	driftSpread *metrics.Histogram //simany:derived alias into reg, set once by newKernelMetrics
+	driftSpread *metrics.Histogram //simany:derived alias into the registry, set once by newKernelMetrics
 }
 
 // newKernelMetrics widens the registry to the shard count and creates the
-// kernel's instruments. Runs at construction time, single-threaded.
+// caller-registry instruments. Runs at construction time, single-threaded.
 func newKernelMetrics(reg *metrics.Registry, shards int) *kernelMetrics {
 	reg.SetShards(shards)
 	tb := metrics.DefaultTimeBounds()
 	return &kernelMetrics{
-		reg:          reg,
 		linkWait:     reg.Histogram("net.link.wait", metrics.UnitTime, tb),
 		msgLatency:   reg.Histogram("net.msg.latency", metrics.UnitTime, tb),
 		barriers:     reg.Counter("shard.barrier.count", metrics.UnitCount),
@@ -54,13 +73,9 @@ func newKernelMetrics(reg *metrics.Registry, shards int) *kernelMetrics {
 	}
 }
 
-// Metrics returns the attached registry (nil when none was configured).
-func (k *Kernel) Metrics() *metrics.Registry {
-	if k.met == nil {
-		return nil
-	}
-	return k.met.reg
-}
+// Metrics returns the kernel's registry, the one stats root every
+// component registers its counters in (Config.Metrics or the kernel's own).
+func (k *Kernel) Metrics() *metrics.Registry { return k.reg }
 
 // netObserver forwards the network model's contention observations into
 // the registry, striped by the shard owning the waiting link's node. That

@@ -92,6 +92,17 @@ func (k *Kernel) payload(ck *snap.Container) {
 	enc = snap.NewEncoder()
 	k.net.Snapshot(enc)
 	ck.Add("network", enc.Bytes())
+
+	// The root's counters and vectors, less the barrier pair only a
+	// caller-supplied registry records: a checkpoint compares the same
+	// state whether or not one was attached.
+	enc = snap.NewEncoder()
+	if k.met != nil {
+		k.reg.EncodeState(enc, k.met.barriers, k.met.barrierStall)
+	} else {
+		k.reg.EncodeState(enc)
+	}
+	ck.Add("metrics", enc.Bytes())
 }
 
 // snapshot appends one domain's state: the per-shard root of the
@@ -99,11 +110,6 @@ func (k *Kernel) payload(ck *snap.Container) {
 func (d *domain) snapshot(enc *snap.Encoder) {
 	enc.Varint(d.live)
 	enc.Time(d.maxTime)
-	enc.Varint(d.stepsTotal)
-	enc.Varint(d.oooMsgs)
-	enc.Varint(d.handled)
-	enc.Varint(d.runnableSum)
-	enc.Varint(d.runnableSamples)
 	enc.Varint(int64(d.runnableMax))
 	for _, c := range d.cores {
 		c.snapshot(enc)
@@ -144,15 +150,6 @@ func (c *Core) snapshot(enc *snap.Encoder) {
 	default:
 		enc.Uvarint(0) // opaque predictor: only its presence is compared
 	}
-	st := &c.stats
-	enc.Varint(st.Blocks)
-	enc.Varint(st.Instructions)
-	enc.Varint(st.Stalls)
-	enc.Varint(st.TaskStarts)
-	enc.Varint(st.Switches)
-	enc.Varint(st.MsgsSent)
-	enc.Time(st.ComputeTime)
-	enc.Time(st.MemTime)
 	enc.Uvarint(uint64(len(c.births)))
 	for _, b := range c.births {
 		enc.Uvarint(b.id)

@@ -117,7 +117,7 @@ func (e *Env) advance(cost vtime.Time) {
 		cost = cost.Scale(1.0 / e.c.Speed)
 	}
 	e.c.vt += cost
-	e.c.stats.ComputeTime += cost
+	e.k.ctr.compute.AddTime(e.c.ID, cost)
 	e.checkHorizon()
 }
 
@@ -141,8 +141,8 @@ func (e *Env) checkHorizon() {
 // plus probabilistic branch misprediction penalties (§II.A "Timing
 // annotations").
 func (e *Env) Compute(counts timing.Counts) {
-	e.c.stats.Blocks++
-	e.c.stats.Instructions += counts.Total()
+	e.k.ctr.blocks.Inc(e.c.ID)
+	e.k.ctr.instructions.Add(e.c.ID, counts.Total())
 	e.advance(e.c.timer.Time(counts))
 }
 
@@ -152,13 +152,13 @@ func (e *Env) ComputeCycles(cycles float64) {
 	if cycles < 0 {
 		panic("core: negative compute cost")
 	}
-	e.c.stats.Blocks++
+	e.k.ctr.blocks.Inc(e.c.ID)
 	e.advance(vtime.Cycles(cycles))
 }
 
 // ComputeTime advances the clock by a raw duration.
 func (e *Env) ComputeTime(d vtime.Time) {
-	e.c.stats.Blocks++
+	e.k.ctr.blocks.Inc(e.c.ID)
 	e.advance(d)
 }
 
@@ -188,7 +188,7 @@ func (e *Env) access(base uint64, n int64, elem int, write bool) {
 		panic("core: memory system returned negative delay")
 	}
 	e.c.vt += d
-	e.c.stats.MemTime += d
+	e.k.ctr.mem.AddTime(e.c.ID, d)
 	e.checkHorizon()
 }
 
@@ -251,7 +251,7 @@ func (e *Env) ReleaseLockExempt() {
 // worker: the body is then unwound.
 func (e *Env) yield(kind yieldKind) {
 	if kind == yieldStalled {
-		e.c.stats.Stalls++
+		e.k.ctr.stalls.Inc(e.c.ID)
 	}
 	if !e.t.worker.yield(kind) {
 		panic(workerStopped{})

@@ -28,6 +28,7 @@ import (
 	"simany/internal/cache"
 	"simany/internal/core"
 	"simany/internal/drift"
+	"simany/internal/metrics"
 	"simany/internal/timing"
 	"simany/internal/topology"
 	"simany/internal/vtime"
@@ -43,8 +44,10 @@ type Mem struct {
 	// InvLat is charged per invalidated remote copy.
 	InvLat vtime.Time
 
-	l1s []*cache.DirectMapped
-	dir *cache.Directory
+	l1s       []*cache.DirectMapped
+	dir       *cache.Directory
+	l1Counts  cache.Counts
+	dirCounts cache.DirCounts
 }
 
 // L1Size is the per-core data-L1 capacity in bytes (16 KiB, a PPC405-class
@@ -68,7 +71,17 @@ func NewMem(n int) *Mem {
 	return m
 }
 
-var _ core.MemSystem = (*Mem)(nil)
+var (
+	_ core.MemSystem  = (*Mem)(nil)
+	_ core.MeteredMem = (*Mem)(nil)
+)
+
+// RegisterMetrics implements core.MeteredMem: the L1 hit and miss vectors
+// and the directory's invalidation and transfer counters.
+func (m *Mem) RegisterMetrics(reg *metrics.Registry, cores int) {
+	m.l1Counts = cache.NewCounts(reg, "l1", cores)
+	m.dirCounts = cache.NewDirCounts(reg)
+}
 
 // Access implements core.MemSystem by walking every cache line covered by
 // the access: real tag lookups, per-line coherence actions, per-line
@@ -93,9 +106,11 @@ func (m *Mem) Access(c *core.Core, base uint64, n int64, elem int, write bool, n
 			cnt = n - i
 		}
 		line := cache.LineOf(addr, cache.DefaultLineSize)
-		hit := l1.Access(addr)
 		d += m.HitLat * vtime.Time(cnt)
-		if !hit {
+		if l1.Access(addr) {
+			m.l1Counts.Add(c.ID, 1, 0)
+		} else {
+			m.l1Counts.Add(c.ID, 0, 1)
 			d += m.BankLat
 		}
 		var o cache.Outcome
@@ -104,6 +119,7 @@ func (m *Mem) Access(c *core.Core, base uint64, n int64, elem int, write bool, n
 		} else {
 			o = m.dir.ReadLine(c.ID, line)
 		}
+		m.dirCounts.Add(c.Kernel().ShardOf(c.ID), o)
 		if o.Invalidations > 0 {
 			d += m.InvLat * vtime.Time(o.Invalidations)
 			// Invalidated copies leave the remote L1s so their next
@@ -114,7 +130,7 @@ func (m *Mem) Access(c *core.Core, base uint64, n int64, elem int, write bool, n
 				}
 			}
 		}
-		if o.Transfer {
+		if o.Transfers > 0 {
 			d += m.BankLat
 			if o.FromCore >= 0 {
 				d += c.Kernel().Network().MinLatency(o.FromCore, c.ID, cache.DefaultLineSize)
@@ -124,9 +140,6 @@ func (m *Mem) Access(c *core.Core, base uint64, n int64, elem int, write bool, n
 	}
 	return d
 }
-
-// Stats exposes the coherence totals.
-func (m *Mem) Stats() (invalidations, transfers int64) { return m.dir.Stats() }
 
 // NewConfig assembles a complete cycle-level machine configuration for the
 // given topology: lockstep ordering, detailed memory, 2-bit branch

@@ -6,6 +6,7 @@ import (
 	"simany/internal/core"
 	"simany/internal/drift"
 	"simany/internal/mem"
+	"simany/internal/metrics"
 	"simany/internal/rt"
 	"simany/internal/topology"
 	"simany/internal/vtime"
@@ -19,14 +20,14 @@ func TestMemRetainsAcrossScopes(t *testing.T) {
 	k := core.New(core.Config{Topo: topo, Mem: m, Seed: 1})
 	var first, second vtime.Time
 	k.InjectTask(0, "r", func(e *core.Env) {
-		base := k.Core(0).Stats().MemTime
+		base := memTime(k, 0)
 		e.Read(0, 8, 8)
-		first = k.Core(0).Stats().MemTime - base
+		first = memTime(k, 0) - base
 		e.EnterScope()
 		e.LeaveScope() // would flush SiMany's L1; must not affect this one
-		base = k.Core(0).Stats().MemTime
+		base = memTime(k, 0)
 		e.Read(0, 8, 8)
-		second = k.Core(0).Stats().MemTime - base
+		second = memTime(k, 0) - base
 	}, nil, 0)
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -50,9 +51,9 @@ func TestMemCoherenceInvalidation(t *testing.T) {
 	}, nil, 0)
 	k.InjectTask(1, "writer", func(e *core.Env) {
 		e.ComputeCycles(500) // run after the reader in virtual time
-		base := k.Core(1).Stats().MemTime
+		base := memTime(k, 1)
 		e.Write(0, 4, 8)
-		writerCost = k.Core(1).Stats().MemTime - base
+		writerCost = memTime(k, 1) - base
 	}, nil, 0)
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -62,8 +63,7 @@ func TestMemCoherenceInvalidation(t *testing.T) {
 	if writerCost < min {
 		t.Errorf("writer cost %v, want >= %v", writerCost, min)
 	}
-	inv, _ := m.Stats()
-	if inv == 0 {
+	if inv := k.Metrics().Counter("cache.dir.invalidations", metrics.UnitCount).Value(); inv == 0 {
 		t.Error("no invalidations recorded")
 	}
 }
@@ -76,9 +76,9 @@ func TestInvalidatedLineMissesAgain(t *testing.T) {
 	k.InjectTask(0, "reader", func(e *core.Env) {
 		e.Read(0, 4, 8) // install
 		e.ComputeCycles(1000)
-		base := k.Core(0).Stats().MemTime
+		base := memTime(k, 0)
 		e.Read(0, 4, 8) // must miss: writer invalidated it meanwhile
-		recost = k.Core(0).Stats().MemTime - base
+		recost = memTime(k, 0) - base
 	}, nil, 0)
 	k.InjectTask(1, "writer", func(e *core.Env) {
 		e.ComputeCycles(300)
@@ -176,9 +176,9 @@ func TestPolymorphicL1FixedSpeed(t *testing.T) {
 	var cost vtime.Time
 	k.InjectTask(0, "slow", func(e *core.Env) {
 		e.Read(0, 8, 8)
-		base := k.Core(0).Stats().MemTime
+		base := memTime(k, 0)
 		e.Read(0, 8, 8) // warm: pure L1 hits
-		cost = k.Core(0).Stats().MemTime - base
+		cost = memTime(k, 0) - base
 	}, nil, 0)
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -186,4 +186,10 @@ func TestPolymorphicL1FixedSpeed(t *testing.T) {
 	if cost != vtime.CyclesInt(8) {
 		t.Errorf("warm L1 on 0.5x core = %v, want 8cy (unscaled)", cost)
 	}
+}
+
+// memTime returns core i's core.mem entry: the virtual time it spent in
+// memory accesses.
+func memTime(k *core.Kernel, i int) vtime.Time {
+	return vtime.Time(k.Metrics().Vector("core.mem", metrics.UnitTime, k.NumCores()).At(i))
 }

@@ -12,7 +12,6 @@ import (
 	"simany/internal/bench"
 	"simany/internal/config"
 	"simany/internal/core"
-	"simany/internal/rt"
 	"simany/internal/stats"
 	"simany/internal/vtime"
 )
@@ -115,7 +114,6 @@ type Outcome struct {
 	VT      vtime.Time
 	Wall    time.Duration
 	Result  core.Result
-	RTStats rt.Stats
 	// OK reports that the simulated output matched the native run.
 	OK bool
 }
@@ -149,7 +147,6 @@ func (h *Harness) Run(name string, m config.Machine) (Outcome, error) {
 		VT:      res.FinalVT,
 		Wall:    time.Since(start),
 		Result:  res,
-		RTStats: r.Stats(),
 		OK:      finish() == want,
 	}
 	if !out.OK {

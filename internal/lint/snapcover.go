@@ -24,7 +24,7 @@ import (
 //
 // Coverage is deliberately encode-side only. The encode functions are
 // those with a *snap.Encoder parameter or constructing one via
-// snap.NewEncoder, their direct module callees (Runtime.statFields-style
+// snap.NewEncoder, their direct module callees (metrics.sortedKeys-style
 // helpers), the function literals they contain, and — for kernel
 // bookkeeping spread around the container plumbing — functions that
 // mention the snap package without being decode-side. A field referenced

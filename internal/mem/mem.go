@@ -19,6 +19,7 @@ import (
 
 	"simany/internal/cache"
 	"simany/internal/core"
+	"simany/internal/metrics"
 	"simany/internal/vtime"
 )
 
@@ -101,6 +102,9 @@ type Shared struct {
 	// L1 speed is proportional to core speed; the UNISIM reference keeps
 	// L1 speed constant (§VI explains the resulting offset in Fig. 6).
 	ScaleL1WithSpeed bool
+
+	l1  cache.Counts
+	dir cache.DirCounts // with Dir only
 }
 
 // NewShared returns the paper's default shared-memory configuration.
@@ -122,7 +126,10 @@ func (s *Shared) WithCoherence() *Shared {
 	return s
 }
 
-var _ core.MemSystem = (*Shared)(nil)
+var (
+	_ core.MemSystem  = (*Shared)(nil)
+	_ core.MeteredMem = (*Shared)(nil)
+)
 
 // ShardSafe implements core.ShardSafeMem: without a coherence directory,
 // Access only touches the accessing core's private L1. The directory is
@@ -130,9 +137,19 @@ var _ core.MemSystem = (*Shared)(nil)
 // engine.
 func (s *Shared) ShardSafe() bool { return s.Dir == nil }
 
+// RegisterMetrics implements core.MeteredMem: the L1 hit and miss vectors,
+// and with a directory its invalidation and transfer counters.
+func (s *Shared) RegisterMetrics(reg *metrics.Registry, cores int) {
+	s.l1 = cache.NewCounts(reg, "l1", cores)
+	if s.Dir != nil {
+		s.dir = cache.NewDirCounts(reg)
+	}
+}
+
 // Access implements core.MemSystem.
 func (s *Shared) Access(c *core.Core, base uint64, n int64, elem int, write bool, now vtime.Time) vtime.Time {
 	hits, misses := c.L1().Range(base, n, elem)
+	s.l1.Add(c.ID, hits, misses)
 	hitLat := s.HitLat
 	if s.ScaleL1WithSpeed && c.Speed != 1.0 {
 		hitLat = hitLat.Scale(1.0 / c.Speed)
@@ -148,8 +165,9 @@ func (s *Shared) Access(c *core.Core, base uint64, n int64, elem int, write bool
 		} else {
 			o = s.Dir.RangeRead(c.ID, base, n, elem)
 		}
+		s.dir.Add(c.Kernel().ShardOf(c.ID), o)
 		d += s.InvLat * vtime.Time(o.Invalidations)
-		if o.Transfer {
+		if o.Transfers > 0 {
 			d += s.BankLat
 			if o.FromCore >= 0 {
 				d += c.Kernel().Network().MinLatency(o.FromCore, c.ID, cache.DefaultLineSize)
@@ -172,6 +190,8 @@ type Distributed struct {
 	LocalMemLat vtime.Time
 	// ScaleL1WithSpeed scales L1 latency with core speed as in Shared.
 	ScaleL1WithSpeed bool
+
+	l1, l2 cache.Counts
 }
 
 // NewDistributed returns the paper's distributed-memory configuration.
@@ -184,15 +204,26 @@ func NewDistributed() *Distributed {
 	}
 }
 
-var _ core.MemSystem = (*Distributed)(nil)
+var (
+	_ core.MemSystem  = (*Distributed)(nil)
+	_ core.MeteredMem = (*Distributed)(nil)
+)
 
 // ShardSafe implements core.ShardSafeMem: accesses only touch the
 // accessing core's private L1 and L2.
 func (m *Distributed) ShardSafe() bool { return true }
 
+// RegisterMetrics implements core.MeteredMem: the L1 and L2 hit and miss
+// vectors.
+func (m *Distributed) RegisterMetrics(reg *metrics.Registry, cores int) {
+	m.l1 = cache.NewCounts(reg, "l1", cores)
+	m.l2 = cache.NewCounts(reg, "l2", cores)
+}
+
 // Access implements core.MemSystem.
 func (m *Distributed) Access(c *core.Core, base uint64, n int64, elem int, write bool, now vtime.Time) vtime.Time {
 	hits, misses := c.L1().Range(base, n, elem)
+	m.l1.Add(c.ID, hits, misses)
 	hitLat := m.HitLat
 	if m.ScaleL1WithSpeed && c.Speed != 1.0 {
 		hitLat = hitLat.Scale(1.0 / c.Speed)
@@ -204,6 +235,7 @@ func (m *Distributed) Access(c *core.Core, base uint64, n int64, elem int, write
 	// L1 misses go to the private L2 at line granularity, charged as the
 	// first `misses` lines of the range (see cache.L2.AccessRange).
 	l2Hits, l2Misses := c.L2().AccessRange(base, misses)
+	m.l2.Add(c.ID, l2Hits, l2Misses)
 	d += (hitLat + m.L2Lat) * vtime.Time(l2Hits)
 	d += (hitLat + m.L2Lat + m.LocalMemLat) * vtime.Time(l2Misses)
 	return d

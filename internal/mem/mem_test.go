@@ -5,6 +5,7 @@ import (
 
 	"simany/internal/cache"
 	"simany/internal/core"
+	"simany/internal/metrics"
 	"simany/internal/topology"
 	"simany/internal/vtime"
 )
@@ -43,7 +44,7 @@ func measure(t *testing.T, k *core.Kernel, fn func(e *core.Env)) vtime.Time {
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return k.Core(0).Stats().MemTime
+	return memTime(k, 0)
 }
 
 func TestSharedHitMissLatency(t *testing.T) {
@@ -92,7 +93,7 @@ func TestSharedL1SpeedScaling(t *testing.T) {
 	}
 	// 6 hits at 2cy (scaled 1/0.5) + 2 misses at (2+10)cy.
 	want := 6*vtime.CyclesInt(2) + 2*(vtime.CyclesInt(2)+s.BankLat)
-	if got := k.Core(0).Stats().MemTime; got != want {
+	if got := memTime(k, 0); got != want {
 		t.Errorf("scaled L1 time = %v, want %v", got, want)
 	}
 
@@ -109,7 +110,7 @@ func TestSharedL1SpeedScaling(t *testing.T) {
 		t.Fatal(err)
 	}
 	want2 := 6*s2.HitLat + 2*(s2.HitLat+s2.BankLat)
-	if got := k2.Core(0).Stats().MemTime; got != want2 {
+	if got := memTime(k2, 0); got != want2 {
 		t.Errorf("unscaled L1 time = %v, want %v", got, want2)
 	}
 }
@@ -122,7 +123,7 @@ func TestSharedCoherenceCharged(t *testing.T) {
 	k.InjectTask(0, "reader", func(e *core.Env) {
 		e.EnterScope()
 		e.Read(0, 4, 8)
-		rdTime = k.Core(0).Stats().MemTime
+		rdTime = memTime(k, 0)
 		e.LeaveScope()
 	}, nil, 0)
 	k.InjectTask(1, "writer", func(e *core.Env) {
@@ -131,9 +132,9 @@ func TestSharedCoherenceCharged(t *testing.T) {
 		// compute to order them).
 		e.ComputeCycles(1000)
 		e.EnterScope()
-		before := k.Core(1).Stats().MemTime
+		before := memTime(k, 1)
 		e.Write(0, 4, 8)
-		wrTime = k.Core(1).Stats().MemTime - before
+		wrTime = memTime(k, 1) - before
 		e.LeaveScope()
 	}, nil, 0)
 	if _, err := k.Run(); err != nil {
@@ -190,8 +191,11 @@ func TestDistributedL2ChargesLeadingLines(t *testing.T) {
 	if !l2.Contains(0) || !l2.Contains(32) || l2.Contains(64) || l2.Contains(96) {
 		t.Error("L2 should hold lines 0,1 and not the lines 2,3 that missed L1")
 	}
-	if h, miss := l2.Stats(); h != 2 || miss != 2 {
-		t.Errorf("L2 stats = %d/%d, want 2/2", h, miss)
+	reg := k.Metrics()
+	h := reg.Vector("cache.l2.hit", metrics.UnitCount, 1).At(0)
+	miss := reg.Vector("cache.l2.miss", metrics.UnitCount, 1).At(0)
+	if h != 2 || miss != 2 {
+		t.Errorf("L2 counts = %d/%d, want 2/2", h, miss)
 	}
 }
 
@@ -283,4 +287,10 @@ func TestGetInvalidLinkPanics(t *testing.T) {
 		}
 	}()
 	st.Get(Link{})
+}
+
+// memTime returns core i's core.mem entry: the virtual time it spent in
+// memory accesses.
+func memTime(k *core.Kernel, i int) vtime.Time {
+	return vtime.Time(k.Metrics().Vector("core.mem", metrics.UnitTime, k.NumCores()).At(i))
 }

@@ -1,16 +1,22 @@
-// Package metrics is a registry of deterministic simulator counters and
-// histograms. Instruments are striped per execution shard: each shard
+// Package metrics is the simulator's one stats root: a registry of
+// deterministic counters, per-core vectors and histograms, owned by the
+// kernel, into which every component registers its instruments by dotted
+// name at construction (docs/observability.md lists the catalogue).
+//
+// Counters and histograms are striped per execution shard: each shard
 // worker writes only its own slot, so updates from concurrent shard rounds
-// need no locks and no atomics, and every aggregate the registry exposes
-// (sums, bucket counts, minima, maxima) is commutative — the merged
-// snapshot is bitwise identical no matter how many host threads drove the
-// shards or in which order stripes were filled.
+// need no locks and no atomics. A vector holds one unpadded entry per
+// core, written only by the worker driving that core's shard. Every
+// aggregate the registry exposes (sums, bucket counts, minima, maxima) is
+// commutative, so the merged snapshot is bitwise identical no matter how
+// many host threads drove the shards or in which order stripes were filled.
 //
 // The contract mirrors the sharded engine's (DESIGN.md "Parallel
-// execution"): within a round, shard s touches only stripe s; between
-// rounds the single-threaded barrier may touch any stripe. Instrument
-// creation (Registry.Counter / Registry.Histogram) is setup-time only —
-// call it before the simulation runs, never from shard workers.
+// execution"): within a round, shard s touches only stripe s and the
+// entries of its own cores; between rounds the single-threaded barrier may
+// touch any. Instrument creation (Registry.Counter, Registry.Vector,
+// Registry.Histogram) is setup-time only — call it before the simulation
+// runs, never from shard workers.
 package metrics
 
 import (
@@ -47,9 +53,6 @@ type Counter struct {
 	vals []slot
 }
 
-// Name returns the instrument name.
-func (c *Counter) Name() string { return c.name }
-
 // Add accumulates n into the shard's stripe. Only the worker driving
 // shard (or the single-threaded barrier) may call it.
 func (c *Counter) Add(shard int, n int64) { c.vals[shard].v += n }
@@ -58,9 +61,12 @@ func (c *Counter) Add(shard int, n int64) { c.vals[shard].v += n }
 func (c *Counter) Inc(shard int) { c.Add(shard, 1) }
 
 // AddTime accumulates a virtual-time duration.
-func (c *Counter) AddTime(shard int, d vtime.Time) {
-	//lint:allow rawvtime striped accumulation preserves the millicycle unit; snapshots render it back through vtime
-	c.Add(shard, int64(d))
+func (c *Counter) AddTime(shard int, d vtime.Time) { c.Add(shard, ticks(d)) }
+
+// ticks is the one place a duration leaves vtime for an accumulator.
+func ticks(d vtime.Time) int64 {
+	//lint:allow rawvtime accumulators keep the millicycle unit; snapshots render it back through vtime
+	return int64(d)
 }
 
 // Value returns the sum over all stripes.
@@ -82,45 +88,44 @@ func (c *Counter) PerShard() []int64 {
 	return out
 }
 
-// Striped is a bare set of cache-line-padded per-stripe int64 accumulators
-// for components that keep their own instruments outside a Registry (the
-// network model's message/hop/byte totals). It follows the same write
-// discipline as every registry instrument — stripe s is written only by
-// the worker driving shard s, or by the single-threaded barrier — and the
-// only aggregate it exposes is the commutative sum, so merged totals are
-// identical at every worker count. Sum is single-threaded-context only
-// (after the run, or at a barrier).
-type Striped struct {
-	vals []slot
+// Vector is a per-core counter: one unpadded int64 per core, indexed by
+// core ID. Only the worker driving a core's shard (or the single-threaded
+// barrier) writes the core's entry, so it needs no stripes and no atomics.
+type Vector struct {
+	name string //simany:derived registry key, written by the registry as the instrument's key
+	unit Unit   //simany:derived immutable instrument configuration
+	vals []int64
 }
 
-// NewStriped returns an accumulator with n stripes (minimum 1).
-func NewStriped(n int) *Striped {
-	if n < 1 {
-		n = 1
+// Add accumulates n into core i's entry.
+func (v *Vector) Add(i int, n int64) { v.vals[i] += n }
+
+// Inc adds one to core i's entry.
+func (v *Vector) Inc(i int) { v.vals[i]++ }
+
+// AddTime accumulates a virtual-time duration into core i's entry.
+func (v *Vector) AddTime(i int, d vtime.Time) { v.vals[i] += ticks(d) }
+
+// At returns core i's entry.
+func (v *Vector) At(i int) int64 { return v.vals[i] }
+
+// Sum returns the total over all cores.
+func (v *Vector) Sum() int64 {
+	var s int64
+	for _, x := range v.vals {
+		s += x
 	}
-	return &Striped{vals: make([]slot, n)}
+	return s
 }
 
-// Widen grows the accumulator to at least n stripes, preserving existing
-// stripe contents. Setup-time only.
-func (s *Striped) Widen(n int) {
-	for len(s.vals) < n {
-		s.vals = append(s.vals, slot{})
+// Max returns the largest entry and the lowest core index holding it.
+func (v *Vector) Max() (max int64, at int) {
+	for i, x := range v.vals {
+		if i == 0 || x > max {
+			max, at = x, i
+		}
 	}
-}
-
-// Add accumulates d into the given stripe. Only the worker driving that
-// stripe's shard (or the single-threaded barrier) may call it.
-func (s *Striped) Add(stripe int, d int64) { s.vals[stripe].v += d }
-
-// Sum returns the total over all stripes.
-func (s *Striped) Sum() int64 {
-	var t int64
-	for i := range s.vals {
-		t += s.vals[i].v
-	}
-	return t
+	return max, at
 }
 
 // histStripe is one shard's private histogram state.
@@ -141,9 +146,6 @@ type Histogram struct {
 	vals   []histStripe
 }
 
-// Name returns the instrument name.
-func (h *Histogram) Name() string { return h.name }
-
 // Observe records v into the shard's stripe. Only the worker driving
 // shard (or the single-threaded barrier) may call it.
 func (h *Histogram) Observe(shard int, v int64) {
@@ -161,10 +163,7 @@ func (h *Histogram) Observe(shard int, v int64) {
 }
 
 // ObserveTime records a virtual-time duration.
-func (h *Histogram) ObserveTime(shard int, d vtime.Time) {
-	//lint:allow rawvtime bucket bounds are in the same millicycle unit; snapshots render values back through vtime
-	h.Observe(shard, int64(d))
-}
+func (h *Histogram) ObserveTime(shard int, d vtime.Time) { h.Observe(shard, ticks(d)) }
 
 // DefaultTimeBounds returns the standard bucket edges for virtual-time
 // duration histograms: a coarse exponential ladder from sub-cycle to a
@@ -174,8 +173,7 @@ func DefaultTimeBounds() []int64 {
 		1_000, 2_000, 5_000, 10_000, 100_000, 1_000_000}
 	out := make([]int64, len(cycles))
 	for i, c := range cycles {
-		//lint:allow rawvtime bucket edges are fixed millicycle constants derived once at setup
-		out[i] = int64(vtime.CyclesInt(c))
+		out[i] = ticks(vtime.CyclesInt(c))
 	}
 	return out
 }
@@ -187,11 +185,13 @@ func DefaultCountBounds() []int64 {
 }
 
 // Registry holds named instruments. Creation is setup-time only; updates
-// follow the per-shard stripe discipline described in the package comment.
+// follow the per-shard discipline described in the package comment.
 type Registry struct {
 	shards   int //simany:derived stripe-count configuration fixed at construction
 	counters map[string]*Counter
-	hists    map[string]*Histogram
+	vectors  map[string]*Vector
+	//simany:derived observations, not state: a replay reproduces them and a checkpoint does not compare them
+	hists map[string]*Histogram
 }
 
 // New creates an empty registry with a single stripe (the sequential
@@ -201,6 +201,7 @@ func New() *Registry {
 	return &Registry{
 		shards:   1,
 		counters: make(map[string]*Counter),
+		vectors:  make(map[string]*Vector),
 		hists:    make(map[string]*Histogram),
 	}
 }
@@ -262,6 +263,17 @@ func (r *Registry) Counter(name string, unit Unit) *Counter {
 	return c
 }
 
+// Vector returns the per-core vector with the given name, creating it with
+// n zero entries on first use. Setup-time only.
+func (r *Registry) Vector(name string, unit Unit, n int) *Vector {
+	if v, ok := r.vectors[name]; ok {
+		return v
+	}
+	v := &Vector{name: name, unit: unit, vals: make([]int64, n)}
+	r.vectors[name] = v
+	return v
+}
+
 // Histogram returns the histogram with the given name, creating it with
 // the given bucket bounds on first use. Setup-time only.
 func (r *Registry) Histogram(name string, unit Unit, bounds []int64) *Histogram {
@@ -287,6 +299,16 @@ type CounterSnap struct {
 	PerShard []int64
 }
 
+// VectorSnap is one vector's merged state: the total over all cores and
+// the busiest core (the lowest index among equals).
+type VectorSnap struct {
+	Name  string
+	Unit  Unit
+	Total int64
+	Max   int64
+	MaxAt int
+}
+
 // Bucket is one merged histogram bucket; UpperBound == math.MaxInt64 marks
 // the overflow bucket.
 type Bucket struct {
@@ -309,6 +331,7 @@ type HistSnap struct {
 // sorted by name.
 type Snapshot struct {
 	Counters   []CounterSnap
+	Vectors    []VectorSnap
 	Histograms []HistSnap
 }
 
@@ -317,23 +340,20 @@ type Snapshot struct {
 // so the result depends only on the observations, never on stripe order.
 func (r *Registry) Snapshot() Snapshot {
 	var s Snapshot
-	names := make([]string, 0, len(r.counters))
-	for name := range r.counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedKeys(r.counters) {
 		c := r.counters[name]
 		s.Counters = append(s.Counters, CounterSnap{
 			Name: c.name, Unit: c.unit, Value: c.Value(), PerShard: c.PerShard(),
 		})
 	}
-	names = names[:0]
-	for name := range r.hists {
-		names = append(names, name)
+	for _, name := range sortedKeys(r.vectors) {
+		v := r.vectors[name]
+		max, at := v.Max()
+		s.Vectors = append(s.Vectors, VectorSnap{
+			Name: v.name, Unit: v.unit, Total: v.Sum(), Max: max, MaxAt: at,
+		})
 	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedKeys(r.hists) {
 		h := r.hists[name]
 		hs := HistSnap{Name: h.name, Unit: h.unit, Min: math.MaxInt64, Max: math.MinInt64}
 		hs.Buckets = make([]Bucket, len(h.bounds)+1)
@@ -378,7 +398,8 @@ func fmtVal(v int64, u Unit) string {
 }
 
 // WriteText dumps the snapshot as aligned plain text: one line per
-// counter, then each histogram with its non-empty buckets.
+// counter, one per vector (its total and busiest core), then each
+// histogram with its non-empty buckets.
 func (s Snapshot) WriteText(w io.Writer) error {
 	for _, c := range s.Counters {
 		if _, err := fmt.Fprintf(w, "%-28s %14s", c.Name, fmtVal(c.Value, c.Unit)); err != nil {
@@ -402,6 +423,12 @@ func (s Snapshot) WriteText(w io.Writer) error {
 			}
 		}
 		if _, err := fmt.Fprintln(w); err != nil {
+			return err
+		}
+	}
+	for _, v := range s.Vectors {
+		if _, err := fmt.Fprintf(w, "%-28s %14s  max %s (core %d)\n",
+			v.Name, fmtVal(v.Total, v.Unit), fmtVal(v.Max, v.Unit), v.MaxAt); err != nil {
 			return err
 		}
 	}

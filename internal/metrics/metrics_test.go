@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"simany/internal/snap"
 	"simany/internal/vtime"
 )
 
@@ -108,14 +109,60 @@ func TestWriteText(t *testing.T) {
 	r.Counter("stall.time", UnitTime).AddTime(0, vtime.CyclesInt(7))
 	h := r.Histogram("lat", UnitTime, DefaultTimeBounds())
 	h.ObserveTime(0, vtime.CyclesInt(3))
+	r.Vector("core.starts", UnitCount, 3).Add(2, 9)
 	var buf bytes.Buffer
 	if err := r.WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"net.msgs", "42", "stall.time", "per-shard", "lat", "count=1"} {
+	for _, want := range []string{"net.msgs", "42", "stall.time", "per-shard", "lat", "count=1", "max 9 (core 2)"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestVectorAndEncodeState: a vector's total and busiest core (the lowest
+// index among equals), and the encoded state — counters and vectors in
+// name order whatever the creation order, histograms and omitted counters
+// left out.
+func TestVectorAndEncodeState(t *testing.T) {
+	build := func(reverse bool) ([]byte, *Vector, *Counter) {
+		r := New()
+		var v *Vector
+		var c *Counter
+		if reverse {
+			c = r.Counter("b.skip", UnitCount)
+			v = r.Vector("a.vec", UnitTime, 4)
+		} else {
+			v = r.Vector("a.vec", UnitTime, 4)
+			c = r.Counter("b.skip", UnitCount)
+		}
+		r.Counter("c.kept", UnitCount).Inc(0)
+		r.Histogram("d.hist", UnitCount, DefaultCountBounds()).Observe(0, 3)
+		v.Inc(1)
+		v.AddTime(3, vtime.CyclesInt(2))
+		v.Add(1, 1999)
+		c.Add(0, 5)
+		enc := snap.NewEncoder()
+		r.EncodeState(enc, c)
+		return enc.Bytes(), v, c
+	}
+	state, v, _ := build(false)
+	if sum := v.Sum(); sum != 4000 {
+		t.Errorf("Sum = %d, want 4000", sum)
+	}
+	if max, at := v.Max(); max != 2000 || at != 1 {
+		t.Errorf("Max = %d at %d, want 2000 at the lower of cores 1 and 3", max, at)
+	}
+	reversed, _, _ := build(true)
+	if !bytes.Equal(state, reversed) {
+		t.Error("encoded state depends on creation order")
+	}
+	if bytes.Contains(state, []byte("b.skip")) || bytes.Contains(state, []byte("d.hist")) {
+		t.Error("encoded state holds an omitted counter or a histogram")
+	}
+	if !bytes.Contains(state, []byte("a.vec")) || !bytes.Contains(state, []byte("c.kept")) {
+		t.Error("encoded state misses a vector or a counter")
 	}
 }

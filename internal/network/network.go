@@ -101,24 +101,19 @@ type Model struct {
 	// of src (or by the single-threaded barrier).
 	lastArrival [][][]vtime.Time
 
-	// srcSeq[src] counts the messages emitted by src. Like lastArrival it
-	// is only advanced from src's own execution context, so Message.Seq
-	// values are deterministic at every worker count — unlike the global
-	// atomic they replace, whose assignment order depended on how shard
-	// workers interleaved.
-	srcSeq []uint64
-
-	// The statistics are striped per execution shard (internal/metrics
-	// discipline): during a round, Send only runs on behalf of sources
-	// owned by the executing shard, so each worker writes its own stripe
-	// and no counter is ever contended. The totals are commutative sums —
-	// identical at every worker count — and are read (Stats) only from
-	// single-threaded context.
-	//simany:derived stripe map, recomputed from the kernel partition on attach
-	stripeOf  []int // node -> stripe; nil = everything on stripe 0
-	messages  *metrics.Striped
-	totalHops *metrics.Striped
-	bytes     *metrics.Striped
+	// The counters live in the registry the model was built in. msgs
+	// (net.msgs) counts the messages each source emitted: the one message
+	// count, and the per-source index Message.Seq encodes. Like
+	// lastArrival, a source's entry is only advanced from its own
+	// execution context, so Seq values are deterministic at every worker
+	// count. hops and bytes (net.hops, net.bytes) are striped by the
+	// source's shard: during a round, Send only runs on behalf of sources
+	// owned by the executing shard, so no stripe is ever contended.
+	msgs  *metrics.Vector  //simany:derived alias into the registry, whose section encodes it
+	hops  *metrics.Counter //simany:derived alias into the registry, whose section encodes it
+	bytes *metrics.Counter //simany:derived alias into the registry, whose section encodes it
+	//simany:derived stripe map, the kernel partition handed to NewIn
+	stripeOf []int // node -> stripe; nil = everything on stripe 0
 
 	// obs, when non-nil, receives fine-grain timing observations from
 	// Send. Install it before the simulation runs.
@@ -140,9 +135,17 @@ type Observer interface {
 	LinkWait(node, nbIdx int, wait vtime.Time)
 }
 
-// New builds a network model over a topology. It panics if the topology is
-// disconnected, since every core must be reachable.
+// New builds a network model over a topology, counting into a registry of
+// its own with one stripe. It panics if the topology is disconnected,
+// since every core must be reachable.
 func New(t *topology.Topology, p Params) *Model {
+	return NewIn(metrics.New(), nil, t, p)
+}
+
+// NewIn is New registering the model's counters in reg (setup time): hops
+// and bytes are striped by stripeOf[src], the shard owning the source
+// (nil puts everything on stripe 0).
+func NewIn(reg *metrics.Registry, stripeOf []int, t *topology.Topology, p Params) *Model {
 	if !t.Connected() {
 		panic("network: topology is disconnected")
 	}
@@ -157,10 +160,10 @@ func New(t *topology.Topology, p Params) *Model {
 		nbBW:        make([][]int, n),
 		nbFree:      make([][]vtime.Time, n),
 		lastArrival: make([][][]vtime.Time, n),
-		srcSeq:      make([]uint64, n),
-		messages:    metrics.NewStriped(1),
-		totalHops:   metrics.NewStriped(1),
-		bytes:       metrics.NewStriped(1),
+		msgs:        reg.Vector("net.msgs", metrics.UnitCount, n),
+		hops:        reg.Counter("net.hops", metrics.UnitCount),
+		bytes:       reg.Counter("net.bytes", metrics.UnitCount),
+		stripeOf:    stripeOf,
 	}
 	flatFree := make([]vtime.Time, t.NumLinks())
 	off := 0
@@ -488,13 +491,12 @@ func (m *Model) Transmit(msg *Message) {
 	// through the model's slices could otherwise alias *msg and force a
 	// reload at every hop.
 	src, dst := msg.Src, msg.Dst
-	m.srcSeq[src]++
-	msg.seq = m.srcSeq[src]*uint64(len(m.srcSeq)) + uint64(src)
+	m.msgs.Inc(src)
+	msg.seq = uint64(m.msgs.At(src))*uint64(m.topo.N()) + uint64(src)
 	stripe := 0
 	if m.stripeOf != nil {
 		stripe = m.stripeOf[src]
 	}
-	m.messages.Add(stripe, 1)
 	m.bytes.Add(stripe, int64(msg.Size))
 	if src == dst {
 		msg.Arrival = msg.Stamp
@@ -518,7 +520,7 @@ func (m *Model) Transmit(msg *Message) {
 		cur = next
 	}
 	msg.Hops = hops
-	m.totalHops.Add(stripe, int64(hops))
+	m.hops.Add(stripe, int64(hops))
 	// FIFO guarantee per (src,dst): arrivals never reorder. The clamp page
 	// table is allocated on the source's first send, each destination page
 	// on first use, and both are owned by the source's shard.
@@ -552,29 +554,15 @@ const laPageSize = 512
 // Numeric order across different sources is not meaningful.
 func (msg Message) Seq() uint64 { return msg.seq }
 
-// SetStripes partitions the statistics counters into one stripe per
-// execution shard, with stripeOf mapping each node to the shard owning it
-// (nil keeps everything on stripe 0). The kernel calls it once at
-// construction; existing counts are preserved.
-func (m *Model) SetStripes(n int, stripeOf []int) {
-	if stripeOf != nil && len(stripeOf) != m.topo.N() {
-		panic("network: stripe map length must match node count")
-	}
-	m.messages.Widen(n)
-	m.totalHops.Widen(n)
-	m.bytes.Widen(n)
-	m.stripeOf = stripeOf
-}
-
 // SetObserver installs (or removes, with nil) the timing observer. Call
 // before the simulation starts; the field is read on every Send.
 func (m *Model) SetObserver(o Observer) { m.obs = o }
 
-// Stats reports cumulative message count, hop count and payload bytes by
-// summing the per-shard stripes. Call from a single-threaded context (the
-// barrier, or after Run returns) — stripes are not synchronized.
+// Stats reports the cumulative message count, hop count and payload bytes
+// from the model's counters in its registry. Call from a single-threaded
+// context (the barrier, or after Run returns).
 func (m *Model) Stats() (messages, hops, bytes int64) {
-	return m.messages.Sum(), m.totalHops.Sum(), m.bytes.Sum()
+	return m.msgs.Sum(), m.hops.Value(), m.bytes.Value()
 }
 
 // RouteWithin reports whether the route from src to dst stays entirely

@@ -1,8 +1,6 @@
 package rt
 
 import (
-	"sync/atomic"
-
 	"simany/internal/core"
 	"simany/internal/mem"
 	"simany/internal/network"
@@ -114,7 +112,7 @@ func (r *Runtime) acquireSeq(e *core.Env, cell *mem.Cell, l mem.Link) {
 			continue // ownership raced away; retry
 		}
 		// Remote: request the data from the current owner.
-		atomic.AddInt64(&r.stats.DataReqs, 1)
+		r.count(r.ctr.dataReqs, me)
 		e.Send(cell.Owner(), KindDataRequest, r.opt.DataReqSize,
 			&dataReq{link: l, requester: e.Task(), reqCore: me})
 		e.Block()
@@ -142,7 +140,7 @@ func (r *Runtime) acquireSharded(e *core.Env, cell *mem.Cell, l mem.Link) {
 			// Claim now; move the data at the barrier — the current
 			// owner's L2 may belong to another shard.
 			cell.Lock(t.ID)
-			atomic.AddInt64(&r.stats.DataReqs, 1)
+			r.count(r.ctr.dataReqs, me)
 			from := cell.Owner()
 			r.k.Defer(me, now, func() {
 				r.transferSharded(cell, l, from, me, t, now)
@@ -150,7 +148,7 @@ func (r *Runtime) acquireSharded(e *core.Env, cell *mem.Cell, l mem.Link) {
 			e.Block()
 		}
 	} else {
-		atomic.AddInt64(&r.stats.DataReqs, 1)
+		r.count(r.ctr.dataReqs, me)
 		r.k.Defer(me, now, func() { r.arbitrateSharded(cell, l, t, me, now) })
 		e.Block()
 	}
@@ -252,7 +250,7 @@ func (r *Runtime) onDataRequest(k *core.Kernel, msg network.Message) {
 	here := msg.Dst
 	if cell.Owner() != here {
 		// The cell moved: chase it.
-		atomic.AddInt64(&r.stats.DataChases, 1)
+		r.count(r.ctr.dataChases, here)
 		k.SendAt(here, cell.Owner(), KindDataRequest, msg.Size, req,
 			msg.Arrival+r.opt.DataHandleCost)
 		return

@@ -1,8 +1,6 @@
 package rt
 
 import (
-	"sync/atomic"
-
 	"simany/internal/core"
 	"simany/internal/network"
 	"simany/internal/vtime"
@@ -104,7 +102,7 @@ func (r *Runtime) Join(e *core.Env, g *Group) {
 		}
 		g.joiner = e.Task()
 		g.waiting = true
-		atomic.AddInt64(&r.stats.JoinWaits, 1)
+		r.count(r.ctr.joinWaits, me)
 		e.Block()
 		g.waiting = false
 		g.joiner = nil
@@ -113,7 +111,7 @@ func (r *Runtime) Join(e *core.Env, g *Group) {
 	// Foreign-shard joiner: the counter check must happen in home context.
 	t := e.Task()
 	now := e.Now()
-	atomic.AddInt64(&r.stats.JoinWaits, 1)
+	r.count(r.ctr.joinWaits, me)
 	r.k.Defer(me, now, func() {
 		if g.active == 0 {
 			at := now

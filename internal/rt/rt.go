@@ -25,10 +25,9 @@
 package rt
 
 import (
-	"sync/atomic"
-
 	"simany/internal/core"
 	"simany/internal/mem"
+	"simany/internal/metrics"
 	"simany/internal/network"
 	"simany/internal/vtime"
 )
@@ -86,9 +85,8 @@ func DefaultOptions() Options {
 	}
 }
 
-// Stats aggregates runtime counters. The fields are updated atomically:
-// they are commutative sums shared by all shard workers, so their final
-// values stay deterministic.
+// Stats is a copy of the runtime's counters, which live in the kernel's
+// registry under rt.* (see counters).
 type Stats struct {
 	Spawns     int64 // tasks shipped to another core
 	Probes     int64 // PROBE messages sent
@@ -117,8 +115,32 @@ type Runtime struct {
 	reservations []int   // outstanding accepted probes per core
 	rr           []int   // round-robin candidate cursor per core
 
-	stats Stats
+	ctr counters //simany:derived aliases into the kernel's registry, whose section encodes them
 }
+
+// counters are the runtime's counters in the kernel's registry, striped by
+// the shard of the core in whose context each event happens (count).
+type counters struct {
+	spawns, probes, denied, localRuns, migrations, dataReqs, dataChases, joinWaits *metrics.Counter
+}
+
+func newCounters(reg *metrics.Registry) counters {
+	c := func(name string) *metrics.Counter { return reg.Counter(name, metrics.UnitCount) }
+	return counters{
+		spawns:     c("rt.spawns"),
+		probes:     c("rt.probes"),
+		denied:     c("rt.denied"),
+		localRuns:  c("rt.local.runs"),
+		migrations: c("rt.migrations"),
+		dataReqs:   c("rt.data.reqs"),
+		dataChases: c("rt.data.chases"),
+		joinWaits:  c("rt.join.waits"),
+	}
+}
+
+// count adds one event that happened in core's context to c, on the
+// stripe of core's shard.
+func (r *Runtime) count(c *metrics.Counter, core int) { c.Inc(r.k.ShardOf(core)) }
 
 // taskMeta is the runtime's per-task state, carried in core.Task.Meta. It
 // is the one allocation a spawn makes: the body and group every task runs
@@ -196,6 +218,7 @@ func New(k *core.Kernel, alloc *mem.Allocator, opt Options) *Runtime {
 		nbs:          make([][]int, n),
 		reservations: make([]int, n),
 		rr:           make([]int, n),
+		ctr:          newCounters(k.Metrics()),
 	}
 	// The per-core occupancy proxies are views into one flat backing array
 	// (one int per directed link) rather than n separate slices — at 100k
@@ -250,17 +273,19 @@ func (r *Runtime) runAt(me, home int, stamp vtime.Time, fn func()) {
 // Alloc returns the shared address allocator.
 func (r *Runtime) Alloc() *mem.Allocator { return r.alloc }
 
-// Stats returns a copy of the runtime counters.
+// Stats returns a copy of the runtime counters. Call from a
+// single-threaded context (after Run returns).
 func (r *Runtime) Stats() Stats {
+	c := &r.ctr
 	return Stats{
-		Spawns:     atomic.LoadInt64(&r.stats.Spawns),
-		Probes:     atomic.LoadInt64(&r.stats.Probes),
-		Denied:     atomic.LoadInt64(&r.stats.Denied),
-		LocalRuns:  atomic.LoadInt64(&r.stats.LocalRuns),
-		Migrations: atomic.LoadInt64(&r.stats.Migrations),
-		DataReqs:   atomic.LoadInt64(&r.stats.DataReqs),
-		DataChases: atomic.LoadInt64(&r.stats.DataChases),
-		JoinWaits:  atomic.LoadInt64(&r.stats.JoinWaits),
+		Spawns:     c.spawns.Value(),
+		Probes:     c.probes.Value(),
+		Denied:     c.denied.Value(),
+		LocalRuns:  c.localRuns.Value(),
+		Migrations: c.migrations.Value(),
+		DataReqs:   c.dataReqs.Value(),
+		DataChases: c.dataChases.Value(),
+		JoinWaits:  c.joinWaits.Value(),
 	}
 }
 
@@ -320,11 +345,11 @@ func (r *Runtime) SpawnOrRun(e *core.Env, g *Group, name string, argBytes int, f
 	if cand < 0 {
 		// Proxy check only: cheap, no traffic.
 		e.ComputeCycles(2)
-		atomic.AddInt64(&r.stats.LocalRuns, 1)
+		r.count(r.ctr.localRuns, me)
 		r.runInline(e, fn)
 		return false
 	}
-	atomic.AddInt64(&r.stats.Probes, 1)
+	r.count(r.ctr.probes, me)
 	meta := metaOf(e.Task())
 	e.Send(cand, KindProbe, r.opt.ProbeSize, e.Task())
 	e.Block()
@@ -336,8 +361,8 @@ func (r *Runtime) SpawnOrRun(e *core.Env, g *Group, name string, argBytes int, f
 	fromIdx := r.nbIndex(me, rep.from)
 	r.occ[me][fromIdx] = rep.queueLen
 	if !rep.ok {
-		atomic.AddInt64(&r.stats.Denied, 1)
-		atomic.AddInt64(&r.stats.LocalRuns, 1)
+		r.count(r.ctr.denied, me)
+		r.count(r.ctr.localRuns, me)
 		r.runInline(e, fn)
 		return false
 	}
@@ -352,7 +377,7 @@ func (r *Runtime) SpawnOrRun(e *core.Env, g *Group, name string, argBytes int, f
 	r.k.RegisterBirth(owner, child, birth)
 	r.occ[me][fromIdx] = rep.queueLen + 1
 	e.Send(cand, KindTaskSpawn, r.opt.SpawnBaseSize+argBytes, child)
-	atomic.AddInt64(&r.stats.Spawns, 1)
+	r.count(r.ctr.spawns, me)
 	return true
 }
 
@@ -414,7 +439,7 @@ func (r *Runtime) onTaskSpawn(k *core.Kernel, msg network.Message) {
 		}
 		if best >= 0 {
 			sm.hops++
-			atomic.AddInt64(&r.stats.Migrations, 1)
+			r.count(r.ctr.migrations, dst)
 			k.SendAt(dst, best, KindTaskSpawn, msg.Size, task,
 				msg.Arrival+r.opt.ProbeHandleCost)
 			return

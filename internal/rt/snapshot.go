@@ -1,8 +1,6 @@
 package rt
 
 import (
-	"sync/atomic"
-
 	"simany/internal/core"
 	"simany/internal/snap"
 )
@@ -14,9 +12,9 @@ import (
 //     are not serialized; restore re-executes them (core's verified
 //     replay), and these bytes are what the replayed state is compared to.
 //   - as the "rt" section: occupancy proxies, probe reservations,
-//     round-robin cursors, the runtime counters and the allocator/cell-
-//     store cursors — every piece of runtime state not reachable through a
-//     task.
+//     round-robin cursors and the allocator/cell-store cursors — every
+//     piece of runtime state not reachable through a task. The runtime
+//     counters are in the kernel registry's section.
 
 // taskCodec implements core.TaskCodec for the runtime.
 type taskCodec struct{}
@@ -62,8 +60,7 @@ func encodeMeta(enc *snap.Encoder, m *taskMeta) {
 
 // Snapshot implements snap.Snapshottable: the runtime state not reachable
 // through any task. Runs at a pause point — no workers executing — so
-// plain reads are safe; the counters still go through atomic loads to
-// mirror how they are written.
+// plain reads are safe.
 func (r *Runtime) Snapshot(enc *snap.Encoder) {
 	enc.Uvarint(uint64(len(r.occ)))
 	for _, row := range r.occ {
@@ -78,18 +75,8 @@ func (r *Runtime) Snapshot(enc *snap.Encoder) {
 	for _, v := range r.rr {
 		enc.Varint(int64(v))
 	}
-	for _, p := range r.statFields() {
-		enc.Varint(atomic.LoadInt64(p))
-	}
 	r.alloc.Snapshot(enc)
 	r.cells.Snapshot(enc)
-}
-
-// statFields lists the runtime counters in canonical order.
-func (r *Runtime) statFields() []*int64 {
-	s := &r.stats
-	return []*int64{&s.Spawns, &s.Probes, &s.Denied, &s.LocalRuns,
-		&s.Migrations, &s.DataReqs, &s.DataChases, &s.JoinWaits}
 }
 
 var _ core.TaskCodec = taskCodec{}

@@ -177,8 +177,11 @@ const (
 	// a per-core stall-wait counter nothing wrote, and its fingerprint no
 	// longer mixes the task-start and context-switch costs (constants of
 	// §V). Version 7 dropped the obs.* sections (trace sequence counters,
-	// metrics registry): the replay reproduces observability too.
-	Version = 7
+	// metrics registry): the replay reproduces observability too. Version
+	// 8 moved every counter out of the core, shard, rt, network and cache
+	// records into one "metrics" section, the root registry's counters
+	// and per-core vectors.
+	Version = 8
 )
 
 // Container is a parsed checkpoint file: the header fields plus the named

@@ -220,6 +220,15 @@ func TestContainerVersionMismatch(t *testing.T) {
 	if _, err := ReadContainer(bytes.NewReader(reseal(old6))); !errors.Is(err, ErrVersion) {
 		t.Errorf("version-6 file: got %v, want ErrVersion", err)
 	}
+
+	// A version-7 file keeps its counters inside the core, shard, rt,
+	// network and cache records and has no metrics section: it is refused
+	// by its version, not by a section error.
+	v7 := writeContainer(t, sampleContainer())
+	v7[len(magic)] = 7
+	if _, err := ReadContainer(bytes.NewReader(reseal(v7))); !errors.Is(err, ErrVersion) {
+		t.Errorf("version-7 file: got %v, want ErrVersion", err)
+	}
 }
 
 func TestContainerStructuralCorruption(t *testing.T) {
