@@ -31,11 +31,11 @@ func TestAllocsPerRunCeilings(t *testing.T) {
 	}{
 		// The tree rows halved when an rt spawn went from five allocations
 		// to one (old counts in parentheses).
-		{"tree/mesh8x8/seq", "mesh:8x8", 1, 0, 10330},                // measured 8608 (17245)
-		{"tree/mesh8x8/4shards", "mesh:8x8", 4, 0, 19927},            // measured 16589-16616 (28870-28904)
-		{"tree/chiplet1k/seq", "chiplet:8x8,4x4", 1, 0, 10331},       // measured 8608-8609 (17245-17251)
-		{"tree/chiplet1k/16shards", "chiplet:8x8,4x4", 16, 0, 10576}, // measured 8812-8818 (17363-17364)
-		{"sparse/64tasks", "chiplet:8x8,4x4", 0, 64, 1109},           // measured 924
+		{"tree/mesh8x8/seq", "mesh:8x8", 1, 0, 10136},                // measured 8446 (17245)
+		{"tree/mesh8x8/4shards", "mesh:8x8", 4, 0, 19812},            // measured 16496-16510 (28870-28904)
+		{"tree/chiplet1k/seq", "chiplet:8x8,4x4", 1, 0, 10137},       // measured 8446-8447 (17245-17251)
+		{"tree/chiplet1k/16shards", "chiplet:8x8,4x4", 16, 0, 10376}, // measured 8646 (17363-17364)
+		{"sparse/64tasks", "chiplet:8x8,4x4", 0, 64, 1109},           // measured 924-926
 		{"dense/1024tasks", "chiplet:8x8,4x4", 0, 1024, 17289},       // measured 14373-14407
 	} {
 		t.Run(tc.name, func(t *testing.T) {

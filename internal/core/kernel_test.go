@@ -403,7 +403,6 @@ func TestKernelSendZeroAllocSteadyState(t *testing.T) {
 			far := topo.N() - 1
 			var allocs float64
 			k.InjectTask(0, "pinger", func(e *Env) {
-				e.Send(far, kindPing, 8, e.Task()) // first sends allocate the FIFO clamp pages
 				allocs = testing.AllocsPerRun(200, func() {
 					e.Send(far, kindPing, 8, e.Task())
 				})

@@ -41,7 +41,7 @@ type kernelMetrics struct {
 	// for a busy link (the network's per-link next-free contention model).
 	linkWait *metrics.Histogram //simany:derived alias into the registry, set once by newKernelMetrics
 	// msgLatency is the end-to-end message latency distribution
-	// (arrival − emission stamp, including contention and FIFO clamping).
+	// (arrival − emission stamp, including link contention).
 	msgLatency *metrics.Histogram //simany:derived alias into the registry, set once by newKernelMetrics
 	// barriers counts shard rounds (= barrier merges) executed.
 	barriers *metrics.Counter //simany:derived alias into the registry, set once by newKernelMetrics

@@ -3,6 +3,7 @@ package core
 import (
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"simany/internal/metrics"
 	"simany/internal/network"
 	"simany/internal/topology"
+	"simany/internal/vtime"
 )
 
 const (
@@ -313,18 +315,23 @@ func TestStepAllocBudget(t *testing.T) {
 	}
 }
 
-// TestMessageSeqAcrossWorkers: Message.Seq must be a function of
-// (seed, shards) only — never of how many host threads drive the shards.
-// Handlers record the seq of every delivered message on its destination
-// (destination-owned state, race-free), and the per-destination streams
-// must be identical at every worker count.
+// TestMessageSeqAcrossWorkers: the message stream each destination sees
+// must be a function of (seed, shards) only — never of how many host
+// threads drive the shards. Handlers record every delivered message's
+// (Src, Stamp, Arrival) on its destination (destination-owned state,
+// race-free), and the per-destination streams must be identical at every
+// worker count.
 func TestMessageSeqAcrossWorkers(t *testing.T) {
-	run := func(workers int) [][]uint64 {
-		seqs := make([][]uint64, 16)
+	type delivery struct {
+		src            int
+		stamp, arrival vtime.Time
+	}
+	run := func(workers int) [][]delivery {
+		got := make([][]delivery, 16)
 		k := New(Config{Topo: topology.Mesh(16), Policy: Spatial{T: DefaultT},
 			Seed: 11, Shards: 4, Workers: workers})
 		k.Handle(kindOneWay, func(k *Kernel, msg network.Message) {
-			seqs[msg.Dst] = append(seqs[msg.Dst], msg.Seq())
+			got[msg.Dst] = append(got[msg.Dst], delivery{msg.Src, msg.Stamp, msg.Arrival})
 		})
 		for c := 0; c < 16; c++ {
 			c := c
@@ -339,7 +346,7 @@ func TestMessageSeqAcrossWorkers(t *testing.T) {
 		if _, err := k.Run(); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		return seqs
+		return got
 	}
 	base := run(1)
 	total := 0
@@ -352,26 +359,10 @@ func TestMessageSeqAcrossWorkers(t *testing.T) {
 	for _, w := range []int{2, 4} {
 		got := run(w)
 		for dst := range base {
-			if len(got[dst]) != len(base[dst]) {
-				t.Fatalf("workers=%d dst=%d: %d seqs vs %d", w, dst, len(got[dst]), len(base[dst]))
+			if !slices.Equal(got[dst], base[dst]) {
+				t.Fatalf("workers=%d dst=%d: stream %v != %v — deliveries depend on worker interleaving",
+					w, dst, got[dst], base[dst])
 			}
-			for i := range base[dst] {
-				if got[dst][i] != base[dst][i] {
-					t.Fatalf("workers=%d dst=%d msg %d: seq %d != %d — Seq depends on worker interleaving",
-						w, dst, i, got[dst][i], base[dst][i])
-				}
-			}
-		}
-	}
-	// A per-(src) stream must also stay strictly increasing per source at
-	// each destination pair — spot-check global uniqueness.
-	seen := make(map[uint64]bool)
-	for _, s := range base {
-		for _, v := range s {
-			if seen[v] {
-				t.Fatalf("seq %d assigned to two messages", v)
-			}
-			seen[v] = true
 		}
 	}
 }

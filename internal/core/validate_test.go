@@ -137,6 +137,15 @@ func TestValidateDetectsLazyCorruption(t *testing.T) {
 			// A barrier would never refresh the proxy of the dropped link.
 			d.border = append(d.border[:2:2], d.border[3:]...)
 		}, "border link 2 is not"},
+		{"idle-neighbour count off by one", func(k *Kernel, d *domain) {
+			// Core 5 sits between idle cores 4 and 6.
+			k.cores[5].idleNb++
+		}, "idle-neighbor count"},
+		{"extra border link listed", func(k *Kernel, d *domain) {
+			// Every listed link matches until the walk runs out of
+			// cross-shard links: only the count check sees the extra one.
+			d.border = append(d.border, d.border[0])
+		}, "border links listed"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			k, d := anchoredKernel(t)

@@ -7,9 +7,21 @@
 // next-free-time, as the paper highlights ("we do model contention on
 // individual links", §VII). Each hop additionally pays a routing penalty.
 //
-// The network guarantees that a core receives all messages coming from
-// another given core in the order that core sent them; only messages from
-// different senders may be processed out of order (§II.B).
+// # Per-pair FIFO
+//
+// A core receives the messages of another given core in the order that
+// core sent them; only messages from different senders may be handled out
+// of order (§II.B). The model guarantees this by construction, with no
+// per-pair state: a pair's route is fixed, and a link's next-free time
+// only grows. If an earlier send of the pair starts hop k at s_k and
+// occupies the link for o_k, a later send starts that hop at s'_k ≥ s_k +
+// o_k, since the link is busy until then. It leaves the hop at s'_k + o'_k
+// + lat_k + router, no earlier than the earlier send did, so the induction
+// carries to the next hop, and the later send arrives no earlier, whatever
+// either message's stamp or size. This needs the walks of one pair to be
+// totally ordered in host time, and on both engines they are: a route
+// inside one shard is only walked by that shard's worker, any other only
+// by the single-threaded barrier. FuzzPairFIFO pins the property.
 package network
 
 import (
@@ -35,11 +47,6 @@ type Message struct {
 	Stamp vtime.Time
 	// Arrival is the computed virtual arrival time at Dst.
 	Arrival vtime.Time
-	// Hops is the route length, recorded for statistics.
-	Hops int
-
-	// seq is the deterministic per-source emission index (see Seq).
-	seq uint64
 }
 
 // Params tunes the fine-grain network behaviour (§III "Architecture
@@ -89,26 +96,12 @@ type Model struct {
 	nbBW   [][]int        //simany:derived per-link bandwidth views into the topology, rebuilt by New
 	nbFree [][]vtime.Time
 
-	// lastArrival[src] is the FIFO clamp page table for source src:
-	// fixed-size pages indexed by destination, the table allocated on
-	// src's first send and each page on the first send into its
-	// destination block, so warm-path sends never touch the allocator.
-	// Paging matters at scale: a flat per-source array would cost
-	// n × 8 bytes per active source (0.8 MB each at 100k cores), while a
-	// source that only ever talks to its neighborhood touches a handful
-	// of 4 KB pages. It is indexed by source so that under sharded
-	// execution each page is only touched by the shard sending on behalf
-	// of src (or by the single-threaded barrier).
-	lastArrival [][][]vtime.Time
-
 	// The counters live in the registry the model was built in. msgs
 	// (net.msgs) counts the messages each source emitted: the one message
-	// count, and the per-source index Message.Seq encodes. Like
-	// lastArrival, a source's entry is only advanced from its own
-	// execution context, so Seq values are deterministic at every worker
-	// count. hops and bytes (net.hops, net.bytes) are striped by the
-	// source's shard: during a round, Send only runs on behalf of sources
-	// owned by the executing shard, so no stripe is ever contended.
+	// count, whose entry for a source is only advanced from that source's
+	// execution context. hops and bytes (net.hops, net.bytes) are striped
+	// by the source's shard: during a round, Send only runs on behalf of
+	// sources owned by the executing shard, so no stripe is ever contended.
 	msgs  *metrics.Vector  //simany:derived alias into the registry, whose section encodes it
 	hops  *metrics.Counter //simany:derived alias into the registry, whose section encodes it
 	bytes *metrics.Counter //simany:derived alias into the registry, whose section encodes it
@@ -154,16 +147,15 @@ func NewIn(reg *metrics.Registry, stripeOf []int, t *topology.Topology, p Params
 	}
 	n := t.N()
 	m := &Model{
-		topo:        t,
-		params:      p,
-		nbLat:       make([][]vtime.Time, n),
-		nbBW:        make([][]int, n),
-		nbFree:      make([][]vtime.Time, n),
-		lastArrival: make([][][]vtime.Time, n),
-		msgs:        reg.Vector("net.msgs", metrics.UnitCount, n),
-		hops:        reg.Counter("net.hops", metrics.UnitCount),
-		bytes:       reg.Counter("net.bytes", metrics.UnitCount),
-		stripeOf:    stripeOf,
+		topo:     t,
+		params:   p,
+		nbLat:    make([][]vtime.Time, n),
+		nbBW:     make([][]int, n),
+		nbFree:   make([][]vtime.Time, n),
+		msgs:     reg.Vector("net.msgs", metrics.UnitCount, n),
+		hops:     reg.Counter("net.hops", metrics.UnitCount),
+		bytes:    reg.Counter("net.bytes", metrics.UnitCount),
+		stripeOf: stripeOf,
 	}
 	flatFree := make([]vtime.Time, t.NumLinks())
 	off := 0
@@ -174,10 +166,14 @@ func NewIn(reg *metrics.Registry, stripeOf []int, t *topology.Topology, p Params
 		m.nbFree[node] = flatFree[off : off+deg : off+deg]
 		off += deg
 	}
+	// Dense next-hop tables: by BFS when every link has the same latency
+	// (hop count is then the metric), by Dijkstra otherwise.
 	if h := t.Hierarchy(); h != nil {
 		m.hier = newHierRouter(h)
+	} else if m.uniformLatency() {
+		m.next = m.bfsRoutes()
 	} else {
-		m.buildRoutes()
+		m.next = m.dijkstraRoutes()
 	}
 	return m
 }
@@ -259,46 +255,57 @@ func (m *Model) nbIndex(node, nb int) int {
 	panic("network: not a neighbor")
 }
 
-// buildRoutes computes shortest-latency next-hop tables with a Dijkstra
-// pass per destination (deterministic: ties broken toward the
-// lowest-numbered neighbor).
-func (m *Model) buildRoutes() {
-	n := m.topo.N()
-	m.next = make([][]int16, n)
+// newRouteTable returns an n × n next-hop table over one flat backing
+// array, every entry -1.
+func newRouteTable(n int) [][]int16 {
+	next := make([][]int16, n)
 	flat := make([]int16, n*n)
 	for i := range flat {
 		flat[i] = -1
 	}
-	for src := 0; src < n; src++ {
-		m.next[src] = flat[src*n : (src+1)*n : (src+1)*n]
+	for src := range next {
+		next[src] = flat[src*n : (src+1)*n : (src+1)*n]
 	}
-	if m.uniformLatency() {
-		// BFS fast path: with equal link latencies, hop count is the
-		// shortest-latency metric, and the FIFO queue visits nodes in
-		// non-decreasing distance with lowest-id parents winning ties.
-		queue := make([]int32, 0, n)
-		dist := make([]int32, n)
-		for dst := 0; dst < n; dst++ {
-			for i := range dist {
-				dist[i] = -1
-			}
-			dist[dst] = 0
-			queue = append(queue[:0], int32(dst))
-			for len(queue) > 0 {
-				node := int(queue[0])
-				queue = queue[1:]
-				for _, nb := range m.topo.Neighbors(node) {
-					if dist[nb] < 0 {
-						dist[nb] = dist[node] + 1
-						m.next[nb][dst] = int16(m.nbIndex(nb, node))
-						queue = append(queue, int32(nb))
-					}
+	return next
+}
+
+// bfsRoutes builds the next-hop table with one BFS per destination. The
+// FIFO queue visits nodes in non-decreasing hop distance, and each node
+// keeps the first-dequeued parent as its next hop. That is Dijkstra's
+// lowest-id tie-break on meshes and odd rings, but not on every shape: on
+// tori and even rings the two tables differ.
+func (m *Model) bfsRoutes() [][]int16 {
+	n := m.topo.N()
+	next := newRouteTable(n)
+	queue := make([]int32, 0, n)
+	dist := make([]int32, n)
+	for dst := 0; dst < n; dst++ {
+		for i := range dist {
+			dist[i] = -1
+		}
+		dist[dst] = 0
+		queue = append(queue[:0], int32(dst))
+		for len(queue) > 0 {
+			node := int(queue[0])
+			queue = queue[1:]
+			for _, nb := range m.topo.Neighbors(node) {
+				if dist[nb] < 0 {
+					dist[nb] = dist[node] + 1
+					next[nb][dst] = int16(m.nbIndex(nb, node))
+					queue = append(queue, int32(nb))
 				}
 			}
 		}
-		return
 	}
-	// Dijkstra per destination over the reversed (symmetric) graph.
+	return next
+}
+
+// dijkstraRoutes builds the next-hop table with one Dijkstra pass per
+// destination over the reversed (symmetric) graph; among equally short
+// routes the lowest-numbered next hop wins.
+func (m *Model) dijkstraRoutes() [][]int16 {
+	n := m.topo.N()
+	next := newRouteTable(n)
 	dist := make([]vtime.Time, n)
 	nextNode := make([]int32, n) // node id of chosen next hop, for ties
 	var pq nodeHeap
@@ -324,17 +331,18 @@ func (m *Model) buildRoutes() {
 					w = 1
 				}
 				nd := it.d + w
-				if nd < dist[nb] || (nd == dist[nb] && better(nextNode[nb], it.node)) {
+				if nd < dist[nb] || (nd == dist[nb] && (nextNode[nb] < 0 || int32(it.node) < nextNode[nb])) {
 					if nd < dist[nb] {
 						dist[nb] = nd
 						pq.push(nodeItem{node: nb, d: nd})
 					}
 					nextNode[nb] = int32(it.node)
-					m.next[nb][dst] = int16(m.nbIndex(nb, it.node))
+					next[nb][dst] = int16(m.nbIndex(nb, it.node))
 				}
 			}
 		}
 	}
+	return next
 }
 
 // uniformLatency reports whether every link has the same latency.
@@ -350,10 +358,6 @@ func (m *Model) uniformLatency() bool {
 		}
 	}
 	return true
-}
-
-func better(current int32, candidate int) bool {
-	return current < 0 || int32(candidate) < current
 }
 
 type nodeItem struct {
@@ -424,12 +428,6 @@ func (m *Model) AppendRoute(path []int, src, dst int) []int {
 	return path
 }
 
-// Route returns the full path from src to dst (inclusive of both ends) as
-// a fresh slice. Hot callers should use AppendRoute with a reused buffer.
-func (m *Model) Route(src, dst int) []int {
-	return m.AppendRoute(nil, src, dst)
-}
-
 // chunks returns the number of chunks a message of size bytes occupies.
 // The size is first clamped up to the MinSize header floor; the occupancy
 // is always at least one chunk, which only needs stating explicitly for
@@ -483,28 +481,28 @@ func (m *Model) Send(msg Message) Message {
 
 // Transmit routes msg in place: it computes the arrival time of a message
 // emitted at msg.Stamp from msg.Src to msg.Dst, updates link contention
-// state, and fills in Arrival, Hops and sequencing. Sending to self arrives
-// immediately. At steady state (every active source has sent at least once)
-// Transmit performs no heap allocation.
+// state, fills in Arrival and counts the route's hops in net.hops.
+// Sending to self arrives immediately. Arrivals of one (Src, Dst) pair
+// never decrease in the order the pair is routed, by construction (see the
+// package doc). Transmit performs no heap allocation.
 func (m *Model) Transmit(msg *Message) {
 	// The fields the walk reads live in locals: writes to link state
 	// through the model's slices could otherwise alias *msg and force a
 	// reload at every hop.
 	src, dst := msg.Src, msg.Dst
 	m.msgs.Inc(src)
-	msg.seq = uint64(m.msgs.At(src))*uint64(m.topo.N()) + uint64(src)
 	stripe := 0
 	if m.stripeOf != nil {
 		stripe = m.stripeOf[src]
 	}
 	m.bytes.Add(stripe, int64(msg.Size))
+	t := msg.Stamp
 	if src == dst {
-		msg.Arrival = msg.Stamp
+		msg.Arrival = t
 		return
 	}
-	t := msg.Stamp
 	ser := m.serOf(msg.Size)
-	hops := msg.Hops
+	hops := 0
 	w := m.walkFrom(src, dst)
 	for cur := src; cur != dst; hops++ {
 		j, next := w.hop(cur)
@@ -519,40 +517,9 @@ func (m *Model) Transmit(msg *Message) {
 		t = start + occupy + m.nbLat[cur][j] + m.params.RouterDelay
 		cur = next
 	}
-	msg.Hops = hops
 	m.hops.Add(stripe, int64(hops))
-	// FIFO guarantee per (src,dst): arrivals never reorder. The clamp page
-	// table is allocated on the source's first send, each destination page
-	// on first use, and both are owned by the source's shard.
-	tab := m.lastArrival[src]
-	if tab == nil {
-		tab = make([][]vtime.Time, (len(m.lastArrival)+laPageSize-1)/laPageSize)
-		m.lastArrival[src] = tab
-	}
-	page := tab[dst/laPageSize]
-	if page == nil {
-		page = make([]vtime.Time, laPageSize)
-		tab[dst/laPageSize] = page
-	}
-	slot := &page[dst%laPageSize]
-	if t < *slot {
-		t = *slot
-	}
-	*slot = t
 	msg.Arrival = t
 }
-
-// laPageSize is the FIFO clamp page granularity in destinations (4 KB
-// pages). It is part of the checkpoint encoding (snapshot.go).
-const laPageSize = 512
-
-// Seq returns the deterministic emission index of msg (valid after Send):
-// the per-source message count encoded with the source ID, so values are
-// unique across the machine, strictly increasing per source, and — because
-// each source's counter is only advanced from its own shard's execution
-// context — independent of how shard workers interleave on the host.
-// Numeric order across different sources is not meaningful.
-func (msg Message) Seq() uint64 { return msg.seq }
 
 // SetObserver installs (or removes, with nil) the timing observer. Call
 // before the simulation starts; the field is read on every Send.
@@ -582,23 +549,6 @@ func (m *Model) RouteWithin(src, dst int, part []int) bool {
 		}
 	}
 	return true
-}
-
-// Topology returns the underlying topology.
-func (m *Model) Topology() *topology.Topology { return m.topo }
-
-// Params returns the network parameters.
-func (m *Model) Params() Params { return m.params }
-
-// OneHopLatency returns the pure latency of the direct link between two
-// neighbors, without contention. It panics if a and b are not neighbors.
-func (m *Model) OneHopLatency(a, b int) vtime.Time {
-	for j, nb := range m.topo.Neighbors(a) {
-		if nb == b {
-			return m.nbLat[a][j]
-		}
-	}
-	panic(fmt.Sprintf("network: %d and %d are not neighbors", a, b))
 }
 
 // MinLatency returns the uncontended end-to-end latency from src to dst for

@@ -2,6 +2,7 @@ package network
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"simany/internal/topology"
@@ -15,7 +16,7 @@ func mesh4x4() *Model {
 func TestRouteShortest(t *testing.T) {
 	m := mesh4x4()
 	// 0 -> 15 must take 6 hops on a 4x4 mesh.
-	r := m.Route(0, 15)
+	r := m.AppendRoute(nil, 0, 15)
 	if len(r) != 7 {
 		t.Fatalf("route length = %d hops, want 6: %v", len(r)-1, r)
 	}
@@ -23,11 +24,11 @@ func TestRouteShortest(t *testing.T) {
 		t.Fatalf("route endpoints wrong: %v", r)
 	}
 	for i := 1; i < len(r); i++ {
-		if _, ok := m.Topology().LinkBetween(r[i-1], r[i]); !ok {
+		if _, ok := m.topo.LinkBetween(r[i-1], r[i]); !ok {
 			t.Fatalf("route uses non-link %d-%d", r[i-1], r[i])
 		}
 	}
-	if r2 := m.Route(5, 5); len(r2) != 1 {
+	if r2 := m.AppendRoute(nil, 5, 5); len(r2) != 1 {
 		t.Fatalf("self route = %v", r2)
 	}
 }
@@ -36,7 +37,7 @@ func TestRouteDeterministic(t *testing.T) {
 	a, b := mesh4x4(), mesh4x4()
 	for src := 0; src < 16; src++ {
 		for dst := 0; dst < 16; dst++ {
-			ra, rb := a.Route(src, dst), b.Route(src, dst)
+			ra, rb := a.AppendRoute(nil, src, dst), b.AppendRoute(nil, src, dst)
 			if len(ra) != len(rb) {
 				t.Fatalf("nondeterministic route %d->%d", src, dst)
 			}
@@ -49,11 +50,23 @@ func TestRouteDeterministic(t *testing.T) {
 	}
 }
 
+// TestBFSMatchesDijkstra: on meshes and odd rings the BFS fast path keeps
+// the same next hops as the Dijkstra tables and their lowest-id
+// tie-break. (Tori and even rings are known to differ; see bfsRoutes.)
+func TestBFSMatchesDijkstra(t *testing.T) {
+	for _, spec := range []string{"mesh:4x4", "mesh:8x8", "mesh:16x16", "mesh:5x3", "ring:9"} {
+		m := New(mustSpec(t, spec), DefaultParams())
+		if !slices.EqualFunc(m.bfsRoutes(), m.dijkstraRoutes(), slices.Equal[[]int16]) {
+			t.Errorf("%s: BFS and Dijkstra next-hop tables differ", spec)
+		}
+	}
+}
+
 func TestSendSelf(t *testing.T) {
 	m := mesh4x4()
 	msg := m.Send(Message{Src: 3, Dst: 3, Size: 64, Stamp: vtime.CyclesInt(100)})
-	if msg.Arrival != vtime.CyclesInt(100) || msg.Hops != 0 {
-		t.Errorf("self send arrival = %v hops = %d", msg.Arrival, msg.Hops)
+	if _, hops, _ := m.Stats(); msg.Arrival != vtime.CyclesInt(100) || hops != 0 {
+		t.Errorf("self send arrival = %v hops = %d", msg.Arrival, hops)
 	}
 }
 
@@ -66,8 +79,8 @@ func TestSendLatency(t *testing.T) {
 	if msg.Arrival != want {
 		t.Errorf("arrival = %v, want %v", msg.Arrival, want)
 	}
-	if msg.Hops != 1 {
-		t.Errorf("hops = %d", msg.Hops)
+	if r := m.AppendRoute(nil, 0, 1); len(r)-1 != 1 {
+		t.Errorf("route %v, want one hop", r)
 	}
 	// MinLatency must agree on an idle network.
 	if got := m.MinLatency(0, 1, 8); got != want {
@@ -123,18 +136,6 @@ func TestFIFOPerPair(t *testing.T) {
 	}
 }
 
-func TestSeqMonotonic(t *testing.T) {
-	m := mesh4x4()
-	var last uint64
-	for i := 0; i < 10; i++ {
-		msg := m.Send(Message{Src: 0, Dst: 1, Size: 8})
-		if msg.Seq() <= last {
-			t.Fatal("sequence numbers not strictly increasing")
-		}
-		last = msg.Seq()
-	}
-}
-
 func TestStats(t *testing.T) {
 	m := mesh4x4()
 	m.Send(Message{Src: 0, Dst: 15, Size: 100, Stamp: 0})
@@ -146,19 +147,6 @@ func TestStats(t *testing.T) {
 	if hops != 6+1 {
 		t.Errorf("hops = %d, want 7", hops)
 	}
-}
-
-func TestOneHopLatency(t *testing.T) {
-	m := mesh4x4()
-	if m.OneHopLatency(0, 1) != vtime.CyclesInt(1) {
-		t.Error("wrong one-hop latency")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for non-neighbors")
-		}
-	}()
-	m.OneHopLatency(0, 15)
 }
 
 func TestDisconnectedPanics(t *testing.T) {
@@ -177,7 +165,7 @@ func TestClusteredRoutesPreferCheapLinks(t *testing.T) {
 	// 0.5-cycle links only.
 	tp := topology.Clustered(16, topology.DefaultClusteredParams(4))
 	m := New(tp, DefaultParams())
-	r := m.Route(0, 3) // both in cluster 0 (cores 0..3)
+	r := m.AppendRoute(nil, 0, 3) // both in cluster 0 (cores 0..3)
 	for i := 1; i < len(r); i++ {
 		l, _ := tp.LinkBetween(r[i-1], r[i])
 		if l.Latency != vtime.Cycles(0.5) {
@@ -185,7 +173,7 @@ func TestClusteredRoutesPreferCheapLinks(t *testing.T) {
 		}
 	}
 	// Cross-cluster route must include exactly the needed inter links.
-	r = m.Route(0, 5) // cluster 0 to cluster 1
+	r = m.AppendRoute(nil, 0, 5) // cluster 0 to cluster 1
 	inter := 0
 	for i := 1; i < len(r); i++ {
 		l, _ := tp.LinkBetween(r[i-1], r[i])
@@ -225,6 +213,64 @@ func TestArrivalProperties(t *testing.T) {
 			last[pair] = msg.Arrival
 		}
 	}
+}
+
+// pairFIFOShapes are the machines FuzzPairFIFO draws from: the BFS route
+// tables (mesh), the Dijkstra tables over non-uniform latencies
+// (clustered), wrap-around routes (torus) and the hierarchical walker
+// (chiplet).
+var pairFIFOShapes = []string{"mesh:4x4", "clustered:4:16", "torus:6x6", "chiplet:4x4,2x2"}
+
+// FuzzPairFIFO pins per-pair FIFO, which the model guarantees by
+// construction rather than by a clamp (see the package doc): random
+// traffic, most of it on a few hot pairs so sends contend, with sizes of 1
+// to 2048 bytes and per-pair stamps that sometimes go backwards. Every
+// arrival is at or after its stamp, and each (src, dst) pair's arrivals
+// never decrease in send order.
+func FuzzPairFIFO(f *testing.F) {
+	for i := range pairFIFOShapes {
+		f.Add(int64(7+i), uint8(i))
+		f.Add(int64(100+i), uint8(i))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, shape uint8) {
+		spec := pairFIFOShapes[int(shape)%len(pairFIFOShapes)]
+		top, err := topology.ParseSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := New(top, DefaultParams())
+		n := top.N()
+		rng := rand.New(rand.NewSource(seed))
+		pair := func() [2]int {
+			src := rng.Intn(n)
+			return [2]int{src, (src + 1 + rng.Intn(n-1)) % n}
+		}
+		hot := make([][2]int, 8)
+		for i := range hot {
+			hot[i] = pair()
+		}
+		stamp := map[[2]int]vtime.Time{}
+		last := map[[2]int]vtime.Time{}
+		for i := 0; i < 2000; i++ {
+			p := hot[rng.Intn(len(hot))]
+			if rng.Intn(4) == 0 {
+				p = pair()
+			}
+			// Steps of -64 to +191 cycles: a pair's stamps mostly advance
+			// and sometimes go backwards.
+			st := max(0, stamp[p]+vtime.CyclesInt(int64(rng.Intn(256)-64)))
+			stamp[p] = st
+			msg := m.Send(Message{Src: p[0], Dst: p[1], Size: 1 + rng.Intn(2048), Stamp: st})
+			if msg.Arrival < st {
+				t.Fatalf("%s send %d %d->%d: arrival %v before stamp %v", spec, i, p[0], p[1], msg.Arrival, st)
+			}
+			if prev, ok := last[p]; ok && msg.Arrival < prev {
+				t.Fatalf("%s send %d %d->%d (size %d, stamp %v): arrival %v before the pair's previous %v",
+					spec, i, p[0], p[1], msg.Size, st, msg.Arrival, prev)
+			}
+			last[p] = msg.Arrival
+		}
+	})
 }
 
 func TestHeavyTrafficMakesLatency(t *testing.T) {
@@ -287,35 +333,9 @@ func TestObserverSeesLinkContention(t *testing.T) {
 	}
 }
 
-func TestSeqPerSourceStream(t *testing.T) {
-	m := mesh4x4()
-	// Interleave sends from several sources: each source's stream must stay
-	// strictly increasing, and values must never collide across sources
-	// (the encoding folds the source ID into the low digits).
-	seen := make(map[uint64]bool)
-	last := make(map[int]uint64)
-	for round := 0; round < 8; round++ {
-		for _, src := range []int{0, 5, 11} {
-			msg := m.Send(Message{Src: src, Dst: (src + 1) % 16, Size: 8})
-			if s := msg.Seq(); s <= last[src] {
-				t.Fatalf("src %d: seq %d not increasing after %d", src, s, last[src])
-			} else if seen[s] {
-				t.Fatalf("seq %d assigned twice", s)
-			} else {
-				seen[s] = true
-				last[src] = s
-			}
-		}
-	}
-}
-
 func TestSendZeroAllocSteadyState(t *testing.T) {
 	m := mesh4x4()
-	// Warm the per-source FIFO pages: the first send from a source
-	// allocates its clamp page, nothing after that may allocate.
-	for src := 0; src < 16; src++ {
-		m.Send(Message{Src: src, Dst: (src + 3) % 16, Size: 64})
-	}
+	// No warm-up: a source's first send allocates nothing either.
 	stamp := vtime.CyclesInt(1000)
 	allocs := testing.AllocsPerRun(200, func() {
 		for src := 0; src < 16; src++ {
@@ -330,19 +350,14 @@ func TestSendZeroAllocSteadyState(t *testing.T) {
 
 func TestAppendRouteReusesStorage(t *testing.T) {
 	m := mesh4x4()
-	// AppendRoute must extend the given slice in place and agree with Route.
+	// AppendRoute must extend the given slice in place and agree with a
+	// route built into fresh storage.
 	buf := make([]int, 0, 16)
 	for src := 0; src < 16; src++ {
 		for dst := 0; dst < 16; dst++ {
 			buf = m.AppendRoute(buf[:0], src, dst)
-			want := m.Route(src, dst)
-			if len(buf) != len(want) {
-				t.Fatalf("%d->%d: AppendRoute %v != Route %v", src, dst, buf, want)
-			}
-			for i := range buf {
-				if buf[i] != want[i] {
-					t.Fatalf("%d->%d: AppendRoute %v != Route %v", src, dst, buf, want)
-				}
+			if want := m.AppendRoute(nil, src, dst); !slices.Equal(buf, want) {
+				t.Fatalf("%d->%d: reused storage %v != fresh %v", src, dst, buf, want)
 			}
 		}
 	}

@@ -166,8 +166,9 @@ func (d *Decoder) String() (string, error) {
 const (
 	magic = "SIMANYCK"
 	// Version is the current checkpoint format version. Version 2 paged
-	// the network FIFO-clamp encoding by destination block (the flat
-	// per-source arrays of version 1 do not scale to 100k-core machines).
+	// the network's per-pair arrival-clamp encoding by destination block
+	// (the flat per-source arrays of version 1 do not scale to 100k-core
+	// machines).
 	// Version 3 dropped the header's restore-mode byte and the runtime's
 	// step-group registry: every file is restored by verified replay.
 	// Version 4 writes the L1/L2 cache-model contents as (lo, hi) line
@@ -180,8 +181,10 @@ const (
 	// metrics registry): the replay reproduces observability too. Version
 	// 8 moved every counter out of the core, shard, rt, network and cache
 	// records into one "metrics" section, the root registry's counters
-	// and per-core vectors.
-	Version = 8
+	// and per-core vectors. Version 9 dropped the arrival-clamp pages from
+	// the "network" record, which is now only the per-link next-free
+	// times: per-pair FIFO holds by construction (package network).
+	Version = 9
 )
 
 // Container is a parsed checkpoint file: the header fields plus the named

@@ -229,6 +229,15 @@ func TestContainerVersionMismatch(t *testing.T) {
 	if _, err := ReadContainer(bytes.NewReader(reseal(v7))); !errors.Is(err, ErrVersion) {
 		t.Errorf("version-7 file: got %v, want ErrVersion", err)
 	}
+
+	// A version-8 file's network record carries the arrival-clamp pages
+	// after the link next-free times: it is refused by its version, never
+	// decoded with the pages read as trailing bytes.
+	v8 := writeContainer(t, sampleContainer())
+	v8[len(magic)] = 8
+	if _, err := ReadContainer(bytes.NewReader(reseal(v8))); !errors.Is(err, ErrVersion) {
+		t.Errorf("version-8 file: got %v, want ErrVersion", err)
+	}
 }
 
 func TestContainerStructuralCorruption(t *testing.T) {
