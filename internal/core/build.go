@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"runtime"
 
-	"simany/internal/cache"
 	"simany/internal/metrics"
 	"simany/internal/network"
-	"simany/internal/rng"
 	"simany/internal/timing"
 	"simany/internal/topology"
 	"simany/internal/vtime"
@@ -78,13 +76,6 @@ func New(cfg Config) *Kernel {
 	if cfg.Policy == nil {
 		cfg.Policy = Spatial{T: DefaultT}
 	}
-	costs := timing.PPC405()
-	if cfg.Predict == nil {
-		rate := costs.PredictRate
-		cfg.Predict = func(coreID int, seed int64) timing.Predictor {
-			return timing.NewProbabilisticPredictor(rate, seed+int64(coreID))
-		}
-	}
 	if cfg.Mem == nil {
 		cfg.Mem = NullMem{}
 	}
@@ -103,16 +94,14 @@ func New(cfg Config) *Kernel {
 		maxSteps: cfg.MaxSteps,
 		tracer:   cfg.Tracer,
 		diam:     -2,
+		seed:     cfg.Seed,
+		costs:    timing.PPC405(),
+		predict:  cfg.Predict,
 	}
-	// Per-core state is carved out of flat backing arrays — the Core
-	// structs themselves and their timing machinery — so a 100k-core
-	// machine costs a handful of large allocations instead of ~6 heap
-	// objects per core.
+	// The Core structs are one flat backing array; their run state comes
+	// later, from per-domain chunks, for the cores that are used.
 	k.cores = make([]*Core, n)
 	backing := make([]Core, n)
-	timers := make([]timing.BlockTimer, n)
-	l1s := make([]cache.Scoped, n)
-	l2s := make([]cache.L2, n)
 	for i := 0; i < n; i++ {
 		speed := 1.0
 		if cfg.Speeds != nil {
@@ -124,24 +113,16 @@ func New(cfg Config) *Kernel {
 				panic("core: non-positive core speed")
 			}
 		}
-		timers[i] = *timing.NewBlockTimer(costs, cfg.Predict(i, cfg.Seed))
-		l1s[i] = *cache.NewScoped(cache.DefaultLineSize)
-		l2s[i] = *cache.NewL2(cache.DefaultLineSize)
-		c := &backing[i]
-		*c = Core{
-			ID:        i,
-			Speed:     speed,
-			k:         k,
-			idle:      true,
-			eff:       vtime.Inf,
-			neighbors: cfg.Topo.Neighbors(i),
-			timer:     &timers[i],
-			l1:        &l1s[i],
-			l2:        &l2s[i],
-			hpos:      [3]int32{-1, -1, -1},
-			rng:       *rng.New(splitmix64(uint64(cfg.Seed) ^ uint64(i))),
+		backing[i] = Core{
+			ID:    i,
+			Speed: speed,
+			k:     k,
+			idle:  true,
+			eff:   vtime.Inf,
+			links: [2]int32{int32(cfg.Topo.FirstLink(i)), int32(cfg.Topo.FirstLink(i) + cfg.Topo.Degree(i))},
+			hpos:  [3]int32{-1, -1, -1},
 		}
-		k.cores[i] = c
+		k.cores[i] = &backing[i]
 	}
 	k.setupEngine(cfg)
 	if m, ok := cfg.Mem.(MeteredMem); ok {

@@ -93,9 +93,10 @@ func TestChipletFingerprintCoversHierarchy(t *testing.T) {
 // at construction time (the spatial drift bound Diameter×T is meaningless
 // when the diameter is unbounded).
 func TestDisconnectedTopologyRejected(t *testing.T) {
-	disc := topology.New(4, "disc")
-	disc.AddLink(0, 1, vtime.CyclesInt(1), 128)
-	disc.AddLink(2, 3, vtime.CyclesInt(1), 128)
+	disc := topology.FromEdges(4, "disc", []topology.Edge{
+		{A: 0, B: 1, Lat: vtime.CyclesInt(1), BW: 128},
+		{A: 2, B: 3, Lat: vtime.CyclesInt(1), BW: 128},
+	})
 	if disc.Diameter() != -1 {
 		t.Fatalf("Diameter = %d, want -1 sentinel", disc.Diameter())
 	}

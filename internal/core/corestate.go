@@ -7,77 +7,107 @@ import (
 	"simany/internal/vtime"
 )
 
-// Core is the simulation state of one simulated processor core.
+// Core is the simulation state of one simulated processor core. Inline
+// is what picking and stepping read, the first 64 bytes holding what a
+// neighbor's pass reads; the rest is a runState allocated on the core's
+// first use, so a core that never runs a task costs one 128-byte struct.
 type Core struct {
-	// ID is the core index in the topology.
-	ID int
+	//simany:derived backpointer, rewired when domains are rebuilt
+	dom *domain // execution shard owning this core
+	//simany:derived effective-time cache, a function of the encoded clocks and idle flags (refreshEff)
+	eff vtime.Time // advertised effective time (vt when busy, shadow memo when idle; Inf when the policy does not relay)
+	// Effective-time state (efflazy.go): the memo epoch stamp that
+	// validates eff for an idle core and the BFS visited generation.
+	effStamp uint64     //simany:derived memo validity stamp vs domain.effEpoch, 0 = stale
+	effSeen  uint64     //simany:derived lazyFix visited marker vs domain.effGen, transient per BFS
+	vt       vtime.Time // current virtual time (meaningful while busy)
+	// links is the core's range of flat link indices (Kernel.neighbors):
+	// reading it here spares a neighbor pass a load from the topology's
+	// offsets, which a 10⁵-core machine does not keep in cache.
+	links   [2]int32 //simany:derived immutable topology offsets, set by New
+	idleNb  int32    //simany:derived count of idle same-domain neighbors, a function of the encoded idle flags (schedRebuild)
+	idle    bool     // no runnable or stalled resident task
+	current *Task    // task that yielded as stalled, resumed first
+
+	ID int // the core index in the topology
 	// Speed is the computing-power factor of the core (1.0 for base cores;
 	// the paper's polymorphic architectures use 0.5 and 1.5). Computation
 	// costs are divided by Speed.
 	//
 	//simany:derived immutable configuration, reinstated by New from Config
-	Speed float64
-
-	k *Kernel //simany:derived backpointer, wired by New
-	//simany:derived backpointer, rewired when domains are rebuilt
-	dom *domain // execution shard owning this core
-
-	// rng is the core's private random stream (seed ^ coreID splitmix):
-	// draws by simulated code stay deterministic regardless of how shards
-	// are scheduled on host threads. It is a serializable rng.Rand so its
-	// exact stream position survives a checkpoint/restore round trip.
-	// Embedded by value — one machine word — so 100k cores do not pay
-	// 100k separate heap objects for their streams.
-	rng rng.Rand
-
-	vt   vtime.Time // current virtual time (meaningful while busy)
-	idle bool
-	//simany:derived effective-time cache, a function of the encoded clocks and idle flags (refreshEff)
-	eff vtime.Time // advertised effective time (vt when busy, shadow memo when idle; Inf when the policy does not relay)
-
-	// Effective-time state (efflazy.go): the memo epoch stamp that
-	// validates eff for an idle core and the BFS visited generation.
-	effStamp uint64 //simany:derived memo validity stamp vs domain.effEpoch, 0 = stale
-	effSeen  uint64 //simany:derived lazyFix visited marker vs domain.effGen, transient per BFS
-	rnStamp  uint64 //simany:derived sticky stalled-runnable stamp vs domain.shapeEpoch (shard-local policies only), cleared by schedUpdate
-	idleNb   int32  //simany:derived count of idle same-domain neighbors, a function of the encoded idle flags (schedRebuild)
+	Speed   float64
+	k       *Kernel //simany:derived backpointer, wired by New
+	rnStamp uint64  //simany:derived sticky stalled-runnable stamp vs domain.shapeEpoch (shard-local policies only), cleared by schedUpdate
 	// hpos is the core's position in each of its domain's indexed heaps
 	// (coreHeap, indexed by runSlot/anchorSlot/stallSlot; -1 = out).
-	hpos [3]int32 //simany:derived heap positions, a function of the encoded queues, clocks and idle flags (schedRebuild)
+	hpos      [3]int32  //simany:derived heap positions, a function of the encoded queues, clocks and idle flags (schedRebuild)
+	lockDepth int       // >0: lock-holder exemption from spatial stalls
+	run       *runState // nil until the first task, handled message or L2 install; reads as fresh
+}
 
-	//simany:derived immutable topology adjacency, rebuilt by New
-	neighbors []int // topological neighbors (sorted)
-	//simany:derived neighbor effective-time proxies, refreshed from eff at every barrier
-	nbEff []vtime.Time // exact at barriers; read between them only for neighbors in other shards
-
-	// Resident tasks.
-	current *Task   // task that yielded as stalled, resumed first
-	conts   []*Task // unblocked continuations (run before fresh tasks)
-	ready   []*Task // fresh tasks in arrival order
-
-	lockDepth int // >0: lock-holder exemption from spatial stalls
-
-	// lastHandled is the latest handled arrival stamp at this core, used
-	// for the out-of-order delivery statistic. It lives on the core (the
-	// per-shard root) rather than the kernel so it is plain per-shard
-	// state: sendNow always runs in the destination shard's context.
-	lastHandled vtime.Time
-
+// runState is the part of a core's state only a used core needs.
+type runState struct {
+	conts []*Task // unblocked continuations (run before fresh tasks)
+	ready []*Task // fresh tasks in arrival order
 	// births holds the birth stamps of spawned, not-yet-placed tasks in
-	// registration order, which is ascending task ID: IDs grow with
-	// taskSeq. Measured at most 5 deep, so minBirth scans it.
+	// registration order, which is ascending task ID; measured at most 5
+	// deep, so minBirth scans it.
 	births []birth
-
-	// taskSeq numbers the tasks this core has spawned. Task IDs are
-	// allocated per spawning core (NewTask), so they are deterministic
-	// under sharded execution: each counter is only touched by the worker
-	// driving the core's shard, never by a racing interleaving.
+	// taskSeq numbers the tasks this core has spawned (NewTask): only the
+	// worker driving the core's shard touches it, so IDs are deterministic.
 	taskSeq uint64
+	// lastHandled is the latest handled arrival stamp, for the
+	// out-of-order statistic; sendNow runs in the destination's shard.
+	lastHandled vtime.Time
+	// rng is the core's private random stream (seed ^ coreID splitmix), so
+	// draws by simulated code do not depend on how shards are scheduled.
+	rng   rng.Rand
+	timer timing.BlockTimer // its Predictor is prob unless Config.Predict gives one
+	//simany:derived storage of the default predictor, encoded through timer.Predictor
+	prob timing.ProbabilisticPredictor
+	l1   cache.Scoped
+	l2   cache.L2
+}
 
-	// Timing machinery.
-	timer *timing.BlockTimer
-	l1    *cache.Scoped
-	l2    *cache.L2
+// use returns c's run state, allocating it on first use (newRun).
+func (c *Core) use() *runState {
+	if c.run == nil {
+		c.newRun()
+	}
+	return c.run
+}
+
+// newRun gives c its fresh run state from its domain's current chunk of
+// 32: like every write to c, it runs in c's shard or the barrier.
+func (c *Core) newRun() {
+	if len(c.dom.runs) == 0 {
+		c.dom.runs = make([]runState, 32)
+	}
+	c.run, c.dom.runs = &c.dom.runs[0], c.dom.runs[1:]
+	c.k.initRun(c.run, c.ID)
+}
+
+// initRun sets r to core id's state before its first use: its random
+// stream, its predictor (Config.Predict is called here) and empty caches.
+func (k *Kernel) initRun(r *runState, id int) {
+	*r = runState{rng: *rng.New(splitmix64(uint64(k.seed) ^ uint64(id)))}
+	r.timer = timing.BlockTimer{Model: k.costs, Predictor: &r.prob}
+	if k.predict != nil {
+		r.timer.Predictor = k.predict(id, k.seed)
+	} else {
+		r.prob = *timing.NewProbabilisticPredictor(k.costs.PredictRate, k.seed+int64(id))
+	}
+	r.l1 = *cache.NewScoped(cache.DefaultLineSize)
+	r.l2 = *cache.NewL2(cache.DefaultLineSize)
+}
+
+// peek returns c's run state for reading, the zero one (whose queues,
+// stamps and counters are fresh) when c has none. Never write through it.
+func (c *Core) peek() *runState {
+	if c.run == nil {
+		return &c.k.unused
+	}
+	return c.run
 }
 
 // VT returns the core's current virtual time.
@@ -108,16 +138,24 @@ func (c *Core) LockDepth() int { return c.lockDepth }
 // Rand returns the core's private deterministic random source. Simulated
 // code (runtime policies, benchmark task bodies) must draw from here so
 // results do not depend on the interleaving of shard workers.
-func (c *Core) Rand() *rng.Rand { return &c.rng }
-
-// Neighbors returns the core's topological neighbors.
-func (c *Core) Neighbors() []int { return c.neighbors }
+// Like the other accessors that hand out mutable run state, it allocates
+// that state on first use, so call it from the core's own shard context.
+func (c *Core) Rand() *rng.Rand { return &c.use().rng }
 
 // L1 returns the core's pessimistic scoped L1 model.
-func (c *Core) L1() *cache.Scoped { return c.l1 }
+func (c *Core) L1() *cache.Scoped { return &c.use().l1 }
 
 // L2 returns the core's L2 model (used by the distributed-memory runtime).
-func (c *Core) L2() *cache.L2 { return c.l2 }
+func (c *Core) L2() *cache.L2 { return &c.use().l2 }
+
+// EvictL2 removes the lines covering [base, base+bytes) from the core's
+// L2. A core not used yet has an empty L2, so there it changes and
+// allocates nothing, from any shard's context.
+func (c *Core) EvictL2(base uint64, bytes int64) {
+	if c.run != nil {
+		c.run.l2.Evict(base, bytes)
+	}
+}
 
 // birth is one outstanding birth stamp of a task spawned by the core.
 type birth struct {
@@ -128,7 +166,7 @@ type birth struct {
 // minBirth returns the minimum outstanding birth stamp, Inf if none.
 func (c *Core) minBirth() vtime.Time {
 	m := vtime.Inf
-	for _, b := range c.births {
+	for _, b := range c.peek().births {
 		if b.stamp < m {
 			m = b.stamp
 		}
@@ -139,9 +177,10 @@ func (c *Core) minBirth() vtime.Time {
 // removeBirth discards a birth stamp once the spawned task has been
 // placed. The delete keeps the order, so births stays sorted by ID.
 func (c *Core) removeBirth(id uint64) {
-	for i, b := range c.births {
-		if b.id == id {
-			c.births = append(c.births[:i], c.births[i+1:]...)
+	r := c.peek()
+	for i, b := range r.births {
+		if b.id == id { // found: r is c's own state
+			r.births = append(r.births[:i], r.births[i+1:]...)
 			return
 		}
 	}
@@ -152,7 +191,7 @@ func (c *Core) removeBirth(id uint64) {
 // queue capacity, so it is scanned.
 func (c *Core) minReadyArrival() vtime.Time {
 	m := vtime.Inf
-	for _, t := range c.ready {
+	for _, t := range c.peek().ready {
 		if t.arrival < m {
 			m = t.arrival
 		}
@@ -161,18 +200,21 @@ func (c *Core) minReadyArrival() vtime.Time {
 }
 
 // pushReady appends a fresh task to the core's queue.
-func (c *Core) pushReady(t *Task) { c.ready = append(c.ready, t) }
+func (c *Core) pushReady(t *Task) {
+	r := c.use()
+	r.ready = append(r.ready, t)
+}
 
 // popReady removes and returns the head of the fresh task queue.
 func (c *Core) popReady() *Task {
-	t := c.ready[0]
-	c.ready = c.ready[1:]
+	t := c.run.ready[0]
+	c.run.ready = c.run.ready[1:]
 	return t
 }
 
 // QueueLength returns the number of fresh tasks waiting in the core's task
 // queue (the quantity bounded by the runtime's queue capacity).
-func (c *Core) QueueLength() int { return len(c.ready) }
+func (c *Core) QueueLength() int { return len(c.peek().ready) }
 
 // NextEventTime returns the earliest virtual time at which the core could
 // execute something: its clock while busy, the earliest pending task stamp
@@ -185,7 +227,7 @@ func (c *Core) NextEventTime() vtime.Time {
 		return c.vt
 	}
 	m := c.minReadyArrival()
-	for _, t := range c.conts {
+	for _, t := range c.peek().conts {
 		if t.resume < m {
 			m = t.resume
 		}

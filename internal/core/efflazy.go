@@ -64,22 +64,19 @@ import (
 // See docs/effective-time.md for the full design and cost model.
 
 // setupEff allocates the proxies through which a sharded run's relay
-// reads neighbors in other shards, frozen between barriers: one flat array
-// sliced per core. Same-shard neighbors are read directly, so the
-// sequential engine needs none.
+// reads neighbors in other shards, frozen between barriers: one per
+// directed link, indexed by the topology's flat link index. Same-shard
+// neighbors are read directly, so the sequential engine needs none.
 func (k *Kernel) setupEff() {
-	flat := make([]vtime.Time, k.topo.NumLinks())
-	for i := range flat {
-		flat[i] = vtime.Inf
+	k.nbEff = make([]vtime.Time, k.topo.NumLinks())
+	for i := range k.nbEff {
+		k.nbEff[i] = vtime.Inf
 	}
-	off := 0
 	for _, c := range k.cores {
-		deg := len(c.neighbors)
-		c.nbEff = flat[off : off+deg : off+deg]
-		off += deg
-		for j, nbID := range c.neighbors {
+		first := int(c.links[0])
+		for j, nbID := range k.neighbors(c) {
 			if nb := k.cores[nbID]; nb.dom != c.dom {
-				c.dom.border = append(c.dom.border, borderLink{proxy: &c.nbEff[j], from: nb})
+				c.dom.border = append(c.dom.border, borderLink{proxy: &k.nbEff[first+j], from: nb})
 			}
 		}
 	}
@@ -161,7 +158,7 @@ func (d *domain) effSite(c *Core) {
 			// drops every sticky runnable bit too.
 			d.shapeEpoch++
 		}
-		for _, nbID := range c.neighbors {
+		for _, nbID := range k.neighbors(c) {
 			nb := k.cores[nbID]
 			if nb.dom != d {
 				continue
@@ -183,7 +180,7 @@ func (d *domain) effSite(c *Core) {
 		c.effStamp = 0
 		d.effInvalidate()
 		d.shapeEpoch++
-		for _, nbID := range c.neighbors {
+		for _, nbID := range k.neighbors(c) {
 			nb := k.cores[nbID]
 			if nb.dom != d {
 				continue
@@ -241,13 +238,14 @@ func (d *domain) lazyFix(c *Core) vtime.Time {
 		}
 		for i := ringStart; i < ringEnd; i++ {
 			cc := k.cores[q[i]]
-			visits += len(cc.neighbors)
-			for j, nbID := range cc.neighbors {
+			nbs := k.neighbors(cc)
+			visits += len(nbs)
+			for j, nbID := range nbs {
 				nb := k.cores[nbID]
 				if nb.dom != d {
 					// Cross-shard frontier: the frozen proxy cc holds for
 					// nb is an anchor at this depth.
-					if p := cc.nbEff[j]; p != vtime.Inf {
+					if p := k.nbEff[int(cc.links[0])+j]; p != vtime.Inf {
 						if v := satAdd(p, cost); v < best {
 							best = v
 						}
@@ -284,11 +282,11 @@ func (d *domain) lazyFix(c *Core) vtime.Time {
 func (d *domain) minNeighborEff(c *Core) vtime.Time {
 	k := d.k
 	m := vtime.Inf
-	for j, nbID := range c.neighbors {
+	for j, nbID := range k.neighbors(c) {
 		nb := k.cores[nbID]
 		var e vtime.Time
 		if nb.dom != d {
-			e = c.nbEff[j] // frozen between barriers
+			e = k.nbEff[int(c.links[0])+j] // frozen between barriers
 		} else if !nb.idle {
 			e = nb.eff
 		} else {
@@ -554,7 +552,7 @@ func (d *domain) rebuildIdleNb() {
 	k := d.k
 	for _, c := range d.cores {
 		n := int32(0)
-		for _, nbID := range c.neighbors {
+		for _, nbID := range k.neighbors(c) {
 			nb := k.cores[nbID]
 			if nb.dom == d && nb.idle {
 				n++

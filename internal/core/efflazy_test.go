@@ -155,9 +155,9 @@ func TestCoreHeapRandomOps(t *testing.T) {
 func plantFrozenProxy(t *testing.T, k *Kernel, d *domain, v vtime.Time) {
 	t.Helper()
 	for _, c := range d.cores {
-		for j, nbID := range c.neighbors {
+		for j, nbID := range k.neighbors(c) {
 			if k.cores[nbID].dom != d {
-				c.nbEff[j] = v
+				k.nbEff[int(c.links[0])+j] = v
 				d.frozenFloor = v
 				d.effInvalidate()
 				return

@@ -84,6 +84,7 @@ type domain struct {
 	// recycling cannot perturb determinism.
 	freeWorkers []*taskWorker //simany:derived coroutine pool, host-side only
 	freeTasks   []*Task       //simany:derived allocation pool; recycled identities never reach scheduling
+	runs        []runState    //simany:derived unused rest of the current run-state chunk (newRun), host-side only
 
 	// Per-shard trace buffer: events emitted while this domain executes
 	// (or, inside a barrier, events whose core this domain owns) are
@@ -135,7 +136,8 @@ func (d *domain) runnable(c *Core) (vtime.Time, bool) {
 		}
 		return 0, false
 	}
-	if len(c.conts) == 0 && len(c.ready) == 0 {
+	r := c.peek()
+	if len(r.conts) == 0 && len(r.ready) == 0 {
 		return 0, false
 	}
 	// Picking a task may move the clock forward (to the task's stamp);
@@ -144,12 +146,12 @@ func (d *domain) runnable(c *Core) (vtime.Time, bool) {
 	key := c.vt
 	if c.idle {
 		key = c.minReadyArrival()
-		if len(c.conts) > 0 && c.conts[0].resume < key {
+		if len(r.conts) > 0 && r.conts[0].resume < key {
 			// The next task to run would be the head continuation, not the
 			// earliest one — the queue is FIFO — but any queued stamp is a
 			// valid wake-up key and the head is the cheapest O(1) choice,
 			// matching the reference kernel.
-			key = c.conts[0].resume
+			key = r.conts[0].resume
 		}
 	}
 	return key, true
@@ -187,13 +189,13 @@ func (d *domain) step(c *Core) {
 	if c.hpos[stallSlot] >= 0 {
 		d.sq.remove(c)
 	}
-	t := c.current
+	t, r := c.current, c.run // a core with a task has run state
 	switch {
 	case t != nil:
 		// Resume the stalled task in place.
-	case len(c.conts) > 0:
-		t = c.conts[0]
-		c.conts = c.conts[1:]
+	case len(r.conts) > 0:
+		t = r.conts[0]
+		r.conts = r.conts[1:]
 		// Context switch to a joining task resuming execution (§V).
 		c.vt = vtime.Max(c.vt, t.resume) + ctxSwitchCost
 		k.ctr.switches.Inc(c.ID)
@@ -247,7 +249,7 @@ func (d *domain) step(c *Core) {
 		// c.current stays set; the task resumes in place later.
 		k.emit(TraceTaskStall, c.vt, c.ID, t, 0)
 	}
-	if c.current == nil && len(c.conts) == 0 && len(c.ready) == 0 {
+	if c.current == nil && len(r.conts) == 0 && len(r.ready) == 0 {
 		c.idle = true
 		d.busy--
 	}

@@ -29,9 +29,6 @@ func TestAccessors(t *testing.T) {
 	if !c.Idle() || c.LockDepth() != 0 || c.QueueLength() != 0 {
 		t.Error("fresh core state")
 	}
-	if len(c.Neighbors()) != topo.Degree(2) {
-		t.Error("neighbors")
-	}
 	if c.L1() == nil || c.L2() == nil {
 		t.Error("cache accessors")
 	}
@@ -74,16 +71,17 @@ func TestDriftBoundRandomTopologies(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for iter := 0; iter < 10; iter++ {
 		n := 3 + rng.Intn(10)
-		topo := topology.New(n, "rand")
+		var edges []topology.Edge
 		for v := 1; v < n; v++ {
-			topo.AddLink(v, rng.Intn(v), topology.DefaultLatency, topology.DefaultBandwidth)
+			edges = append(edges, topology.Edge{A: v, B: rng.Intn(v), Lat: topology.DefaultLatency, BW: topology.DefaultBandwidth})
 		}
 		for e := 0; e < n/2; e++ {
 			a, b := rng.Intn(n), rng.Intn(n)
 			if a != b {
-				topo.AddLink(a, b, topology.DefaultLatency, topology.DefaultBandwidth)
+				edges = append(edges, topology.Edge{A: a, B: b, Lat: topology.DefaultLatency, BW: topology.DefaultBandwidth})
 			}
 		}
+		topo := topology.FromEdges(n, "rand", edges)
 		T := vtime.CyclesInt(40)
 		block := vtime.CyclesInt(15)
 		k := New(Config{Topo: topo, Policy: Spatial{T: T}, Seed: int64(iter)})

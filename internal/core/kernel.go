@@ -63,7 +63,9 @@ type Config struct {
 	// cycles}, the paper's reference configuration.
 	Policy Policy
 	// Predict builds the per-core branch predictor; defaults to the
-	// paper's 90% probabilistic predictor.
+	// paper's 90% probabilistic predictor. It is called lazily, when a
+	// core is first used, in no fixed order across cores, so it must be
+	// pure: its result may depend on its arguments only.
 	Predict func(coreID int, seed int64) timing.Predictor
 	// Mem is the memory system; defaults to NullMem.
 	Mem MemSystem
@@ -248,6 +250,15 @@ type Kernel struct {
 	// met, when non-nil, holds the instruments recorded only into a
 	// caller-supplied registry (see metrics.go).
 	met *kernelMetrics //simany:derived observability state, reproduced by the replay, never compared
+
+	// What initRun needs to build a core's fresh run state on its first
+	// use, and the zero run state peek reads for cores not used yet.
+	seed    int64                                         //simany:derived configuration from Config, reinstated by New
+	costs   *timing.CostModel                             //simany:derived immutable cost tables, reinstated by New
+	predict func(coreID int, seed int64) timing.Predictor // Config.Predict; nil = the default predictor
+	unused  runState                                      //simany:derived read-only zero state, never written
+	//simany:derived per-link proxies of neighbors in other shards, refreshed from eff at every barrier (sharded Spatial runs only)
+	nbEff []vtime.Time // indexed by flat link index; exact at barriers, read between them only for cross-shard links
 }
 
 // schedRebuild recomputes every domain's runnable queues from scratch.
@@ -264,6 +275,10 @@ func (k *Kernel) schedRebuild() {
 		d.rebuildStallq()
 	}
 }
+
+// neighbors returns c's topological neighbors, sorted; the link to the
+// j-th has flat link index c.links[0]+j, which also indexes nbEff.
+func (k *Kernel) neighbors(c *Core) []int { return k.topo.LinkTargets()[c.links[0]:c.links[1]] }
 
 // Core returns core i.
 func (k *Kernel) Core(i int) *Core { return k.cores[i] }
@@ -340,10 +355,10 @@ func (k *Kernel) sendNow(msg *network.Message) {
 	}
 	dst := k.cores[msg.Dst]
 	k.ctr.handled.Inc(dst.dom.id)
-	if msg.Arrival < dst.lastHandled {
+	if r := dst.use(); msg.Arrival < r.lastHandled {
 		k.ctr.ooo.Inc(dst.dom.id)
 	} else {
-		dst.lastHandled = msg.Arrival
+		r.lastHandled = msg.Arrival
 	}
 	if k.tracer != nil {
 		k.emit(TraceSend, msg.Stamp, msg.Src, nil, int64(msg.Dst))
@@ -400,8 +415,9 @@ func (k *Kernel) Defer(src int, stamp vtime.Time, fn func()) {
 // identically.
 func (k *Kernel) NewTask(spawner int, name string, fn func(*Env), meta any) *Task {
 	c := k.cores[spawner]
-	c.taskSeq++
-	id := c.taskSeq*uint64(len(k.cores)) + uint64(spawner) + 1
+	r := c.use()
+	r.taskSeq++
+	id := r.taskSeq*uint64(len(k.cores)) + uint64(spawner) + 1
 	d := c.dom
 	if n := len(d.freeTasks); n > 0 {
 		t := d.freeTasks[n-1]
@@ -486,7 +502,8 @@ func (k *Kernel) SetTaskStartHook(f func(c *Core, t *Task)) { k.onTaskStart = f 
 // is discarded automatically when the spawned task starts (PlaceTask's
 // birthOwner).
 func (k *Kernel) RegisterBirth(c *Core, spawned *Task, stamp vtime.Time) {
-	c.births = append(c.births, birth{spawned.ID, stamp})
+	r := c.use()
+	r.births = append(r.births, birth{spawned.ID, stamp})
 	if c.current != nil {
 		c.current.env.horizon = k.horizonFor(c)
 		// A tightened horizon can park a stalled core (defensive: births
@@ -516,7 +533,8 @@ func (k *Kernel) Unblock(t *Task, at vtime.Time) {
 		delete(t.core.dom.blocked, t.ID)
 		t.state = TaskReady
 		t.resume = at
-		t.core.conts = append(t.core.conts, t)
+		r := t.core.use()
+		r.conts = append(r.conts, t)
 		t.core.dom.schedUpdate(t.core)
 	case TaskRunning:
 		// The wake-up raced ahead of the Block call (handlers run
@@ -688,7 +706,7 @@ func (k *Kernel) stopWorkers(failed bool) {
 		}
 		for _, c := range d.cores {
 			stop(c.current)
-			for _, t := range c.conts {
+			for _, t := range c.peek().conts {
 				stop(t)
 			}
 		}
@@ -768,7 +786,8 @@ func (k *Kernel) deadlockError() error {
 		}
 	}
 	for _, c := range k.cores {
-		if c.idle && len(c.ready) == 0 && len(c.conts) == 0 {
+		r := c.peek()
+		if c.idle && len(r.ready) == 0 && len(r.conts) == 0 {
 			continue
 		}
 		cur := "-"
@@ -776,7 +795,7 @@ func (k *Kernel) deadlockError() error {
 			cur = c.current.Name
 		}
 		fmt.Fprintf(&b, "\n  core%d shard%d vt=%v eff=%v horizon=%v cur=%s ready=%d conts=%d locks=%d minBirth=%v",
-			c.ID, k.part[c.ID], c.vt, c.Eff(), k.policyHorizon(c), cur, len(c.ready), len(c.conts), c.lockDepth, c.minBirth())
+			c.ID, k.part[c.ID], c.vt, c.Eff(), k.policyHorizon(c), cur, len(r.ready), len(r.conts), c.lockDepth, c.minBirth())
 	}
 	return fmt.Errorf("%s", b.String())
 }

@@ -30,7 +30,7 @@ func refreshOracle(k *Kernel) []vtime.Time {
 	for head := 0; head < len(queue); head++ {
 		c := k.cores[queue[head]]
 		m := vtime.Inf
-		for _, nbID := range c.neighbors {
+		for _, nbID := range k.neighbors(c) {
 			m = min(m, eff[nbID])
 		}
 		e := satAdd(m, k.relayDelta)
@@ -38,7 +38,7 @@ func refreshOracle(k *Kernel) []vtime.Time {
 			continue
 		}
 		eff[c.ID] = e
-		for _, nbID := range c.neighbors {
+		for _, nbID := range k.neighbors(c) {
 			if k.cores[nbID].idle {
 				queue = append(queue, nbID)
 			}
@@ -63,12 +63,13 @@ func refreshMatchesOracle(k *Kernel) error {
 	for _, d := range k.domains {
 		floor := vtime.Inf
 		for _, c := range d.cores {
-			for j, nbID := range c.neighbors {
+			first := int(c.links[0])
+			for j, nbID := range k.neighbors(c) {
 				if k.cores[nbID].dom == d {
 					continue
 				}
-				if c.nbEff[j] != want[nbID] {
-					return fmt.Errorf("domain %d: core %d's proxy for core %d is %v, oracle %v", d.id, c.ID, nbID, c.nbEff[j], want[nbID])
+				if p := k.nbEff[first+j]; p != want[nbID] {
+					return fmt.Errorf("domain %d: core %d's proxy for core %d is %v, oracle %v", d.id, c.ID, nbID, p, want[nbID])
 				}
 				floor = min(floor, want[nbID])
 			}

@@ -79,7 +79,7 @@ func TestRunqInsertRemoveUpdate(t *testing.T) {
 	mustCheck(t, d)
 
 	// Draining a core's queue removes it from the index.
-	for len(c1.ready) > 0 {
+	for c1.QueueLength() > 0 {
 		c1.popReady()
 	}
 	q.update(c1)
@@ -151,7 +151,7 @@ func TestRunqCountAtMostAndPick(t *testing.T) {
 	readyAt(k, k.Core(4), vtime.CyclesInt(30)) // 90 → 30: moves in
 	q.update(k.Core(4))
 	within("key 90 → 30", 4)
-	for len(k.Core(2).ready) > 0 { // 50: leaves the queue from inside
+	for k.Core(2).QueueLength() > 0 { // 50: leaves the queue from inside
 		k.Core(2).popReady()
 	}
 	q.update(k.Core(2))
@@ -198,7 +198,7 @@ func TestReadyMinCacheReordering(t *testing.T) {
 
 	recompute := func() vtime.Time {
 		m := vtime.Inf
-		for _, t := range c.ready {
+		for _, t := range c.peek().ready {
 			if t.arrival < m {
 				m = t.arrival
 			}

@@ -250,7 +250,7 @@ func (k *Kernel) refreshEff() {
 		if e == vtime.Inf {
 			break // every later pop saturates too
 		}
-		for _, nbID := range c.neighbors {
+		for _, nbID := range k.neighbors(c) {
 			if nb := k.cores[nbID]; nb.idle && nb.eff == vtime.Inf {
 				nb.eff = e
 				order = append(order, nb)

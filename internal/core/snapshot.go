@@ -111,8 +111,9 @@ func (d *domain) snapshot(enc *snap.Encoder) {
 	enc.Varint(d.live)
 	enc.Time(d.maxTime)
 	enc.Varint(int64(d.runnableMax))
+	var fresh runState // what each core not used yet encodes
 	for _, c := range d.cores {
-		c.snapshot(enc)
+		c.snapshot(enc, &fresh)
 	}
 	// Blocked registry, sorted by task ID for canonical bytes.
 	ids := make([]uint64, 0, len(d.blocked))
@@ -134,14 +135,23 @@ func (d *domain) snapshot(enc *snap.Encoder) {
 // pruning floors; efflazy.go) — is deliberately excluded: it is a function
 // of what is written here, the replay rebuilds it along with the rest, and
 // Kernel.Validate is what checks it.
-func (c *Core) snapshot(enc *snap.Encoder) {
+//
+// A core not used yet has no run state and encodes the fresh one, which
+// initRun builds into the scratch fresh: its bytes are those of the same
+// core with its state allocated and untouched.
+func (c *Core) snapshot(enc *snap.Encoder, fresh *runState) {
+	r := c.run
+	if r == nil {
+		c.k.initRun(fresh, c.ID)
+		r = fresh
+	}
 	enc.Time(c.vt)
 	enc.Bool(c.idle)
 	enc.Varint(int64(c.lockDepth))
-	enc.Uvarint(c.taskSeq)
-	enc.Time(c.lastHandled)
-	enc.Uvarint(c.rng.State())
-	switch p := c.timer.Predictor.(type) {
+	enc.Uvarint(r.taskSeq)
+	enc.Time(r.lastHandled)
+	enc.Uvarint(r.rng.State())
+	switch p := r.timer.Predictor.(type) {
 	case *timing.ProbabilisticPredictor:
 		enc.Uvarint(1)
 		enc.Uvarint(p.RngState())
@@ -150,23 +160,23 @@ func (c *Core) snapshot(enc *snap.Encoder) {
 	default:
 		enc.Uvarint(0) // opaque predictor: only its presence is compared
 	}
-	enc.Uvarint(uint64(len(c.births)))
-	for _, b := range c.births {
+	enc.Uvarint(uint64(len(r.births)))
+	for _, b := range r.births {
 		enc.Uvarint(b.id)
 		enc.Time(b.stamp)
 	}
-	c.l1.Snapshot(enc)
-	c.l2.Snapshot(enc)
+	r.l1.Snapshot(enc)
+	r.l2.Snapshot(enc)
 	enc.Bool(c.current != nil)
 	if c.current != nil {
 		c.k.encodeTask(enc, c.current)
 	}
-	enc.Uvarint(uint64(len(c.conts)))
-	for _, t := range c.conts {
+	enc.Uvarint(uint64(len(r.conts)))
+	for _, t := range r.conts {
 		c.k.encodeTask(enc, t)
 	}
-	enc.Uvarint(uint64(len(c.ready)))
-	for _, t := range c.ready {
+	enc.Uvarint(uint64(len(r.ready)))
+	for _, t := range r.ready {
 		c.k.encodeTask(enc, t)
 	}
 }

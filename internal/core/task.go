@@ -143,7 +143,7 @@ func (e *Env) checkHorizon() {
 func (e *Env) Compute(counts timing.Counts) {
 	e.k.ctr.blocks.Inc(e.c.ID)
 	e.k.ctr.instructions.Add(e.c.ID, counts.Total())
-	e.advance(e.c.timer.Time(counts))
+	e.advance(e.c.run.timer.Time(counts))
 }
 
 // ComputeCycles advances the clock by a raw cycle count (coarse manual
@@ -156,17 +156,11 @@ func (e *Env) ComputeCycles(cycles float64) {
 	e.advance(vtime.Cycles(cycles))
 }
 
-// ComputeTime advances the clock by a raw duration.
-func (e *Env) ComputeTime(d vtime.Time) {
-	e.k.ctr.blocks.Inc(e.c.ID)
-	e.advance(d)
-}
-
 // EnterScope opens a function scope for the pessimistic L1 model.
-func (e *Env) EnterScope() { e.c.l1.Enter() }
+func (e *Env) EnterScope() { e.c.run.l1.Enter() }
 
 // LeaveScope closes a function scope, discarding L1 contents (§V).
-func (e *Env) LeaveScope() { e.c.l1.Leave() }
+func (e *Env) LeaveScope() { e.c.run.l1.Leave() }
 
 // Read performs n data reads of elem bytes starting at base through the
 // configured memory system.

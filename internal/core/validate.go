@@ -47,12 +47,12 @@ func (k *Kernel) Validate() error {
 		if c.current != nil && c.current.state != TaskRunning {
 			return fmt.Errorf("core %d: current task %q in state %d", c.ID, c.current.Name, c.current.state)
 		}
-		for _, t := range c.conts {
+		for _, t := range c.peek().conts {
 			if t.state != TaskReady {
 				return fmt.Errorf("core %d: continuation %q in state %d", c.ID, t.Name, t.state)
 			}
 		}
-		for _, t := range c.ready {
+		for _, t := range c.peek().ready {
 			if t.state != TaskReady {
 				return fmt.Errorf("core %d: queued task %q in state %d", c.ID, t.Name, t.state)
 			}
@@ -121,14 +121,15 @@ func (k *Kernel) checkLazyEff() error {
 				busyMin = min(busyMin, c.eff)
 			}
 			idleNb := int32(0)
-			for j, nbID := range c.neighbors {
+			first := int(c.links[0])
+			for j, nbID := range k.neighbors(c) {
 				nb := k.cores[nbID]
 				if nb.dom != d {
-					if border >= len(d.border) || d.border[border] != (borderLink{proxy: &c.nbEff[j], from: nb}) {
+					if border >= len(d.border) || d.border[border] != (borderLink{proxy: &k.nbEff[first+j], from: nb}) {
 						return fmt.Errorf("domain %d: border link %d is not core %d's link to core %d", d.id, border, c.ID, nbID)
 					}
 					border++
-					frozen = min(frozen, c.nbEff[j])
+					frozen = min(frozen, k.nbEff[first+j])
 				} else if nb.idle {
 					idleNb++
 				}
@@ -169,11 +170,12 @@ func (k *Kernel) checkLazyEff() error {
 					continue
 				}
 				m := vtime.Inf
-				for j, nbID := range c.neighbors {
+				first := int(c.links[0])
+				for j, nbID := range k.neighbors(c) {
 					nb := k.cores[nbID]
 					var e vtime.Time
 					if nb.dom != d {
-						e = c.nbEff[j]
+						e = k.nbEff[first+j]
 					} else {
 						e = fix[nbID]
 					}

@@ -243,7 +243,7 @@ func TestSeededSnapcoverBug(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks doctored module packages from source")
 	}
-	const encodeLine = "enc.Uvarint(c.taskSeq)"
+	const encodeLine = "enc.Uvarint(r.taskSeq)"
 	dir := t.TempDir()
 	seeded := false
 	root := copyCoreTo(t, dir, func(name, src string) string {
@@ -267,7 +267,7 @@ func TestSeededSnapcoverBug(t *testing.T) {
 	if len(diags) != 1 {
 		t.Fatalf("got %d findings, want exactly 1 (the deleted field):\n%v", len(diags), diags)
 	}
-	if !strings.Contains(diags[0].Msg, "Core.taskSeq") {
+	if !strings.Contains(diags[0].Msg, "runState.taskSeq") {
 		t.Errorf("finding does not name the deleted field: %s", diags[0])
 	}
 }

@@ -88,13 +88,12 @@ type Model struct {
 	//simany:derived hierarchical routing tables, recomputed by New from the topology
 	hier *hierRouter
 
-	// Per-node parallel arrays indexed like topology.Neighbors(node):
-	// outgoing link latency and bandwidth (views into the topology's own
-	// CSR arrays — configuration, never copied) and the contention
-	// next-free time (mutable model state, one flat backing array).
-	nbLat  [][]vtime.Time //simany:derived per-link latency views into the topology, rebuilt by New
-	nbBW   [][]int        //simany:derived per-link bandwidth views into the topology, rebuilt by New
-	nbFree [][]vtime.Time
+	// Per-link arrays, indexed by the topology's flat link index
+	// (topology.FirstLink): latency and bandwidth are the topology's own
+	// arrays, never copied; free is each link's contention next-free time.
+	lat  []vtime.Time //simany:derived the topology's link latencies, rebuilt by New
+	bw   []int        //simany:derived the topology's link bandwidths, rebuilt by New
+	free []vtime.Time
 
 	// The counters live in the registry the model was built in. msgs
 	// (net.msgs) counts the messages each source emitted: the one message
@@ -145,26 +144,16 @@ func NewIn(reg *metrics.Registry, stripeOf []int, t *topology.Topology, p Params
 	if p.ChunkSize <= 0 {
 		p.ChunkSize = 32
 	}
-	n := t.N()
 	m := &Model{
 		topo:     t,
 		params:   p,
-		nbLat:    make([][]vtime.Time, n),
-		nbBW:     make([][]int, n),
-		nbFree:   make([][]vtime.Time, n),
-		msgs:     reg.Vector("net.msgs", metrics.UnitCount, n),
+		lat:      t.LinkLatencies(),
+		bw:       t.LinkBandwidths(),
+		free:     make([]vtime.Time, t.NumLinks()),
+		msgs:     reg.Vector("net.msgs", metrics.UnitCount, t.N()),
 		hops:     reg.Counter("net.hops", metrics.UnitCount),
 		bytes:    reg.Counter("net.bytes", metrics.UnitCount),
 		stripeOf: stripeOf,
-	}
-	flatFree := make([]vtime.Time, t.NumLinks())
-	off := 0
-	for node := 0; node < n; node++ {
-		m.nbLat[node] = t.NeighborLatencies(node)
-		m.nbBW[node] = t.NeighborBandwidths(node)
-		deg := t.Degree(node)
-		m.nbFree[node] = flatFree[off : off+deg : off+deg]
-		off += deg
 	}
 	// Dense next-hop tables: by BFS when every link has the same latency
 	// (hop count is then the metric), by Dijkstra otherwise.
@@ -323,8 +312,8 @@ func (m *Model) dijkstraRoutes() [][]int16 {
 			}
 			for jIdx, nb := range m.topo.Neighbors(it.node) {
 				// Symmetric links: latency nb->it.node equals
-				// it.node->nb, read from it.node's arrays.
-				w := m.nbLat[it.node][jIdx]
+				// it.node->nb, read from it.node's link.
+				w := m.lat[m.topo.FirstLink(it.node)+jIdx]
 				// Edge weight must be positive so routes make progress;
 				// zero-latency links count one millicycle for routing.
 				if w <= 0 {
@@ -347,14 +336,9 @@ func (m *Model) dijkstraRoutes() [][]int16 {
 
 // uniformLatency reports whether every link has the same latency.
 func (m *Model) uniformLatency() bool {
-	var ref vtime.Time = -1
-	for _, lats := range m.nbLat {
-		for _, l := range lats {
-			if ref < 0 {
-				ref = l
-			} else if l != ref {
-				return false
-			}
+	for _, l := range m.lat {
+		if l != m.lat[0] {
+			return false
 		}
 	}
 	return true
@@ -506,15 +490,16 @@ func (m *Model) Transmit(msg *Message) {
 	w := m.walkFrom(src, dst)
 	for cur := src; cur != dst; hops++ {
 		j, next := w.hop(cur)
-		occupy := ser.on(m.nbBW[cur][j])
+		l := m.topo.FirstLink(cur) + j
+		occupy := ser.on(m.bw[l])
 		// Contention: wait for the link to be free, then occupy it for the
 		// serialization time.
-		start := vtime.Max(t, m.nbFree[cur][j])
+		start := vtime.Max(t, m.free[l])
 		if m.obs != nil && start > t {
 			m.obs.LinkWait(cur, j, start-t)
 		}
-		m.nbFree[cur][j] = start + occupy
-		t = start + occupy + m.nbLat[cur][j] + m.params.RouterDelay
+		m.free[l] = start + occupy
+		t = start + occupy + m.lat[l] + m.params.RouterDelay
 		cur = next
 	}
 	m.hops.Add(stripe, int64(hops))
@@ -559,7 +544,8 @@ func (m *Model) MinLatency(src, dst, size int) vtime.Time {
 	w := m.walkFrom(src, dst)
 	for cur := src; cur != dst; {
 		j, next := w.hop(cur)
-		t += ser.on(m.nbBW[cur][j]) + m.nbLat[cur][j] + m.params.RouterDelay
+		l := m.topo.FirstLink(cur) + j
+		t += ser.on(m.bw[l]) + m.lat[l] + m.params.RouterDelay
 		cur = next
 	}
 	return t

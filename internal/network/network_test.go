@@ -150,8 +150,7 @@ func TestStats(t *testing.T) {
 }
 
 func TestDisconnectedPanics(t *testing.T) {
-	tp := topology.New(3, "disc")
-	tp.AddLink(0, 1, vtime.CyclesInt(1), 128)
+	tp := topology.FromEdges(3, "disc", []topology.Edge{{A: 0, B: 1, Lat: vtime.CyclesInt(1), BW: 128}})
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic for disconnected topology")

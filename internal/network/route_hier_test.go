@@ -77,11 +77,11 @@ func descentSend(m *Model, last map[[2]int]vtime.Time, msg Message) Message {
 	chunkBytes := vtime.Time(m.chunks(msg.Size) * int64(m.params.ChunkSize))
 	for cur := msg.Src; cur != msg.Dst; {
 		next := m.hier.descentNextCore(cur, msg.Dst)
-		j := m.nbIndex(cur, next)
-		ser := vtime.Cycle * chunkBytes / vtime.Time(m.nbBW[cur][j])
-		start := vtime.Max(t, m.nbFree[cur][j])
-		m.nbFree[cur][j] = start + ser
-		t = start + ser + m.nbLat[cur][j] + m.params.RouterDelay
+		l := m.topo.FirstLink(cur) + m.nbIndex(cur, next)
+		ser := vtime.Cycle * chunkBytes / vtime.Time(m.bw[l])
+		start := vtime.Max(t, m.free[l])
+		m.free[l] = start + ser
+		t = start + ser + m.lat[l] + m.params.RouterDelay
 		cur = next
 	}
 	key := [2]int{msg.Src, msg.Dst}

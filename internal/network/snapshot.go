@@ -7,9 +7,10 @@ import "simany/internal/snap"
 // are in the registry's section; routing tables and link parameters are
 // configuration, rebuilt by New.
 func (m *Model) Snapshot(enc *snap.Encoder) {
-	for _, free := range m.nbFree {
-		enc.Uvarint(uint64(len(free)))
-		for _, t := range free {
+	for node := 0; node < m.topo.N(); node++ {
+		first, deg := m.topo.FirstLink(node), m.topo.Degree(node)
+		enc.Uvarint(uint64(deg))
+		for _, t := range m.free[first : first+deg] {
 			enc.Time(t)
 		}
 	}

@@ -202,7 +202,7 @@ func (r *Runtime) grantNextSharded(cell *mem.Cell, l mem.Link, holderCore int, n
 //
 //simany:homeshard
 func (r *Runtime) transferSharded(cell *mem.Cell, l mem.Link, from, to int, task *core.Task, at vtime.Time) {
-	r.k.Core(from).L2().Evict(cell.Addr(), int64(cell.Size()))
+	r.k.Core(from).EvictL2(cell.Addr(), int64(cell.Size()))
 	cell.SetOwner(to)
 	reqLeg := r.k.Network().MinLatency(to, from, r.opt.DataReqSize)
 	r.k.SendAt(from, to, KindDataResponse, cell.Size(),
@@ -232,7 +232,7 @@ func (r *Runtime) grantNext(cell *mem.Cell, holderCore int, now vtime.Time) {
 // (sequential engine: install happens inline, the response carries no
 // link).
 func (r *Runtime) transferCell(cell *mem.Cell, from, to int, task *core.Task, at vtime.Time) {
-	r.k.Core(from).L2().Evict(cell.Addr(), int64(cell.Size()))
+	r.k.Core(from).EvictL2(cell.Addr(), int64(cell.Size()))
 	cell.SetOwner(to)
 	r.k.SendAt(from, to, KindDataResponse, cell.Size(),
 		&dataReq{link: mem.Link{}, requester: task, reqCore: to},

@@ -29,6 +29,7 @@ import (
 	"simany/internal/mem"
 	"simany/internal/metrics"
 	"simany/internal/network"
+	"simany/internal/topology"
 	"simany/internal/vtime"
 )
 
@@ -106,14 +107,15 @@ type Runtime struct {
 	alloc *mem.Allocator
 	cells *mem.CellStore
 
-	// occ[c][j] = believed queue length of the j-th neighbor of core c
-	// (flat and neighbor-indexed — degrees are tiny, so nbIndex's linear
+	//simany:derived the kernel's immutable topology
+	topo *topology.Topology
+	// occ[topo.FirstLink(c)+j] = believed queue length of the j-th
+	// neighbor of core c: one entry per directed link, indexed by the
+	// topology's flat link index (degrees are tiny, so linkIndex's linear
 	// scan beats a map lookup and the probe hot path stays allocation-free).
-	occ [][]int
-	//simany:derived cached topology adjacency, rebuilt by New from the kernel topology
-	nbs          [][]int // neighbor lists, indexed like occ
-	reservations []int   // outstanding accepted probes per core
-	rr           []int   // round-robin candidate cursor per core
+	occ          []int
+	reservations []int // outstanding accepted probes per core
+	rr           []int // round-robin candidate cursor per core
 
 	ctr counters //simany:derived aliases into the kernel's registry, whose section encodes them
 }
@@ -214,22 +216,11 @@ func New(k *core.Kernel, alloc *mem.Allocator, opt Options) *Runtime {
 		opt:          opt,
 		alloc:        alloc,
 		cells:        mem.NewCellStore(alloc),
-		occ:          make([][]int, n),
-		nbs:          make([][]int, n),
+		topo:         k.Topology(),
+		occ:          make([]int, k.Topology().NumLinks()),
 		reservations: make([]int, n),
 		rr:           make([]int, n),
 		ctr:          newCounters(k.Metrics()),
-	}
-	// The per-core occupancy proxies are views into one flat backing array
-	// (one int per directed link) rather than n separate slices — at 100k
-	// cores the per-core make() calls dominate Runtime construction.
-	occFlat := make([]int, k.Topology().NumLinks())
-	off := 0
-	for i := 0; i < n; i++ {
-		r.nbs[i] = k.Topology().Neighbors(i)
-		deg := len(r.nbs[i])
-		r.occ[i] = occFlat[off : off+deg : off+deg]
-		off += deg
 	}
 	if k.Sharded() {
 		// Deterministic cell ids/addresses for concurrent creators.
@@ -306,7 +297,7 @@ func (r *Runtime) Run(name string, root func(*core.Env)) (core.Result, error) {
 // says full. With SpeedAware, occupancies are weighted by the inverse core
 // speed so faster cores look emptier (§VIII extension).
 func (r *Runtime) pickCandidate(me int) int {
-	nbs := r.nbs[me]
+	nbs, first := r.topo.Neighbors(me), r.topo.FirstLink(me)
 	if len(nbs) == 0 {
 		return -1
 	}
@@ -317,7 +308,7 @@ func (r *Runtime) pickCandidate(me int) int {
 	for i := 0; i < len(nbs); i++ {
 		j := (start + i) % len(nbs)
 		nb := nbs[j]
-		occ := r.occ[me][j]
+		occ := r.occ[first+j]
 		if occ >= r.opt.QueueCap {
 			continue
 		}
@@ -358,8 +349,8 @@ func (r *Runtime) SpawnOrRun(e *core.Env, g *Group, name string, argBytes int, f
 	if !rep.delivered {
 		panic("rt: probe reply lost")
 	}
-	fromIdx := r.nbIndex(me, rep.from)
-	r.occ[me][fromIdx] = rep.queueLen
+	fromLink := r.linkIndex(me, rep.from)
+	r.occ[fromLink] = rep.queueLen
 	if !rep.ok {
 		r.count(r.ctr.denied, me)
 		r.count(r.ctr.localRuns, me)
@@ -375,7 +366,7 @@ func (r *Runtime) SpawnOrRun(e *core.Env, g *Group, name string, argBytes int, f
 	child := r.k.NewTask(me, name, runTask,
 		&taskMeta{fn: fn, group: g, spawn: spawnDesc{birthOwner: owner}}).ReleaseOnDone()
 	r.k.RegisterBirth(owner, child, birth)
-	r.occ[me][fromIdx] = rep.queueLen + 1
+	r.occ[fromLink] = rep.queueLen + 1
 	e.Send(cand, KindTaskSpawn, r.opt.SpawnBaseSize+argBytes, child)
 	r.count(r.ctr.spawns, me)
 	return true
@@ -429,11 +420,12 @@ func (r *Runtime) onTaskSpawn(k *core.Kernel, msg network.Message) {
 	if c.QueueLength() >= r.opt.QueueCap && sm.hops < r.opt.MaxMigrations {
 		// Migrate onward to the neighbor believed least loaded.
 		best, bestOcc := -1, int(^uint(0)>>1)
-		for j, nb := range r.nbs[dst] {
+		first := r.topo.FirstLink(dst)
+		for j, nb := range r.topo.Neighbors(dst) {
 			if nb == msg.Src {
 				continue
 			}
-			if occ := r.occ[dst][j]; occ < bestOcc {
+			if occ := r.occ[first+j]; occ < bestOcc {
 				best, bestOcc = nb, occ
 			}
 		}
@@ -451,17 +443,17 @@ func (r *Runtime) onTaskSpawn(k *core.Kernel, msg network.Message) {
 
 // broadcastOcc sends the core's new queue occupancy to its neighbors.
 func (r *Runtime) broadcastOcc(coreID, qlen int, at vtime.Time) {
-	for _, nb := range r.nbs[coreID] {
+	for _, nb := range r.topo.Neighbors(coreID) {
 		r.k.SendAt(coreID, nb, KindOccUpdate, r.opt.OccSize, qlen, at)
 	}
 }
 
-// nbIndex returns the position of nb in c's neighbor list. Occupancy
+// linkIndex returns the flat index of the link from c to nb. Occupancy
 // traffic only ever flows between topology neighbors, so a miss is a bug.
-func (r *Runtime) nbIndex(c, nb int) int {
-	for j, id := range r.nbs[c] {
+func (r *Runtime) linkIndex(c, nb int) int {
+	for j, id := range r.topo.Neighbors(c) {
 		if id == nb {
-			return j
+			return r.topo.FirstLink(c) + j
 		}
 	}
 	panic("rt: occupancy update from non-neighbor")
@@ -469,5 +461,5 @@ func (r *Runtime) nbIndex(c, nb int) int {
 
 // onOccUpdate refreshes the receiving core's proxy of the sender's queue.
 func (r *Runtime) onOccUpdate(k *core.Kernel, msg network.Message) {
-	r.occ[msg.Dst][r.nbIndex(msg.Dst, msg.Src)] = msg.Payload.(int)
+	r.occ[r.linkIndex(msg.Dst, msg.Src)] = msg.Payload.(int)
 }

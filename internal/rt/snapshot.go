@@ -62,10 +62,11 @@ func encodeMeta(enc *snap.Encoder, m *taskMeta) {
 // through any task. Runs at a pause point — no workers executing — so
 // plain reads are safe.
 func (r *Runtime) Snapshot(enc *snap.Encoder) {
-	enc.Uvarint(uint64(len(r.occ)))
-	for _, row := range r.occ {
-		enc.Uvarint(uint64(len(row)))
-		for _, v := range row {
+	enc.Uvarint(uint64(r.topo.N()))
+	for c := 0; c < r.topo.N(); c++ {
+		first, deg := r.topo.FirstLink(c), r.topo.Degree(c)
+		enc.Uvarint(uint64(deg))
+		for _, v := range r.occ[first : first+deg] {
 			enc.Varint(int64(v))
 		}
 	}

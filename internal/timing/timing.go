@@ -137,13 +137,13 @@ type ProbabilisticPredictor struct {
 	// rng is a serializable counter-based generator: its exact stream
 	// position is a single uint64, so predictor state survives a
 	// checkpoint/restore round trip.
-	rng *rng.Rand
+	rng rng.Rand
 }
 
 // NewProbabilisticPredictor creates a predictor with the given success rate
 // and seed.
 func NewProbabilisticPredictor(rate float64, seed int64) *ProbabilisticPredictor {
-	return &ProbabilisticPredictor{Rate: rate, rng: rng.New(uint64(seed))}
+	return &ProbabilisticPredictor{Rate: rate, rng: *rng.New(uint64(seed))}
 }
 
 // RngState exposes the predictor's random-stream position for

@@ -32,7 +32,8 @@ import (
 func ParseAdjacency(r io.Reader) (*Topology, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	var t *Topology
+	n := 0 // declared core count, 0 before the cores line
+	var edges []Edge
 	lineNo := 0
 	inMatrix := false
 	matrixRow := 0
@@ -44,11 +45,8 @@ func ParseAdjacency(r io.Reader) (*Topology, error) {
 		}
 		fields := strings.Fields(line)
 		if inMatrix {
-			if t == nil {
-				return nil, fmt.Errorf("topology: line %d: matrix before cores", lineNo)
-			}
-			if len(fields) != t.N() {
-				return nil, fmt.Errorf("topology: line %d: matrix row has %d entries, want %d", lineNo, len(fields), t.N())
+			if len(fields) != n {
+				return nil, fmt.Errorf("topology: line %d: matrix row has %d entries, want %d", lineNo, len(fields), n)
 			}
 			for col, f := range fields {
 				v, err := strconv.Atoi(f)
@@ -56,11 +54,11 @@ func ParseAdjacency(r io.Reader) (*Topology, error) {
 					return nil, fmt.Errorf("topology: line %d: bad matrix entry %q", lineNo, f)
 				}
 				if v != 0 && col > matrixRow {
-					t.AddLink(matrixRow, col, DefaultLatency, DefaultBandwidth)
+					edges = append(edges, Edge{matrixRow, col, DefaultLatency, DefaultBandwidth})
 				}
 			}
 			matrixRow++
-			if matrixRow == t.N() {
+			if matrixRow == n {
 				inMatrix = false
 			}
 			continue
@@ -70,19 +68,19 @@ func ParseAdjacency(r io.Reader) (*Topology, error) {
 			if len(fields) != 2 {
 				return nil, fmt.Errorf("topology: line %d: cores takes one argument", lineNo)
 			}
-			n, err := strconv.Atoi(fields[1])
-			if err != nil || n <= 0 {
+			v, err := strconv.Atoi(fields[1])
+			if err != nil || v <= 0 {
 				return nil, fmt.Errorf("topology: line %d: bad core count %q", lineNo, fields[1])
 			}
-			t = New(n, "file")
+			n, edges = v, nil
 		case "matrix":
-			if t == nil {
+			if n == 0 {
 				return nil, fmt.Errorf("topology: line %d: matrix before cores", lineNo)
 			}
 			inMatrix = true
 			matrixRow = 0
 		case "link":
-			if t == nil {
+			if n == 0 {
 				return nil, fmt.Errorf("topology: line %d: link before cores", lineNo)
 			}
 			if len(fields) < 3 || len(fields) > 5 {
@@ -108,10 +106,10 @@ func ParseAdjacency(r io.Reader) (*Topology, error) {
 				}
 				bw = v
 			}
-			if a < 0 || a >= t.N() || b < 0 || b >= t.N() || a == b {
+			if a < 0 || a >= n || b < 0 || b >= n || a == b {
 				return nil, fmt.Errorf("topology: line %d: invalid link %d-%d", lineNo, a, b)
 			}
-			t.AddLink(a, b, lat, bw)
+			edges = append(edges, Edge{a, b, lat, bw})
 		default:
 			return nil, fmt.Errorf("topology: line %d: unknown keyword %q", lineNo, fields[0])
 		}
@@ -119,13 +117,13 @@ func ParseAdjacency(r io.Reader) (*Topology, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	if t == nil {
+	if n == 0 {
 		return nil, fmt.Errorf("topology: no cores declaration found")
 	}
 	if inMatrix {
 		return nil, fmt.Errorf("topology: truncated adjacency matrix")
 	}
-	return t, nil
+	return FromEdges(n, "file", edges), nil
 }
 
 // WriteAdjacency writes t in the link-list textual form readable by

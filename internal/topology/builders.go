@@ -32,22 +32,22 @@ func MeshDims(n int) (w, h int) {
 
 // Mesh2D builds a w×h 2D mesh with uniform link parameters.
 func Mesh2D(w, h int, lat vtime.Time, bw int) *Topology {
-	return fromEdges(w*h, fmt.Sprintf("mesh-%dx%d", w, h),
+	return FromEdges(w*h, fmt.Sprintf("mesh-%dx%d", w, h),
 		meshEdges(nil, 0, w, h, 1, lat, bw))
 }
 
 // meshEdges appends the undirected edges of a w×h mesh whose node (x,y) is
 // base + (y·w+x)·stride. stride > 1 lays a mesh over units of that many
 // cores (the hierarchy tiers connect unit corners, hierarchy.go).
-func meshEdges(edges []edge, base, w, h, stride int, lat vtime.Time, bw int) []edge {
+func meshEdges(edges []Edge, base, w, h, stride int, lat vtime.Time, bw int) []Edge {
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			c := base + (y*w+x)*stride
 			if x+1 < w {
-				edges = append(edges, edge{c, c + stride, lat, bw})
+				edges = append(edges, Edge{c, c + stride, lat, bw})
 			}
 			if y+1 < h {
-				edges = append(edges, edge{c, c + w*stride, lat, bw})
+				edges = append(edges, Edge{c, c + w*stride, lat, bw})
 			}
 		}
 	}
@@ -61,53 +61,52 @@ func Mesh(n int) *Topology {
 	return Mesh2D(w, h, DefaultLatency, DefaultBandwidth)
 }
 
-// Torus2D builds a w×h 2D torus (mesh with wrap-around links).
+// Torus2D builds a w×h 2D torus (mesh with wrap-around links). On a side
+// of width 2 the wrap-around link joins the same two cores as the mesh
+// link, and FromEdges keeps one.
 func Torus2D(w, h int, lat vtime.Time, bw int) *Topology {
-	t := New(w*h, fmt.Sprintf("torus-%dx%d", w, h))
+	var edges []Edge
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			c := y*w + x
 			if w > 1 {
-				t.AddLink(c, y*w+(x+1)%w, lat, bw)
+				edges = append(edges, Edge{c, y*w + (x+1)%w, lat, bw})
 			}
 			if h > 1 {
-				t.AddLink(c, ((y+1)%h)*w+x, lat, bw)
+				edges = append(edges, Edge{c, ((y+1)%h)*w + x, lat, bw})
 			}
 		}
 	}
-	return t
+	return FromEdges(w*h, fmt.Sprintf("torus-%dx%d", w, h), edges)
 }
 
 // Ring builds an n-core ring.
 func Ring(n int, lat vtime.Time, bw int) *Topology {
-	t := New(n, fmt.Sprintf("ring-%d", n))
-	if n == 1 {
-		return t
+	var edges []Edge
+	for c := 0; n > 1 && c < n; c++ {
+		edges = append(edges, Edge{c, (c + 1) % n, lat, bw})
 	}
-	for c := 0; c < n; c++ {
-		t.AddLink(c, (c+1)%n, lat, bw)
-	}
-	return t
+	return FromEdges(n, fmt.Sprintf("ring-%d", n), edges)
 }
 
 // Star builds an n-core star centered on core 0.
 func Star(n int, lat vtime.Time, bw int) *Topology {
-	t := New(n, fmt.Sprintf("star-%d", n))
+	var edges []Edge
 	for c := 1; c < n; c++ {
-		t.AddLink(0, c, lat, bw)
+		edges = append(edges, Edge{0, c, lat, bw})
 	}
-	return t
+	return FromEdges(n, fmt.Sprintf("star-%d", n), edges)
 }
 
 // FullyConnected builds a complete graph over n cores.
 func FullyConnected(n int, lat vtime.Time, bw int) *Topology {
-	t := New(n, fmt.Sprintf("full-%d", n))
+	var edges []Edge
 	for a := 0; a < n; a++ {
 		for b := a + 1; b < n; b++ {
-			t.AddLink(a, b, lat, bw)
+			edges = append(edges, Edge{a, b, lat, bw})
 		}
 	}
-	return t
+	return FromEdges(n, fmt.Sprintf("full-%d", n), edges)
 }
 
 // ClusteredParams carries the link parameters of a clustered mesh. The
@@ -142,7 +141,7 @@ func Clustered(n int, p ClusteredParams) *Topology {
 	}
 	per := n / k
 	w, h := MeshDims(per)
-	var edges []edge
+	var edges []Edge
 	// Intra-cluster meshes.
 	for ci := 0; ci < k; ci++ {
 		edges = meshEdges(edges, ci*per, w, h, 1, p.IntraLat, p.Bandwidth)
@@ -151,23 +150,23 @@ func Clustered(n int, p ClusteredParams) *Topology {
 	// corner cores (core 0 of one cluster to core per-1 of the other).
 	cw, chh := MeshDims(k)
 	edges = cornerEdges(edges, 0, cw, chh, per, p.InterLat, p.Bandwidth, 0)
-	return fromEdges(n, fmt.Sprintf("clustered-%d-of-%d", k, per), edges)
+	return FromEdges(n, fmt.Sprintf("clustered-%d-of-%d", k, per), edges)
 }
 
 // cornerEdges appends the gateway links of a uw×uh mesh of per-core units
 // starting at base: each unit's last core connects to the first core of its
 // +x and +y neighbor units. pen is a boundary-crossing penalty added to the
 // link latency (the hierarchy tiers' serialization cost; 0 for Clustered).
-func cornerEdges(edges []edge, base, uw, uh, per int, lat vtime.Time, bw int, pen vtime.Time) []edge {
+func cornerEdges(edges []Edge, base, uw, uh, per int, lat vtime.Time, bw int, pen vtime.Time) []Edge {
 	for uy := 0; uy < uh; uy++ {
 		for ux := 0; ux < uw; ux++ {
 			ui := uy*uw + ux
 			last := base + ui*per + per - 1
 			if ux+1 < uw {
-				edges = append(edges, edge{last, base + (ui+1)*per, lat + pen, bw})
+				edges = append(edges, Edge{last, base + (ui+1)*per, lat + pen, bw})
 			}
 			if uy+1 < uh {
-				edges = append(edges, edge{last, base + (ui+uw)*per, lat + pen, bw})
+				edges = append(edges, Edge{last, base + (ui+uw)*per, lat + pen, bw})
 			}
 		}
 	}

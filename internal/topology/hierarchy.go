@@ -149,7 +149,7 @@ func Chiplet(tiers []Tier) *Topology {
 		n *= tr.W * tr.H
 	}
 
-	var edges []edge
+	var edges []Edge
 	// Tier 0: one mesh per chiplet.
 	t0 := h.Tiers[0]
 	per0 := t0.W * t0.H
@@ -171,7 +171,7 @@ func Chiplet(tiers []Tier) *Topology {
 	for i, tr := range h.Tiers {
 		name[i] = fmt.Sprintf("%dx%d", tr.W, tr.H)
 	}
-	top := fromEdges(n, "chiplet-"+strings.Join(name, "-"), edges)
+	top := FromEdges(n, "chiplet-"+strings.Join(name, "-"), edges)
 	top.hier = h
 	top.diamBound = h.diameterBound()
 	return top

@@ -7,16 +7,19 @@
 // links) and the same meshes with polymorphic cores. Each link carries its
 // own latency and bandwidth (§III "Architecture Variability").
 //
-// The adjacency is stored CSR-style: three aligned per-core slices (neighbor
-// ID, link latency, link bandwidth), each a view into one flat shared
-// backing array for bulk-built topologies. A 100k-core chiplet machine
-// (hierarchy.go) therefore costs a few megabytes instead of the hundreds a
-// per-edge map entry would — the map[[2]int]Link representation this
-// replaces spent ~100 bytes per directed edge before payload.
+// A Topology is immutable compressed-sparse-row (CSR) data, built once by
+// FromEdges: core c's directed links are the flat indices off[c] ..
+// off[c+1]-1 of three aligned arrays (neighbor ID ascending, latency,
+// bandwidth). That flat index is the link's identity everywhere: every
+// per-link array of the simulator (the network's contention stamps, the
+// kernel's border proxies, the runtime's occupancy beliefs) is one flat
+// slice indexed by FirstLink(c)+j for the j-th neighbor of c, so a
+// 100k-core machine pays no per-core slice headers for its links.
 package topology
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"simany/internal/vtime"
@@ -35,111 +38,102 @@ type Link struct {
 // directed links with individual latencies and bandwidths.
 type Topology struct {
 	n int
-	// CSR adjacency: adj[c] lists the neighbors of core c in sorted order;
-	// lat[c][i] and bw[c][i] carry the parameters of the directed link
-	// c → adj[c][i]. For bulk-built topologies (fromEdges) the three
-	// per-core slices are full-capacity views into one flat backing array
-	// each, so AddLink's insert must reallocate rather than shift in place.
-	adj    [][]int
-	lat    [][]vtime.Time
-	bw     [][]int
-	nlinks int // directed link count (2× the undirected edge count)
-	name   string
+	// CSR adjacency: the links of core c are off[c] .. off[c+1]-1; adj
+	// holds each link's far end, sorted per core, and lat and bw its
+	// parameters.
+	off  []int32
+	adj  []int
+	lat  []vtime.Time
+	bw   []int
+	name string
 
 	hier *Hierarchy // non-nil for hierarchical (chiplet) topologies
 	// diamBound, when > 0, is a precomputed upper bound on the diameter
-	// that Diameter returns instead of running all-pairs BFS. Adding links
-	// can only shrink distances, so the bound stays sound after AddLink.
+	// that Diameter returns instead of running all-pairs BFS.
 	diamBound int
 }
 
-// New creates an empty topology with n cores and no links.
-func New(n int, name string) *Topology {
+// Edge is one undirected link handed to FromEdges: both directed links
+// A → B and B → A get latency Lat and bandwidth BW.
+type Edge struct {
+	A, B int
+	Lat  vtime.Time
+	BW   int
+}
+
+// FromEdges builds an n-core topology from undirected edges. An edge that
+// joins the same two cores as an earlier one, in either direction,
+// replaces its parameters: the last write wins. It panics on a
+// non-positive core count, a self link, an out-of-range core, a
+// non-positive bandwidth or a negative latency.
+//
+// The build counts degrees, carves each core's segment out of the flat
+// arrays, fills the segments in edge order, sorts each one stably by
+// neighbor and keeps the last entry of every run of one neighbor.
+func FromEdges(n int, name string, edges []Edge) *Topology {
 	if n <= 0 {
 		panic(fmt.Sprintf("topology: invalid core count %d", n))
 	}
-	return &Topology{
-		n:    n,
-		adj:  make([][]int, n),
-		lat:  make([][]vtime.Time, n),
-		bw:   make([][]int, n),
-		name: name,
-	}
-}
-
-// edge is one undirected edge handed to the bulk builder.
-type edge struct {
-	a, b int
-	lat  vtime.Time
-	bw   int
-}
-
-// fromEdges bulk-builds a topology from undirected edges: count degrees,
-// carve per-core views out of three flat backing arrays, fill, and sort each
-// core's segment. Unlike AddLink it panics on duplicate edges (constructors
-// that rely on overwrite semantics, such as a 2-wide torus, must stay on the
-// AddLink path). The per-core views are capacity-limited so a later AddLink
-// cannot grow one view into its neighbor's backing.
-func fromEdges(n int, name string, edges []edge) *Topology {
-	t := New(n, name)
-	deg := make([]int, n+1)
+	t := &Topology{n: n, name: name}
+	off := make([]int32, n+1)
 	for _, e := range edges {
-		if e.a == e.b {
-			panic(fmt.Sprintf("topology: self link at core %d", e.a))
+		if e.A == e.B {
+			panic(fmt.Sprintf("topology: self link at core %d", e.A))
 		}
-		t.checkCore(e.a)
-		t.checkCore(e.b)
-		if e.bw <= 0 {
-			panic(fmt.Sprintf("topology: non-positive bandwidth on link %d-%d", e.a, e.b))
+		t.checkCore(e.A)
+		t.checkCore(e.B)
+		if e.BW <= 0 {
+			panic(fmt.Sprintf("topology: non-positive bandwidth on link %d-%d", e.A, e.B))
 		}
-		if e.lat < 0 {
-			panic(fmt.Sprintf("topology: negative latency on link %d-%d", e.a, e.b))
+		if e.Lat < 0 {
+			panic(fmt.Sprintf("topology: negative latency on link %d-%d", e.A, e.B))
 		}
-		deg[e.a+1]++
-		deg[e.b+1]++
+		off[e.A+1]++
+		off[e.B+1]++
 	}
 	for c := 0; c < n; c++ {
-		deg[c+1] += deg[c] // prefix sums: deg[c] = start offset of core c
+		off[c+1] += off[c] // prefix sums: off[c] = start of core c
 	}
 	m := 2 * len(edges)
-	flatAdj := make([]int, m)
-	flatLat := make([]vtime.Time, m)
-	flatBW := make([]int, m)
-	cursor := make([]int, n)
-	copy(cursor, deg[:n])
-	put := func(from, to int, lat vtime.Time, bw int) {
+	adj := make([]int, m)
+	lat := make([]vtime.Time, m)
+	bw := make([]int, m)
+	cursor := make([]int32, n)
+	copy(cursor, off[:n])
+	put := func(from, to int, l vtime.Time, b int) {
 		i := cursor[from]
 		cursor[from]++
-		flatAdj[i] = to
-		flatLat[i] = lat
-		flatBW[i] = bw
+		adj[i], lat[i], bw[i] = to, l, b
 	}
 	for _, e := range edges {
-		put(e.a, e.b, e.lat, e.bw)
-		put(e.b, e.a, e.lat, e.bw)
+		put(e.A, e.B, e.Lat, e.BW)
+		put(e.B, e.A, e.Lat, e.BW)
 	}
+	w := int32(0) // write cursor of the deduplicated arrays
 	for c := 0; c < n; c++ {
-		lo, hi := deg[c], deg[c+1]
-		t.adj[c] = flatAdj[lo:hi:hi]
-		t.lat[c] = flatLat[lo:hi:hi]
-		t.bw[c] = flatBW[lo:hi:hi]
-		// Insertion sort of the three parallel arrays; node degrees are
-		// tiny (≤ 6 for every bundled constructor) so this is cheap.
-		a, l, b := t.adj[c], t.lat[c], t.bw[c]
-		for i := 1; i < len(a); i++ {
-			for j := i; j > 0 && a[j-1] > a[j]; j-- {
-				a[j-1], a[j] = a[j], a[j-1]
-				l[j-1], l[j] = l[j], l[j-1]
-				b[j-1], b[j] = b[j], b[j-1]
+		lo, hi := int(off[c]), int(off[c+1])
+		// Insertion sort, stable: node degrees are tiny (≤ 6 for every
+		// bundled constructor but the complete graph, whose segments
+		// arrive sorted).
+		for i := lo + 1; i < hi; i++ {
+			for j := i; j > lo && adj[j-1] > adj[j]; j-- {
+				adj[j-1], adj[j] = adj[j], adj[j-1]
+				lat[j-1], lat[j] = lat[j], lat[j-1]
+				bw[j-1], bw[j] = bw[j], bw[j-1]
 			}
 		}
-		for i := 1; i < len(a); i++ {
-			if a[i-1] == a[i] {
-				panic(fmt.Sprintf("topology: duplicate link %d-%d", c, a[i]))
+		off[c] = w
+		for i := lo; i < hi; i++ {
+			if i+1 < hi && adj[i+1] == adj[i] {
+				continue // a later edge to the same neighbor wins
 			}
+			adj[w], lat[w], bw[w] = adj[i], lat[i], bw[i]
+			w++
 		}
 	}
-	t.nlinks = m
+	off[n] = w
+	t.off = off
+	t.adj, t.lat, t.bw = adj[:w:w], lat[:w:w], bw[:w:w]
 	return t
 }
 
@@ -153,121 +147,74 @@ func (t *Topology) Name() string { return t.name }
 // nil for flat topologies.
 func (t *Topology) Hierarchy() *Hierarchy { return t.hier }
 
-// AddLink adds a symmetric pair of directed links between a and b.
-// Re-adding an existing link overwrites its parameters.
-func (t *Topology) AddLink(a, b int, lat vtime.Time, bw int) {
-	if a == b {
-		panic(fmt.Sprintf("topology: self link at core %d", a))
-	}
-	t.checkCore(a)
-	t.checkCore(b)
-	if bw <= 0 {
-		panic(fmt.Sprintf("topology: non-positive bandwidth on link %d-%d", a, b))
-	}
-	if lat < 0 {
-		panic(fmt.Sprintf("topology: negative latency on link %d-%d", a, b))
-	}
-	if !t.insertLink(a, b, lat, bw) {
-		t.nlinks += 2
-	}
-	t.insertLink(b, a, lat, bw)
-}
-
-// insertLink records the directed link from → to, keeping the three aligned
-// per-core slices sorted by neighbor ID. It reports whether the link already
-// existed (in which case only the parameters are updated). Inserts always
-// reallocate: the slices may be capacity-limited views into a shared flat
-// backing (fromEdges) that must not be shifted or grown in place.
-func (t *Topology) insertLink(from, to int, lat vtime.Time, bw int) bool {
-	a := t.adj[from]
-	i := sort.SearchInts(a, to)
-	if i < len(a) && a[i] == to {
-		t.lat[from][i] = lat
-		t.bw[from][i] = bw
-		return true
-	}
-	t.adj[from] = insertAt(a, i, to)
-	t.lat[from] = insertAt(t.lat[from], i, lat)
-	t.bw[from] = insertAt(t.bw[from], i, bw)
-	return false
-}
-
-// insertAt returns a fresh slice equal to s with v inserted at index i.
-func insertAt[T any](s []T, i int, v T) []T {
-	out := make([]T, len(s)+1)
-	copy(out, s[:i])
-	out[i] = v
-	copy(out[i+1:], s[i:])
-	return out
-}
-
 func (t *Topology) checkCore(c int) {
 	if c < 0 || c >= t.n {
-		t.badCore(c)
+		panic(fmt.Sprintf("topology: core %d out of range [0,%d)", c, t.n))
 	}
 }
 
-// badCore panics for an out-of-range core. It is kept out of checkCore so
-// that the accessors below (Neighbors, on every route hop) stay inlinable.
-//
-//go:noinline
-func (t *Topology) badCore(c int) {
-	panic(fmt.Sprintf("topology: core %d out of range [0,%d)", c, t.n))
-}
+// The per-core accessors below index the CSR arrays directly, so that they
+// inline into the simulator's per-step neighbor passes; a core out of
+// range panics with the index error. Returned slices must not be modified.
 
-// Neighbors returns the sorted neighbor list of core c. The returned slice
-// must not be modified.
-func (t *Topology) Neighbors(c int) []int {
-	t.checkCore(c)
-	return t.adj[c]
-}
+// Neighbors returns the sorted neighbor list of core c.
+func (t *Topology) Neighbors(c int) []int { return t.adj[t.off[c]:t.off[c+1]:t.off[c+1]] }
 
 // NeighborLatencies returns the latencies of core c's outgoing links,
-// aligned with Neighbors(c). The returned slice must not be modified.
+// aligned with Neighbors(c).
 func (t *Topology) NeighborLatencies(c int) []vtime.Time {
-	t.checkCore(c)
-	return t.lat[c]
+	return t.lat[t.off[c]:t.off[c+1]:t.off[c+1]]
 }
 
 // NeighborBandwidths returns the bandwidths of core c's outgoing links,
-// aligned with Neighbors(c). The returned slice must not be modified.
-func (t *Topology) NeighborBandwidths(c int) []int {
-	t.checkCore(c)
-	return t.bw[c]
-}
+// aligned with Neighbors(c).
+func (t *Topology) NeighborBandwidths(c int) []int { return t.bw[t.off[c]:t.off[c+1]:t.off[c+1]] }
 
 // Degree returns the number of neighbors of core c.
-func (t *Topology) Degree(c int) int {
-	t.checkCore(c)
-	return len(t.adj[c])
-}
+func (t *Topology) Degree(c int) int { return int(t.off[c+1] - t.off[c]) }
+
+// FirstLink returns the flat index of core c's first link: the link to
+// Neighbors(c)[j] has index FirstLink(c)+j, in [0, NumLinks()).
+func (t *Topology) FirstLink(c int) int { return int(t.off[c]) }
+
+// LinkTargets returns every link's far end, indexed by flat link index:
+// the neighbor lists of all cores end to end.
+func (t *Topology) LinkTargets() []int { return t.adj }
+
+// LinkLatencies returns every link's latency, indexed by flat link index.
+func (t *Topology) LinkLatencies() []vtime.Time { return t.lat }
+
+// LinkBandwidths returns every link's bandwidth, indexed by flat link
+// index.
+func (t *Topology) LinkBandwidths() []int { return t.bw }
 
 // LinkBetween returns the directed link from a to b.
 func (t *Topology) LinkBetween(a, b int) (Link, bool) {
 	if a < 0 || a >= t.n || b < 0 || b >= t.n {
 		return Link{}, false
 	}
-	adj := t.adj[a]
-	i := sort.SearchInts(adj, b)
-	if i == len(adj) || adj[i] != b {
+	lo, hi := int(t.off[a]), int(t.off[a+1])
+	i := lo + sort.SearchInts(t.adj[lo:hi], b)
+	if i == hi || t.adj[i] != b {
 		return Link{}, false
 	}
-	return Link{From: a, To: b, Latency: t.lat[a][i], Bandwidth: t.bw[a][i]}, true
+	return Link{From: a, To: b, Latency: t.lat[i], Bandwidth: t.bw[i]}, true
 }
 
-// Links returns all directed links in a deterministic order.
+// Links returns all directed links in a deterministic order: by flat link
+// index.
 func (t *Topology) Links() []Link {
-	out := make([]Link, 0, t.nlinks)
+	out := make([]Link, 0, len(t.adj))
 	for c := 0; c < t.n; c++ {
-		for i, nb := range t.adj[c] {
-			out = append(out, Link{From: c, To: nb, Latency: t.lat[c][i], Bandwidth: t.bw[c][i]})
+		for i := t.off[c]; i < t.off[c+1]; i++ {
+			out = append(out, Link{From: c, To: t.adj[i], Latency: t.lat[i], Bandwidth: t.bw[i]})
 		}
 	}
 	return out
 }
 
 // NumLinks returns the number of directed links.
-func (t *Topology) NumLinks() int { return t.nlinks }
+func (t *Topology) NumLinks() int { return len(t.adj) }
 
 // Connected reports whether every core can reach every other core.
 func (t *Topology) Connected() bool { return t.Unreachable() < 0 }
@@ -275,28 +222,11 @@ func (t *Topology) Connected() bool { return t.Unreachable() < 0 }
 // Unreachable returns the lowest-numbered core that core 0 cannot reach, or
 // -1 when the topology is connected.
 func (t *Topology) Unreachable() int {
-	if t.n == 0 {
+	dist := make([]int, t.n)
+	if t.bfs(0, dist, make([]int, t.n)) >= 0 {
 		return -1
 	}
-	seen := make([]bool, t.n)
-	queue := []int{0}
-	seen[0] = true
-	for len(queue) > 0 {
-		c := queue[0]
-		queue = queue[1:]
-		for _, nb := range t.adj[c] {
-			if !seen[nb] {
-				seen[nb] = true
-				queue = append(queue, nb)
-			}
-		}
-	}
-	for c, ok := range seen {
-		if !ok {
-			return c
-		}
-	}
-	return -1
+	return slices.Index(dist, -1)
 }
 
 // Diameter returns the largest topological distance (in hops) between any
@@ -313,31 +243,13 @@ func (t *Topology) Diameter() int {
 		return t.diamBound
 	}
 	diam := 0
-	dist := make([]int, t.n)
+	dist, queue := make([]int, t.n), make([]int, t.n)
 	for src := 0; src < t.n; src++ {
-		for i := range dist {
-			dist[i] = -1
+		ecc := t.bfs(src, dist, queue)
+		if ecc < 0 {
+			return -1
 		}
-		dist[src] = 0
-		queue := []int{src}
-		for len(queue) > 0 {
-			c := queue[0]
-			queue = queue[1:]
-			for _, nb := range t.adj[c] {
-				if dist[nb] < 0 {
-					dist[nb] = dist[c] + 1
-					queue = append(queue, nb)
-				}
-			}
-		}
-		for _, d := range dist {
-			if d < 0 {
-				return -1
-			}
-			if d > diam {
-				diam = d
-			}
-		}
+		diam = max(diam, ecc)
 	}
 	return diam
 }
@@ -347,27 +259,35 @@ func (t *Topology) Diameter() int {
 func (t *Topology) HopDistance(a, b int) int {
 	t.checkCore(a)
 	t.checkCore(b)
-	if a == b {
-		return 0
-	}
 	dist := make([]int, t.n)
+	t.bfs(a, dist, make([]int, t.n))
+	return dist[b]
+}
+
+// bfs sets dist[c] to the hop distance from src to every core c, -1 where
+// c is unreachable, with queue (N entries) as scratch. It returns the
+// largest distance, or -1 when some core is unreachable.
+func (t *Topology) bfs(src int, dist, queue []int) int {
 	for i := range dist {
 		dist[i] = -1
 	}
-	dist[a] = 0
-	queue := []int{a}
-	for len(queue) > 0 {
-		c := queue[0]
-		queue = queue[1:]
-		for _, nb := range t.adj[c] {
+	dist[src], queue[0] = 0, src
+	for head, tail := 0, 1; head < tail; head++ {
+		c := queue[head]
+		for _, nb := range t.Neighbors(c) {
 			if dist[nb] < 0 {
 				dist[nb] = dist[c] + 1
-				if nb == b {
-					return dist[nb]
-				}
-				queue = append(queue, nb)
+				queue[tail] = nb
+				tail++
 			}
 		}
 	}
-	return -1
+	ecc := 0
+	for _, d := range dist {
+		if d < 0 {
+			return -1
+		}
+		ecc = max(ecc, d)
+	}
+	return ecc
 }

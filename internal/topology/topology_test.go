@@ -140,9 +140,8 @@ func TestClusteredBadSplit(t *testing.T) {
 	Clustered(10, DefaultClusteredParams(4))
 }
 
-func TestAddLinkSymmetric(t *testing.T) {
-	tp := New(4, "t")
-	tp.AddLink(0, 2, vtime.CyclesInt(3), 64)
+func TestFromEdgesSymmetric(t *testing.T) {
+	tp := FromEdges(4, "t", []Edge{{0, 2, vtime.CyclesInt(3), 64}})
 	a, ok1 := tp.LinkBetween(0, 2)
 	b, ok2 := tp.LinkBetween(2, 0)
 	if !ok1 || !ok2 {
@@ -156,10 +155,8 @@ func TestAddLinkSymmetric(t *testing.T) {
 	}
 }
 
-func TestAddLinkOverwrite(t *testing.T) {
-	tp := New(2, "t")
-	tp.AddLink(0, 1, vtime.CyclesInt(1), 64)
-	tp.AddLink(0, 1, vtime.CyclesInt(9), 32)
+func TestFromEdgesOverwrite(t *testing.T) {
+	tp := FromEdges(2, "t", []Edge{{0, 1, vtime.CyclesInt(1), 64}, {1, 0, vtime.CyclesInt(9), 32}})
 	if tp.NumLinks() != 2 {
 		t.Errorf("NumLinks = %d after overwrite", tp.NumLinks())
 	}
@@ -180,8 +177,7 @@ func TestHopDistance(t *testing.T) {
 	if d := m.HopDistance(5, 5); d != 0 {
 		t.Errorf("HopDistance(5,5) = %d", d)
 	}
-	disc := New(3, "disc")
-	disc.AddLink(0, 1, DefaultLatency, DefaultBandwidth)
+	disc := FromEdges(3, "disc", []Edge{{0, 1, DefaultLatency, DefaultBandwidth}})
 	if d := disc.HopDistance(0, 2); d != -1 {
 		t.Errorf("HopDistance disconnected = %d, want -1", d)
 	}
@@ -200,11 +196,11 @@ func TestHopDistance(t *testing.T) {
 }
 
 func TestNeighborsSorted(t *testing.T) {
-	tp := New(6, "t")
-	tp.AddLink(3, 5, DefaultLatency, DefaultBandwidth)
-	tp.AddLink(3, 1, DefaultLatency, DefaultBandwidth)
-	tp.AddLink(3, 4, DefaultLatency, DefaultBandwidth)
-	tp.AddLink(3, 0, DefaultLatency, DefaultBandwidth)
+	var edges []Edge
+	for _, nb := range []int{5, 1, 4, 0} {
+		edges = append(edges, Edge{3, nb, DefaultLatency, DefaultBandwidth})
+	}
+	tp := FromEdges(6, "t", edges)
 	nbs := tp.Neighbors(3)
 	want := []int{0, 1, 4, 5}
 	if len(nbs) != len(want) {
@@ -223,18 +219,19 @@ func TestDistanceProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 20; iter++ {
 		n := 2 + rng.Intn(14)
-		tp := New(n, "rand")
 		// Random spanning tree guarantees connectivity.
+		var edges []Edge
 		for v := 1; v < n; v++ {
-			tp.AddLink(v, rng.Intn(v), DefaultLatency, DefaultBandwidth)
+			edges = append(edges, Edge{v, rng.Intn(v), DefaultLatency, DefaultBandwidth})
 		}
 		extra := rng.Intn(n)
 		for e := 0; e < extra; e++ {
 			a, b := rng.Intn(n), rng.Intn(n)
 			if a != b {
-				tp.AddLink(a, b, DefaultLatency, DefaultBandwidth)
+				edges = append(edges, Edge{a, b, DefaultLatency, DefaultBandwidth})
 			}
 		}
+		tp := FromEdges(n, "rand", edges)
 		maxD := 0
 		for a := 0; a < n; a++ {
 			for b := 0; b < n; b++ {

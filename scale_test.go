@@ -1,10 +1,11 @@
 package simany
 
-// The 100k-core smoke checks: the reference 102400-core chiplet machine
+// The scale smoke checks: the reference 102400-core chiplet machine
 // (8x8-core chiplets, 4x4 chiplets per chip, 10x10 chips) must construct,
 // partition chip-aligned and run a dense sharded workload inside a fixed
 // heap ceiling, and run a sparse one to completion inside a wall-clock
-// budget.
+// budget; the 1048576-core machine (32x32 chips) must run the same sparse
+// load inside a fixed heap ceiling.
 
 import (
 	"runtime"
@@ -38,11 +39,10 @@ func injectStrided(k *core.Kernel, n, tasks, slices int) {
 	}
 }
 
-// scaleFootprintCeiling is the heap ceiling for the 100k-core smoke run.
-// Measured ~115 MiB on linux/amd64; 1 GiB leaves headroom for GC timing
-// and architecture differences while still catching any return of
-// per-core map-heavy state (a few KB per core is ~0.5 GB at this scale).
-const scaleFootprintCeiling = 1 << 30 // 1 GiB
+// scaleFootprintCeiling is the heap ceiling for the 100k-core smoke run:
+// 1.25× the 85.4 MiB measured on linux/amd64, go1.24, with the kernel
+// held and every core holding a task, so every core has its run state.
+const scaleFootprintCeiling = 107 << 20 // 107 MiB
 
 // TestScale100kFootprint constructs the reference 102400-core machine
 // (8x8-core chiplets, 4x4 chiplets per chip, 10x10 chips), verifies the
@@ -89,6 +89,7 @@ func TestScale100kFootprint(t *testing.T) {
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
+	runtime.KeepAlive(k) // the heap measured is the machine's
 	t.Logf("100k-core machine: %.1f MiB live heap after %d steps (%d links)",
 		float64(ms.HeapAlloc)/(1<<20), maxSteps, topo.NumLinks())
 	if ms.HeapAlloc > scaleFootprintCeiling {
@@ -135,5 +136,48 @@ func TestScale100kSparse(t *testing.T) {
 	}
 	if wall > scaleSparseBudget {
 		t.Errorf("sparse run took %v, budget %v — per-completion cost is scaling with the idle region again", wall, scaleSparseBudget)
+	}
+}
+
+// scale1MHeapCeiling is the live-heap ceiling of the million-core sparse
+// run (measured 380.5 MiB on linux/amd64, go1.24; 754.3 MiB before run
+// state was allocated on first use).
+const scale1MHeapCeiling = 400 << 20 // 400 MiB
+
+// sparseRun builds spec's machine, runs the 256-task sparse load of
+// TestScale100kSparse to completion on 16 shards and returns its wall time
+// and the live heap with the finished kernel still held.
+func sparseRun(t *testing.T, spec string) (time.Duration, uint64) {
+	t.Helper()
+	topo := machine(t, spec)
+	k := core.New(core.Config{Topo: topo, Policy: core.Spatial{T: core.DefaultT}, Seed: 7, Shards: 16})
+	injectStrided(k, topo.N(), 256, 200)
+	start := time.Now()
+	if _, err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	wall := time.Since(start)
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	runtime.KeepAlive(k)
+	return wall, ms.HeapAlloc
+}
+
+// TestScale1MSparse runs the sparse load on the 1048576-core machine
+// chiplet:8x8,4x4,32x32 and holds its live heap under scale1MHeapCeiling:
+// a core that never runs a task costs only its inline state and its links.
+// It logs the wall-time ratio to the same load on the 102400-core machine,
+// measured in the same process, and gates nothing on time.
+func TestScale1MSparse(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("million-core machine in -short mode or under the race detector")
+	}
+	wall100k, _ := sparseRun(t, "chiplet:8x8,4x4,10x10")
+	wall1M, heap := sparseRun(t, "chiplet:8x8,4x4,32x32")
+	t.Logf("sparse 1M run: %.1f MiB live heap; wall %v, %.2f× the 100k run's %v",
+		float64(heap)/(1<<20), wall1M.Round(time.Millisecond), float64(wall1M)/float64(wall100k), wall100k.Round(time.Millisecond))
+	if heap > scale1MHeapCeiling {
+		t.Errorf("live heap %d bytes exceeds the %d-byte ceiling", heap, uint64(scale1MHeapCeiling))
 	}
 }
