@@ -120,7 +120,7 @@ func New(cfg Config) *Kernel {
 			idle:  true,
 			eff:   vtime.Inf,
 			links: [2]int32{int32(cfg.Topo.FirstLink(i)), int32(cfg.Topo.FirstLink(i) + cfg.Topo.Degree(i))},
-			hpos:  [3]int32{-1, -1, -1},
+			hpos:  [4]int32{-1, -1, -1, -1},
 		}
 		k.cores[i] = &backing[i]
 	}
@@ -191,6 +191,7 @@ func (k *Kernel) setupEngine(cfg Config) {
 	}
 	for _, d := range k.domains {
 		d.rq = runq{coreHeap: coreHeap{slot: runSlot, byID: true}, d: d, limit: vtime.Inf}
+		d.sk = runq{coreHeap: coreHeap{slot: stickySlot, byID: true}, d: d, limit: vtime.Inf}
 	}
 	if k.effLazy {
 		if k.sharded {

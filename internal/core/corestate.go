@@ -10,7 +10,7 @@ import (
 // Core is the simulation state of one simulated processor core. Inline
 // is what picking and stepping read, the first 64 bytes holding what a
 // neighbor's pass reads; the rest is a runState allocated on the core's
-// first use, so a core that never runs a task costs one 128-byte struct.
+// first use, so a core that never runs a task costs one 120-byte struct.
 type Core struct {
 	//simany:derived backpointer, rewired when domains are rebuilt
 	dom *domain // execution shard owning this core
@@ -35,12 +35,11 @@ type Core struct {
 	// costs are divided by Speed.
 	//
 	//simany:derived immutable configuration, reinstated by New from Config
-	Speed   float64
-	k       *Kernel //simany:derived backpointer, wired by New
-	rnStamp uint64  //simany:derived sticky stalled-runnable stamp vs domain.shapeEpoch (shard-local policies only), cleared by schedUpdate
+	Speed float64
+	k     *Kernel //simany:derived backpointer, wired by New
 	// hpos is the core's position in each of its domain's indexed heaps
-	// (coreHeap, indexed by runSlot/anchorSlot/stallSlot; -1 = out).
-	hpos      [3]int32  //simany:derived heap positions, a function of the encoded queues, clocks and idle flags (schedRebuild)
+	// (coreHeap, indexed by run/anchor/stall/stickySlot; -1 = out).
+	hpos      [4]int32  //simany:derived heap positions, a function of the encoded queues, clocks and idle flags (schedRebuild)
 	lockDepth int       // >0: lock-holder exemption from spatial stalls
 	run       *runState // nil until the first task, handled message or L2 install; reads as fresh
 }

@@ -51,17 +51,15 @@ import (
 // (equiv_test.go) runs that check at every scheduling decision and pins
 // the pick sequences to a recording made with an eager propagation flood.
 //
-// Scheduling. The scheduler splits the stalled cores by what their
-// horizons read. A stalled core with no idle same-domain neighbor depends
+// Scheduling. A stalled core with no idle same-domain neighbor depends
 // only on busy neighbors' maintained times (every change posts a
 // schedUpdate from effSite's O(degree) neighbor pass) and frozen
-// cross-shard proxies, so it keeps an exact cached key in the runq. Only
-// the stalled cores adjacent to an idle region — whose horizons read
-// shadow times that post no callbacks — move to a secondary per-domain
-// heap ordered by (vt, ID) (domain.sq); every pick evaluates those on
-// demand, and a sticky per-shape-epoch runnable bit keeps a member once
-// found runnable from being evaluated again.
-// See docs/effective-time.md for the full design and cost model.
+// cross-shard proxies, so it keeps an exact cached key in the runq. One
+// adjacent to an idle region reads shadow times that post no callbacks:
+// it moves to the stall heap (domain.sq), evaluated at every pick until
+// found runnable, then to the sticky heap (domain.sk) until its inputs
+// change or the shape epoch ends. See docs/effective-time.md for the full
+// design and cost model.
 
 // setupEff allocates the proxies through which a sharded run's relay
 // reads neighbors in other shards, frozen between barriers: one per
@@ -155,7 +153,7 @@ func (d *domain) effSite(c *Core) {
 			// stale even when the advertised value happens to be unchanged
 			// (the old value may itself have been a stale memo) — and
 			// region horizons may move either way, so the shape epoch
-			// drops every sticky runnable bit too.
+			// ends the sticky heap's too.
 			d.shapeEpoch++
 		}
 		for _, nbID := range k.neighbors(c) {
@@ -303,7 +301,8 @@ func (d *domain) minNeighborEff(c *Core) vtime.Time {
 const (
 	runSlot    = iota // domain.rq: runnable cores by (cached runnable key, ID)
 	anchorSlot        // domain.busyList: busy cores by maintained eff
-	stallSlot         // domain.sq: stall-routed cores by (vt, ID)
+	stallSlot         // domain.sq: stall-routed cores not known runnable, by (vt, ID)
+	stickySlot        // domain.sk: stall-routed cores found runnable this shape epoch, by (vt, ID)
 )
 
 // heapEntry is one coreHeap member with the key it is ordered by, copied
@@ -317,22 +316,19 @@ type heapEntry struct {
 // coreHeap is an indexed binary min-heap over cores: each member records
 // its position in c.hpos[slot] (-1 while out), so membership is an O(1)
 // test and re-seating a member whose key moved an O(log n) sift. A domain
-// keeps three: the runq (sched.go), the anchor heap (busyList, whose root
-// is the exact anchor floor) and the stall heap (sq, below). byID breaks
-// key ties by core ID — the scan's (key, ID) order, which the runq and
-// the stall heap need for their picks. The anchor heap is only ever asked
-// for its root's key, and skips the tie-break: on a machine of tied
-// clocks it would make every sift walk the whole tied class.
+// keeps four: the runq (sched.go), the anchor heap (busyList, whose root
+// is the exact anchor floor), the stall heap (sq, below) and the sticky
+// heap (sk, stallBest). byID breaks key ties by core ID — the scan's
+// (key, ID) order, which the others need for their picks. The anchor heap
+// is only ever asked for its root's key, and skips the tie-break: on a
+// machine of tied clocks it would make every sift walk the whole tied
+// class.
 //
-// The stall heap is a domain's secondary scheduling heap: the stalled
-// cores whose horizons no cached key can track (domain.stallRouted) — the
-// idle-adjacent ones, and every one under a policy that is not
-// shard-local — keyed by vt. Their runnable keys — when runnable at all —
-// equal their clocks, but runnability itself depends on horizons
-// evaluated at the pick, so membership means "stalled, evaluated on
-// demand", not "runnable"; pickCore evaluates the horizons of the members
-// with vt ≤ limit. The mid-step core is kept out (its clock is moving),
-// so every key equals its clock between a put and the next.
+// The stall and sticky heaps hold the stalled cores whose horizons no
+// cached key can track (domain.stallRouted), keyed by vt, their runnable
+// key when runnable: the stall heap those not known runnable, evaluated at
+// every pick (stallBest). The mid-step core is kept out of both (its clock
+// is moving), so their keys equal the clocks.
 type coreHeap struct {
 	heap []heapEntry
 	slot int
@@ -441,61 +437,63 @@ func (q *coreHeap) check(live func(*Core) vtime.Time) error {
 	return nil
 }
 
-// stallBest finds the best runnable stalled core with vt ≤ limit — the
-// minimal (vt, ID) member whose horizon has reached its clock — plus the
-// count of runnable stalled cores within the limit (the §VIII sample
-// share the runq cannot see). The walk visits only the heap subtrees
-// whose root clock qualifies. Under a shard-local policy a member found
-// runnable records a sticky bit valid for the current shape epoch: anchor
-// values are monotone between busy/idle flips, so its horizon can only
-// keep rising above its frozen clock — the expensive region evaluation
-// runs once, not once per pick (any input that could lower the horizon —
-// the core's own clock, births, locks, a flip anywhere in the domain —
-// clears the bit via schedUpdate or the epoch). Other policies get no
-// bit: their global horizons are not monotone and LaxP2P draws from the
-// RNG on every evaluation, so each member is asked exactly once per pick,
-// as a scan over every core would ask it. That equivalence needs the limit
-// to be Inf, which holds because New refuses them more than one shard
-// (Config.CheckShards).
+// stallBest finds the minimal (vt, ID) stalled core with vt ≤ limit whose
+// horizon has reached its clock, and the count of such cores (the §VIII
+// share the runq cannot see): the sticky heap's root and count, merged
+// with a walk of the stall-heap subtrees whose root qualifies. Under a
+// shard-local policy a member found runnable moves to the sticky heap and
+// is not asked again while its horizon can only rise (anchors are monotone
+// between busy/idle flips): its own inputs take it out (schedUpdate,
+// step), and a flip or barrier ends the shape epoch, whose first pick
+// returns every member to the stall heap. Other policies keep the sticky
+// heap empty: LaxP2P draws from the RNG at every evaluation, so each
+// member is asked once per pick, in heap pre-order, as a scan would (with
+// an Inf limit: New refuses them more than one shard).
 func (d *domain) stallBest(limit vtime.Time) (best heapEntry, count int) {
-	q := &d.sq
-	if len(q.heap) == 0 {
-		return best, 0
+	if len(d.sq.heap) == 0 && (len(d.sk.heap) == 0 || d.skEpoch == d.shapeEpoch) {
+		return d.sk.pick() // nothing pending
 	}
+	if d.skEpoch != d.shapeEpoch {
+		d.stallDemoted += int64(len(d.sk.heap))
+		for _, e := range d.sk.heap {
+			e.c.hpos[stickySlot] = -1
+			d.sq.put(e.c, e.key)
+		}
+		d.sk.heap, d.sk.within, d.skEpoch = d.sk.heap[:0], 0, d.shapeEpoch
+	}
+	best, count = d.sk.pick() // armed at limit (domain.setLimit)
+	q, found := &d.sq, d.stallFound[:0]
 	var walk func(i int)
 	walk = func(i int) {
-		if i >= len(q.heap) {
+		if i >= len(q.heap) || q.heap[i].key > limit {
 			return
 		}
 		e := q.heap[i]
-		if e.key > limit {
-			return
-		}
-		if c := e.c; c != d.stepping {
-			runnable := c.rnStamp == d.shapeEpoch
-			if !runnable && c.vt <= d.k.policyHorizon(c) {
-				runnable = true
-				if d.k.localPolicy {
-					c.rnStamp = d.shapeEpoch
-				}
+		d.stallVisits++
+		if c := e.c; c != d.stepping && c.vt <= d.k.policyHorizon(c) {
+			count++
+			if best.c == nil || q.less(e, best) {
+				best = e
 			}
-			if runnable {
-				count++
-				if best.c == nil || q.less(e, best) {
-					best = e
-				}
+			if d.k.localPolicy {
+				found = append(found, c)
 			}
 		}
 		walk(2*i + 1)
 		walk(2*i + 2)
 	}
 	walk(0)
+	for _, c := range found {
+		q.remove(c)
+		d.sk.add(c, c.vt)
+	}
+	d.stallFound = found[:0]
 	return best, count
 }
 
 // pickIndexed is pickCore's decision: the best of the runq head (exact
-// cached keys) and the best runnable stall-heap core (whose runnable key
-// is its clock), with the scan's (key, ID) preference, plus the combined
+// cached keys) and the best runnable stalled core (whose runnable key is
+// its clock), with the scan's (key, ID) preference, plus the combined
 // §VIII runnable count. A nil core when neither qualifies.
 func (d *domain) pickIndexed(limit vtime.Time) (*Core, vtime.Time, int) {
 	best, rqCount := d.rq.pick() // armed at limit (domain.setLimit)
@@ -514,8 +512,8 @@ func (d *domain) pickIndexed(limit vtime.Time) (*Core, vtime.Time, int) {
 // the domain-local fixpoint anchored at the freshly frozen proxies).
 func (d *domain) rebuildLazyFromRefresh() {
 	d.effInvalidate()
-	// Refreshed frozen proxies can move horizons either way: drop the
-	// sticky runnable bits along with the value memos.
+	// Refreshed frozen proxies can move horizons either way: end the
+	// sticky heap's epoch along with the value memos.
 	d.shapeEpoch++
 	busy := d.busyList.heap[:0]
 	for _, c := range d.cores {
@@ -527,19 +525,6 @@ func (d *domain) rebuildLazyFromRefresh() {
 		}
 	}
 	d.busyList.init(busy)
-}
-
-// rebuildStallq reseats the domain's stall-routed cores in the secondary
-// heap; the counterpart of runq.rebuild for the stalled set.
-func (d *domain) rebuildStallq() {
-	stalled := d.sq.heap[:0]
-	for _, c := range d.cores {
-		c.hpos[stallSlot] = -1
-		if d.stallRouted(c) {
-			stalled = append(stalled, heapEntry{c.vt, c})
-		}
-	}
-	d.sq.init(stalled)
 }
 
 // rebuildIdleNb recounts every owned core's idle same-domain neighbors —

@@ -70,23 +70,25 @@ func TestAnchorHeapRandomOps(t *testing.T) {
 	}
 }
 
-// TestCoreHeapRandomOps drives one coreHeap per slot through random puts
-// (inserts and key moves), removes and re-inits, with keys drawn from five
-// values so most of them tie, against a sorted-slice oracle. After every
-// operation each member's position must name its entry and key, every
-// other core's must read -1, and the root must be the oracle's minimum:
-// by (key, ID) for the run and stall heaps, by key alone for the anchor
-// heap, which does not break ties.
+// TestCoreHeapRandomOps drives one heap per slot through random inserts,
+// key moves, removes and re-inits, with keys drawn from five values so
+// most of them tie, against a sorted-slice oracle. The heap is a runq, so
+// inserts and removes also keep its runnable count against a limit in the
+// middle of the key range. After every operation each member's position
+// must name its entry and key, every other core's must read -1, the count
+// must equal the oracle's, and the root must be the oracle's minimum: by
+// (key, ID) for the run, stall and sticky heaps, by key alone for the
+// anchor heap, which does not break ties.
 func TestCoreHeapRandomOps(t *testing.T) {
-	for _, slot := range []int{runSlot, anchorSlot, stallSlot} {
+	for _, slot := range []int{runSlot, anchorSlot, stallSlot, stickySlot} {
 		t.Run(fmt.Sprintf("slot%d", slot), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(slot) + 1))
 			cores := make([]Core, 40)
 			for i := range cores {
 				cores[i].ID = i
-				cores[i].hpos = [3]int32{-1, -1, -1}
+				cores[i].hpos = [4]int32{-1, -1, -1, -1}
 			}
-			q := coreHeap{slot: slot, byID: slot != anchorSlot}
+			q := runq{coreHeap: coreHeap{slot: slot, byID: slot != anchorSlot}, limit: vtime.CyclesInt(2)}
 			var oracle []heapEntry // sorted by (key, ID)
 			find := func(c *Core) int {
 				return slices.IndexFunc(oracle, func(e heapEntry) bool { return e.c == c })
@@ -104,6 +106,7 @@ func TestCoreHeapRandomOps(t *testing.T) {
 						}
 					}
 					q.init(slices.Clone(oracle))
+					q.arm(q.limit)
 				case r < 35:
 					if i := find(c); i >= 0 {
 						q.remove(c)
@@ -111,10 +114,14 @@ func TestCoreHeapRandomOps(t *testing.T) {
 					}
 				default:
 					k := key()
-					q.put(c, k)
 					if i := find(c); i >= 0 {
+						// A key move keeps no count (runq.update does), so
+						// recount.
+						q.put(c, k)
+						q.arm(q.limit)
 						oracle[i].key = k
 					} else {
+						q.add(c, k)
 						oracle = append(oracle, heapEntry{k, c})
 					}
 				}
@@ -132,6 +139,13 @@ func TestCoreHeapRandomOps(t *testing.T) {
 				}
 				if len(q.heap) != len(oracle) {
 					t.Fatalf("op %d: heap holds %d entries, oracle %d", op, len(q.heap), len(oracle))
+				}
+				within := 0
+				for _, e := range oracle {
+					within += q.in(e.key)
+				}
+				if q.within != within {
+					t.Fatalf("op %d: runnable count %d, oracle %d", op, q.within, within)
 				}
 				for i := range cores {
 					c := &cores[i]
@@ -168,14 +182,16 @@ func plantFrozenProxy(t *testing.T, k *Kernel, d *domain, v vtime.Time) {
 }
 
 // effCounts is the sum over a kernel's domains of the test-read search
-// counters: region searches (lazyFix calls) and the neighbour visits they
-// made.
-type effCounts struct{ searches, visits int64 }
+// counters: region searches (lazyFix calls), the neighbour visits they
+// made, and the stall-heap members the picks visited (stallBest).
+type effCounts struct{ searches, visits, stallVisits, stallDemoted int64 }
 
 func countEff(k *Kernel) (n effCounts) {
 	for _, d := range k.domains {
 		n.searches += d.effSearches
 		n.visits += d.effVisits
+		n.stallVisits += d.stallVisits
+		n.stallDemoted += d.stallDemoted
 	}
 	return n
 }
@@ -226,6 +242,73 @@ func TestSparseReadsNeverScan(t *testing.T) {
 			}
 			t.Logf("%d searches, %d visits (%.2f per search)", n.searches, n.visits, float64(n.visits)/float64(n.searches))
 		})
+	}
+}
+
+// pendingVisitsCeiling pins the mean stall-heap members one pick visits on
+// TestStallPickVisitsOnlyPending's workload, not counting the members each
+// shape-epoch bump returns to the stall heap: measured 0.97 on the 10k and
+// 100k machines at 64 and 256 tasks (the core that just stepped, asked
+// once), 2.56 and 3.13 on the 1k machine at 16 and 64 tasks, whose tasks
+// sit close enough to hold one another back, so a core ahead stays stalled
+// and is asked again at every pick. A pick that walked every
+// idle-adjacent stalled core would make about one visit per task.
+const pendingVisitsCeiling = 4
+
+// TestStallPickVisitsOnlyPending is TestSparseReadsNeverScan's shape at
+// two task counts per machine: nearly every busy core sits stalled beside
+// an idle region and is runnable, so a pick that walked every stall-routed
+// core would visit about one member per task. Members found runnable wait
+// in the sticky heap instead, so the visits per pick must stay under a
+// small constant, the same for four times the tasks and for every machine
+// size. The one term that grows with the tasks is the lazy demotion: a
+// busy/idle flip returns at most every task's core to the stall heap, and
+// each task flips twice (start and end), so it must stay within
+// 2·tasks² visits over the run.
+func TestStallPickVisitsOnlyPending(t *testing.T) {
+	for _, tc := range []struct {
+		name, spec string
+		tasks      []int
+	}{
+		{"1k", "chiplet:8x8,4x4", []int{16, 64}},
+		{"10k", "chiplet:8x8,4x4,3x3", []int{64, 256}},
+		{"100k", "chiplet:8x8,4x4,10x10", []int{64, 256}},
+	} {
+		for _, tasks := range tc.tasks {
+			t.Run(fmt.Sprintf("%s/tasks%d", tc.name, tasks), func(t *testing.T) {
+				if tc.name == "100k" && testing.Short() {
+					t.Skip("100k-core machine build in -short mode")
+				}
+				topo, err := topology.ParseSpec(tc.spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				k := New(Config{Topo: topo, Policy: Spatial{T: DefaultT}, Seed: 42})
+				const slices = 100
+				stride := topo.N() / tasks
+				for i := 0; i < tasks; i++ {
+					k.InjectTask(i*stride, "w", func(e *Env) {
+						for s := 0; s < slices; s++ {
+							e.ComputeCycles(100)
+						}
+					}, nil, 0)
+				}
+				res, err := k.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				n := countEff(k)
+				pending := n.stallVisits - n.stallDemoted
+				perPick := float64(pending) / float64(res.Steps)
+				if pending <= 0 || perPick > pendingVisitsCeiling {
+					t.Errorf("%d pending stall-heap visits in %d picks (%.2f per pick), ceiling %d per pick", pending, res.Steps, perPick, pendingVisitsCeiling)
+				}
+				if bound := int64(2 * tasks * tasks); n.stallDemoted > bound {
+					t.Errorf("%d sticky members demoted, bound 2·tasks² = %d", n.stallDemoted, bound)
+				}
+				t.Logf("%d picks: %d stall-heap visits (%.2f per pick), %d of them demoted members, %.2f pending per pick", res.Steps, n.stallVisits, float64(n.stallVisits)/float64(res.Steps), n.stallDemoted, perPick)
+			})
+		}
 	}
 }
 

@@ -38,13 +38,16 @@ type domain struct {
 	//simany:derived transient round state; checkpoints happen at barriers where limit is reset
 	limit vtime.Time
 
-	// rq is the indexed runnable queue (sched.go) and sq its companion
-	// heap of the stalled cores evaluated at every pick (domain.stallRouted,
-	// efflazy.go). stepping is the core currently inside step, whose index
-	// entry is transient until the step completes.
-	rq       runq     //simany:derived runnable heap, a function of the encoded queues and clocks (schedRebuild)
-	sq       coreHeap //simany:derived stalled-core heap, a function of the encoded queues and clocks (schedRebuild)
-	stepping *Core    //simany:derived transient mid-step marker, nil at every barrier
+	// rq is the indexed runnable queue (sched.go); sq holds the stalled
+	// cores evaluated at every pick and sk those found runnable in shape
+	// epoch skEpoch (stallBest). stepping is the core currently inside
+	// step, whose index entry is transient until the step completes.
+	rq         runq     //simany:derived runnable heap, a function of the encoded queues and clocks (schedRebuild)
+	sq         coreHeap //simany:derived stalled-core heap, a function of the encoded queues and clocks (schedRebuild)
+	sk         runq     //simany:derived sticky-runnable heap, host-side only: emptied by schedRebuild
+	skEpoch    uint64   //simany:derived shape epoch the sticky heap was filled in, host-side only like shapeEpoch
+	stallFound []*Core  //simany:derived stallBest scratch, empty between picks
+	stepping   *Core    //simany:derived transient mid-step marker, nil at every barrier
 
 	// runnableMax is the most cores ever sampled runnable at one pick
 	// (§VIII; the sum is the core.runnable counter).
@@ -58,14 +61,14 @@ type domain struct {
 	effEpoch uint64   //simany:derived memo invalidation epoch, host-side only: results do not depend on its value
 	// shapeEpoch advances only when the anchor *set* changes (a busy/idle
 	// flip, a barrier refresh) — never on pure value moves, which are
-	// monotone. A stalled core's sticky runnable bit (Core.rnStamp) is
-	// valid per shape epoch: within one, horizons can only rise, so a core
-	// once observed runnable stays runnable until its own inputs change.
+	// monotone. A stalled core's seat in the sticky heap (sk) is valid
+	// per shape epoch: within one, horizons can only rise, so a core once
+	// observed runnable stays runnable until its own inputs change.
 	shapeEpoch uint64 //simany:derived sticky-runnable invalidation epoch, host-side only like effEpoch
 	effGen     uint64 //simany:derived lazyFix BFS visited generation, transient per query
-	// Search counters, read by tests only: region searches run (lazyFix)
-	// and the neighbour visits they made.
-	effSearches, effVisits int64 //simany:derived test-read counters, no simulated state
+	// Search counters, read by tests only: lazyFix's searches and neighbour
+	// visits, stallBest's stall-heap visits and sticky members demoted.
+	effSearches, effVisits, stallVisits, stallDemoted int64 //simany:derived test-read counters, no simulated state
 	//simany:derived minimum over frozen cross-shard proxies, recomputed at every barrier
 	frozenFloor vtime.Time
 	effScratch  []int        //simany:derived reusable BFS ring buffer, empty between uses
@@ -183,11 +186,14 @@ func (d *domain) step(c *Core) {
 	// While the step runs, c's clock, queues and current task are in
 	// flux; its index entry is settled by the schedUpdate at the end,
 	// before the domain consults the queue again. The runq tolerates the
-	// transient (its entry holds the cached key), but a stall-heap key
-	// must equal the live clock, so c leaves that heap for the duration.
+	// transient (its entry holds the cached key), but the stall and
+	// sticky heaps key on the live clock, so c leaves them for now.
 	d.stepping = c
 	if c.hpos[stallSlot] >= 0 {
 		d.sq.remove(c)
+	}
+	if c.hpos[stickySlot] >= 0 {
+		d.sk.remove(c)
 	}
 	t, r := c.current, c.run // a core with a task has run state
 	switch {

@@ -268,11 +268,10 @@ func (k *Kernel) schedRebuild() {
 	for _, d := range k.domains {
 		if k.effLazy {
 			// The idle-neighbor counts route stalled cores between the
-			// two heaps, so they must be exact before either rebuild.
+			// runq and the stall heap, so they must be exact first.
 			d.rebuildIdleNb()
 		}
-		d.rq.rebuild()
-		d.rebuildStallq()
+		d.rebuildQueues()
 	}
 }
 

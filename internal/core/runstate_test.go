@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"testing"
+	"unsafe"
 
 	"simany/internal/snap"
 	"simany/internal/timing"
@@ -98,5 +99,34 @@ func TestUnusedCoreReadsAllocateNothing(t *testing.T) {
 	c.L2().Install(4096, 256)
 	if c.run == nil || !c.L2().Contains(4096) {
 		t.Fatal("an L2 install did not allocate the core's run state")
+	}
+}
+
+// TestCoreLayout guards the inline Core's shape: at most two 64-byte cache
+// lines, with every field a neighbour's pass reads (effSite's notify loop,
+// lazyFix's ring walk, minNeighborEff) in the first. Moving fields alone
+// has measured ±5 % on the dense and sparse benchmarks.
+func TestCoreLayout(t *testing.T) {
+	var c Core
+	if size := unsafe.Sizeof(c); size > 128 {
+		t.Errorf("Core is %d bytes, more than two cache lines", size)
+	}
+	for _, f := range []struct {
+		name      string
+		off, size uintptr
+	}{
+		{"dom", unsafe.Offsetof(c.dom), unsafe.Sizeof(c.dom)},
+		{"eff", unsafe.Offsetof(c.eff), unsafe.Sizeof(c.eff)},
+		{"effStamp", unsafe.Offsetof(c.effStamp), unsafe.Sizeof(c.effStamp)},
+		{"effSeen", unsafe.Offsetof(c.effSeen), unsafe.Sizeof(c.effSeen)},
+		{"vt", unsafe.Offsetof(c.vt), unsafe.Sizeof(c.vt)},
+		{"links", unsafe.Offsetof(c.links), unsafe.Sizeof(c.links)},
+		{"idleNb", unsafe.Offsetof(c.idleNb), unsafe.Sizeof(c.idleNb)},
+		{"idle", unsafe.Offsetof(c.idle), unsafe.Sizeof(c.idle)},
+		{"current", unsafe.Offsetof(c.current), unsafe.Sizeof(c.current)},
+	} {
+		if end := f.off + f.size; end > 64 {
+			t.Errorf("Core.%s ends at byte %d, outside the first cache line", f.name, end)
+		}
 	}
 }

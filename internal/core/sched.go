@@ -33,7 +33,7 @@ import (
 //
 // Stalled cores whose horizons no cached key could track live in the
 // stall heap instead (domain.stallRouted), evaluated on demand at every
-// pick (domain.stallBest).
+// pick until found runnable (domain.stallBest).
 
 // runq is a domain's indexed runnable queue: the run-slot coreHeap, whose
 // entries carry each core's cached runnable key and whose (key, ID) order
@@ -68,8 +68,14 @@ func (q *runq) arm(limit vtime.Time) {
 	}
 }
 
+// add counts key in and seats c at it (a key move counts the old one out).
+func (q *runq) add(c *Core, key vtime.Time) {
+	q.within += q.in(key)
+	q.put(c, key)
+}
+
 func (q *runq) remove(c *Core) {
-	q.within -= q.in(q.heap[c.hpos[runSlot]].key)
+	q.within -= q.in(q.heap[c.hpos[q.slot]].key)
 	q.coreHeap.remove(c)
 }
 
@@ -92,27 +98,27 @@ func (q *runq) update(c *Core) {
 		}
 		q.within -= q.in(q.heap[i].key)
 	}
-	q.within += q.in(key)
-	q.put(c, key)
+	q.add(c, key)
 }
 
-// rebuild recomputes the queue from scratch — membership, keys and heap
-// order — in O(cores). Run() calls it once per engine start; everything
-// after that is incremental. The stall heap's cores (rebuilt separately)
-// are excluded here.
-func (q *runq) rebuild() {
-	members := q.heap[:0]
-	for _, c := range q.d.cores {
-		c.hpos[runSlot] = -1
-		if q.d.stallRouted(c) {
-			continue
-		}
-		if key, ok := q.d.runnable(c); ok {
-			members = append(members, heapEntry{key, c})
+// rebuildQueues recomputes the runq and the stall heap from scratch —
+// membership, keys and heap order — in O(cores), and empties the sticky
+// heap: no stalled core is known runnable yet. Kernel.schedRebuild calls
+// it; everything after that is incremental.
+func (d *domain) rebuildQueues() {
+	run, stalled := d.rq.heap[:0], d.sq.heap[:0]
+	for _, c := range d.cores {
+		c.hpos[runSlot], c.hpos[stallSlot], c.hpos[stickySlot] = -1, -1, -1
+		if d.stallRouted(c) {
+			stalled = append(stalled, heapEntry{c.vt, c})
+		} else if key, ok := d.runnable(c); ok {
+			run = append(run, heapEntry{key, c})
 		}
 	}
-	q.init(members)
-	q.arm(q.limit)
+	d.rq.init(run)
+	d.rq.arm(d.rq.limit)
+	d.sq.init(stalled)
+	d.sk.heap, d.sk.within = d.sk.heap[:0], 0
 }
 
 // pick returns the scan-equivalent scheduling decision: the minimal-key
@@ -143,10 +149,11 @@ func (d *domain) stallRouted(c *Core) bool {
 // state; the post-step update in domain.step settles it before the queues
 // are next read (the domain only consults them between steps).
 func (d *domain) schedUpdate(c *Core) {
-	// Every non-eff horizon input (clock, births, locks) funnels its
-	// mutations through here, so dropping the sticky runnable bit on each
-	// update is exactly the invalidation its contract needs.
-	c.rnStamp = 0
+	// Every non-eff horizon input (clock, births, locks) posts here, so
+	// leaving the sticky heap on each update is its exact invalidation.
+	if c.hpos[stickySlot] >= 0 {
+		d.sk.remove(c)
+	}
 	if d.stallRouted(c) {
 		// The mid-step core stays out of the stall heap (its clock is
 		// moving); the post-step update re-seats it.
@@ -165,49 +172,51 @@ func (d *domain) schedUpdate(c *Core) {
 }
 
 // checkRunq verifies the structural invariants of the index — positions,
-// heap order, the runnable count at the armed limit, stall-heap keys
-// against the live clocks, and runq membership/key agreement with the
-// reference runnable computation. The core currently mid-step (if any) is
-// exempt from the membership check: its entry is refreshed when the step
-// completes, before the queue is consulted again. Used by Kernel.Validate.
+// heap order, runnable counts at the armed limit, stall- and sticky-heap
+// keys against the clocks, each stall-routed core in one of those heaps (a
+// sticky one runnable), and runq membership/keys against the reference
+// runnable computation. The mid-step core is exempt from membership: its
+// entries settle when the step completes. Used by Kernel.Validate.
 func (d *domain) checkRunq() error {
-	q := &d.rq
-	if err := q.check(nil); err != nil {
-		return fmt.Errorf("domain %d: runq: %w", d.id, err)
+	q, clock := &d.rq, func(c *Core) vtime.Time { return c.vt }
+	for i, err := range [...]error{q.check(nil), d.sk.check(clock), d.sq.check(clock)} {
+		if err != nil {
+			return fmt.Errorf("domain %d: %s: %w", d.id, [...]string{"runq", "sticky heap", "stall heap"}[i], err)
+		}
 	}
-	within := 0
-	for _, e := range q.heap {
-		within += q.in(e.key)
+	for i, rq := range [...]*runq{q, &d.sk} {
+		within := 0
+		for _, e := range rq.heap {
+			within += rq.in(e.key)
+		}
+		if rq.within != within {
+			return fmt.Errorf("domain %d: %s runnable count %d within limit %v, linear count %d", d.id, [...]string{"runq", "sticky heap"}[i], rq.within, rq.limit, within)
+		}
 	}
-	if q.within != within {
-		return fmt.Errorf("domain %d: runnable count %d within limit %v, linear count %d", d.id, q.within, q.limit, within)
-	}
-	if err := d.sq.check(func(c *Core) vtime.Time { return c.vt }); err != nil {
-		return fmt.Errorf("domain %d: stall heap: %w", d.id, err)
-	}
-	if c := d.stepping; c != nil && c.hpos[stallSlot] >= 0 {
-		// The mid-step core's clock is in flux, so step removes it from
-		// this heap until the post-step update.
-		return fmt.Errorf("domain %d: mid-step core %d still in the stall heap", d.id, c.ID)
+	if c := d.stepping; c != nil && (c.hpos[stallSlot] >= 0 || c.hpos[stickySlot] >= 0) {
+		// step removes the core from these heaps while its clock moves.
+		return fmt.Errorf("domain %d: mid-step core %d still in the stall or sticky heap", d.id, c.ID)
 	}
 	for _, c := range d.cores {
 		if c == d.stepping {
 			continue
 		}
 		i := c.hpos[runSlot]
+		stalled, sticky := c.hpos[stallSlot] >= 0, c.hpos[stickySlot] >= 0
 		if d.stallRouted(c) {
-			// The stall heap's cores are evaluated on demand, never cached
-			// in the runq.
-			if i >= 0 {
+			// A sticky core's horizon only rises within its epoch (stallBest).
+			switch {
+			case i >= 0:
 				return fmt.Errorf("domain %d: stalled core %d still in the runq (key %v)", d.id, c.ID, q.heap[i].key)
-			}
-			if c.hpos[stallSlot] < 0 {
-				return fmt.Errorf("domain %d: stalled core %d missing from the stall heap", d.id, c.ID)
+			case stalled == sticky:
+				return fmt.Errorf("domain %d: stalled core %d in the stall heap %v, in the sticky heap %v", d.id, c.ID, stalled, sticky)
+			case sticky && d.skEpoch == d.shapeEpoch && c.vt > d.k.policyHorizon(c):
+				return fmt.Errorf("domain %d: sticky core %d not runnable (clock %v, horizon %v)", d.id, c.ID, c.vt, d.k.policyHorizon(c))
 			}
 			continue
 		}
-		if c.hpos[stallSlot] >= 0 {
-			return fmt.Errorf("domain %d: core %d in the stall heap but not routed there", d.id, c.ID)
+		if stalled || sticky {
+			return fmt.Errorf("domain %d: core %d in the stall or sticky heap but not routed there", d.id, c.ID)
 		}
 		key, ok := d.runnable(c)
 		switch {

@@ -91,8 +91,8 @@ func TestRunqInsertRemoveUpdate(t *testing.T) {
 	}
 	mustCheck(t, d)
 
-	// rebuild from scratch reproduces the same head.
-	q.rebuild()
+	// A rebuild from scratch reproduces the same head.
+	d.rebuildQueues()
 	if got := head(q).c; got != c5 {
 		t.Fatalf("head after rebuild = core %d, want core 5", got.ID)
 	}
@@ -168,7 +168,7 @@ func TestRunqCountAtMostAndPick(t *testing.T) {
 	if best, n := q.pick(); best.c == nil || best.c.ID != 3 || n != 3 {
 		t.Errorf("pick() armed at 60 after the moves = %v, %d, want core 3 of 3", best, n)
 	}
-	q.rebuild()
+	d.rebuildQueues()
 	within("rebuild", 3)
 	k.Core(7).popReady() // 60: leaves from the limit itself
 	q.update(k.Core(7))

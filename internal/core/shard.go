@@ -128,10 +128,11 @@ func (k *Kernel) runRound(limit vtime.Time) {
 }
 
 // setLimit caps the domain's horizons at limit and arms its runnable
-// count there.
+// counts there.
 func (d *domain) setLimit(limit vtime.Time) {
 	d.limit = limit
 	d.rq.arm(limit)
+	d.sk.arm(limit)
 }
 
 // runLocal is one domain's share of a round: schedule local cores with

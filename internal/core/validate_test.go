@@ -65,6 +65,34 @@ func anchoredKernel(t *testing.T) (*Kernel, *domain) {
 	return k, d
 }
 
+// stickyKernel is anchoredKernel with cores 5 and 7 stalled at clocks 25
+// and 130 beside idle cores 4 and 6, so both are stall-routed; one pick
+// finds both runnable (horizons 110 and 140) and moves them to the sticky
+// heap, laid out [25 130] by core [5 7].
+func stickyKernel(t *testing.T) (*Kernel, *domain) {
+	t.Helper()
+	k, d := anchoredKernel(t)
+	setStalled(k, k.cores[5], vtime.CyclesInt(25))
+	setStalled(k, k.cores[7], vtime.CyclesInt(130))
+	d.pickIndexed(vtime.Inf)
+	if len(d.sk.heap) != 2 || d.sk.heap[0].c.ID != 5 || d.sk.heap[1].c.ID != 7 || len(d.sq.heap) != 0 {
+		t.Fatalf("sticky heap %v, stall heap %v: want cores 5 and 7 sticky", d.sk.heap, d.sq.heap)
+	}
+	if err := k.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return k, d
+}
+
+// setStalled makes c a busy core stalled mid-task at vt, seated by the
+// schedUpdate that ends every step.
+func setStalled(k *Kernel, c *Core, vt vtime.Time) {
+	setBusy(c, vt)
+	c.current = k.NewTask(c.ID, "stalled", nil, nil)
+	c.current.state = TaskRunning
+	c.dom.schedUpdate(c)
+}
+
 // setBusy makes c a busy core advertising vt, the way domain.step does.
 func setBusy(c *Core, vt vtime.Time) {
 	if c.idle {
@@ -86,45 +114,43 @@ func TestValidateDetectsLazyCorruption(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		corrupt func(k *Kernel, d *domain)
+		sticky  bool // start from stickyKernel rather than anchoredKernel
 		want    string
 	}{
 		{"idle core claiming an anchor slot", func(k *Kernel, d *domain) {
 			k.cores[4].hpos[anchorSlot] = 1
-		}, "anchor-heap slot"},
+		}, false, "anchor-heap slot"},
 		{"heap slots swapped under their back-pointers", func(k *Kernel, d *domain) {
 			h := d.busyList.heap
 			h[1], h[2] = h[2], h[1]
-		}, "anchor heap: core"},
+		}, false, "anchor heap: core"},
 		{"heap slots swapped below the root, back-pointers and all", func(k *Kernel, d *domain) {
 			d.busyList.swap(1, 3) // 40 now sits above 30
-		}, "anchor heap: order violated"},
+		}, false, "anchor heap: order violated"},
 		{"stale anchor floor", func(k *Kernel, d *domain) {
 			// The root advanced past its children without a sift: the
 			// floor read from it is no anchor minimum any more.
 			k.cores[1].vt, k.cores[1].eff = vtime.CyclesInt(50), vtime.CyclesInt(50)
-		}, "anchor floor"},
+		}, false, "anchor floor"},
 		{"sagged frozen-proxy floor", func(k *Kernel, d *domain) {
 			d.frozenFloor = vtime.CyclesInt(5)
-		}, "frozen-proxy floor"},
+		}, false, "frozen-proxy floor"},
 		{"memo off the relaxation fixpoint", func(k *Kernel, d *domain) {
 			c := k.cores[4]
 			c.eff = vtime.CyclesInt(777)
 			c.effStamp = d.effEpoch
-		}, "fixpoint"},
+		}, false, "fixpoint"},
 		{"runnable count off by one", func(k *Kernel, d *domain) {
 			d.rq.within++
-		}, "runnable count"},
+		}, false, "runq runnable count"},
 		{"stale stall-heap key", func(k *Kernel, d *domain) {
 			// Core 5 stalls beside idle cores 4 and 6, so it is seated in
 			// the stall heap at its clock; then the clock moves without a
 			// re-seat.
 			c := k.cores[5]
-			setBusy(c, vtime.CyclesInt(25))
-			c.current = k.NewTask(c.ID, "stalled", nil, nil)
-			c.current.state = TaskRunning
-			d.schedUpdate(c)
+			setStalled(k, c, vtime.CyclesInt(25))
 			c.vt = vtime.CyclesInt(35)
-		}, "stall heap: core 5 sits at key 25"},
+		}, false, "stall heap: core 5 sits at key 25"},
 		{"stale runq entry key", func(k *Kernel, d *domain) {
 			// An earlier arrival lowers core 6's runnable key without the
 			// schedUpdate every queue push posts.
@@ -132,23 +158,58 @@ func TestValidateDetectsLazyCorruption(t *testing.T) {
 			readyAt(k, c, vtime.CyclesInt(50))
 			d.schedUpdate(c)
 			readyAt(k, c, vtime.CyclesInt(20))
-		}, "core 6 indexed with key 50"},
+		}, false, "core 6 indexed with key 50"},
 		{"border link dropped", func(k *Kernel, d *domain) {
 			// A barrier would never refresh the proxy of the dropped link.
 			d.border = append(d.border[:2:2], d.border[3:]...)
-		}, "border link 2 is not"},
+		}, false, "border link 2 is not"},
 		{"idle-neighbour count off by one", func(k *Kernel, d *domain) {
 			// Core 5 sits between idle cores 4 and 6.
 			k.cores[5].idleNb++
-		}, "idle-neighbor count"},
+		}, false, "idle-neighbor count"},
 		{"extra border link listed", func(k *Kernel, d *domain) {
 			// Every listed link matches until the walk runs out of
 			// cross-shard links: only the count check sees the extra one.
 			d.border = append(d.border, d.border[0])
-		}, "border links listed"},
+		}, false, "border links listed"},
+		{"sticky heap: slots swapped under their back-pointers", func(k *Kernel, d *domain) {
+			h := d.sk.heap
+			h[0], h[1] = h[1], h[0]
+		}, true, "sticky heap: core 7 sits in slot 0, recorded 1"},
+		{"sticky heap: slots swapped, back-pointers and all", func(k *Kernel, d *domain) {
+			d.sk.swap(0, 1) // 130 now sits above 25
+		}, true, "sticky heap: order violated"},
+		{"sticky heap: stale key", func(k *Kernel, d *domain) {
+			// Core 5's clock moves without the re-seat step makes.
+			k.cores[5].vt = vtime.CyclesInt(35)
+		}, true, "sticky heap: core 5 sits at key 25"},
+		{"sticky heap: runnable count off by one", func(k *Kernel, d *domain) {
+			d.sk.within++
+		}, true, "sticky heap runnable count 3"},
+		{"sticky heap: member not stall-routed", func(k *Kernel, d *domain) {
+			// Idle core 4 has no task in progress.
+			d.sk.add(k.cores[4], k.cores[4].vt)
+		}, true, "core 4 in the stall or sticky heap but not routed there"},
+		{"sticky heap: member mid-step", func(k *Kernel, d *domain) {
+			// step takes the core out before it moves its clock.
+			d.stepping = k.cores[5]
+		}, true, "mid-step core 5 still in the stall or sticky heap"},
+		{"sticky heap: member in both heaps", func(k *Kernel, d *domain) {
+			d.sq.put(k.cores[7], k.cores[7].vt)
+		}, true, "core 7 in the stall heap true, in the sticky heap true"},
+		{"sticky heap: member no longer runnable", func(k *Kernel, d *domain) {
+			// A birth stamp at 0 caps core 7's horizon at 100, under its
+			// clock, without the schedUpdate that takes it out.
+			r := k.cores[7].run
+			r.births = append(r.births, birth{stamp: 0})
+		}, true, "sticky core 7 not runnable"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			k, d := anchoredKernel(t)
+			fixture := anchoredKernel
+			if tc.sticky {
+				fixture = stickyKernel
+			}
+			k, d := fixture(t)
 			tc.corrupt(k, d)
 			if err := k.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("not reported (want %q): %v", tc.want, err)
