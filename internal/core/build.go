@@ -180,7 +180,6 @@ func (k *Kernel) setupEngine(cfg Config) {
 			busyList:    coreHeap{slot: anchorSlot},
 			sq:          coreHeap{slot: stallSlot, byID: true},
 			effEpoch:    1,
-			shapeEpoch:  1,
 			frozenFloor: vtime.Inf,
 		}
 	}

@@ -124,7 +124,7 @@ func (c *Core) Eff() vtime.Time {
 	if !c.k.effLazy {
 		return vtime.Inf
 	}
-	return c.dom.lazyEff(c)
+	return c.dom.lazyEff(c, 0, vtime.Inf)
 }
 
 // Idle reports whether the core has no runnable or stalled resident task.

@@ -42,7 +42,8 @@ import (
 // epoch advances whenever any anchor of the domain changes — a busy
 // core's maintained eff moved, a core flipped busy/idle, or a barrier
 // refreshed the frozen proxies — so a stale memo is never served. Epoch
-// bumps are O(1); nothing is flooded.
+// bumps are O(1); nothing is flooded. A search stopped early at a decision
+// threshold has no exact value to cache and writes no memo.
 //
 // Determinism. The BFS computes the shortest-path minimum the relaxation
 // converges to, so results do not depend on evaluation order.
@@ -56,10 +57,12 @@ import (
 // schedUpdate from effSite's O(degree) neighbor pass) and frozen
 // cross-shard proxies, so it keeps an exact cached key in the runq. One
 // adjacent to an idle region reads shadow times that post no callbacks:
-// it moves to the stall heap (domain.sq), evaluated at every pick until
-// found runnable, then to the sticky heap (domain.sk) until its inputs
-// change or the shape epoch ends. See docs/effective-time.md for the full
-// design and cost model.
+// it moves to the stall heap (domain.sq), asked at every pick whether its
+// horizon has reached its clock — a decision, which the region searches
+// answer without computing exact values — until found runnable, then to
+// the sticky heap (domain.sk) until its inputs change or a busy/idle flip
+// near it may have pushed it behind (flipDemote). See
+// docs/effective-time.md for the full design and cost model.
 
 // setupEff allocates the proxies through which a sharded run's relay
 // reads neighbors in other shards, frozen between barriers: one per
@@ -130,10 +133,12 @@ func (d *domain) effFloor() vtime.Time {
 // may have moved: it maintains the frontier anchors — c's own advertised
 // time and its seat in the anchor heap — invalidates the memos when an
 // anchor actually changed, and notifies the stalled same-domain neighbors
-// whose horizons read c directly. O(degree + log busy), never O(region);
-// the neighbor pass is what lets stalled cores with no idle neighbor keep
-// exact runq keys (schedUpdate) instead of being re-evaluated at every
-// pick. A no-op when the policy does not relay.
+// whose horizons read c directly. A busy/idle flip also returns to the
+// stall heap the sticky members it may have made unrunnable (flipDemote).
+// O(degree + log busy) otherwise, never O(region); the neighbor pass is
+// what lets stalled cores with no idle neighbor keep exact runq keys
+// (schedUpdate) instead of being re-evaluated at every pick. A no-op when
+// the policy does not relay.
 func (d *domain) effSite(c *Core) {
 	k := d.k
 	if !k.effLazy {
@@ -147,15 +152,6 @@ func (d *domain) effSite(c *Core) {
 		c.eff = c.vt
 		d.busyList.put(c, c.eff)
 		d.effInvalidate()
-		if flipped {
-			// Idle → busy: the core joins the frontier. Paths through it
-			// are cut, so memos computed against the old region shape are
-			// stale even when the advertised value happens to be unchanged
-			// (the old value may itself have been a stale memo) — and
-			// region horizons may move either way, so the shape epoch
-			// ends the sticky heap's too.
-			d.shapeEpoch++
-		}
 		for _, nbID := range k.neighbors(c) {
 			nb := k.cores[nbID]
 			if nb.dom != d {
@@ -168,6 +164,11 @@ func (d *domain) effSite(c *Core) {
 				d.schedUpdate(nb)
 			}
 		}
+		if flipped {
+			// Idle → busy: the core joins the frontier as an anchor at its
+			// clock, which may lie far below the shadow time it relayed.
+			d.flipDemote(c, c.eff)
+		}
 		return
 	}
 	// Busy → idle: the core stops being an anchor; its slot in the memo
@@ -177,7 +178,6 @@ func (d *domain) effSite(c *Core) {
 		d.busyList.remove(c)
 		c.effStamp = 0
 		d.effInvalidate()
-		d.shapeEpoch++
 		for _, nbID := range k.neighbors(c) {
 			nb := k.cores[nbID]
 			if nb.dom != d {
@@ -188,14 +188,73 @@ func (d *domain) effSite(c *Core) {
 				d.schedUpdate(nb)
 			}
 		}
+		// It now relays at least the floor plus one hop.
+		d.flipDemote(c, satAdd(d.effFloor(), k.relayDelta))
 	}
+}
+
+// flipDemote returns to the stall heap each sticky member that a busy/idle
+// flip at b may have made unrunnable. Between flips every anchor only
+// rises, so shadow times only rise; a flip opens (busy → idle) or adds
+// (idle → busy) one way in, through b, whose shadow time is at least seed.
+// An idle core x at idle-path distance r from b therefore keeps at least
+// min(its old value, seed + delta·r), and a member that was runnable beside
+// it stays runnable unless its clock exceeds seed + T + delta·r. A ring BFS
+// from b over the domain's idle cores demotes exactly those members,
+// adjacent to ring r and past that bound, and stops once the bound reaches
+// the largest sticky clock: no member farther out can be past it. b's own
+// neighbors were re-seated by effSite's neighbor pass.
+func (d *domain) flipDemote(b *Core, seed vtime.Time) {
+	if len(d.sk.heap) == 0 {
+		return
+	}
+	top := vtime.Time(0) // the largest sticky clock
+	for _, e := range d.sk.heap {
+		top = max(top, e.key)
+	}
+	k := d.k
+	d.effGen++
+	gen := d.effGen
+	q := append(d.effScratch[:0], b.ID)
+	b.effSeen = gen
+	ringStart, ringEnd := 0, 1
+	for r := 0; ringStart < ringEnd; r++ {
+		// Under Spatial T is the relay delta: seed + T + delta·r.
+		bound := satAdd(seed, satScale(k.relayDelta, r+1))
+		if bound >= top {
+			break
+		}
+		for i := ringStart; i < ringEnd; i++ {
+			nbs := k.neighbors(k.cores[q[i]])
+			d.flipVisits += int64(len(nbs))
+			for _, nbID := range nbs {
+				nb := k.cores[nbID]
+				switch {
+				case nb.dom != d:
+				case nb.idle:
+					if nb.effSeen != gen {
+						nb.effSeen = gen
+						q = append(q, nbID)
+					}
+				case nb.hpos[stickySlot] >= 0 && nb.vt > bound:
+					d.sk.remove(nb)
+					d.sq.put(nb, nb.vt)
+					d.stallDemoted++
+				}
+			}
+		}
+		ringStart, ringEnd = ringEnd, len(q)
+	}
+	d.effScratch = q[:0]
 }
 
 // lazyEff returns c's effective time: the core's maintained value while
 // busy, the memoized (or freshly computed) region fixpoint while idle.
 // With no local anchor (busy == 0), idle-only relay chains have no
-// fixpoint and everyone advertises Inf.
-func (d *domain) lazyEff(c *Core) vtime.Time {
+// fixpoint and everyone advertises Inf. lo and hi are lazyFix's stop
+// thresholds, 0 and Inf for the exact value; a search they stopped early
+// answers only on which side of them the value lies, and is not memoized.
+func (d *domain) lazyEff(c *Core, lo, hi vtime.Time) vtime.Time {
 	if !c.idle {
 		return c.eff
 	}
@@ -205,18 +264,25 @@ func (d *domain) lazyEff(c *Core) vtime.Time {
 	if c.effStamp == d.effEpoch {
 		return c.eff
 	}
-	c.eff = d.lazyFix(c)
-	c.effStamp = d.effEpoch
-	return c.eff
+	v, exact := d.lazyFix(c, lo, hi)
+	if exact {
+		c.eff, c.effStamp = v, d.effEpoch
+	}
+	return v
 }
 
 // lazyFix computes the region fixpoint value for idle core c: a
 // ring-layered BFS over the local idle cores around c, minimizing
 // anchor + delta·(hops+1) over all frontier anchors (local busy cores
 // and finite frozen cross-shard proxies). The ring index equals the hop
-// count, so once best ≤ floor + delta·(ring+1) no farther anchor can
-// improve the result and the search stops.
-func (d *domain) lazyFix(c *Core) vtime.Time {
+// count, so once floor + delta·(ring+1) ≥ best no farther anchor can
+// improve the result, and the search stops with the exact value.
+//
+// A decision search stops earlier, at either threshold: when best < lo
+// (the value is below lo), or when floor + delta·(ring+1) ≥ hi (it is at
+// least hi). It then returns best, which lies on the same side of the
+// thresholds as the exact value, and exact = false.
+func (d *domain) lazyFix(c *Core, lo, hi vtime.Time) (best vtime.Time, exact bool) {
 	k := d.k
 	delta := k.relayDelta
 	d.effGen++
@@ -225,13 +291,14 @@ func (d *domain) lazyFix(c *Core) vtime.Time {
 	// a cursor per ring keeps layers contiguous.
 	q := append(d.effScratch[:0], c.ID)
 	c.effSeen = gen
-	best := vtime.Inf
+	best, exact = vtime.Inf, true
 	floor := d.effFloor()
 	visits := 0
 	ringStart, ringEnd := 0, 1
 	for depth := 0; ringStart < ringEnd; depth++ {
 		cost := satScale(delta, depth+1)
-		if satAdd(floor, cost) >= best {
+		if reach := satAdd(floor, cost); reach >= min(best, hi) || best < lo {
+			exact = reach >= best
 			break
 		}
 		for i := ringStart; i < ringEnd; i++ {
@@ -270,14 +337,16 @@ func (d *domain) lazyFix(c *Core) vtime.Time {
 	d.effScratch = q[:0]
 	d.effSearches++
 	d.effVisits += int64(visits)
-	return best
+	return best, exact
 }
 
 // minNeighborEff returns the minimum over c's neighbors of their
 // effective times, Inf if it has none: busy local neighbors' maintained
 // values, idle local neighbors pulled through the region fixpoint, and
 // the proxies frozen at the last barrier for neighbors in other shards.
-func (d *domain) minNeighborEff(c *Core) vtime.Time {
+// With thresholds (lazyFix) it returns at the first neighbor below lo, and
+// otherwise a value on the same side of them as the exact minimum.
+func (d *domain) minNeighborEff(c *Core, lo, hi vtime.Time) vtime.Time {
 	k := d.k
 	m := vtime.Inf
 	for j, nbID := range k.neighbors(c) {
@@ -288,11 +357,12 @@ func (d *domain) minNeighborEff(c *Core) vtime.Time {
 		} else if !nb.idle {
 			e = nb.eff
 		} else {
-			e = d.lazyEff(nb)
+			e = d.lazyEff(nb, lo, hi)
 		}
-		if e < m {
-			m = e
+		if e < lo {
+			return e
 		}
+		m = min(m, e) // branch-free: which neighbor is lower is not predictable
 	}
 	return m
 }
@@ -302,7 +372,7 @@ const (
 	runSlot    = iota // domain.rq: runnable cores by (cached runnable key, ID)
 	anchorSlot        // domain.busyList: busy cores by maintained eff
 	stallSlot         // domain.sq: stall-routed cores not known runnable, by (vt, ID)
-	stickySlot        // domain.sk: stall-routed cores found runnable this shape epoch, by (vt, ID)
+	stickySlot        // domain.sk: stall-routed cores found runnable, by (vt, ID)
 )
 
 // heapEntry is one coreHeap member with the key it is ordered by, copied
@@ -442,26 +512,18 @@ func (q *coreHeap) check(live func(*Core) vtime.Time) error {
 // share the runq cannot see): the sticky heap's root and count, merged
 // with a walk of the stall-heap subtrees whose root qualifies. Under a
 // shard-local policy a member found runnable moves to the sticky heap and
-// is not asked again while its horizon can only rise (anchors are monotone
-// between busy/idle flips): its own inputs take it out (schedUpdate,
-// step), and a flip or barrier ends the shape epoch, whose first pick
-// returns every member to the stall heap. Other policies keep the sticky
-// heap empty: LaxP2P draws from the RNG at every evaluation, so each
-// member is asked once per pick, in heap pre-order, as a scan would (with
-// an Inf limit: New refuses them more than one shard).
+// is not asked again while its horizon can only rise: its own inputs take
+// it out (schedUpdate, step), a busy/idle flip those members it may have
+// pushed behind (flipDemote), and a barrier all of them (refreshEff's
+// re-seat pass). Other policies keep the sticky heap empty: LaxP2P draws
+// from the RNG at every evaluation, so each member is asked once per pick,
+// in heap pre-order, as a scan would (with an Inf limit: New refuses them
+// more than one shard).
 func (d *domain) stallBest(limit vtime.Time) (best heapEntry, count int) {
-	if len(d.sq.heap) == 0 && (len(d.sk.heap) == 0 || d.skEpoch == d.shapeEpoch) {
-		return d.sk.pick() // nothing pending
-	}
-	if d.skEpoch != d.shapeEpoch {
-		d.stallDemoted += int64(len(d.sk.heap))
-		for _, e := range d.sk.heap {
-			e.c.hpos[stickySlot] = -1
-			d.sq.put(e.c, e.key)
-		}
-		d.sk.heap, d.sk.within, d.skEpoch = d.sk.heap[:0], 0, d.shapeEpoch
-	}
 	best, count = d.sk.pick() // armed at limit (domain.setLimit)
+	if len(d.sq.heap) == 0 {
+		return best, count // nothing pending
+	}
 	q, found := &d.sq, d.stallFound[:0]
 	var walk func(i int)
 	walk = func(i int) {
@@ -470,7 +532,7 @@ func (d *domain) stallBest(limit vtime.Time) (best heapEntry, count int) {
 		}
 		e := q.heap[i]
 		d.stallVisits++
-		if c := e.c; c != d.stepping && c.vt <= d.k.policyHorizon(c) {
+		if c := e.c; c != d.stepping && d.k.reached(c) {
 			count++
 			if best.c == nil || q.less(e, best) {
 				best = e
@@ -511,10 +573,9 @@ func (d *domain) pickIndexed(limit vtime.Time) (*Core, vtime.Time, int) {
 // already-correct eff (the global fixpoint restricted to a domain equals
 // the domain-local fixpoint anchored at the freshly frozen proxies).
 func (d *domain) rebuildLazyFromRefresh() {
+	// Refreshed frozen proxies can move horizons either way; refreshEff's
+	// re-seat pass returns every sticky member to the stall heap.
 	d.effInvalidate()
-	// Refreshed frozen proxies can move horizons either way: end the
-	// sticky heap's epoch along with the value memos.
-	d.shapeEpoch++
 	busy := d.busyList.heap[:0]
 	for _, c := range d.cores {
 		c.hpos[anchorSlot] = -1

@@ -39,13 +39,12 @@ type domain struct {
 	limit vtime.Time
 
 	// rq is the indexed runnable queue (sched.go); sq holds the stalled
-	// cores evaluated at every pick and sk those found runnable in shape
-	// epoch skEpoch (stallBest). stepping is the core currently inside
-	// step, whose index entry is transient until the step completes.
+	// cores evaluated at every pick and sk those found runnable
+	// (stallBest). stepping is the core currently inside step, whose index
+	// entry is transient until the step completes.
 	rq         runq     //simany:derived runnable heap, a function of the encoded queues and clocks (schedRebuild)
 	sq         coreHeap //simany:derived stalled-core heap, a function of the encoded queues and clocks (schedRebuild)
 	sk         runq     //simany:derived sticky-runnable heap, host-side only: emptied by schedRebuild
-	skEpoch    uint64   //simany:derived shape epoch the sticky heap was filled in, host-side only like shapeEpoch
 	stallFound []*Core  //simany:derived stallBest scratch, empty between picks
 	stepping   *Core    //simany:derived transient mid-step marker, nil at every barrier
 
@@ -59,16 +58,11 @@ type domain struct {
 	// frozen-proxy floor.
 	busyList coreHeap //simany:derived frontier anchor heap, rebuilt from the encoded idle flags at every barrier
 	effEpoch uint64   //simany:derived memo invalidation epoch, host-side only: results do not depend on its value
-	// shapeEpoch advances only when the anchor *set* changes (a busy/idle
-	// flip, a barrier refresh) — never on pure value moves, which are
-	// monotone. A stalled core's seat in the sticky heap (sk) is valid
-	// per shape epoch: within one, horizons can only rise, so a core once
-	// observed runnable stays runnable until its own inputs change.
-	shapeEpoch uint64 //simany:derived sticky-runnable invalidation epoch, host-side only like effEpoch
-	effGen     uint64 //simany:derived lazyFix BFS visited generation, transient per query
+	effGen   uint64   //simany:derived lazyFix and flipDemote BFS visited generation, transient per query
 	// Search counters, read by tests only: lazyFix's searches and neighbour
-	// visits, stallBest's stall-heap visits and sticky members demoted.
-	effSearches, effVisits, stallVisits, stallDemoted int64 //simany:derived test-read counters, no simulated state
+	// visits, flipDemote's neighbour visits, stallBest's stall-heap visits
+	// and the sticky members flipDemote returned to the stall heap.
+	effSearches, effVisits, flipVisits, stallVisits, stallDemoted int64 //simany:derived test-read counters, no simulated state
 	//simany:derived minimum over frozen cross-shard proxies, recomputed at every barrier
 	frozenFloor vtime.Time
 	effScratch  []int        //simany:derived reusable BFS ring buffer, empty between uses

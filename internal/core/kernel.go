@@ -470,12 +470,27 @@ func (k *Kernel) clearBirth(c *Core, taskID uint64) {
 // policyHorizon is the horizon of core c under the policy, with the
 // lock-holder exemption (§II.B) applied first: a core holding a lock runs
 // until it releases it, whatever the scheme, so Fig. 4's deadlock cannot
-// occur. It is the only place the kernel asks the policy.
+// occur. It and reached are the only places the kernel asks the policy.
 func (k *Kernel) policyHorizon(c *Core) vtime.Time {
 	if c.lockDepth > 0 {
 		return vtime.Inf
 	}
 	return k.policy.Horizon(c)
+}
+
+// reached reports whether stalled core c's horizon has reached its clock,
+// the question the stall heap asks at every pick (domain.stallBest). Under
+// Spatial the relay rule answers that decision alone: every input must be
+// at least c.vt − T, so each region search stops once it has found an
+// anchor below that or proved there is none (domain.lazyFix). Every other
+// policy is asked for its horizon, once per member as LaxP2P's pinned RNG
+// order needs.
+func (k *Kernel) reached(c *Core) bool {
+	if sp, ok := k.policy.(Spatial); ok && c.lockDepth == 0 {
+		th := c.vt - sp.T
+		return c.vt <= sp.relay(c, th, th)
+	}
+	return c.vt <= k.policyHorizon(c)
 }
 
 // horizonFor evaluates the policy horizon for c, capped by the shard round

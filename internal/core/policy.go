@@ -59,10 +59,16 @@ func (s Spatial) Name() string { return "spatial" }
 func (s Spatial) ShardLocal() bool { return true }
 
 // Horizon implements Policy.
-func (s Spatial) Horizon(c *Core) vtime.Time {
-	m := c.dom.minNeighborEff(c)
-	if b := c.minBirth(); b < m {
-		m = b
+func (s Spatial) Horizon(c *Core) vtime.Time { return s.relay(c, 0, vtime.Inf) }
+
+// relay is the spatial rule, min(birth stamps, neighbor effective times)
+// + T, with the region searches' stop thresholds lo and hi (0 and Inf for
+// the exact horizon): past them the result is only on the same side of
+// lo + T and hi + T as the exact one.
+func (s Spatial) relay(c *Core, lo, hi vtime.Time) vtime.Time {
+	m := c.minBirth()
+	if m >= lo {
+		m = min(m, c.dom.minNeighborEff(c, lo, hi))
 	}
 	if m == vtime.Inf {
 		return vtime.Inf

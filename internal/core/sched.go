@@ -204,13 +204,12 @@ func (d *domain) checkRunq() error {
 		i := c.hpos[runSlot]
 		stalled, sticky := c.hpos[stallSlot] >= 0, c.hpos[stickySlot] >= 0
 		if d.stallRouted(c) {
-			// A sticky core's horizon only rises within its epoch (stallBest).
 			switch {
 			case i >= 0:
 				return fmt.Errorf("domain %d: stalled core %d still in the runq (key %v)", d.id, c.ID, q.heap[i].key)
 			case stalled == sticky:
 				return fmt.Errorf("domain %d: stalled core %d in the stall heap %v, in the sticky heap %v", d.id, c.ID, stalled, sticky)
-			case sticky && d.skEpoch == d.shapeEpoch && c.vt > d.k.policyHorizon(c):
+			case sticky && c.vt > d.k.policyHorizon(c):
 				return fmt.Errorf("domain %d: sticky core %d not runnable (clock %v, horizon %v)", d.id, c.ID, c.vt, d.k.policyHorizon(c))
 			}
 			continue
